@@ -54,22 +54,21 @@ def pants_section_integral(
     return res.value
 
 
-def _bisect_root(func, lo: float, hi: float, iterations: int = 200) -> tuple[float, float]:
-    """Bracketed bisection; returns the final (lo, hi) with f(lo)<0<f(hi)."""
+def _bisect_root(func, lo: float, hi: float) -> tuple[float, float]:
+    """Bracketed bisection to float resolution; returns (lo, hi), f(lo)<0<=f(hi)."""
     f_lo = func(lo)
     f_hi = func(hi)
     if not (f_lo < 0.0 < f_hi):
         raise StructureError(
             f"root bracket failed: f({lo}) = {f_lo}, f({hi}) = {f_hi}"
         )
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if func(mid) < 0.0:
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     return lo, hi
 
 

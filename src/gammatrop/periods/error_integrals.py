@@ -17,8 +17,7 @@ import numpy as np
 
 from ..errors import NonConvergenceError
 from ..quadrature import ConvexPolygon, QuadratureConfig, integrate_1d, integrate_2d
-from ..tropical import AffineForm, TropicalPolynomial, corner_locus
-from ..tropical.polyhedra import _polygon_vertices
+from ..tropical import AffineForm, TropicalPolynomial, corner_locus, halfplane_polygon
 
 
 def _require_converged(result, what: str) -> float:
@@ -195,7 +194,7 @@ def _smooth_pieces(sides) -> list[ConvexPolygon]:
         rows = list(base)
         for s, cut in zip(signs, cuts):
             rows.append((tuple(s * c for c in cut), Fraction(0)))
-        vertices = _polygon_vertices(rows)
+        vertices = halfplane_polygon(rows)
         if len(vertices) >= 3:
             pieces.append(
                 ConvexPolygon([(float(x), float(y)) for x, y in vertices])

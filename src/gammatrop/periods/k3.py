@@ -23,7 +23,6 @@ K3_T_MAX = 0.1
 
 _SLOPES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
 _RHO_MAX = 8.0
-_BISECTIONS = 60
 
 
 def _default_config() -> QuadratureConfig:
@@ -39,35 +38,30 @@ def k3_period(
     """Quartic-mirror period over the positive-real cycle at parameter t.
 
     The radial coordinate of the cycle along each direction is found by
-    bisection on Phi = 1 over rho in (0, 8]; Phi is convex along rays
-    and Phi(0) = 4t < 1, so the crossing is unique.  A direction whose
-    ray never leaves the body within rho = 8 raises StructureError
-    naming the direction.  Orientation is fixed so the value is
-    positive; the asymptotic is 32 L^2 - 24 zeta(2) + o(1).
+    bisection on Phi = 1 over rho in (0, 8], run until the bracket is
+    two adjacent floats; Phi is convex along rays and Phi(0) = 4t < 1,
+    so the crossing is unique.  A direction whose ray never leaves the
+    body within rho = 8 raises StructureError naming the direction.
+    Orientation is fixed so the value is positive; the asymptotic is
+    32 L^2 - 24 zeta(2) + o(1).
     """
     if not 0.0 < t <= K3_T_MAX:
         raise ValueError(f"t must lie in (0, {K3_T_MAX}]")
     cfg = config or _default_config()
     big_l = -math.log(t)
 
-    def phi_and_slope(rho, s_list):
-        total = None
-        radial = None
-        for s in s_list:
-            term = np.exp(np.minimum(-big_l * (1.0 + rho * s), 700.0))
-            total = term if total is None else total + term
-            contrib = s * term
-            radial = contrib if radial is None else radial + contrib
-        return total, radial
+    def terms(rho, slopes):
+        return [np.exp(np.minimum(-big_l * (1.0 + rho * s), 700.0)) for s in slopes]
+
+    def phi(rho, slopes):
+        t0, t1, t2, t3 = terms(rho, slopes)
+        return t0 + t1 + t2 + t3
 
     def integrand(nx, ny, nz):
-        s_list = [
-            nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES
-        ]
+        slopes = [nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES]
         with np.errstate(over="ignore"):
-            phi_far, _ = phi_and_slope(np.full_like(nx, _RHO_MAX), s_list)
-            bad = ~(phi_far > 1.0)
-            if np.any(bad):
+            bad = ~(phi(np.full_like(nx, _RHO_MAX), slopes) > 1.0)
+            if bad.any():
                 idx = int(np.argmax(bad))
                 direction = (float(nx[idx]), float(ny[idx]), float(nz[idx]))
                 raise StructureError(
@@ -75,16 +69,19 @@ def k3_period(
                 )
             lo = np.zeros_like(nx)
             hi = np.full_like(nx, _RHO_MAX)
-            for _ in range(_BISECTIONS):
-                mid = 0.5 * (lo + hi)
-                phi_mid, _ = phi_and_slope(mid, s_list)
-                inside = phi_mid < 1.0
+            mid = 0.5 * (lo + hi)
+            # once lo and hi are adjacent floats the midpoint rounds onto
+            # one of them and further steps change nothing
+            while ((lo < mid) & (mid < hi)).any():
+                inside = phi(mid, slopes) < 1.0
                 lo = np.where(inside, mid, lo)
                 hi = np.where(inside, hi, mid)
-        rho = 0.5 * (lo + hi)
-        _, radial = phi_and_slope(rho, s_list)
+                mid = 0.5 * (lo + hi)
+        rho = mid
+        t0, t1, t2, t3 = terms(rho, slopes)
+        s0, s1, s2, s3 = slopes
         # d Phi/d rho = -L * sum(s_i T_i) > 0 at the outward crossing
-        return rho * rho / (-big_l * radial)
+        return rho * rho / (-big_l * (s0 * t0 + s1 * t1 + s2 * t2 + s3 * t3))
 
     res = integrate_2d(integrand, Sphere(1.0), cfg)
     scale = big_l**3

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -306,77 +306,66 @@ def integrate_2d(
     tightened tolerance; their error estimates are folded into the total.
     """
     cfg = config or QuadratureConfig()
-    inner_cfg = QuadratureConfig(
-        abs_tol=cfg.abs_tol / 8.0,
-        rel_tol=cfg.rel_tol / 8.0,
-        rule_order=cfg.rule_order,
-        max_subdivisions=cfg.max_subdivisions,
-        tail_cutoff=cfg.tail_cutoff,
-    )
-    state = {"evals": 0, "inner_err": 0.0, "inner_ok": True, "count": 0}
+    inner_cfg = replace(cfg, abs_tol=cfg.abs_tol / 8.0, rel_tol=cfg.rel_tol / 8.0)
 
+    # each domain is an outer interval plus a section map
+    # y -> (inner integrand, inner interval, weight), None where empty
     if isinstance(domain, Rectangle):
-        (ax, bx), (ay, by) = domain.x_range, domain.y_range
+        x_range, outer_interval = domain.x_range, domain.y_range
 
-        def outer(ys):
-            out = np.empty(len(ys))
-            for i, y in enumerate(ys):
-                res = integrate_1d(lambda x: f(x, y), (ax, bx), inner_cfg)
-                state["evals"] += res.evaluations
-                state["inner_err"] = max(state["inner_err"], res.error_estimate)
-                state["inner_ok"] = state["inner_ok"] and res.converged
-                out[i] = res.value
-            return out
+        def section(y):
+            return (lambda x: f(x, y)), x_range, 1.0
 
-        outer_interval = (ay, by)
-        measure = by - ay
     elif isinstance(domain, ConvexPolygon):
-        y_lo = min(p[1] for p in domain.vertices)
-        y_hi = max(p[1] for p in domain.vertices)
+        outer_interval = (
+            min(p[1] for p in domain.vertices),
+            max(p[1] for p in domain.vertices),
+        )
 
-        def outer(ys):
-            out = np.zeros(len(ys))
-            for i, y in enumerate(ys):
-                section = domain.x_section(y)
-                if section is None or section[0] >= section[1]:
-                    continue
-                res = integrate_1d(lambda x: f(x, y), section, inner_cfg)
-                state["evals"] += res.evaluations
-                state["inner_err"] = max(state["inner_err"], res.error_estimate)
-                state["inner_ok"] = state["inner_ok"] and res.converged
-                out[i] = res.value
-            return out
+        def section(y):
+            xs = domain.x_section(y)
+            if xs is None or xs[0] >= xs[1]:
+                return None
+            return (lambda x: f(x, y)), xs, 1.0
 
-        outer_interval = (y_lo, y_hi)
-        measure = y_hi - y_lo
     elif isinstance(domain, Sphere):
         r = domain.radius
-
-        def outer(thetas):
-            out = np.empty(len(thetas))
-            for i, theta in enumerate(thetas):
-                st, ct = math.sin(theta), math.cos(theta)
-
-                def ring(phi):
-                    return f(r * st * np.cos(phi), r * st * np.sin(phi),
-                             r * ct * np.ones_like(phi))
-
-                res = integrate_1d(ring, (0.0, 2.0 * math.pi), inner_cfg)
-                state["evals"] += res.evaluations
-                state["inner_err"] = max(state["inner_err"], res.error_estimate)
-                state["inner_ok"] = state["inner_ok"] and res.converged
-                out[i] = res.value * st * r * r
-            return out
-
         outer_interval = (0.0, math.pi)
-        measure = math.pi
+
+        def section(theta):
+            st, ct = math.sin(theta), math.cos(theta)
+
+            def ring(phi):
+                return f(r * st * np.cos(phi), r * st * np.sin(phi),
+                         r * ct * np.ones_like(phi))
+
+            return ring, (0.0, 2.0 * math.pi), st * r * r
+
     else:
         raise ValueError(f"unsupported 2d domain: {domain!r}")
 
+    evals = 0
+    inner_err = 0.0
+    inner_ok = True
+
+    def outer(ys):
+        nonlocal evals, inner_err, inner_ok
+        out = np.zeros(len(ys))
+        for i, y in enumerate(ys):
+            cut = section(y)
+            if cut is None:
+                continue
+            g, interval, weight = cut
+            res = integrate_1d(g, interval, inner_cfg)
+            evals += res.evaluations
+            inner_err = max(inner_err, res.error_estimate)
+            inner_ok = inner_ok and res.converged
+            out[i] = res.value * weight
+        return out
+
     res = integrate_1d(outer, outer_interval, cfg)
-    error = res.error_estimate + state["inner_err"] * measure
-    converged = res.converged and state["inner_ok"]
-    return IntegrationResult(res.value, error, state["evals"], converged)
+    error = res.error_estimate + inner_err * (outer_interval[1] - outer_interval[0])
+    return IntegrationResult(res.value, error, evals, res.converged and inner_ok)
 
 
 # --- asymptotic fits -----------------------------------------------------

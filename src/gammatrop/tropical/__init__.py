@@ -32,6 +32,7 @@ from .polyhedra import (
     compact_chamber,
     corner_locus,
     edge_singularities,
+    halfplane_polygon,
 )
 
 __all__ = [
@@ -55,5 +56,6 @@ __all__ = [
     "compact_chamber",
     "boundary_affine_area",
     "edge_singularities",
+    "halfplane_polygon",
     "focus_focus_monodromy",
 ]

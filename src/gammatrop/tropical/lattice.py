@@ -8,6 +8,8 @@ These are the invariants preserved by GL(n, Z) and translations.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -167,8 +169,12 @@ def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
     if d2 is None:
         return Fraction(0)
     basis = plane_lattice_basis(d1, d2)
-    coords = _plane_coordinates(offsets, basis)
-    ordered = sort_cyclic(coords)
+    return _cyclic_area(_plane_coordinates(offsets, basis))
+
+
+def _cyclic_area(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
+    """Shoelace area of the convex polygon on plane points, any order."""
+    ordered = sort_cyclic(points)
     area2 = Fraction(0)
     for k in range(len(ordered)):
         x1, y1 = ordered[k]
@@ -198,8 +204,6 @@ def sort_cyclic(
             return 0
         return 1
 
-    import functools
-
     def compare(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> int:
         hp, hq = half(p), half(q)
         if hp != hq:
@@ -217,6 +221,79 @@ def sort_cyclic(
     return sorted(unique, key=functools.cmp_to_key(compare))
 
 
+def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _convex_hull_3d_facets(
+    points: Sequence[Sequence[Rational]],
+) -> list[list[tuple[Fraction, ...]]]:
+    """Facet vertex cycles of the hull of rational points in 3-space.
+
+    Brute force over support planes; adequate for the handful of
+    vertices arising from chamber polytopes.
+    """
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    count = len(pts)
+    centroid = tuple(
+        sum((p[i] for p in pts), Fraction(0)) / count for i in range(3)
+    )
+    facets = {}
+    for i, j, k in itertools.combinations(range(count), 3):
+        a, b, c = pts[i], pts[j], pts[k]
+        normal = _cross(
+            tuple(x - y for x, y in zip(b, a)),
+            tuple(x - y for x, y in zip(c, a)),
+        )
+        if all(x == 0 for x in normal):
+            continue
+        values = [
+            sum(nv * (p[d] - a[d]) for d, nv in zip(range(3), normal))
+            for p in pts
+        ]
+        if not (all(v >= 0 for v in values) or all(v <= 0 for v in values)):
+            continue
+        side = sum(nv * (centroid[d] - a[d]) for d, nv in zip(range(3), normal))
+        oriented = normal if side <= 0 else tuple(-x for x in normal)
+        prim = primitive_vector(oriented)
+        offset = -sum(nv * x for nv, x in zip(prim, a))
+        key = (prim, offset)
+        if key in facets:
+            continue
+        on_plane = [p for p, v in zip(pts, values) if v == 0]
+        basis_dirs = []
+        origin = on_plane[0]
+        for p in on_plane[1:]:
+            d = tuple(x - o for x, o in zip(p, origin))
+            if any(x != 0 for x in d):
+                if not basis_dirs:
+                    basis_dirs.append(d)
+                else:
+                    try:
+                        plane_lattice_basis(basis_dirs[0], d)
+                    except ValueError:
+                        continue
+                    basis_dirs.append(d)
+                    break
+        if len(basis_dirs) < 2:
+            continue
+        basis = plane_lattice_basis(basis_dirs[0], basis_dirs[1])
+        offsets = [
+            tuple(x - o for x, o in zip(p, origin)) for p in on_plane
+        ]
+        coords = _plane_coordinates(offsets, basis)
+        ordered = sort_cyclic(coords)
+        back = {}
+        for p, s in zip(on_plane, _plane_coordinates(offsets, basis)):
+            back[s] = p
+        facets[key] = [back[s] for s in ordered]
+    return list(facets.values())
+
+
 def affine_volume(vertices: Sequence[Sequence[Rational]]) -> Fraction:
     """Lattice-normalized volume of a full-dimensional polytope, n <= 3.
 
@@ -232,17 +309,9 @@ def affine_volume(vertices: Sequence[Sequence[Rational]]) -> Fraction:
         xs = [p[0] for p in points]
         return max(xs) - min(xs)
     if n == 2:
-        ordered = sort_cyclic([(p[0], p[1]) for p in points])
-        area2 = Fraction(0)
-        for k in range(len(ordered)):
-            x1, y1 = ordered[k]
-            x2, y2 = ordered[(k + 1) % len(ordered)]
-            area2 += x1 * y2 - x2 * y1
-        return abs(area2) / 2
+        return _cyclic_area([(p[0], p[1]) for p in points])
     if n != 3:
         raise ValueError("only dimensions 1, 2 and 3 are supported")
-    from .polyhedra import _convex_hull_3d_facets
-
     facets = _convex_hull_3d_facets(points)
     apex = points[0]
     total = Fraction(0)

@@ -16,8 +16,9 @@ from typing import Sequence
 from ..errors import StructureError, UnsupportedDimensionError
 from .forms import TropicalPolynomial
 from .lattice import (
-    _plane_coordinates,
+    _cross,
     affine_length,
+    affine_volume,
     plane_lattice_basis,
     polygon_affine_area,
     primitive_vector,
@@ -63,14 +64,6 @@ def _solve_affine(
             v[col] = -aug[row][f]
         basis.append(tuple(v))
     return tuple(particular), basis
-
-
-def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def _recession_nontrivial(
@@ -269,7 +262,7 @@ def _cell_for_subset(
             return None
         vertices_s = [(lo_s,), (hi_s,)]
     elif k == 2:
-        vertices_s = _polygon_vertices(all_rows)
+        vertices_s = halfplane_polygon(all_rows)
         if len(vertices_s) < 3:
             return None
     else:
@@ -320,10 +313,14 @@ def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
     return v
 
 
-def _polygon_vertices(
+def halfplane_polygon(
     rows: Sequence[tuple[tuple[Fraction, ...], Fraction]]
 ) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of {s in R^2 : c . s + d >= 0 for all rows}, ccw order."""
+    """Vertices of {s in R^2 : c . s + d >= 0 for all rows}, ccw order.
+
+    Rows are (c, d) pairs.  An empty region, or one squeezed to a point
+    or a segment, gives [].
+    """
     candidates = set()
     for (c1, d1), (c2, d2) in itertools.combinations(rows, 2):
         det = c1[0] * c2[1] - c1[1] * c2[0]
@@ -397,8 +394,6 @@ class LatticePolytope:
         return tuple(sorted(out))
 
     def volume(self) -> Fraction:
-        from .lattice import affine_volume
-
         return affine_volume(self.vertices)
 
 
@@ -547,66 +542,3 @@ def edge_singularities(polytope: LatticePolytope) -> tuple[Point, ...]:
                 )
             )
     return tuple(sorted(points))
-
-
-def _convex_hull_3d_facets(points: Sequence[Point]) -> list[list[Point]]:
-    """Facet vertex cycles of the hull of rational points in 3-space.
-
-    Brute force over support planes; adequate for the handful of
-    vertices arising from chamber polytopes.
-    """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    count = len(pts)
-    centroid = tuple(
-        sum((p[i] for p in pts), Fraction(0)) / count for i in range(3)
-    )
-    facets = {}
-    for i, j, k in itertools.combinations(range(count), 3):
-        a, b, c = pts[i], pts[j], pts[k]
-        normal = _cross(
-            tuple(x - y for x, y in zip(b, a)),
-            tuple(x - y for x, y in zip(c, a)),
-        )
-        if all(x == 0 for x in normal):
-            continue
-        values = [
-            sum(nv * (p[d] - a[d]) for d, nv in zip(range(3), normal))
-            for p in pts
-        ]
-        if not (all(v >= 0 for v in values) or all(v <= 0 for v in values)):
-            continue
-        side = sum(nv * (centroid[d] - a[d]) for d, nv in zip(range(3), normal))
-        oriented = normal if side <= 0 else tuple(-x for x in normal)
-        prim = primitive_vector(oriented)
-        offset = -sum(nv * x for nv, x in zip(prim, a))
-        key = (prim, offset)
-        if key in facets:
-            continue
-        on_plane = [p for p, v in zip(pts, values) if v == 0]
-        basis_dirs = []
-        origin = on_plane[0]
-        for p in on_plane[1:]:
-            d = tuple(x - o for x, o in zip(p, origin))
-            if any(x != 0 for x in d):
-                if not basis_dirs:
-                    basis_dirs.append(d)
-                else:
-                    try:
-                        plane_lattice_basis(basis_dirs[0], d)
-                    except ValueError:
-                        continue
-                    basis_dirs.append(d)
-                    break
-        if len(basis_dirs) < 2:
-            continue
-        basis = plane_lattice_basis(basis_dirs[0], basis_dirs[1])
-        offsets = [
-            tuple(x - o for x, o in zip(p, origin)) for p in on_plane
-        ]
-        coords = _plane_coordinates(offsets, basis)
-        ordered = sort_cyclic(coords)
-        back = {}
-        for p, s in zip(on_plane, _plane_coordinates(offsets, basis)):
-            back[s] = p
-        facets[key] = [back[s] for s in ordered]
-    return list(facets.values())

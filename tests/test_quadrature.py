@@ -226,6 +226,11 @@ def test_sphere_radius_scaling():
     assert result.value == pytest.approx(16.0 * math.pi, rel=1e-9)
 
 
+
+def test_integrate_2d_rejects_unsupported_domain():
+    with pytest.raises(ValueError, match="unsupported 2d domain"):
+        integrate_2d(lambda x, y: 1.0, ((0.0, 1.0), (0.0, 1.0)))
+
 # --- asymptotic fits ---
 
 
