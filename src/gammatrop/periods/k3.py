@@ -51,14 +51,15 @@ def k3_period(
     big_l = -math.log(t)
 
     def terms(rho, slopes):
-        return [np.exp(np.minimum(-big_l * (1.0 + rho * s), 700.0)) for s in slopes]
+        # one pass over the (4, n) slopes; rho broadcasts along the rows
+        return np.exp(np.minimum(-big_l * (1.0 + rho * slopes), 700.0))
 
     def phi(rho, slopes):
         t0, t1, t2, t3 = terms(rho, slopes)
         return t0 + t1 + t2 + t3
 
     def integrand(nx, ny, nz):
-        slopes = [nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES]
+        slopes = np.array([nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES])
         with np.errstate(over="ignore"):
             bad = ~(phi(np.full_like(nx, _RHO_MAX), slopes) > 1.0)
             if bad.any():

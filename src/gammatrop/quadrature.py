@@ -4,6 +4,13 @@ One fixed nested interpolatory rule pair per config (open rules, so
 integrable endpoint singularities never get evaluated at the endpoint),
 bisection of the worst panel, and a reduction order that does not depend
 on scheduling.  Rerunning with the same config is bit-identical.
+
+Integrands must be elementwise: each value depends only on the arguments
+at its own node.  The adaptive loop is a coroutine that asks for nodes,
+and `_lockstep` joins the requests of many integrals into one integrand
+call, so one call may cover many panels and, in `integrate_2d`, many
+sections.  Planar integrands get y as an array of x's shape, not a
+scalar.
 """
 
 from __future__ import annotations
@@ -93,49 +100,73 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _RULE_CACHE[order]
 
 
-def _eval_panel(f, a: float, b: float, order: int) -> tuple[float, float]:
-    """Fine-rule integral over [a, b] and the nested error estimate."""
-    nodes, weights, coarse = _rule(order)
+def _panel_nodes(a: float, b: float, order: int) -> np.ndarray:
+    """Fine-rule nodes of the panel [a, b]."""
+    nodes = _rule(order)[0]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * nodes), dtype=float)
-    if y.ndim == 0:
-        y = np.full(nodes.shape, float(y))
+    return mid + half * nodes
+
+
+def _panel_sums(y: np.ndarray, a: float, b: float, order: int) -> tuple[float, float]:
+    """Fine-rule integral and nested error estimate from the node values."""
+    _, weights, coarse = _rule(order)
+    half = 0.5 * (b - a)
     fine = half * float(weights @ y)
     # coarse rule lives on the odd-indexed fine nodes
     crs = half * float(coarse @ y[1::2])
     # the difference estimates the coarse error; the 1.5 margin keeps it
     # an upper bound for the fine rule even on singular panels
     err = 1.5 * abs(fine - crs)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         err = math.inf
     return fine, err
 
 
-def _find_tail_cutoff(f, start: float, direction: int, cfg: QuadratureConfig):
+def _values(y, size: int) -> np.ndarray:
+    """Integrand output as a float array of `size` values.
+
+    A 0-d result is a constant and is broadcast; any other shape that is
+    not (size,) raises, because in a batch it would shift the values of
+    every later request.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0:
+        return np.full(size, float(y))
+    if y.shape != (size,):
+        raise ValueError(
+            f"integrand returned shape {y.shape} for {size} nodes; "
+            "it must be elementwise"
+        )
+    return y
+
+
+def _eval_panel(f, a: float, b: float, order: int) -> tuple[float, float]:
+    """Fine-rule integral over [a, b] and the nested error estimate."""
+    return _panel_sums(_values(f(_panel_nodes(a, b, order)), order), a, b, order)
+
+
+def _find_tail_cutoff(start: float, direction: int, cfg: QuadratureConfig):
     """Truncation point for an unbounded tail, plus a bound on what is cut.
 
-    Probes at geometrically growing offsets until |f| stays below
-    tail_cutoff twice in a row.  The discarded mass is bounded using the
-    decay rate observed between the last two probes.  The probe points
-    are also returned: they seed the initial panels, so mass far from
-    the finite endpoint cannot hide between rule nodes.
+    A coroutine: yields each one-point probe and receives the integrand
+    value there.  Probes at geometrically growing offsets until |f| stays
+    below tail_cutoff twice in a row.  The discarded mass is bounded using
+    the decay rate observed between the last two probes.  The probe
+    points are also returned: they seed the initial panels, so mass far
+    from the finite endpoint cannot hide between rule nodes.
     """
     offset = 1.0
     prev_point = start
     prev_mag = None
     below = 0
-    evaluations = 0
     point = start
     mag = 0.0
     probes: list[float] = []
     for _ in range(80):
         point = start + direction * offset
         probes.append(point)
-        mag = abs(
-            float(np.asarray(f(np.array([point])), dtype=float).reshape(-1)[0])
-        )
-        evaluations += 1
+        mag = abs(float((yield np.array([point]))[0]))
         if mag < cfg.tail_cutoff:
             below += 1
             if below >= 2:
@@ -159,58 +190,64 @@ def _find_tail_cutoff(f, start: float, direction: int, cfg: QuadratureConfig):
             bound = 4.0 * mag / decay
         else:
             bound = 4.0 * mag * max(abs(point - prev_point), 1.0)
-    return point, bound, probes, evaluations
+    return point, bound, probes
 
 
-def integrate_1d(
-    f: Callable[[np.ndarray], np.ndarray],
-    interval: tuple[float, float],
-    config: QuadratureConfig | None = None,
-) -> IntegrationResult:
-    """Adaptive integral of a vectorized integrand over an interval.
+def _adaptive(a: float, b: float, cfg: QuadratureConfig):
+    """The adaptive panel loop of one integral over [a, b], as a coroutine.
 
-    Endpoints may be infinite; tails are truncated where the integrand
-    magnitude falls below config.tail_cutoff and the truncated mass is
-    added to the error estimate.  The reported error estimate is the sum
-    of per-panel nested-rule differences plus tail bounds.
+    Yields each array of nodes it needs and receives the integrand values
+    at those nodes; returns the IntegrationResult.  All initial panels are
+    asked for in one request, and both children of a split in one.  Every
+    decision depends only on this coroutine's own values, so running it
+    alone or in lockstep with others gives the same bits.
     """
-    cfg = config or QuadratureConfig()
-    a, b = float(interval[0]), float(interval[1])
+    a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
-    evaluations = 0
-    tail_bound = 0.0
     if math.isinf(a) and math.isinf(b):
-        left = integrate_1d(f, (a, 0.0), cfg)
-        right = integrate_1d(f, (0.0, b), cfg)
+        left = yield from _adaptive(a, 0.0, cfg)
+        right = yield from _adaptive(0.0, b, cfg)
         return IntegrationResult(
             left.value + right.value,
             left.error_estimate + right.error_estimate,
             left.evaluations + right.evaluations,
             left.converged and right.converged,
         )
+    evaluations = 0
+    tail_bound = 0.0
     boundaries = [a, b]
     if math.isinf(b):
-        b, bound, probes, n = _find_tail_cutoff(f, a, +1, cfg)
+        b, bound, probes = yield from _find_tail_cutoff(a, +1, cfg)
         tail_bound += bound
-        evaluations += n
+        evaluations += len(probes)
         boundaries = [a] + [p for p in probes if a < p < b] + [b]
     if math.isinf(a):
-        a, bound, probes, n = _find_tail_cutoff(f, b, -1, cfg)
+        a, bound, probes = yield from _find_tail_cutoff(b, -1, cfg)
         tail_bound += bound
-        evaluations += n
+        evaluations += len(probes)
         boundaries = [a] + sorted(p for p in probes if a < p < b) + boundaries[1:]
     if not a < b:
         return IntegrationResult(0.0, tail_bound, evaluations, True)
     boundaries[0], boundaries[-1] = a, b
 
     order = cfg.rule_order
+
+    def evaluate(panels):
+        # one request for all panels; (value, err) of each from its slice
+        values = yield np.concatenate([_panel_nodes(pa, pb, order) for pa, pb in panels])
+        return [
+            _panel_sums(values[k * order:(k + 1) * order], pa, pb, order)
+            for k, (pa, pb) in enumerate(panels)
+        ]
+
     counter = 0
     heap = []  # entries: (-err, tie_breaker, a, b, value, err)
     total_err = 0.0
     total_val = 0.0
-    for pa, pb in zip(boundaries, boundaries[1:]):
-        value, err = _eval_panel(f, pa, pb, order)
+    initial = list(zip(boundaries, boundaries[1:]))
+    sums = yield from evaluate(initial)
+    for (pa, pb), (value, err) in zip(initial, sums):
         evaluations += order
         total_val += value
         total_err += err
@@ -228,8 +265,7 @@ def integrate_1d(
             finished.append((pa, pb, pval, perr))
             continue
         mid = 0.5 * (pa + pb)
-        lv, le = _eval_panel(f, pa, mid, order)
-        rv, re = _eval_panel(f, mid, pb, order)
+        (lv, le), (rv, re) = yield from evaluate([(pa, mid), (mid, pb)])
         evaluations += 2 * order
         splits += 1
         total_val += lv + rv - pval
@@ -244,6 +280,66 @@ def integrate_1d(
     error = math.fsum(p[3] for p in panels) + tail_bound
     converged = error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return IntegrationResult(value, error, evaluations, converged)
+
+
+def _lockstep(f: Callable, routines: list) -> list[IntegrationResult]:
+    """Run adaptive coroutines together, one integrand call per round.
+
+    `routines` holds (coroutine, to_args) pairs; to_args turns the nodes a
+    coroutine asks for into the integrand's arguments.  Each round joins
+    every pending request argument by argument, calls f once, and hands
+    each coroutine its slice of the values.
+    """
+    results: list = [None] * len(routines)
+    requests: dict[int, np.ndarray] = {}
+
+    def advance(i, values):
+        try:
+            requests[i] = routines[i][0].send(values)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(routines)):
+        advance(i, None)
+    while requests:
+        pending = list(requests.items())
+        requests.clear()
+        if len(pending) == 1:
+            # a lone request needs no joining
+            (i, nodes), = pending
+            advance(i, _values(f(*routines[i][1](nodes)), len(nodes)))
+            continue
+        columns = zip(*(routines[i][1](nodes) for i, nodes in pending))
+        sizes = [len(nodes) for _, nodes in pending]
+        values = _values(f(*(np.concatenate(c) for c in columns)), sum(sizes))
+        start = 0
+        for (i, _), size in zip(pending, sizes):
+            advance(i, values[start:start + size])
+            start += size
+    return results
+
+
+def _single(x: np.ndarray) -> tuple[np.ndarray]:
+    return (x,)
+
+
+def integrate_1d(
+    f: Callable[[np.ndarray], np.ndarray],
+    interval: tuple[float, float],
+    config: QuadratureConfig | None = None,
+) -> IntegrationResult:
+    """Adaptive integral of a vectorized integrand over an interval.
+
+    The integrand must be elementwise: it maps a 1d array of nodes to the
+    array of its values there, and each value depends only on its own
+    node.  One call may cover many panels.  Endpoints may be infinite;
+    tails are truncated where the integrand magnitude falls below
+    config.tail_cutoff and the truncated mass is added to the error
+    estimate.  The reported error estimate is the sum of per-panel
+    nested-rule differences plus tail bounds.
+    """
+    cfg = config or QuadratureConfig()
+    return _lockstep(f, [(_adaptive(*interval, cfg), _single)])[0]
 
 
 # --- 2d domains ----------------------------------------------------------
@@ -300,21 +396,24 @@ def integrate_2d(
 ) -> IntegrationResult:
     """Iterated adaptive integral over a rectangle, polygon, or sphere.
 
-    The integrand receives a 1d numpy array for the inner coordinate and
-    a scalar for the outer one: f(x_array, y) for planar domains, and
-    f(nx, ny, nz) with arrays for the sphere.  Inner integrals run at a
-    tightened tolerance; their error estimates are folded into the total.
+    The integrand must be elementwise, and it receives 1d arrays of equal
+    shape: f(x, y) for planar domains, where y is an array of x's shape
+    (not a scalar), and f(nx, ny, nz) for the sphere.  One call covers
+    the inner nodes of many sections: the inner integrals of an outer
+    panel run in lockstep, one integrand call per round.  Inner integrals
+    run at a tightened tolerance; their error estimates are folded into
+    the total.
     """
     cfg = config or QuadratureConfig()
     inner_cfg = replace(cfg, abs_tol=cfg.abs_tol / 8.0, rel_tol=cfg.rel_tol / 8.0)
 
-    # each domain is an outer interval plus a section map
-    # y -> (inner integrand, inner interval, weight), None where empty
+    # each domain is an outer interval plus a section map y -> (inner
+    # nodes -> integrand arguments, inner interval, weight), None where empty
     if isinstance(domain, Rectangle):
         x_range, outer_interval = domain.x_range, domain.y_range
 
         def section(y):
-            return (lambda x: f(x, y)), x_range, 1.0
+            return (lambda x: (x, np.full_like(x, y))), x_range, 1.0
 
     elif isinstance(domain, ConvexPolygon):
         outer_interval = (
@@ -326,7 +425,7 @@ def integrate_2d(
             xs = domain.x_section(y)
             if xs is None or xs[0] >= xs[1]:
                 return None
-            return (lambda x: f(x, y)), xs, 1.0
+            return (lambda x: (x, np.full_like(x, y))), xs, 1.0
 
     elif isinstance(domain, Sphere):
         r = domain.radius
@@ -336,8 +435,8 @@ def integrate_2d(
             st, ct = math.sin(theta), math.cos(theta)
 
             def ring(phi):
-                return f(r * st * np.cos(phi), r * st * np.sin(phi),
-                         r * ct * np.ones_like(phi))
+                return (r * st * np.cos(phi), r * st * np.sin(phi),
+                        np.full_like(phi, r * ct))
 
             return ring, (0.0, 2.0 * math.pi), st * r * r
 
@@ -351,12 +450,12 @@ def integrate_2d(
     def outer(ys):
         nonlocal evals, inner_err, inner_ok
         out = np.zeros(len(ys))
-        for i, y in enumerate(ys):
-            cut = section(y)
-            if cut is None:
-                continue
-            g, interval, weight = cut
-            res = integrate_1d(g, interval, inner_cfg)
+        cuts = [(i, cut) for i, cut in enumerate(map(section, ys)) if cut is not None]
+        results = _lockstep(f, [
+            (_adaptive(*interval, inner_cfg), to_args)
+            for _, (to_args, interval, _) in cuts
+        ])
+        for (i, (_, _, weight)), res in zip(cuts, results):
             evals += res.evaluations
             inner_err = max(inner_err, res.error_estimate)
             inner_ok = inner_ok and res.converged

@@ -286,11 +286,8 @@ def _convex_hull_3d_facets(
             tuple(x - o for x, o in zip(p, origin)) for p in on_plane
         ]
         coords = _plane_coordinates(offsets, basis)
-        ordered = sort_cyclic(coords)
-        back = {}
-        for p, s in zip(on_plane, _plane_coordinates(offsets, basis)):
-            back[s] = p
-        facets[key] = [back[s] for s in ordered]
+        back = dict(zip(coords, on_plane))
+        facets[key] = [back[s] for s in sort_cyclic(coords)]
     return list(facets.values())
 
 

@@ -7,7 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gammatrop.errors import SingularFiberError, UnsupportedDimensionError
+import gammatrop.periods.k3 as k3
+from gammatrop.errors import (
+    SingularFiberError,
+    StructureError,
+    UnsupportedDimensionError,
+)
 from gammatrop.periods import (
     ELLIPTIC_T_MAX,
     K3_T_MAX,
@@ -385,6 +390,20 @@ def test_k3_period_matches_asymptotic():
     big_l = sample.big_l
     predicted = 32.0 * big_l**2 - 24.0 * ZETA2
     assert abs(sample.value - predicted) < 0.05
+
+
+def test_k3_period_default_tolerance():
+    sample = k3_period(1e-2)
+    assert sample.converged
+    predicted = 32.0 * sample.big_l**2 - 24.0 * ZETA2
+    assert abs(sample.value - predicted) < 1e-3
+
+
+def test_k3_no_crossing_names_the_direction(monkeypatch):
+    # with the search radius inside the body no ray reaches Phi = 1
+    monkeypatch.setattr(k3, "_RHO_MAX", 1e-3)
+    with pytest.raises(StructureError, match=r"no crossing along direction \(\S+, \S+, \S+\)"):
+        k3_period(1e-2)
 
 
 def test_k3_validation():

@@ -137,6 +137,22 @@ def test_integrate_rejects_bad_interval():
         integrate_1d(np.exp, (2.0, 1.0))
 
 
+def test_integrand_output_shape_is_checked():
+    # a 0-d result is a constant and is broadcast to every node
+    assert integrate_1d(lambda x: 2.0, (0.0, 1.0)).value == pytest.approx(2.0)
+    # any other shape that is not the nodes' own would, in a batch, shift
+    # the values of every later section, so it raises
+    with pytest.raises(ValueError, match="elementwise"):
+        integrate_1d(lambda x: x[:-1], (0.0, 1.0))
+    with pytest.raises(ValueError, match="elementwise"):
+        integrate_1d(lambda x: x[:, None], (0.0, math.inf))
+    box = Rectangle((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValueError, match="elementwise"):
+        integrate_2d(lambda x, y: np.ones(3), box)
+    with pytest.raises(ValueError, match="elementwise"):
+        integrate_2d(lambda nx, ny, nz: np.ones((len(nx), 1)), Sphere())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
@@ -225,6 +241,110 @@ def test_sphere_radius_scaling():
     result = integrate_2d(lambda nx, ny, nz: 1.0, Sphere(radius=2.0))
     assert result.value == pytest.approx(16.0 * math.pi, rel=1e-9)
 
+
+
+# a smooth, non-separable integrand per domain
+TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+CASES = (
+    (Rectangle((-8.0, 8.0), (-8.0, 8.0)), lambda x, y: np.exp(-x * x - y * y - x * y)),
+    (TRIANGLE, lambda x, y: np.cos(3.0 * x * y) + x),
+    (Sphere(), lambda nx, ny, nz: np.exp(nx + ny * nz)),
+)
+
+
+def nested_reference(f, domain, cfg):
+    """integrate_2d as one inner integrate_1d per section, with scalar y."""
+    inner_cfg = QuadratureConfig(
+        abs_tol=cfg.abs_tol / 8.0,
+        rel_tol=cfg.rel_tol / 8.0,
+        rule_order=cfg.rule_order,
+        max_subdivisions=cfg.max_subdivisions,
+        tail_cutoff=cfg.tail_cutoff,
+    )
+    if isinstance(domain, Rectangle):
+        outer_interval = domain.y_range
+
+        def section(y):
+            return (lambda x: f(x, y)), domain.x_range, 1.0
+
+    elif isinstance(domain, ConvexPolygon):
+        ys = [p[1] for p in domain.vertices]
+        outer_interval = (min(ys), max(ys))
+
+        def section(y):
+            xs = domain.x_section(y)
+            if xs is None or xs[0] >= xs[1]:
+                return None
+            return (lambda x: f(x, y)), xs, 1.0
+
+    else:
+        r = domain.radius
+        outer_interval = (0.0, math.pi)
+
+        def section(theta):
+            st, ct = math.sin(theta), math.cos(theta)
+
+            def ring(phi):
+                return f(r * st * np.cos(phi), r * st * np.sin(phi),
+                         r * ct * np.ones_like(phi))
+
+            return ring, (0.0, 2.0 * math.pi), st * r * r
+
+    inner = []
+
+    def outer(ys):
+        out = np.zeros(len(ys))
+        for i, y in enumerate(ys):
+            cut = section(y)
+            if cut is not None:
+                g, interval, weight = cut
+                inner.append(integrate_1d(g, interval, inner_cfg))
+                out[i] = inner[-1].value * weight
+        return out
+
+    res = integrate_1d(outer, outer_interval, cfg)
+    width = outer_interval[1] - outer_interval[0]
+    return IntegrationResult(
+        res.value,
+        res.error_estimate + max(r.error_estimate for r in inner) * width,
+        sum(r.evaluations for r in inner),
+        res.converged and all(r.converged for r in inner),
+    )
+
+
+@pytest.mark.parametrize("domain, f", CASES, ids=["rectangle", "polygon", "sphere"])
+def test_integrate_2d_equals_nested_1d_reference(domain, f):
+    # the lockstep inner integrals give the bits of one integral per section
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    result = integrate_2d(f, domain, cfg)
+    reference = nested_reference(f, domain, cfg)
+    assert result.value == reference.value
+    assert result.error_estimate == reference.error_estimate
+    assert result.evaluations == reference.evaluations
+    assert result.converged and reference.converged
+
+
+@pytest.mark.parametrize(
+    "domain, f",
+    (
+        (Sphere(), lambda nx, ny, nz: nz * nz),
+        (Rectangle((-8.0, 8.0), (-8.0, 8.0)), lambda x, y: np.exp(-x * x - y * y)),
+        (TRIANGLE, lambda x, y: 1.0),
+    ),
+    ids=["sphere", "rectangle", "polygon"],
+)
+def test_integrate_2d_batches_sections(domain, f):
+    # the sections of an outer panel share each integrand call
+    points = []
+
+    def counted(*args):
+        points.append(np.size(args[0]))
+        return f(*args)
+
+    cfg = QuadratureConfig()
+    result = integrate_2d(counted, domain, cfg)
+    assert sum(points) == result.evaluations
+    assert sum(points) / len(points) >= 10 * cfg.rule_order
 
 
 def test_integrate_2d_rejects_unsupported_domain():
