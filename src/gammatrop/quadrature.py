@@ -5,19 +5,26 @@ integrable endpoint singularities never get evaluated at the endpoint),
 bisection of the worst panel, and a reduction order that does not depend
 on scheduling.  Rerunning with the same config is bit-identical.
 
+In 1d the adaptive loop is a coroutine that asks for nodes; a panel's
+error is 1.5 times the difference of the two rules.  In 2d the domain is
+a list of patches, (u, v) boxes with a map to the integrand's arguments
+and a jacobian: the identity for a rectangle, (theta, phi) with
+r^2 sin(theta) for the sphere, and a fan of Duffy-mapped unit squares
+for a convex polygon.  All boxes are panels of one heap, each with the
+tensor product of the fine rule and an error from the coarse rule along
+each axis.
+
 Integrands must be elementwise: each value depends only on the arguments
-at its own node.  The adaptive loop is a coroutine that asks for nodes,
-and `_lockstep` joins the requests of many integrals into one integrand
-call, so one call may cover many panels and, in `integrate_2d`, many
-sections.  Planar integrands get y as an array of x's shape, not a
-scalar.
+at its own node, and one call may cover many panels.  Planar integrands
+get y as an array of x's shape, not a scalar.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +49,7 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     rule_order: int = 15           # nodes of the fine rule; must be odd
-    max_subdivisions: int = 2000
+    max_subdivisions: int = 2000   # splits of a 1d integral, or of the one 2d panel heap
     tail_cutoff: float = 1e-30     # |f| below this truncates unbounded tails
 
     def __post_init__(self):
@@ -193,14 +200,22 @@ def _find_tail_cutoff(start: float, direction: int, cfg: QuadratureConfig):
     return point, bound, probes
 
 
+def _meets_tolerance(error: float, value: float, cfg: QuadratureConfig) -> bool:
+    """Whether error is within the target; a non-finite value never is."""
+    return math.isfinite(value) and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+
+
+def _at_float_width(a: float, b: float) -> bool:
+    """Whether [a, b] is too narrow to bisect; such a panel is kept as is."""
+    return b - a <= 1e-15 * max(abs(a), abs(b), 1e-300)
+
+
 def _adaptive(a: float, b: float, cfg: QuadratureConfig):
     """The adaptive panel loop of one integral over [a, b], as a coroutine.
 
     Yields each array of nodes it needs and receives the integrand values
     at those nodes; returns the IntegrationResult.  All initial panels are
-    asked for in one request, and both children of a split in one.  Every
-    decision depends only on this coroutine's own values, so running it
-    alone or in lockstep with others gives the same bits.
+    asked for in one request, and both children of a split in one.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -256,12 +271,10 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig):
     finished: list[tuple[float, float, float, float]] = []
     splits = 0
     while heap and splits < cfg.max_subdivisions:
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if total_err + tail_bound <= target:
+        if _meets_tolerance(total_err + tail_bound, total_val, cfg):
             break
         neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if pb - pa <= 1e-15 * max(abs(pa), abs(pb), 1e-300):
-            # width at float resolution; keep the panel as is
+        if _at_float_width(pa, pb):
             finished.append((pa, pb, pval, perr))
             continue
         mid = 0.5 * (pa + pb)
@@ -278,49 +291,7 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig):
     panels.sort()
     value = math.fsum(p[2] for p in panels)
     error = math.fsum(p[3] for p in panels) + tail_bound
-    converged = error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return IntegrationResult(value, error, evaluations, converged)
-
-
-def _lockstep(f: Callable, routines: list) -> list[IntegrationResult]:
-    """Run adaptive coroutines together, one integrand call per round.
-
-    `routines` holds (coroutine, to_args) pairs; to_args turns the nodes a
-    coroutine asks for into the integrand's arguments.  Each round joins
-    every pending request argument by argument, calls f once, and hands
-    each coroutine its slice of the values.
-    """
-    results: list = [None] * len(routines)
-    requests: dict[int, np.ndarray] = {}
-
-    def advance(i, values):
-        try:
-            requests[i] = routines[i][0].send(values)
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(routines)):
-        advance(i, None)
-    while requests:
-        pending = list(requests.items())
-        requests.clear()
-        if len(pending) == 1:
-            # a lone request needs no joining
-            (i, nodes), = pending
-            advance(i, _values(f(*routines[i][1](nodes)), len(nodes)))
-            continue
-        columns = zip(*(routines[i][1](nodes) for i, nodes in pending))
-        sizes = [len(nodes) for _, nodes in pending]
-        values = _values(f(*(np.concatenate(c) for c in columns)), sum(sizes))
-        start = 0
-        for (i, _), size in zip(pending, sizes):
-            advance(i, values[start:start + size])
-            start += size
-    return results
-
-
-def _single(x: np.ndarray) -> tuple[np.ndarray]:
-    return (x,)
+    return IntegrationResult(value, error, evaluations, _meets_tolerance(error, value, cfg))
 
 
 def integrate_1d(
@@ -338,8 +309,13 @@ def integrate_1d(
     estimate.  The reported error estimate is the sum of per-panel
     nested-rule differences plus tail bounds.
     """
-    cfg = config or QuadratureConfig()
-    return _lockstep(f, [(_adaptive(*interval, cfg), _single)])[0]
+    routine = _adaptive(*interval, config or QuadratureConfig())
+    try:
+        nodes = routine.send(None)
+        while True:
+            nodes = routine.send(_values(f(nodes), len(nodes)))
+    except StopIteration as stop:
+        return stop.value
 
 
 # --- 2d domains ----------------------------------------------------------
@@ -363,24 +339,6 @@ class ConvexPolygon:
         pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
         self.vertices = pts
 
-    def x_section(self, y: float) -> tuple[float, float] | None:
-        """x-interval of the horizontal section at height y."""
-        xs = []
-        n = len(self.vertices)
-        for i in range(n):
-            (x0, y0), (x1, y1) = self.vertices[i], self.vertices[(i + 1) % n]
-            if y0 == y1:
-                if y0 == y:
-                    xs.extend([x0, x1])
-                continue
-            lo, hi = min(y0, y1), max(y0, y1)
-            if lo <= y <= hi:
-                s = (y - y0) / (y1 - y0)
-                xs.append(x0 + s * (x1 - x0))
-        if not xs:
-            return None
-        return min(xs), max(xs)
-
 
 @dataclass(frozen=True)
 class Sphere:
@@ -389,82 +347,121 @@ class Sphere:
     radius: float = 1.0
 
 
+def _patches(domain) -> list[tuple[tuple[float, float, float, float], Callable]]:
+    """The domain as (u, v) boxes, each with a map to (arguments, jacobian)."""
+    if isinstance(domain, Rectangle):
+        (x0, x1), (y0, y1) = domain.x_range, domain.y_range
+        if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
+            raise ValueError(f"rectangle sides must be finite with a < b, got {domain}")
+        return [((x0, x1, y0, y1), lambda u, v: ((u, v), 1.0))]
+    if isinstance(domain, Sphere):
+        r = domain.radius
+
+        def sphere(theta, phi):
+            ring = r * np.sin(theta)
+            return (ring * np.cos(phi), ring * np.sin(phi), r * np.cos(theta)), r * ring
+
+        return [((0.0, math.pi, 0.0, 2.0 * math.pi), sphere)]
+    if isinstance(domain, ConvexPolygon):
+        (x0, y0), *rest = domain.vertices
+        patches = []
+        for (x1, y1), (x2, y2) in zip(rest, rest[1:]):
+            ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+            det = abs(ax * by - ay * bx)
+            if det == 0.0:
+                # collinear vertices: the fan triangle has no area
+                continue
+
+            def duffy(u, v, ax=ax, ay=ay, bx=bx, by=by, det=det):
+                # the edge u = 0 collapses onto vertex 0
+                s = 1.0 - v
+                return (x0 + u * (s * ax + v * bx), y0 + u * (s * ay + v * by)), u * det
+
+            patches.append(((0.0, 1.0, 0.0, 1.0), duffy))
+        return patches
+    raise ValueError(f"unsupported 2d domain: {domain!r}")
+
+
 def integrate_2d(
     f: Callable,
     domain,
     config: QuadratureConfig | None = None,
 ) -> IntegrationResult:
-    """Iterated adaptive integral over a rectangle, polygon, or sphere.
+    """Global adaptive integral over a rectangle, polygon, or sphere.
 
     The integrand must be elementwise, and it receives 1d arrays of equal
-    shape: f(x, y) for planar domains, where y is an array of x's shape
-    (not a scalar), and f(nx, ny, nz) for the sphere.  One call covers
-    the inner nodes of many sections: the inner integrals of an outer
-    panel run in lockstep, one integrand call per round.  Inner integrals
-    run at a tightened tolerance; their error estimates are folded into
-    the total.
+    shape: f(x, y) for planar domains and f(nx, ny, nz) for the sphere.
+    The domain is cut into patches, each a (u, v) box with a map to the
+    integrand's arguments and its jacobian: the identity for a rectangle,
+    (theta, phi) with weight r^2 sin(theta) for the sphere, and for a
+    polygon the fan of triangles from vertex 0, each the unit square under
+    the Duffy map with jacobian u |det|.
+
+    Every box is a panel of one heap.  A panel takes the tensor product of
+    the fine rule, in one integrand call; its error is 1.5 times the sum,
+    over both axes, of its difference to the rule that is coarse along that
+    axis, and infinite if a value is not finite.  Each round bisects the
+    worst panel along its worse axis and evaluates both children in one
+    call, for at most config.max_subdivisions rounds.  Value and error are
+    the sums over all panels, and `converged` compares that error with the
+    tolerance.
     """
     cfg = config or QuadratureConfig()
-    inner_cfg = replace(cfg, abs_tol=cfg.abs_tol / 8.0, rel_tol=cfg.rel_tol / 8.0)
+    nodes, weights, coarse = _rule(cfg.rule_order)
+    heap = []  # entries: (-err, tie_breaker, value, err, split_u, box, to_args)
+    tie = itertools.count()
+    total_val = total_err = 0.0
+    evaluations = 0
 
-    # each domain is an outer interval plus a section map y -> (inner
-    # nodes -> integrand arguments, inner interval, weight), None where empty
-    if isinstance(domain, Rectangle):
-        x_range, outer_interval = domain.x_range, domain.y_range
+    def push(boxes, to_args):
+        # evaluate the boxes of one patch in one integrand call, heap them
+        nonlocal total_val, total_err, evaluations
+        box = np.array(boxes)
+        hu = 0.5 * (box[:, 1] - box[:, 0])
+        hv = 0.5 * (box[:, 3] - box[:, 2])
+        u = 0.5 * (box[:, :1] + box[:, 1:2]) + hu[:, None] * nodes
+        v = 0.5 * (box[:, 2:3] + box[:, 3:]) + hv[:, None] * nodes
+        u, v = np.broadcast_arrays(u[:, :, None], v[:, None, :])
+        args, jacobian = to_args(u.ravel(), v.ravel())
+        y = (_values(f(*args), u.size) * jacobian).reshape(u.shape)
+        evaluations += u.size
+        along_v = y @ weights
+        along_u = weights @ y
+        area = hu * hv
+        fine = area * (along_v @ weights)
+        err_u = np.abs(fine - area * (along_v[:, 1::2] @ coarse))
+        err_v = np.abs(fine - area * (along_u[:, 1::2] @ coarse))
+        err = 1.5 * (err_u + err_v)
+        err[~np.isfinite(y).all(axis=(1, 2))] = math.inf
+        for entry in zip(fine.tolist(), err.tolist(), (err_u >= err_v).tolist(), boxes):
+            total_val += entry[0]
+            total_err += entry[1]
+            heapq.heappush(heap, (-entry[1], next(tie), *entry, to_args))
 
-        def section(y):
-            return (lambda x: (x, np.full_like(x, y))), x_range, 1.0
-
-    elif isinstance(domain, ConvexPolygon):
-        outer_interval = (
-            min(p[1] for p in domain.vertices),
-            max(p[1] for p in domain.vertices),
-        )
-
-        def section(y):
-            xs = domain.x_section(y)
-            if xs is None or xs[0] >= xs[1]:
-                return None
-            return (lambda x: (x, np.full_like(x, y))), xs, 1.0
-
-    elif isinstance(domain, Sphere):
-        r = domain.radius
-        outer_interval = (0.0, math.pi)
-
-        def section(theta):
-            st, ct = math.sin(theta), math.cos(theta)
-
-            def ring(phi):
-                return (r * st * np.cos(phi), r * st * np.sin(phi),
-                        np.full_like(phi, r * ct))
-
-            return ring, (0.0, 2.0 * math.pi), st * r * r
-
-    else:
-        raise ValueError(f"unsupported 2d domain: {domain!r}")
-
-    evals = 0
-    inner_err = 0.0
-    inner_ok = True
-
-    def outer(ys):
-        nonlocal evals, inner_err, inner_ok
-        out = np.zeros(len(ys))
-        cuts = [(i, cut) for i, cut in enumerate(map(section, ys)) if cut is not None]
-        results = _lockstep(f, [
-            (_adaptive(*interval, inner_cfg), to_args)
-            for _, (to_args, interval, _) in cuts
-        ])
-        for (i, (_, _, weight)), res in zip(cuts, results):
-            evals += res.evaluations
-            inner_err = max(inner_err, res.error_estimate)
-            inner_ok = inner_ok and res.converged
-            out[i] = res.value * weight
-        return out
-
-    res = integrate_1d(outer, outer_interval, cfg)
-    error = res.error_estimate + inner_err * (outer_interval[1] - outer_interval[0])
-    return IntegrationResult(res.value, error, evals, res.converged and inner_ok)
+    for box, to_args in _patches(domain):
+        push([box], to_args)
+    finished: list[tuple[float, float]] = []
+    splits = 0
+    while heap and splits < cfg.max_subdivisions:
+        if _meets_tolerance(total_err, total_val, cfg):
+            break
+        _, _, pval, perr, split_u, (u0, u1, v0, v1), to_args = heapq.heappop(heap)
+        a, b = (u0, u1) if split_u else (v0, v1)
+        if _at_float_width(a, b):
+            finished.append((pval, perr))
+            continue
+        mid = 0.5 * (a + b)
+        splits += 1
+        total_val -= pval
+        total_err -= perr
+        if split_u:
+            push([(u0, mid, v0, v1), (mid, u1, v0, v1)], to_args)
+        else:
+            push([(u0, u1, v0, mid), (u0, u1, mid, v1)], to_args)
+    panels = finished + [entry[2:4] for entry in heap]
+    value = math.fsum(v for v, _ in panels)
+    error = math.fsum(e for _, e in panels)
+    return IntegrationResult(value, error, evaluations, _meets_tolerance(error, value, cfg))
 
 
 # --- asymptotic fits -----------------------------------------------------

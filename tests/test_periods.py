@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -209,6 +210,26 @@ def test_exp_period_matches_prediction_n2_n3():
         assert sample.converged
         predicted = fano_gamma_prediction(n, 1e-3)
         assert abs(sample.value - predicted) < 1e-3 * abs(predicted)
+
+
+def fano2_bessel_oracle(t: float) -> float:
+    """P^2 orthant period as the 1d integral of 4 K0(2 t e^a) e^(-t e^(-2a))."""
+    with mpmath.workdps(20):
+        t = mpmath.mpf(t)
+        value = mpmath.quad(
+            lambda a: 4 * mpmath.besselk(0, 2 * t * mpmath.exp(a))
+            * mpmath.exp(-t * mpmath.exp(-2 * a)),
+            [-30, -10, -5, 0, 5, 12],
+            method="gauss-legendre",
+        )
+    return float(value)
+
+
+@pytest.mark.parametrize("t", (1e-2, 1e-4))
+def test_exp_period_n2_error_estimate_bounds_error(t):
+    sample = exp_period_orthant(2, t)
+    assert sample.converged
+    assert abs(sample.value - fano2_bessel_oracle(t)) <= sample.error_estimate
 
 
 def test_exp_period_validation():

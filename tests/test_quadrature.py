@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.integrate import cubature
 
 from gammatrop.errors import ConditioningError
 from gammatrop.quadrature import (
@@ -128,6 +129,13 @@ def test_integrate_reports_nonconvergence():
     result = integrate_1d(lambda x: x**-0.5, (0.0, 1.0), cfg)
     assert not result.converged
     assert result.error_estimate > 0
+    # a node on the singularity gives -inf, whose relative target is inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = integrate_1d(lambda x: np.log(np.abs(x - 0.5)), (0.0, 1.0), cfg)
+        assert not result.converged
+        box = Rectangle((0.0, 1.0), (0.0, 1.0))
+        result = integrate_2d(lambda x, y: np.log(np.abs(x - 0.5)) + y, box, cfg)
+        assert not result.converged
 
 
 def test_integrate_rejects_bad_interval():
@@ -221,9 +229,12 @@ def test_polygon_linear_moment():
 
 
 def test_polygon_vertices_any_order():
-    square = ConvexPolygon(((0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0)))
-    result = integrate_2d(lambda x, y: 1.0, square)
-    assert result.value == pytest.approx(4.0, abs=1e-9)
+    square = ((0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0))
+    # an edge midpoint makes a fan triangle of zero area
+    with_midpoint = square + ((1.0, 0.0),)
+    for vertices in (square, with_midpoint):
+        result = integrate_2d(lambda x, y: 1.0, ConvexPolygon(vertices))
+        assert result.value == pytest.approx(4.0, abs=1e-9)
 
 
 def test_sphere_surface_area():
@@ -252,76 +263,52 @@ CASES = (
 )
 
 
-def nested_reference(f, domain, cfg):
-    """integrate_2d as one inner integrate_1d per section, with scalar y."""
-    inner_cfg = QuadratureConfig(
-        abs_tol=cfg.abs_tol / 8.0,
-        rel_tol=cfg.rel_tol / 8.0,
-        rule_order=cfg.rule_order,
-        max_subdivisions=cfg.max_subdivisions,
-        tail_cutoff=cfg.tail_cutoff,
-    )
+def cubature_reference(f, domain):
+    """The integral by scipy's adaptive cubature over a box of its own."""
     if isinstance(domain, Rectangle):
-        outer_interval = domain.y_range
+        box = (domain.x_range, domain.y_range)
 
-        def section(y):
-            return (lambda x: f(x, y)), domain.x_range, 1.0
+        def g(p):
+            return f(p[:, 0], p[:, 1])
 
     elif isinstance(domain, ConvexPolygon):
-        ys = [p[1] for p in domain.vertices]
-        outer_interval = (min(ys), max(ys))
+        # the unit triangle as x = s, y = (1 - s) w, collapsing onto (1, 0)
+        assert domain is TRIANGLE
+        box = ((0.0, 1.0), (0.0, 1.0))
 
-        def section(y):
-            xs = domain.x_section(y)
-            if xs is None or xs[0] >= xs[1]:
-                return None
-            return (lambda x: f(x, y)), xs, 1.0
+        def g(p):
+            s, w = p[:, 0], p[:, 1]
+            return f(s, (1.0 - s) * w) * (1.0 - s)
 
     else:
-        r = domain.radius
-        outer_interval = (0.0, math.pi)
+        assert domain.radius == 1.0
+        box = ((0.0, math.pi), (0.0, 2.0 * math.pi))
 
-        def section(theta):
-            st, ct = math.sin(theta), math.cos(theta)
+        def g(p):
+            theta, phi = p[:, 0], p[:, 1]
+            st = np.sin(theta)
+            return f(st * np.cos(phi), st * np.sin(phi), np.cos(theta)) * st
 
-            def ring(phi):
-                return f(r * st * np.cos(phi), r * st * np.sin(phi),
-                         r * ct * np.ones_like(phi))
-
-            return ring, (0.0, 2.0 * math.pi), st * r * r
-
-    inner = []
-
-    def outer(ys):
-        out = np.zeros(len(ys))
-        for i, y in enumerate(ys):
-            cut = section(y)
-            if cut is not None:
-                g, interval, weight = cut
-                inner.append(integrate_1d(g, interval, inner_cfg))
-                out[i] = inner[-1].value * weight
-        return out
-
-    res = integrate_1d(outer, outer_interval, cfg)
-    width = outer_interval[1] - outer_interval[0]
-    return IntegrationResult(
-        res.value,
-        res.error_estimate + max(r.error_estimate for r in inner) * width,
-        sum(r.evaluations for r in inner),
-        res.converged and all(r.converged for r in inner),
-    )
+    res = cubature(g, *zip(*box), rtol=1e-14, atol=1e-14)
+    assert res.status == "converged"
+    return float(res.estimate)
 
 
 @pytest.mark.parametrize("domain, f", CASES, ids=["rectangle", "polygon", "sphere"])
-def test_integrate_2d_equals_nested_1d_reference(domain, f):
-    # the lockstep inner integrals give the bits of one integral per section
+def test_integrate_2d_matches_independent_cubature(domain, f):
     cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
     result = integrate_2d(f, domain, cfg)
-    reference = nested_reference(f, domain, cfg)
-    assert result.value == reference.value
-    assert result.error_estimate == reference.error_estimate
-    assert result.evaluations == reference.evaluations
-    assert result.converged and reference.converged
+    assert result.converged
+    assert abs(result.value - cubature_reference(f, domain)) <= result.error_estimate
+
+
+def test_integrate_2d_subdivision_cap_reports_nonconvergence():
+    # in 2d max_subdivisions caps the splits of the one panel heap
+    cfg = QuadratureConfig(max_subdivisions=1)
+    box = Rectangle((-10.0, 10.0), (-10.0, 10.0))
+    result = integrate_2d(lambda x, y: np.exp(-50.0 * (x * x + y * y)), box, cfg)
+    assert not result.converged
+    assert result.error_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(result.value))
 
 
 @pytest.mark.parametrize(
@@ -334,7 +321,7 @@ def test_integrate_2d_equals_nested_1d_reference(domain, f):
     ids=["sphere", "rectangle", "polygon"],
 )
 def test_integrate_2d_batches_sections(domain, f):
-    # the sections of an outer panel share each integrand call
+    # a panel's tensor grid, or both children of a split, share one call
     points = []
 
     def counted(*args):
@@ -350,6 +337,9 @@ def test_integrate_2d_batches_sections(domain, f):
 def test_integrate_2d_rejects_unsupported_domain():
     with pytest.raises(ValueError, match="unsupported 2d domain"):
         integrate_2d(lambda x, y: 1.0, ((0.0, 1.0), (0.0, 1.0)))
+    for sides in (((0.0, math.inf), (0.0, 1.0)), ((0.0, 1.0), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="rectangle sides"):
+            integrate_2d(lambda x, y: 1.0, Rectangle(*sides))
 
 # --- asymptotic fits ---
 
