@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import StructureError
 from ..quadrature import QuadratureConfig, integrate_1d
-from .types import PeriodSample
+from .types import PeriodSample, _require_converged
 
 __all__ = [
     "pants_section_integral",
@@ -37,6 +37,7 @@ def pants_section_integral(
 
     dX/(XY) pulled back is L dx/(1 + t^x) = L dx/(1 + e^{-L x}), with the
     sign fixed so the leading t -> 0 behavior L (x1 - x0) is positive.
+    Raises NonConvergenceError if the quadrature does not converge.
     """
     if x0 > x1:
         raise ValueError("need x0 <= x1")
@@ -51,7 +52,7 @@ def pants_section_integral(
         return big_l / (1.0 + np.exp(-big_l * x))
 
     res = integrate_1d(integrand, (float(x0), float(x1)), cfg)
-    return res.value
+    return _require_converged(res, "pants section integral")
 
 
 def _bisect_root(func, lo: float, hi: float) -> tuple[float, float]:

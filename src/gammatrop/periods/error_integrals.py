@@ -15,18 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import NonConvergenceError
 from ..quadrature import ConvexPolygon, QuadratureConfig, integrate_1d, integrate_2d
 from ..tropical import AffineForm, TropicalPolynomial, corner_locus, halfplane_polygon
-
-
-def _require_converged(result, what: str) -> float:
-    if not result.converged:
-        raise NonConvergenceError(
-            f"{what}: error estimate {result.error_estimate:.3e} "
-            f"after {result.evaluations} evaluations"
-        )
-    return result.value
+from .types import _require_converged
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -242,18 +233,7 @@ def error_integral_dim2_b(
         return np.log(total) / big_l
 
     value = 0.0
-    error = 0.0
-    evaluations = 0
-    converged = True
     for piece in _smooth_pieces(sides):
         result = integrate_2d(integrand, piece, cfg)
-        value += result.value
-        error += result.error_estimate
-        evaluations += result.evaluations
-        converged = converged and result.converged
-    if not converged:
-        raise NonConvergenceError(
-            f"dim-2 rectangle error integral: estimate {error:.3e} "
-            f"after {evaluations} evaluations"
-        )
+        value += _require_converged(result, "dim-2 rectangle error integral piece")
     return big_l**3 * value, length, chi

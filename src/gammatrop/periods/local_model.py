@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import NonConvergenceError, SingularFiberError
+from ..errors import SingularFiberError
 from ..quadrature import QuadratureConfig, integrate_1d
+from .types import _require_converged
 
 __all__ = [
     "local_model_polytope_area",
@@ -62,9 +63,7 @@ def local_model_region_period(
         return base + np.minimum(0.0, y) - np.log1p(np.exp(-big_l * np.abs(y))) / big_l
 
     res = integrate_1d(integrand, (-float(b), float(b)), cfg)
-    if not res.converged:
-        raise NonConvergenceError("region-period quadrature did not converge")
-    return big_l * big_l * res.value
+    return big_l * big_l * _require_converged(res, "region-period quadrature")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from ..errors import NonConvergenceError
 from ..tropical import LaurentFamily, LaurentTerm
 
 FAMILY_KINDS = (
@@ -36,6 +37,16 @@ class PeriodSample:
     @property
     def big_l(self) -> float:
         return -math.log(self.t)
+
+
+def _require_converged(result, what: str) -> float:
+    """The value of a quadrature result; raises if it did not converge."""
+    if not result.converged:
+        raise NonConvergenceError(
+            f"{what}: error estimate {result.error_estimate:.3e} "
+            f"after {result.evaluations} evaluations"
+        )
+    return result.value
 
 
 @dataclass(frozen=True)

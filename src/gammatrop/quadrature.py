@@ -5,14 +5,18 @@ integrable endpoint singularities never get evaluated at the endpoint),
 bisection of the worst panel, and a reduction order that does not depend
 on scheduling.  Rerunning with the same config is bit-identical.
 
-In 1d the adaptive loop is a coroutine that asks for nodes; a panel's
-error is 1.5 times the difference of the two rules.  In 2d the domain is
-a list of patches, (u, v) boxes with a map to the integrand's arguments
-and a jacobian: the identity for a rectangle, (theta, phi) with
-r^2 sin(theta) for the sphere, and a fan of Duffy-mapped unit squares
-for a convex polygon.  All boxes are panels of one heap, each with the
-tensor product of the fine rule and an error from the coarse rule along
-each axis.
+One adaptive loop serves 1d and 2d: a heap of panels, each a box with
+its value and error, of which each round bisects the worst and evaluates
+both children in one integrand call.  A box is an interval (a, b) in 1d,
+whose panel rule is the fine rule with an error of 1.5 times its
+difference to the coarse rule.  In 2d the domain is a list of patches,
+(u, v) boxes (u0, u1, v0, v1) with a map to the integrand's arguments and
+a jacobian: the identity for a rectangle, (theta, phi) with
+r^2 sin(theta) for the sphere, and a fan of Duffy-mapped unit squares for
+a convex polygon.  A 2d panel takes the tensor product of the fine rule
+and an error from the coarse rule along each axis.  Every weight of both
+rules is positive, so a non-finite node makes the panel's value
+non-finite; such a panel gets error inf.
 
 Integrands must be elementwise: each value depends only on the arguments
 at its own node, and one call may cover many panels.  Planar integrands
@@ -49,7 +53,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     rule_order: int = 15           # nodes of the fine rule; must be odd
-    max_subdivisions: int = 2000   # splits of a 1d integral, or of the one 2d panel heap
+    max_subdivisions: int = 2000   # splits per panel heap: one heap per 1d
+                                   # interval or half-line, one per 2d integral
     tail_cutoff: float = 1e-30     # |f| below this truncates unbounded tails
 
     def __post_init__(self):
@@ -107,14 +112,6 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _RULE_CACHE[order]
 
 
-def _panel_nodes(a: float, b: float, order: int) -> np.ndarray:
-    """Fine-rule nodes of the panel [a, b]."""
-    nodes = _rule(order)[0]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return mid + half * nodes
-
-
 def _panel_sums(y: np.ndarray, a: float, b: float, order: int) -> tuple[float, float]:
     """Fine-rule integral and nested error estimate from the node values."""
     _, weights, coarse = _rule(order)
@@ -125,7 +122,7 @@ def _panel_sums(y: np.ndarray, a: float, b: float, order: int) -> tuple[float, f
     # the difference estimates the coarse error; the 1.5 margin keeps it
     # an upper bound for the fine rule even on singular panels
     err = 1.5 * abs(fine - crs)
-    if not np.isfinite(y).all():
+    if not math.isfinite(err):
         err = math.inf
     return fine, err
 
@@ -148,20 +145,30 @@ def _values(y, size: int) -> np.ndarray:
     return y
 
 
-def _eval_panel(f, a: float, b: float, order: int) -> tuple[float, float]:
-    """Fine-rule integral over [a, b] and the nested error estimate."""
-    return _panel_sums(_values(f(_panel_nodes(a, b, order)), order), a, b, order)
+def _panels_1d(f, boxes, to_args, order: int):
+    """The intervals `boxes`, in one integrand call, as heap entries.
+
+    Returns the (value, error, axis, box) of each interval and the number
+    of evaluations.  `to_args` is unused: the nodes are the arguments.
+    """
+    nodes = _rule(order)[0]
+    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * nodes for a, b in boxes])
+    y = _values(f(x), x.size)
+    entries = [
+        (*_panel_sums(y[k * order:(k + 1) * order], a, b, order), 0, (a, b))
+        for k, (a, b) in enumerate(boxes)
+    ]
+    return entries, x.size
 
 
-def _find_tail_cutoff(start: float, direction: int, cfg: QuadratureConfig):
+def _find_tail_cutoff(f, start: float, direction: int, cfg: QuadratureConfig):
     """Truncation point for an unbounded tail, plus a bound on what is cut.
 
-    A coroutine: yields each one-point probe and receives the integrand
-    value there.  Probes at geometrically growing offsets until |f| stays
-    below tail_cutoff twice in a row.  The discarded mass is bounded using
-    the decay rate observed between the last two probes.  The probe
-    points are also returned: they seed the initial panels, so mass far
-    from the finite endpoint cannot hide between rule nodes.
+    Probes f one point at a time at geometrically growing offsets until
+    |f| stays below tail_cutoff twice in a row.  The discarded mass is
+    bounded using the decay rate observed between the last two probes.
+    The probe points are also returned: they seed the initial panels, so
+    mass far from the finite endpoint cannot hide between rule nodes.
     """
     offset = 1.0
     prev_point = start
@@ -173,7 +180,7 @@ def _find_tail_cutoff(start: float, direction: int, cfg: QuadratureConfig):
     for _ in range(80):
         point = start + direction * offset
         probes.append(point)
-        mag = abs(float((yield np.array([point]))[0]))
+        mag = abs(float(_values(f(np.array([point])), 1)[0]))
         if mag < cfg.tail_cutoff:
             below += 1
             if below >= 2:
@@ -210,88 +217,75 @@ def _at_float_width(a: float, b: float) -> bool:
     return b - a <= 1e-15 * max(abs(a), abs(b), 1e-300)
 
 
-def _adaptive(a: float, b: float, cfg: QuadratureConfig):
-    """The adaptive panel loop of one integral over [a, b], as a coroutine.
+def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluations=0):
+    """The adaptive panel loop of one integral, in 1d and 2d alike.
 
-    Yields each array of nodes it needs and receives the integrand values
-    at those nodes; returns the IntegrationResult.  All initial panels are
-    asked for in one request, and both children of a split in one.
+    `patches` is a list of (boxes, to_args); `rule(f, boxes, to_args,
+    order)` evaluates the boxes in one integrand call and returns their
+    (value, error, axis, box) entries and the evaluation count.  Each round
+    bisects the worst panel along its axis, for at most max_subdivisions
+    rounds.  A panel whose error is inf is left out of the running totals
+    and counted instead; the loop does not stop while any is left.  Value
+    and error are each summed over all panels at the end, and tail_bound
+    is added to the error.
     """
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
-    if math.isinf(a) and math.isinf(b):
-        left = yield from _adaptive(a, 0.0, cfg)
-        right = yield from _adaptive(0.0, b, cfg)
-        return IntegrationResult(
-            left.value + right.value,
-            left.error_estimate + right.error_estimate,
-            left.evaluations + right.evaluations,
-            left.converged and right.converged,
-        )
-    evaluations = 0
-    tail_bound = 0.0
-    boundaries = [a, b]
-    if math.isinf(b):
-        b, bound, probes = yield from _find_tail_cutoff(a, +1, cfg)
-        tail_bound += bound
-        evaluations += len(probes)
-        boundaries = [a] + [p for p in probes if a < p < b] + [b]
-    if math.isinf(a):
-        a, bound, probes = yield from _find_tail_cutoff(b, -1, cfg)
-        tail_bound += bound
-        evaluations += len(probes)
-        boundaries = [a] + sorted(p for p in probes if a < p < b) + boundaries[1:]
-    if not a < b:
-        return IntegrationResult(0.0, tail_bound, evaluations, True)
-    boundaries[0], boundaries[-1] = a, b
+    heap = []  # entries: (-err, tie_breaker, value, err, axis, box, to_args)
+    tie = itertools.count()
+    total_val = total_err = 0.0
+    infinite = 0
 
-    order = cfg.rule_order
+    def push(boxes, to_args):
+        nonlocal total_val, total_err, infinite, evaluations
+        entries, count = rule(f, boxes, to_args, cfg.rule_order)
+        evaluations += count
+        for value, err, axis, box in entries:
+            if err == math.inf:
+                infinite += 1
+            else:
+                total_val += value
+                total_err += err
+            heapq.heappush(heap, (-err, next(tie), value, err, axis, box, to_args))
 
-    def evaluate(panels):
-        # one request for all panels; (value, err) of each from its slice
-        values = yield np.concatenate([_panel_nodes(pa, pb, order) for pa, pb in panels])
-        return [
-            _panel_sums(values[k * order:(k + 1) * order], pa, pb, order)
-            for k, (pa, pb) in enumerate(panels)
-        ]
-
-    counter = 0
-    heap = []  # entries: (-err, tie_breaker, a, b, value, err)
-    total_err = 0.0
-    total_val = 0.0
-    initial = list(zip(boundaries, boundaries[1:]))
-    sums = yield from evaluate(initial)
-    for (pa, pb), (value, err) in zip(initial, sums):
-        evaluations += order
-        total_val += value
-        total_err += err
-        heapq.heappush(heap, (-err, counter, pa, pb, value, err))
-        counter += 1
-    finished: list[tuple[float, float, float, float]] = []
+    for boxes, to_args in patches:
+        push(boxes, to_args)
+    finished: list[tuple[float, float]] = []
     splits = 0
     while heap and splits < cfg.max_subdivisions:
-        if _meets_tolerance(total_err + tail_bound, total_val, cfg):
+        if not infinite and _meets_tolerance(total_err + tail_bound, total_val, cfg):
             break
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if _at_float_width(pa, pb):
-            finished.append((pa, pb, pval, perr))
+        _, _, value, err, axis, box, to_args = heapq.heappop(heap)
+        i = 2 * axis  # the axis's (lo, hi) in the box
+        lo, hi = box[i:i + 2]
+        if _at_float_width(lo, hi):
+            finished.append((value, err))
             continue
-        mid = 0.5 * (pa + pb)
-        (lv, le), (rv, re) = yield from evaluate([(pa, mid), (mid, pb)])
-        evaluations += 2 * order
         splits += 1
-        total_val += lv + rv - pval
-        total_err += le + re - perr
-        counter += 1
-        heapq.heappush(heap, (-le, counter, pa, mid, lv, le))
-        counter += 1
-        heapq.heappush(heap, (-re, counter, mid, pb, rv, re))
-    panels = finished + [(pa, pb, pv, pe) for _, _, pa, pb, pv, pe in heap]
-    panels.sort()
-    value = math.fsum(p[2] for p in panels)
-    error = math.fsum(p[3] for p in panels) + tail_bound
+        if err == math.inf:
+            infinite -= 1
+        else:
+            total_val -= value
+            total_err -= err
+        mid = 0.5 * (lo + hi)
+        push([box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:]], to_args)
+    panels = finished + [entry[2:4] for entry in heap]
+    value = math.fsum(v for v, _ in panels)
+    error = math.fsum(e for _, e in panels) + tail_bound
     return IntegrationResult(value, error, evaluations, _meets_tolerance(error, value, cfg))
+
+
+def _integrate_interval(f, a: float, b: float, cfg: QuadratureConfig) -> IntegrationResult:
+    """One run of the panel loop over [a, b], of which one end may be infinite."""
+    tail_bound = 0.0
+    probes: list[float] = []
+    if math.isinf(b):
+        b, tail_bound, probes = _find_tail_cutoff(f, a, +1, cfg)
+    elif math.isinf(a):
+        a, tail_bound, probes = _find_tail_cutoff(f, b, -1, cfg)
+    if not a < b:
+        return IntegrationResult(0.0, tail_bound, len(probes), True)
+    boundaries = [a] + sorted(p for p in probes if a < p < b) + [b]
+    initial = list(zip(boundaries, boundaries[1:]))
+    return _cubature(f, _panels_1d, [(initial, None)], cfg, tail_bound, len(probes))
 
 
 def integrate_1d(
@@ -303,19 +297,27 @@ def integrate_1d(
 
     The integrand must be elementwise: it maps a 1d array of nodes to the
     array of its values there, and each value depends only on its own
-    node.  One call may cover many panels.  Endpoints may be infinite;
-    tails are truncated where the integrand magnitude falls below
-    config.tail_cutoff and the truncated mass is added to the error
-    estimate.  The reported error estimate is the sum of per-panel
-    nested-rule differences plus tail bounds.
+    node.  One call covers all initial panels, or both children of a
+    split.  Endpoints may be infinite; tails are truncated where the
+    integrand magnitude falls below config.tail_cutoff and the truncated
+    mass is added to the error estimate.  The whole real line is the sum
+    of two half-line runs.  The reported error estimate is the sum of
+    per-panel nested-rule differences plus tail bounds.
     """
-    routine = _adaptive(*interval, config or QuadratureConfig())
-    try:
-        nodes = routine.send(None)
-        while True:
-            nodes = routine.send(_values(f(nodes), len(nodes)))
-    except StopIteration as stop:
-        return stop.value
+    cfg = config or QuadratureConfig()
+    a, b = (float(end) for end in interval)
+    if not a < b:
+        raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
+    if not (math.isinf(a) and math.isinf(b)):
+        return _integrate_interval(f, a, b, cfg)
+    left = _integrate_interval(f, a, 0.0, cfg)
+    right = _integrate_interval(f, 0.0, b, cfg)
+    return IntegrationResult(
+        left.value + right.value,
+        left.error_estimate + right.error_estimate,
+        left.evaluations + right.evaluations,
+        left.converged and right.converged,
+    )
 
 
 # --- 2d domains ----------------------------------------------------------
@@ -382,6 +384,45 @@ def _patches(domain) -> list[tuple[tuple[float, float, float, float], Callable]]
     raise ValueError(f"unsupported 2d domain: {domain!r}")
 
 
+def _panels_2d(f, boxes, to_args, order: int):
+    """The (u, v) boxes of one patch, in one integrand call, as heap entries.
+
+    Each box takes the tensor product of the fine rule.  Its error is 1.5
+    times the sum, over both axes, of its difference to the rule that is
+    coarse along that axis, and it splits along the axis with the larger
+    difference.  A box with a non-finite value splits across the axis with
+    fewer non-finite line sums, so a singular line is cut off, not along.
+    Returns the (value, error, axis, box) of each box, axis 0 for u and 1
+    for v, and the number of evaluations.
+    """
+    nodes, weights, coarse = _rule(order)
+    box = np.array(boxes)
+    hu = 0.5 * (box[:, 1] - box[:, 0])
+    hv = 0.5 * (box[:, 3] - box[:, 2])
+    u = 0.5 * (box[:, :1] + box[:, 1:2]) + hu[:, None] * nodes
+    v = 0.5 * (box[:, 2:3] + box[:, 3:]) + hv[:, None] * nodes
+    u, v = np.broadcast_arrays(u[:, :, None], v[:, None, :])
+    args, jacobian = to_args(u.ravel(), v.ravel())
+    y = (_values(f(*args), u.size) * jacobian).reshape(u.shape)
+    along_v = y @ weights
+    along_u = weights @ y
+    area = hu * hv
+    fine = area * (along_v @ weights)
+    err_u = np.abs(fine - area * (along_v[:, 1::2] @ coarse))
+    err_v = np.abs(fine - area * (along_u[:, 1::2] @ coarse))
+    err = 1.5 * (err_u + err_v)
+    split_v = err_v > err_u
+    bad = ~np.isfinite(err)
+    if bad.any():
+        err[bad] = math.inf
+        # line sums along v at each u node, against along u at each v node
+        split_v[bad] = (
+            (~np.isfinite(along_v[bad])).sum(axis=1) > (~np.isfinite(along_u[bad])).sum(axis=1)
+        )
+    # False and True index the box as axes 0 (u) and 1 (v)
+    return list(zip(fine.tolist(), err.tolist(), split_v.tolist(), boxes)), u.size
+
+
 def integrate_2d(
     f: Callable,
     domain,
@@ -397,71 +438,16 @@ def integrate_2d(
     polygon the fan of triangles from vertex 0, each the unit square under
     the Duffy map with jacobian u |det|.
 
-    Every box is a panel of one heap.  A panel takes the tensor product of
-    the fine rule, in one integrand call; its error is 1.5 times the sum,
-    over both axes, of its difference to the rule that is coarse along that
-    axis, and infinite if a value is not finite.  Each round bisects the
+    Every box is a panel of one heap, evaluated by the tensor product of
+    the fine rule in one integrand call per patch.  Each round bisects the
     worst panel along its worse axis and evaluates both children in one
     call, for at most config.max_subdivisions rounds.  Value and error are
     the sums over all panels, and `converged` compares that error with the
     tolerance.
     """
     cfg = config or QuadratureConfig()
-    nodes, weights, coarse = _rule(cfg.rule_order)
-    heap = []  # entries: (-err, tie_breaker, value, err, split_u, box, to_args)
-    tie = itertools.count()
-    total_val = total_err = 0.0
-    evaluations = 0
-
-    def push(boxes, to_args):
-        # evaluate the boxes of one patch in one integrand call, heap them
-        nonlocal total_val, total_err, evaluations
-        box = np.array(boxes)
-        hu = 0.5 * (box[:, 1] - box[:, 0])
-        hv = 0.5 * (box[:, 3] - box[:, 2])
-        u = 0.5 * (box[:, :1] + box[:, 1:2]) + hu[:, None] * nodes
-        v = 0.5 * (box[:, 2:3] + box[:, 3:]) + hv[:, None] * nodes
-        u, v = np.broadcast_arrays(u[:, :, None], v[:, None, :])
-        args, jacobian = to_args(u.ravel(), v.ravel())
-        y = (_values(f(*args), u.size) * jacobian).reshape(u.shape)
-        evaluations += u.size
-        along_v = y @ weights
-        along_u = weights @ y
-        area = hu * hv
-        fine = area * (along_v @ weights)
-        err_u = np.abs(fine - area * (along_v[:, 1::2] @ coarse))
-        err_v = np.abs(fine - area * (along_u[:, 1::2] @ coarse))
-        err = 1.5 * (err_u + err_v)
-        err[~np.isfinite(y).all(axis=(1, 2))] = math.inf
-        for entry in zip(fine.tolist(), err.tolist(), (err_u >= err_v).tolist(), boxes):
-            total_val += entry[0]
-            total_err += entry[1]
-            heapq.heappush(heap, (-entry[1], next(tie), *entry, to_args))
-
-    for box, to_args in _patches(domain):
-        push([box], to_args)
-    finished: list[tuple[float, float]] = []
-    splits = 0
-    while heap and splits < cfg.max_subdivisions:
-        if _meets_tolerance(total_err, total_val, cfg):
-            break
-        _, _, pval, perr, split_u, (u0, u1, v0, v1), to_args = heapq.heappop(heap)
-        a, b = (u0, u1) if split_u else (v0, v1)
-        if _at_float_width(a, b):
-            finished.append((pval, perr))
-            continue
-        mid = 0.5 * (a + b)
-        splits += 1
-        total_val -= pval
-        total_err -= perr
-        if split_u:
-            push([(u0, mid, v0, v1), (mid, u1, v0, v1)], to_args)
-        else:
-            push([(u0, u1, v0, mid), (u0, u1, mid, v1)], to_args)
-    panels = finished + [entry[2:4] for entry in heap]
-    value = math.fsum(v for v, _ in panels)
-    error = math.fsum(e for _, e in panels)
-    return IntegrationResult(value, error, evaluations, _meets_tolerance(error, value, cfg))
+    patches = [([box], to_args) for box, to_args in _patches(domain)]
+    return _cubature(f, _panels_2d, patches, cfg)
 
 
 # --- asymptotic fits -----------------------------------------------------

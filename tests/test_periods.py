@@ -10,6 +10,7 @@ import pytest
 
 import gammatrop.periods.k3 as k3
 from gammatrop.errors import (
+    NonConvergenceError,
     SingularFiberError,
     StructureError,
     UnsupportedDimensionError,
@@ -363,6 +364,12 @@ def test_pants_interval_endpoints():
         pants_section_integral(2.0, 1.0, 1e-2)
     with pytest.raises(ValueError):
         pants_section_integral(0.0, 1.0, 0.0)
+
+
+def test_pants_reports_nonconvergence():
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=0.0, max_subdivisions=1)
+    with pytest.raises(NonConvergenceError, match="pants section integral"):
+        pants_section_integral(-1.5, 0.7, 1e-3, cfg)
 
 
 def test_pants_leading_slope():

@@ -1,6 +1,7 @@
 """Tests for adaptive quadrature, 2d domains and asymptotic power fits."""
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +16,8 @@ from gammatrop.quadrature import (
     QuadratureConfig,
     Rectangle,
     Sphere,
-    _eval_panel,
+    _panels_1d,
+    _rule,
     fit_asymptotic,
     integrate_1d,
     integrate_2d,
@@ -48,16 +50,27 @@ def bessel_k0(x: float) -> float:
 def test_panel_rule_polynomial_exactness():
     # the 15-point interior cosine rule integrates degree <= 15 exactly
     for degree in range(16):
-        value, _ = _eval_panel(lambda x: x**degree, 0.0, 1.0, 15)
+        [(value, _, _, _)], count = _panels_1d(lambda x: x**degree, [(0.0, 1.0)], None, 15)
+        assert count == 15
         assert value == pytest.approx(1.0 / (degree + 1), rel=1e-13)
 
 
 def test_panel_rule_error_estimate_small_for_low_degree():
     # both rules are exact to degree 7, so the discrepancy vanishes
-    value, err = _eval_panel(lambda x: 4 * x**7 - x**3 + 2, -1.0, 2.0, 15)
+    [(value, err, _, _)], _ = _panels_1d(lambda x: 4 * x**7 - x**3 + 2, [(-1.0, 2.0)], None, 15)
     exact = (2.0**8 - 1.0) / 2 - (2.0**4 - 1.0) / 4 + 2 * 3
     assert value == pytest.approx(exact, rel=1e-13)
     assert err < 1e-10 * abs(value)
+
+
+@pytest.mark.parametrize("order", range(3, 65, 2))
+def test_rule_weights_are_positive(order):
+    # a non-finite node then always makes the panel value non-finite, which
+    # is how both panel rules detect it
+    nodes, weights, coarse = _rule(order)
+    assert len(nodes) == len(weights) == order
+    assert len(coarse) == (order - 1) // 2
+    assert (weights > 0).all() and (coarse > 0).all()
 
 
 # --- 1d integration ---
@@ -136,6 +149,63 @@ def test_integrate_reports_nonconvergence():
         box = Rectangle((0.0, 1.0), (0.0, 1.0))
         result = integrate_2d(lambda x, y: np.log(np.abs(x - 0.5)) + y, box, cfg)
         assert not result.converged
+
+
+def log_kink(x):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(x - 0.5))
+
+
+def test_integrate_splits_off_nonfinite_panels():
+    # a node lands on the singularity at 1/2, so the first panel is -inf;
+    # it is split there and its children converge as endpoint singularities
+    exact = -1.0 - math.log(2.0)
+    result = integrate_1d(log_kink, (0.0, 1.0))
+    assert result.converged
+    assert abs(result.value - exact) <= result.error_estimate
+    assert result.evaluations < 10_000
+    box = Rectangle((0.0, 1.0), (0.0, 1.0))
+    for f in (lambda x, y: log_kink(x) + y, lambda x, y: log_kink(y) + x):
+        # -inf minus -inf in the first panel's error estimate is a nan
+        with np.errstate(invalid="ignore"):
+            result = integrate_2d(f, box)
+        assert result.converged
+        assert abs(result.value - (exact + 0.5)) <= result.error_estimate
+        assert result.evaluations < 100_000
+
+
+@pytest.mark.parametrize(
+    "f, interval, pattern",
+    (
+        (lambda x: x**-0.5, (0.0, 1.0), "is*"),
+        (lambda x: np.exp(-x), (0.0, math.inf), "p+is*"),
+        (lambda x: 1.0 / (1.0 + x * x), (-math.inf, math.inf), "p+is*p+is*"),
+    ),
+    ids=["finite", "half-line", "real-line"],
+)
+def test_integrate_1d_call_pattern(f, interval, pattern):
+    # per half-line run: one-point tail probes (p), one call for all initial
+    # panels (i), then one call per split with both children (s)
+    cfg = QuadratureConfig()
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)
+
+    result = integrate_1d(counted, interval, cfg)
+    kinds = ""
+    for size in sizes:
+        if size == 1:
+            kinds += "p"
+        elif kinds[-1:] in ("", "p") and size % cfg.rule_order == 0:
+            kinds += "i"
+        else:
+            assert size == 2 * cfg.rule_order
+            kinds += "s"
+    assert re.fullmatch(pattern, kinds)
+    assert "s" in kinds
+    assert sum(sizes) == result.evaluations
 
 
 def test_integrate_rejects_bad_interval():
