@@ -25,6 +25,7 @@ get y as an array of x's shape, not a scalar.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
@@ -408,12 +409,17 @@ def _panels_2d(f, boxes, to_args, order: int):
     along_u = weights @ y
     area = hu * hv
     fine = area * (along_v @ weights)
-    err_u = np.abs(fine - area * (along_v[:, 1::2] @ coarse))
-    err_v = np.abs(fine - area * (along_u[:, 1::2] @ coarse))
+    # the weights are positive, so a non-finite node makes fine non-finite;
+    # its differences below may be -inf - -inf, a nan that must not warn,
+    # and the branch after them replaces its error and split axis
+    bad = ~np.isfinite(fine)
+    nonfinite = bad.any()
+    with np.errstate(invalid="ignore") if nonfinite else contextlib.nullcontext():
+        err_u = np.abs(fine - area * (along_v[:, 1::2] @ coarse))
+        err_v = np.abs(fine - area * (along_u[:, 1::2] @ coarse))
     err = 1.5 * (err_u + err_v)
     split_v = err_v > err_u
-    bad = ~np.isfinite(err)
-    if bad.any():
+    if nonfinite:
         err[bad] = math.inf
         # line sums along v at each u node, against along u at each v node
         split_v[bad] = (

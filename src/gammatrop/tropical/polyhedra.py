@@ -4,11 +4,15 @@ The corner locus of a min-of-affine-forms function is stratified by the
 set of forms attaining the minimum.  Cells are enumerated by active
 subset, cut out by exact rational linear algebra, and clipped to a
 bounding box for presentation; no floating point enters any predicate.
+Predicates and eliminations run on Python ints: each rational row is
+scaled once by the lcm of its denominators, which changes no sign and no
+solution set, and only returned coordinates are built as Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,70 +33,91 @@ Rational = int | Fraction
 Point = tuple[Fraction, ...]
 
 
+def _integer_row(values: Sequence[Rational]) -> tuple[int, ...]:
+    """The rationals scaled by the lcm of their denominators, as ints.
+
+    The scale is positive, so signs, and the solution sets of the rows as
+    equations or inequalities, do not change.
+    """
+    scale = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
 def _solve_affine(
-    rows: Sequence[tuple[tuple[Fraction, ...], Fraction]], n: int
+    rows: Sequence[tuple[tuple[Rational, ...], Rational]], n: int
 ) -> tuple[Point, list[Point]] | None:
-    """Solve coef . w = rhs exactly; (particular, kernel basis) or None."""
-    aug = [[*coef, rhs] for coef, rhs in rows]
+    """Solve coef . w = rhs exactly; (particular, kernel basis) or None.
+
+    Fraction-free Gauss-Jordan on integer rows: each elimination is
+    p * row - f * pivot_row, reduced by its gcd, and pivot rows are never
+    normalized.  The reduced row echelon form is read out as Fractions at
+    the end.
+    """
+    aug = [_integer_row((*coef, rhs)) for coef, rhs in rows]
     pivot_cols: list[int] = []
     r = 0
     for col in range(n):
-        pivot = next((k for k in range(r, len(aug)) if aug[k][col] != 0), None)
+        pivot = next((k for k in range(r, len(aug)) if aug[k][col]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = aug[r][col]
-        aug[r] = [x / scale for x in aug[r]]
+        pivot_row = aug[r]
+        p = pivot_row[col]
         for k in range(len(aug)):
-            if k != r and aug[k][col] != 0:
-                factor = aug[k][col]
-                aug[k] = [x - factor * y for x, y in zip(aug[k], aug[r])]
+            f = aug[k][col]
+            if k != r and f:
+                row = [p * x - f * y for x, y in zip(aug[k], pivot_row)]
+                g = math.gcd(*row)
+                aug[k] = [x // g for x in row] if g > 1 else row
         pivot_cols.append(col)
         r += 1
     for k in range(r, len(aug)):
-        if aug[k][n] != 0:
+        if aug[k][n]:
             return None
     particular = [Fraction(0)] * n
     for row, col in enumerate(pivot_cols):
-        particular[col] = aug[row][n]
+        particular[col] = Fraction(aug[row][n], aug[row][col])
     free_cols = [c for c in range(n) if c not in pivot_cols]
     basis = []
     for f in free_cols:
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
         for row, col in enumerate(pivot_cols):
-            v[col] = -aug[row][f]
+            v[col] = Fraction(-aug[row][f], aug[row][col])
         basis.append(tuple(v))
     return tuple(particular), basis
 
 
 def _recession_nontrivial(
-    rows: Sequence[tuple[Fraction, ...]], k: int
+    rows: Sequence[tuple[Rational, ...]], k: int
 ) -> bool:
-    """Whether {d != 0 : c . d >= 0 for all c in rows} is nonempty, k <= 3."""
+    """Whether {d != 0 : c . d >= 0 for all c in rows} is nonempty, k <= 3.
+
+    Rows are cleared to integers first; candidate directions are the
+    normals of rows (k = 2) or cross products of pairs of rows (k = 3),
+    together with the unit vectors, so every test is on ints.
+    """
     if k == 0:
         return False
     if not rows:
         return True
+    rows = [_integer_row(row) for row in rows]
 
-    def feasible(d: Sequence[Fraction]) -> bool:
-        if all(x == 0 for x in d):
+    def feasible(d: Sequence[int]) -> bool:
+        if not any(d):
             return False
         return all(
             sum(c * x for c, x in zip(row, d)) >= 0 for row in rows
         )
 
     if k == 1:
-        return feasible((Fraction(1),)) or feasible((Fraction(-1),))
-    unit = [
-        tuple(Fraction(1 if i == j else 0) for j in range(k)) for i in range(k)
-    ]
+        return feasible((1,)) or feasible((-1,))
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     if k == 2:
-        candidates = [(-c[1], c[0]) for c in list(rows) + unit]
+        candidates = [(-c[1], c[0]) for c in rows + unit]
     elif k == 3:
-        pool = list(rows) + unit
         candidates = [
-            _cross(a, b) for a, b in itertools.combinations(pool, 2)
+            _cross(a, b) for a, b in itertools.combinations(rows + unit, 2)
         ]
     else:
         raise UnsupportedDimensionError("recession test supports dim <= 3")
@@ -314,26 +339,30 @@ def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def halfplane_polygon(
-    rows: Sequence[tuple[tuple[Fraction, ...], Fraction]]
+    rows: Sequence[tuple[tuple[Rational, ...], Rational]]
 ) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of {s in R^2 : c . s + d >= 0 for all rows}, ccw order.
+    """Vertices of the bounded {s in R^2 : c . s + d >= 0 for all rows}, ccw.
 
     Rows are (c, d) pairs.  An empty region, or one squeezed to a point
-    or a segment, gives [].
+    or a segment, gives []; a region with a vertex that is unbounded
+    raises ValueError.  Each row is cleared to integers, every pair is
+    intersected in homogeneous coordinates (x, y, det), and a vertex
+    becomes a Fraction only once it satisfies every row.
     """
+    lines = [_integer_row((*c, d)) for c, d in rows]
     candidates = set()
-    for (c1, d1), (c2, d2) in itertools.combinations(rows, 2):
-        det = c1[0] * c2[1] - c1[1] * c2[0]
+    for (a1, b1, d1), (a2, b2, d2) in itertools.combinations(lines, 2):
+        det = a1 * b2 - b1 * a2
         if det == 0:
             continue
-        s = (
-            (-d1 * c2[1] + d2 * c1[1]) / det,
-            (-d2 * c1[0] + d1 * c2[0]) / det,
-        )
-        if all(
-            c[0] * s[0] + c[1] * s[1] + d >= 0 for c, d in rows
-        ):
-            candidates.add(s)
+        x = d2 * b1 - d1 * b2
+        y = d1 * a2 - d2 * a1
+        if det < 0:
+            x, y, det = -x, -y, -det
+        if all(a * x + b * y + d * det >= 0 for a, b, d in lines):
+            candidates.add((Fraction(x, det), Fraction(y, det)))
+    if candidates and _recession_nontrivial([(a, b) for a, b, _ in lines], 2):
+        raise ValueError("halfplane_polygon needs a bounded region")
     ordered = sort_cyclic(sorted(candidates))
     if len(ordered) < 3:
         return []

@@ -1,0 +1,225 @@
+"""Property tests: the integer kernels of the exact tropical layer.
+
+halfplane_polygon, _solve_affine and _recession_nontrivial clear each row's
+denominators and work on ints.  Each is checked here against a reference
+that runs the same algorithm on Fractions throughout, and against the
+defining property of its answer.
+"""
+
+import itertools
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gammatrop.tropical import affine_volume, halfplane_polygon, polygon_affine_area
+from gammatrop.tropical.lattice import _cross, sort_cyclic
+from gammatrop.tropical.polyhedra import _recession_nontrivial, _solve_affine
+
+EXACT = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+# small rationals; small numerators make zeros, parallel rows and ties common
+rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+def vectors(n):
+    return st.tuples(*[rationals] * n)
+
+
+# --- Fraction references ---
+
+
+def ref_halfplane_polygon(rows):
+    candidates = set()
+    for (c1, d1), (c2, d2) in itertools.combinations(rows, 2):
+        det = c1[0] * c2[1] - c1[1] * c2[0]
+        if det == 0:
+            continue
+        s = (
+            (-d1 * c2[1] + d2 * c1[1]) / det,
+            (-d2 * c1[0] + d1 * c2[0]) / det,
+        )
+        if all(c[0] * s[0] + c[1] * s[1] + d >= 0 for c, d in rows):
+            candidates.add(s)
+    ordered = sort_cyclic(sorted(candidates))
+    if len(ordered) < 3:
+        return []
+    (x0, y0), (x1, y1) = ordered[0], ordered[1]
+    if all((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0) == 0 for x, y in ordered):
+        return []
+    return ordered
+
+
+def ref_solve_affine(rows, n):
+    aug = [[*coef, rhs] for coef, rhs in rows]
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        pivot = next((k for k in range(r, len(aug)) if aug[k][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        scale = aug[r][col]
+        aug[r] = [x / scale for x in aug[r]]
+        for k in range(len(aug)):
+            if k != r and aug[k][col] != 0:
+                factor = aug[k][col]
+                aug[k] = [x - factor * y for x, y in zip(aug[k], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+    if any(aug[k][n] != 0 for k in range(r, len(aug))):
+        return None
+    particular = [Fraction(0)] * n
+    for row, col in enumerate(pivot_cols):
+        particular[col] = aug[row][n]
+    basis = []
+    for f in (c for c in range(n) if c not in pivot_cols):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, col in enumerate(pivot_cols):
+            v[col] = -aug[row][f]
+        basis.append(tuple(v))
+    return tuple(particular), basis
+
+
+def ref_recession(rows, k):
+    if k == 0:
+        return False
+    if not rows:
+        return True
+
+    def feasible(d):
+        return any(x != 0 for x in d) and all(
+            sum(c * x for c, x in zip(row, d)) >= 0 for row in rows
+        )
+
+    if k == 1:
+        return feasible((Fraction(1),)) or feasible((Fraction(-1),))
+    unit = [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
+    pool = list(rows) + unit
+    if k == 2:
+        candidates = [(-c[1], c[0]) for c in pool]
+    else:
+        candidates = [_cross(a, b) for a, b in itertools.combinations(pool, 2)]
+    return any(feasible(d) or feasible(tuple(-x for x in d)) for d in candidates)
+
+
+# --- strategies ---
+
+
+@st.composite
+def boxed_rows(draw):
+    """Random half-planes c . s + d >= 0 plus a box around the origin."""
+    rows = draw(st.lists(st.tuples(vectors(2), rationals), max_size=6))
+    lo = Fraction(draw(st.integers(-12, 0)), 4)
+    hi = Fraction(draw(st.integers(4, 16)), 4)
+    box = [
+        ((Fraction(1), Fraction(0)), -lo),
+        ((Fraction(-1), Fraction(0)), hi),
+        ((Fraction(0), Fraction(1)), -lo),
+        ((Fraction(0), Fraction(-1)), hi),
+    ]
+    order = draw(st.permutations(range(len(rows) + 4)))
+    return [(rows + box)[i] for i in order]
+
+
+@st.composite
+def affine_systems(draw):
+    """(rows, n): often consistent by construction, sometimes not."""
+    n = draw(st.integers(1, 4))
+    coefs = draw(st.lists(vectors(n), max_size=5))
+    if draw(st.booleans()):
+        w = draw(vectors(n))
+        rhs = [sum(c * x for c, x in zip(coef, w)) for coef in coefs]
+    else:
+        rhs = draw(st.lists(rationals, min_size=len(coefs), max_size=len(coefs)))
+    return list(zip(coefs, rhs)), n
+
+
+@st.composite
+def unimodular(draw, n):
+    """A matrix in GL(n, Z): a product of row negations and row additions."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)),
+        max_size=8,
+    ))
+    for i, j, k in steps:
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def apply(m, shift, points):
+    return [
+        tuple(sum(a * x for a, x in zip(row, p)) + s for row, s in zip(m, shift))
+        for p in points
+    ]
+
+
+# --- properties ---
+
+
+@EXACT
+@given(boxed_rows())
+def test_halfplane_polygon_matches_fraction_reference(rows):
+    assert halfplane_polygon(rows) == ref_halfplane_polygon(rows)
+
+
+@EXACT
+@given(affine_systems())
+def test_solve_affine_matches_fraction_rref(system):
+    rows, n = system
+    solved = _solve_affine(rows, n)
+    assert solved == ref_solve_affine(rows, n)
+    if solved is None:
+        return
+    particular, basis = solved
+    for coef, rhs in rows:
+        assert sum(c * x for c, x in zip(coef, particular)) == rhs
+        for v in basis:
+            assert sum(c * x for c, x in zip(coef, v)) == 0
+    rank = sympy.Matrix([list(c) for c, _ in rows]).rank() if rows else 0
+    assert len(basis) == n - rank
+
+
+@EXACT
+@given(affine_systems())
+def test_solve_affine_rejects_inconsistent_systems(system):
+    rows, n = system
+    # the sum of all rows, with its right-hand side shifted by one
+    coef = tuple(sum(c[j] for c, _ in rows) for j in range(n))
+    rhs = sum((r for _, r in rows), Fraction(0)) + 1
+    assert _solve_affine([*rows, (coef, rhs)], n) is None
+
+
+@EXACT
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(vectors(k), max_size=5))
+))
+def test_recession_matches_fraction_reference(case):
+    k, rows = case
+    assert _recession_nontrivial(rows, k) == ref_recession(rows, k)
+
+
+@EXACT
+@given(boxed_rows(), unimodular(2), st.tuples(*[st.integers(-5, 5)] * 2))
+def test_polygon_area_is_unimodular_invariant(rows, m, shift):
+    polygon = halfplane_polygon(rows)
+    image = apply(m, shift, polygon)
+    assert polygon_affine_area(image) == polygon_affine_area(polygon)
+    assert affine_volume(image) == affine_volume(polygon)
+
+
+@EXACT
+@given(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=6, unique=True),
+    unimodular(3),
+    st.tuples(*[st.integers(-5, 5)] * 3),
+)
+def test_volume_is_unimodular_invariant(points, m, shift):
+    points = [tuple(Fraction(x, 2) for x in p) for p in points]
+    assert affine_volume(apply(m, shift, points)) == affine_volume(points)

@@ -19,6 +19,7 @@ from gammatrop.tropical import (
     corner_locus,
     edge_singularities,
     focus_focus_monodromy,
+    halfplane_polygon,
     log_t_image,
     monomial_substitution,
     plane_lattice_basis,
@@ -593,6 +594,23 @@ def test_k3_chamber_is_the_reflexive_simplex():
 def test_chamber_requires_a_bounded_region():
     with pytest.raises(StructureError):
         compact_chamber(tropicalize(pants_family()))
+
+
+def test_halfplane_polygon_needs_a_bounded_region():
+    # x >= 0, y >= 0, x + y >= 1, x <= 5: vertices (0, 1), (1, 0), (5, 0)
+    # but no bound on y, so no triangle describes it
+    rows = [
+        ((Fraction(1), Fraction(0)), Fraction(0)),
+        ((Fraction(0), Fraction(1)), Fraction(0)),
+        ((Fraction(1), Fraction(1)), Fraction(-1)),
+        ((Fraction(-1), Fraction(0)), Fraction(5)),
+    ]
+    with pytest.raises(ValueError, match="bounded"):
+        halfplane_polygon(rows)
+    capped = rows + [((Fraction(0), Fraction(-1)), Fraction(5))]
+    assert halfplane_polygon(capped) == [(5, 5), (0, 5), (0, 1), (1, 0), (5, 0)]
+    # an empty region has no vertex and stays []
+    assert halfplane_polygon(rows + [((Fraction(-1), Fraction(-1)), Fraction(0))]) == []
 
 
 def test_boundary_area_rejects_unsupported_dimension():
