@@ -4,7 +4,11 @@ The pants integral follows the residue 1-form along a real section of
 1 + z1 + z2 = 0.  The elliptic period integrates the residue form of
 t(X + Y + 1/(XY)) - 1 around its compact positive-real oval; the oval is
 parametrized as a two-branch graph over X, with the branch square root
-evaluated in closed form.
+evaluated in closed form.  Two substitutions make both charts of the oval
+analytic up to their ends: a square root at the branch point X_-, where
+the form blows up like 1/sqrt(X - X_-), and an asinh at the branch point
+X_b, where it behaves like 1/sqrt(tau (tau + delta)) with the neighbouring
+root only delta ~ 4 t^{3/2} away.
 """
 
 from __future__ import annotations
@@ -108,11 +112,18 @@ def elliptic_period(
     Y-branch is dX/sqrt(D), D(X) = X^2 (1-tX)^2 - 4 t^2 X, and the oval
     is the double cover of [X_-, X_b] where D >= 0, so the period is
     2 * integral of dX/sqrt(D).  D is evaluated through its root
-    factorization and each chart places its integration origin at the
-    branch point, so the 1/sqrt endpoint singularities are computed
-    without cancellation.  Chart 1 sweeps X = X_- e^{Lv} up to 1/(2t);
-    chart 2 covers the rest via sigma = 1 - tX.  Orientation is fixed
-    so the value is positive.
+    factorization, with each chart's origin at its branch point, so it is
+    computed without cancellation there.  Each chart is substituted so
+    that its integrand is analytic on the closed interval:
+
+    - chart 1 covers [X_-, 1/(2t)] by X = X_- e^{L s^2}.  D vanishes
+      linearly at X_-, and the factor s of dX cancels the 1/sqrt there.
+    - chart 2 covers [1/(2t), X_b] by sigma = 1 - tX = sigma_+ + tau with
+      tau = delta sinh^2(w).  Near X_b the form is dtau/sqrt(tau (tau +
+      delta)), a 1/sqrt pinched against the root X_c at distance delta =
+      sigma_+ - sigma_- ~ 4 t^{3/2}; the substitution makes it 2 dw.
+
+    Orientation is fixed so the value is positive.
     """
     if not 0.0 < t <= ELLIPTIC_T_MAX:
         raise ValueError(f"t must lie in (0, {ELLIPTIC_T_MAX}]")
@@ -122,36 +133,37 @@ def elliptic_period(
     x_b = (1.0 - sigma_plus) / t
     x_c = (1.0 - sigma_neg) / t
 
-    # chart 1: X = x_low e^{Lv}, v in [0, V]; dX = L X dv
+    # chart 1: X = x_low e^{L s^2}, s in [0, sqrt(V)]; dX = 2 L X s ds,
+    # and X - X_- = x_low expm1(L s^2) vanishes like s^2, so the s of dX
+    # cancels the 1/sqrt at the branch point
     v_span = math.log(1.0 / (2.0 * t) / x_low) / big_l
 
-    def integrand_low(v):
-        x = x_low * np.exp(big_l * v)
-        gap = x_low * np.expm1(big_l * v)  # X - X_-, exact at the origin
+    def integrand_low(s):
+        x = x_low * np.exp(big_l * s * s)
+        gap = x_low * np.expm1(big_l * s * s)
         d = t * t * x * gap * (x_b - x) * (x_c - x)
-        return 2.0 * big_l * x / np.sqrt(np.maximum(d, 1e-300))
+        return 4.0 * big_l * s * x / np.sqrt(d)
 
-    res_a = integrate_1d(integrand_low, (0.0, v_span), cfg)
+    res_a = integrate_1d(integrand_low, (0.0, math.sqrt(v_span)), cfg)
 
-    # chart 2: sigma = sigma_plus + tau, tau in [0, 1/2 - sigma_plus];
-    # X_b - X = tau/t and X_c - X = (tau + delta)/t with delta =
-    # sigma_plus - sigma_neg, both cancellation-free
+    # chart 2: sigma = sigma_plus + tau with tau = delta sinh^2(w), delta =
+    # sigma_plus - sigma_neg; X_b - X = tau/t and X_c - X = (tau + delta)/t,
+    # and dtau / sqrt(tau (tau + delta)) = 2 dw exactly
     delta = sigma_plus - sigma_neg
-    tau_span = 0.5 - sigma_plus
+    w_span = math.asinh(math.sqrt((0.5 - sigma_plus) / delta))
 
-    def integrand_top(tau):
-        x = (1.0 - sigma_plus - tau) / t
-        d = x * (x - x_low) * tau * (tau + delta)
-        return 2.0 / (t * np.sqrt(np.maximum(d, 1e-300)))
+    def integrand_top(w):
+        x = (1.0 - sigma_plus - delta * np.sinh(w) ** 2) / t
+        return 4.0 / (t * np.sqrt(x * (x - x_low)))
 
-    res_b = integrate_1d(integrand_top, (0.0, tau_span), cfg)
+    res_b = integrate_1d(integrand_top, (0.0, w_span), cfg)
 
     return PeriodSample(
         t=t,
         value=res_a.value + res_b.value,
         error_estimate=res_a.error_estimate + res_b.error_estimate,
         evaluations=res_a.evaluations + res_b.evaluations,
-        parametrization="oval_two_chart",
+        parametrization="oval_sqrt_asinh",
         converged=res_a.converged and res_b.converged,
     )
 

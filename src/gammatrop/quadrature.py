@@ -167,44 +167,34 @@ def _find_tail_cutoff(f, start: float, direction: int, cfg: QuadratureConfig):
 
     Probes f one point at a time at geometrically growing offsets until
     |f| stays below tail_cutoff twice in a row.  The discarded mass is
-    bounded using the decay rate observed between the last two probes.
+    bounded using the decay rate observed between the last two probes;
+    if |f| did not fall between them, by |f| times their distance.
     The probe points are also returned: they seed the initial panels, so
     mass far from the finite endpoint cannot hide between rule nodes.
     """
     offset = 1.0
-    prev_point = start
-    prev_mag = None
     below = 0
-    point = start
-    mag = 0.0
     probes: list[float] = []
+    mags: list[float] = []
     for _ in range(80):
         point = start + direction * offset
         probes.append(point)
-        mag = abs(float(_values(f(np.array([point])), 1)[0]))
-        if mag < cfg.tail_cutoff:
+        mags.append(abs(float(_values(f(np.array([point])), 1)[0])))
+        if mags[-1] < cfg.tail_cutoff:
             below += 1
             if below >= 2:
                 break
         else:
             below = 0
-        if prev_mag is not None and 0.0 < mag < prev_mag:
-            decay = math.log(prev_mag / mag) / abs(point - prev_point)
-        else:
-            decay = None
-        prev_point, prev_mag = point, mag
         offset *= 2.0
-    else:
-        decay = None
+    (prev_point, point), (prev_mag, mag) = probes[-2:], mags[-2:]
     if mag == 0.0:
         bound = 0.0
+    elif mag < prev_mag:
+        decay = math.log(prev_mag / mag) / abs(point - prev_point)
+        bound = 4.0 * mag / decay
     else:
-        if prev_mag is not None and 0.0 < mag < prev_mag:
-            decay = math.log(prev_mag / mag) / abs(point - prev_point)
-        if decay is not None and decay > 0.0:
-            bound = 4.0 * mag / decay
-        else:
-            bound = 4.0 * mag * max(abs(point - prev_point), 1.0)
+        bound = 4.0 * mag * max(abs(point - prev_point), 1.0)
     return point, bound, probes
 
 

@@ -390,6 +390,40 @@ def test_elliptic_slope_nine_constant_zero():
     assert abs(sample_b.value / sample_b.big_l - 9.0) < 1e-3
 
 
+def elliptic_series(t: float) -> float:
+    """Exact series of the cubic's period, the d < 20 terms in floats.
+
+    period(t) = 9 sum_d (3d)!/(d!)^3 t^{3d} (L + H_d - H_{3d}), H_k the
+    k-th harmonic number; the coefficients are exact integers.
+    """
+    big_l = -math.log(t)
+    terms = []
+    for d in range(20):
+        coefficient = math.factorial(3 * d) // math.factorial(d) ** 3
+        harmonic = math.fsum(1.0 / k for k in range(d + 1, 3 * d + 1))
+        terms.append(coefficient * t ** (3 * d) * (big_l - harmonic))
+    return 9.0 * math.fsum(terms)
+
+
+ELLIPTIC_SERIES_T = (0.1, 0.05, 1e-2, 1e-4, 1e-6, 1e-8)
+
+
+@pytest.mark.parametrize("t", ELLIPTIC_SERIES_T)
+def test_elliptic_matches_exact_series(t):
+    sample = elliptic_period(t)
+    assert sample.converged
+    gap = abs(sample.value - elliptic_series(t))
+    assert gap <= sample.error_estimate
+    assert gap <= 1e-11
+
+
+@pytest.mark.parametrize("t", ELLIPTIC_SERIES_T)
+def test_elliptic_evaluation_count(t):
+    # both charts are analytic on closed intervals, so no panel bisects
+    # towards a branch point
+    assert elliptic_period(t).evaluations <= 1200
+
+
 def test_elliptic_determinism_and_validation():
     first = elliptic_period(1e-3)
     second = elliptic_period(1e-3)

@@ -17,6 +17,7 @@ from gammatrop.quadrature import (
     QuadratureConfig,
     Rectangle,
     Sphere,
+    _find_tail_cutoff,
     _panels_1d,
     _rule,
     fit_asymptotic,
@@ -174,6 +175,22 @@ def test_integrate_splits_off_nonfinite_panels():
         assert result.converged
         assert abs(result.value - (exact + 0.5)) <= result.error_estimate
         assert result.evaluations < 100_000
+
+
+def step_tail(x):
+    # e^-|x|, then flat at 1e-31, below the default tail_cutoff
+    return np.where(np.abs(x) < 100.0, np.exp(-np.abs(x)), 1e-31)
+
+
+@pytest.mark.parametrize("direction", (1, -1))
+def test_tail_bound_uses_the_last_two_probes(direction):
+    # probes at 1, 2, ..., 128, 256; |f| does not fall between the last
+    # two, so the bound is 4|f| times their distance and not one from the
+    # decay between 64 and 128
+    point, bound, probes = _find_tail_cutoff(step_tail, 0.0, direction, QuadratureConfig())
+    assert probes == [direction * 2.0**k for k in range(9)]
+    assert point == direction * 256.0
+    assert bound == 4.0 * 1e-31 * 128.0
 
 
 @pytest.mark.parametrize(
