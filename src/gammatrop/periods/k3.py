@@ -5,6 +5,13 @@ Phi_t(w) = t^{w1+1} + t^{w2+1} + t^{w3+1} + t^{1-w1-w2-w3} <= 1, a graph
 rho(u) over the unit sphere around the origin (the body's symmetry
 center).  The residue 2-form pulled back to that radial chart gives
 value = L^3 * integral over S^2 of rho(u)^2 / (d Phi/d rho) d sigma(u).
+
+Along a ray u the exponents of Phi are affine in rho, so
+g(rho) = log Phi = log sum_i exp(-L (1 + rho s_i)), s_i = <slope_i, u>,
+is a log-sum-exp of affine functions and hence convex, with
+g(0) = log 4t < 0.  So g crosses zero once, with positive slope, and
+Newton's method started at a point where g >= 0 decreases monotonically
+to the crossing.
 """
 
 from __future__ import annotations
@@ -31,55 +38,71 @@ def _default_config() -> QuadratureConfig:
     return QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 
 
+def _log_phi(rho, slopes, big_l):
+    """log Phi and its rho-derivative along each ray, overflow-free.
+
+    `slopes` is the (4, n) array of s_i per ray; the log-sum-exp is
+    shifted by its largest exponent, so every exponential is at most 1.
+    """
+    exponents = -big_l * (1.0 + rho * slopes)
+    top = exponents.max(axis=0)
+    weights = np.exp(exponents - top)
+    total = weights.sum(axis=0)
+    return top + np.log(total), -big_l * (slopes * weights).sum(axis=0) / total
+
+
+def _radial_root(slopes, big_l):
+    """The radius rho of the crossing Phi = 1 along each ray, by Newton on log Phi.
+
+    The seed rho_0 = min(1 / max_i(-s_i), _RHO_MAX) makes the largest term
+    of Phi at least 1, so log Phi(rho_0) >= 0 and, log Phi being convex,
+    the Newton iterates fall monotonically onto the crossing.  Each element
+    steps until its next step would not decrease it, which happens once
+    rounding has reached the crossing, so no step count or tolerance
+    enters.  Every ray must cross within _RHO_MAX.
+    """
+    rho = np.minimum(1.0 / (-slopes).max(axis=0), _RHO_MAX)
+    while True:
+        g, dg = _log_phi(rho, slopes, big_l)
+        step = rho - g / dg
+        lower = step < rho
+        if not lower.any():
+            return rho
+        rho = np.where(lower, step, rho)
+
+
 def k3_period(
     t: float,
     config: QuadratureConfig | None = None,
 ) -> PeriodSample:
     """Quartic-mirror period over the positive-real cycle at parameter t.
 
-    The radial coordinate of the cycle along each direction is found by
-    bisection on Phi = 1 over rho in (0, 8], run until the bracket is
-    two adjacent floats; Phi is convex along rays and Phi(0) = 4t < 1,
-    so the crossing is unique.  A direction whose ray never leaves the
-    body within rho = 8 raises StructureError naming the direction.
-    Orientation is fixed so the value is positive; the asymptotic is
-    32 L^2 - 24 zeta(2) + o(1).
+    The radial coordinate of the cycle along each direction is the zero of
+    log Phi on rho in (0, 8].  log Phi is convex along rays and equals
+    log 4t < 0 at rho = 0, so the crossing is unique, and Newton's method
+    from a seed where log Phi >= 0 descends monotonically onto it; each
+    direction iterates until a step no longer decreases its rho.  A
+    direction whose ray never leaves the body within rho = 8 raises
+    StructureError naming the direction.  Orientation is fixed so the
+    value is positive; the asymptotic is 32 L^2 - 24 zeta(2) + o(1).
     """
     if not 0.0 < t <= K3_T_MAX:
         raise ValueError(f"t must lie in (0, {K3_T_MAX}]")
     cfg = config or _default_config()
     big_l = -math.log(t)
 
-    def terms(rho, slopes):
-        # one pass over the (4, n) slopes; rho broadcasts along the rows
-        return np.exp(np.minimum(-big_l * (1.0 + rho * slopes), 700.0))
-
-    def phi(rho, slopes):
-        t0, t1, t2, t3 = terms(rho, slopes)
-        return t0 + t1 + t2 + t3
-
     def integrand(nx, ny, nz):
         slopes = np.array([nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES])
-        with np.errstate(over="ignore"):
-            bad = ~(phi(np.full_like(nx, _RHO_MAX), slopes) > 1.0)
-            if bad.any():
-                idx = int(np.argmax(bad))
-                direction = (float(nx[idx]), float(ny[idx]), float(nz[idx]))
-                raise StructureError(
-                    f"radial solve found no crossing along direction {direction}"
-                )
-            lo = np.zeros_like(nx)
-            hi = np.full_like(nx, _RHO_MAX)
-            mid = 0.5 * (lo + hi)
-            # once lo and hi are adjacent floats the midpoint rounds onto
-            # one of them and further steps change nothing
-            while ((lo < mid) & (mid < hi)).any():
-                inside = phi(mid, slopes) < 1.0
-                lo = np.where(inside, mid, lo)
-                hi = np.where(inside, hi, mid)
-                mid = 0.5 * (lo + hi)
-        rho = mid
-        t0, t1, t2, t3 = terms(rho, slopes)
+        log_phi_max, _ = _log_phi(np.full_like(nx, _RHO_MAX), slopes, big_l)
+        bad = ~(log_phi_max > 0.0)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            direction = (float(nx[idx]), float(ny[idx]), float(nz[idx]))
+            raise StructureError(
+                f"radial solve found no crossing along direction {direction}"
+            )
+        rho = _radial_root(slopes, big_l)
+        t0, t1, t2, t3 = np.exp(-big_l * (1.0 + rho * slopes))
         s0, s1, s2, s3 = slopes
         # d Phi/d rho = -L * sum(s_i T_i) > 0 at the outward crossing
         return rho * rho / (-big_l * (s0 * t0 + s1 * t1 + s2 * t2 + s3 * t3))

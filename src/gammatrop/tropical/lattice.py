@@ -155,21 +155,26 @@ def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
         raise ValueError("vertices must share one ambient dimension")
     origin = points[0]
     offsets = [tuple(x - o for x, o in zip(p, origin)) for p in points]
+    basis = _offsets_plane_basis(offsets)
+    if basis is None:
+        return Fraction(0)
+    return _cyclic_area(_plane_coordinates(offsets, basis))
+
+
+def _offsets_plane_basis(
+    offsets: Sequence[tuple[Fraction, ...]],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """`plane_lattice_basis` of the first nonzero offset and the first one
+    independent of it, or None when the offsets span less than a plane."""
     d1 = next((v for v in offsets if any(x != 0 for x in v)), None)
     if d1 is None:
-        return Fraction(0)
-    d2 = None
+        return None
     for v in offsets:
         try:
-            plane_lattice_basis(d1, v)
+            return plane_lattice_basis(d1, v)
         except ValueError:
             continue
-        d2 = v
-        break
-    if d2 is None:
-        return Fraction(0)
-    basis = plane_lattice_basis(d1, d2)
-    return _cyclic_area(_plane_coordinates(offsets, basis))
+    return None
 
 
 def _cyclic_area(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
@@ -265,26 +270,13 @@ def _convex_hull_3d_facets(
         if key in facets:
             continue
         on_plane = [p for p, v in zip(pts, values) if v == 0]
-        basis_dirs = []
         origin = on_plane[0]
-        for p in on_plane[1:]:
-            d = tuple(x - o for x, o in zip(p, origin))
-            if any(x != 0 for x in d):
-                if not basis_dirs:
-                    basis_dirs.append(d)
-                else:
-                    try:
-                        plane_lattice_basis(basis_dirs[0], d)
-                    except ValueError:
-                        continue
-                    basis_dirs.append(d)
-                    break
-        if len(basis_dirs) < 2:
-            continue
-        basis = plane_lattice_basis(basis_dirs[0], basis_dirs[1])
         offsets = [
             tuple(x - o for x, o in zip(p, origin)) for p in on_plane
         ]
+        basis = _offsets_plane_basis(offsets)
+        if basis is None:
+            continue
         coords = _plane_coordinates(offsets, basis)
         back = dict(zip(coords, on_plane))
         facets[key] = [back[s] for s in sort_cyclic(coords)]

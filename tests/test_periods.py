@@ -461,6 +461,86 @@ def test_k3_period_default_tolerance():
     assert abs(sample.value - predicted) < 1e-3
 
 
+def k3_series(t: float) -> float:
+    """Exact series of the quartic's period, the d < 30 terms in floats.
+
+    period(t) = 4 sum_d (4d)!/(d!)^4 t^{4d} (alpha^2/2 + beta) with
+    alpha = 4L - 4(H_{4d} - H_d) and
+    beta = -6 zeta(2) - 8 H^(2)_{4d} + 2 H^(2)_d, where H_k and H^(2)_k
+    are the harmonic numbers of orders 1 and 2.
+    """
+    big_l = -math.log(t)
+    terms = []
+    for d in range(30):
+        coefficient = math.factorial(4 * d) // math.factorial(d) ** 4
+        alpha = 4.0 * big_l - 4.0 * math.fsum(1.0 / k for k in range(d + 1, 4 * d + 1))
+        beta = (
+            -6.0 * ZETA2
+            - 8.0 * math.fsum(1.0 / k**2 for k in range(1, 4 * d + 1))
+            + 2.0 * math.fsum(1.0 / k**2 for k in range(1, d + 1))
+        )
+        terms.append(coefficient * t ** (4 * d) * (0.5 * alpha**2 + beta))
+    return 4.0 * math.fsum(terms)
+
+
+@pytest.mark.parametrize("t", (0.1, 0.05, 1e-2))
+def test_k3_matches_exact_series(t):
+    sample = k3_period(t, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9))
+    assert sample.converged
+    gap = abs(sample.value - k3_series(t))
+    assert gap <= sample.error_estimate
+    assert gap <= 1e-11
+
+
+def test_k3_small_t_has_no_overflow():
+    # at t = 1e-30 every d >= 1 term of the series is below 1e-100, and
+    # Phi at rho = 8 reaches t^{-7}; the suite turns RuntimeWarnings into
+    # errors, so an overflowing exponential fails here
+    sample = k3_period(1e-30, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5))
+    assert sample.converged
+    predicted = 32.0 * sample.big_l**2 - 24.0 * ZETA2
+    assert abs(sample.value - predicted) <= sample.error_estimate
+
+
+def bisection_radial_root(slopes: np.ndarray, big_l: float) -> np.ndarray:
+    """Reference radial solve: bisect Phi = 1 on (0, 8] to adjacent floats."""
+
+    def phi(rho):
+        return np.exp(-big_l * (1.0 + rho * slopes)).sum(axis=0)
+
+    lo = np.zeros(slopes.shape[1])
+    hi = np.full(slopes.shape[1], 8.0)
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        inside = phi(mid) < 1.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+@pytest.mark.parametrize("t", (0.1, 1e-2, 1e-6, 1e-30))
+def test_k3_radial_root_matches_bisection(t):
+    rng = np.random.default_rng(20)
+    u = rng.standard_normal((3, 20000))
+    u /= np.linalg.norm(u, axis=0)
+    slopes = np.array([u[0] * sx + u[1] * sy + u[2] * sz for sx, sy, sz in k3._SLOPES])
+    big_l = -math.log(t)
+    rho = k3._radial_root(slopes, big_l)
+    reference = bisection_radial_root(slopes, big_l)
+    assert np.all(np.abs(rho - reference) <= 4.0 * np.spacing(reference))
+
+    def phi(r):
+        return np.exp(-big_l * (1.0 + r * slopes)).sum(axis=0)
+
+    # at the crossing each exponent -L (1 + rho s_i) of Phi is rounded by
+    # about (L + 4) eps / 2, so Phi is known to about (L + 8) eps / 2; the
+    # check allows twice that
+    rounding = (big_l + 8.0) * np.finfo(float).eps
+    assert np.all(phi(np.nextafter(rho, 0.0)) <= 1.0 + rounding)
+    assert np.all(phi(np.nextafter(rho, np.inf)) >= 1.0 - rounding)
+
+
 def test_k3_no_crossing_names_the_direction(monkeypatch):
     # with the search radius inside the body no ray reaches Phi = 1
     monkeypatch.setattr(k3, "_RHO_MAX", 1e-3)
