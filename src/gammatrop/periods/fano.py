@@ -2,8 +2,12 @@
 
 The measured side integrates exp(-t W) with W = x1 + ... + xn +
 1/(x1...xn) over the positive orthant against the Haar form
-dx1...dxn/(x1...xn).  The predicted side is the period polynomial in
-L = -log t built from the Gamma class of P^n.
+dx1...dxn/(x1...xn).  In logarithmic coordinates x_i = e^{u_i} this is an
+integral over R^n.  For n = 2 and n = 3 pairs of coordinates are
+contracted by K0(z) = 1/2 int_R exp(-z cosh s) ds (DLMF 10.32.9), so
+every supported n is one quadrature over the whole line.  The predicted
+side is the period polynomial in L = -log t built from the Gamma class
+of P^n.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ from scipy.special import k0 as _bessel_k0
 
 from ..cohomology import ManifoldModel, PeriodPolynomial, gamma_period_polynomial
 from ..errors import UnsupportedDimensionError
-from ..quadrature import (
-    IntegrationResult,
-    QuadratureConfig,
-    Rectangle,
-    integrate_1d,
-    integrate_2d,
-)
+from ..quadrature import QuadratureConfig, integrate_1d
 from .types import PeriodSample
 
 __all__ = [
@@ -46,11 +44,20 @@ def exp_period_orthant(
     """Orthant exponential period of the n-dimensional mirror potential.
 
     Logarithmic coordinates x_i = e^{u_i} turn the orthant integral into
-    one over R^n.  n = 1 and n = 2 run direct quadrature on that form.
-    For n = 3 the (u1, u2)-plane is contracted first: with a = (u1+u2)/2
-    the inner integral over u1 - u2 is exactly 2 K0(2 t e^a), leaving a
-    two-dimensional integral.  Non-convergent quadrature is reported on
-    the returned sample, not raised.
+    one over R^n, and each branch is one integral over the whole line:
+
+    - n = 1: exp(-2 t cosh u) directly ("log_orthant_1d");
+    - n = 2: with a = (u1+u2)/2, the integral over u1 - u2 is 2 K0(2 t e^a)
+      by K0(z) = 1/2 int_R exp(-z cosh s) ds (DLMF 10.32.9), leaving
+      int_R 4 K0(2 t e^a) exp(-t e^{-2a}) da ("bessel_line_1d");
+    - n = 3: the (u1, u2)-plane contracts to 2 K0(2 t e^a) as for n = 2,
+      and the integral over u3 of exp(-t (e^{u3} + e^{-2a-u3})) is
+      2 K0(2 t e^{-a}) by the same identity, leaving
+      int_R 8 K0(2 t e^a) K0(2 t e^{-a}) da ("bessel_pair_1d").
+
+    The truncated tails are bounded in the reported error estimate.
+    Non-convergent quadrature is reported on the returned sample, not
+    raised.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -60,39 +67,27 @@ def exp_period_orthant(
         )
     _check_t(t)
     cfg = config or QuadratureConfig()
-    big_l = -math.log(t)
 
     if n == 1:
 
-        def integrand_1d(u):
+        def integrand(u):
             return np.exp(-t * (np.exp(u) + np.exp(-u)))
 
-        res = integrate_1d(integrand_1d, (-math.inf, math.inf), cfg)
-        return _sample(t, res, "log_orthant_1d")
+        parametrization = "log_orthant_1d"
+    elif n == 2:
 
-    if n == 2:
-        hi = big_l + 8.0
-        lo = -2.0 * hi
+        def integrand(a):
+            return 4.0 * _bessel_k0(2.0 * t * np.exp(a)) * np.exp(-t * np.exp(-2.0 * a))
 
-        def integrand_2d(u1, u2):
-            # beyond the box every term has t * e^(...) >= e^8
-            return np.exp(-t * (np.exp(u1) + np.exp(u2) + np.exp(-u1 - u2)))
+        parametrization = "bessel_line_1d"
+    else:
 
-        res = integrate_2d(integrand_2d, Rectangle((lo, hi), (lo, hi)), cfg)
-        return _sample(t, res, "log_orthant_2d")
+        def integrand(a):
+            return 8.0 * _bessel_k0(2.0 * t * np.exp(a)) * _bessel_k0(2.0 * t * np.exp(-a))
 
-    span = big_l + 10.0
+        parametrization = "bessel_pair_1d"
 
-    def integrand_bessel(a, u3):
-        inner = 2.0 * _bessel_k0(2.0 * t * np.exp(a))
-        return 2.0 * inner * np.exp(-t * (np.exp(u3) + np.exp(-2.0 * a - u3)))
-
-    domain = Rectangle((-span, span), (-3.0 * span, span))
-    res = integrate_2d(integrand_bessel, domain, cfg)
-    return _sample(t, res, "bessel_pair_2d")
-
-
-def _sample(t: float, res: IntegrationResult, parametrization: str) -> PeriodSample:
+    res = integrate_1d(integrand, (-math.inf, math.inf), cfg)
     return PeriodSample(
         t=t,
         value=res.value,

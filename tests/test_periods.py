@@ -233,6 +233,24 @@ def test_exp_period_n2_error_estimate_bounds_error(t):
     assert abs(sample.value - fano2_bessel_oracle(t)) <= sample.error_estimate
 
 
+def fano_meijer_g(n: int, t: float) -> float:
+    """P^n orthant period in closed form: G^{n+1,0}_{0,n+1}(t^{n+1} | 0, ..., 0)."""
+    with mpmath.workdps(30):
+        return float(mpmath.meijerg([[], []], [[0] * (n + 1), []], mpmath.mpf(t) ** (n + 1)))
+
+
+# t <= 1e-4 and t near 1 stress the doubly exponential tails of the Bessel
+# forms; the suite turns RuntimeWarnings into errors, so an overflowing
+# exponential fails here
+@pytest.mark.parametrize("t", (0.9, 0.5, 1e-2, 1e-3, 1e-4, 1e-8, 1e-30))
+@pytest.mark.parametrize("n", (2, 3))
+def test_exp_period_n2_n3_match_meijer_g(n, t):
+    sample = exp_period_orthant(n, t)
+    assert sample.converged
+    assert math.isfinite(sample.value) and math.isfinite(sample.error_estimate)
+    assert abs(sample.value - fano_meijer_g(n, t)) <= sample.error_estimate
+
+
 def test_exp_period_validation():
     with pytest.raises(ValueError):
         exp_period_orthant(0, 0.1)
