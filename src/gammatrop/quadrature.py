@@ -61,8 +61,11 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.rule_order < 3 or self.rule_order % 2 == 0:
             raise ValueError("rule_order must be an odd integer >= 3")
-        if self.abs_tol <= 0 or self.rel_tol < 0:
+        # written as negations so that NaN fails them too
+        if not (self.abs_tol > 0 and self.rel_tol >= 0):
             raise ValueError("tolerances must be positive")
+        if not self.tail_cutoff > 0:
+            raise ValueError("tail_cutoff must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rational = int | Fraction
 
@@ -57,6 +57,14 @@ def affine_length(p: Sequence[Rational], q: Sequence[Rational]) -> Fraction:
     raise AssertionError("primitive direction of a nonzero vector is nonzero")
 
 
+def _cross(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -92,12 +100,8 @@ def plane_lattice_basis(
         return (1, 0), (0, 1)
     if n != 3:
         raise ValueError("only ambient dimensions 2 and 3 are supported")
-    normal = (
-        v1[1] * v2[2] - v1[2] * v2[1],
-        v1[2] * v2[0] - v1[0] * v2[2],
-        v1[0] * v2[1] - v1[1] * v2[0],
-    )
-    if all(c == 0 for c in normal):
+    normal = _cross(v1, v2)
+    if not any(normal):
         raise ValueError("directions must be linearly independent")
     u = primitive_vector(normal)
     if u[0] == 0 and u[1] == 0:
@@ -109,82 +113,77 @@ def plane_lattice_basis(
     return b1, b2
 
 
-def _plane_coordinates(
-    offsets: Sequence[tuple[Fraction, ...]],
-    basis: tuple[tuple[int, ...], tuple[int, ...]],
-) -> list[tuple[Fraction, Fraction]]:
-    """Coordinates of in-plane offset vectors with respect to a plane basis."""
-    b1, b2 = basis
-    n = len(b1)
-    rows = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = b1[i] * b2[j] - b1[j] * b2[i]
-            if det != 0:
-                rows = (i, j, det)
-                break
-        if rows is not None:
-            break
-    if rows is None:
-        raise ValueError("basis vectors must be linearly independent")
-    i, j, det = rows
-    coords = []
-    for v in offsets:
-        s = Fraction(v[i] * b2[j] - v[j] * b2[i], 1) / det
-        r = Fraction(b1[i] * v[j] - b1[j] * v[i], 1) / det
-        # consistency: the point must actually lie in the plane
-        for k in range(n):
-            if s * b1[k] + r * b2[k] != v[k]:
-                raise ValueError("point does not lie in the spanned plane")
-        coords.append((s, r))
-    return coords
+def _rational_points(
+    vertices: Sequence[Sequence[Rational]],
+) -> list[tuple[Fraction, ...]]:
+    """The vertices as Fraction tuples, all of one ambient dimension."""
+    points = [tuple(Fraction(x) for x in v) for v in vertices]
+    if any(len(p) != len(points[0]) for p in points):
+        raise ValueError("vertices must share one ambient dimension")
+    return points
 
 
 def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
-    """Lattice-normalized area of a planar polygon with rational vertices.
+    """Lattice-normalized area of the convex hull of coplanar rational points.
 
-    Vertices may sit in the plane or in 3-space (coplanar); they are
-    re-ordered cyclically around their centroid, so any input order that
-    describes a convex polygon is accepted.
+    Vertices may sit in the plane or in 3-space, in any order.  In 3-space
+    let u be the primitive normal of their plane and k the first
+    coordinate with u_k != 0: dropping coordinate k maps the plane's
+    lattice onto a sublattice of Z^2 of index |u_k|, so the area is the
+    shoelace area of the projected hull divided by |u_k|.  Vertices off
+    one plane, or in another ambient dimension, raise ValueError.
     """
-    points = [tuple(Fraction(x) for x in v) for v in vertices]
-    if len(points) < 3:
+    points = _rational_points(vertices)
+    if not points:
         return Fraction(0)
     n = len(points[0])
-    if any(len(p) != n for p in points):
-        raise ValueError("vertices must share one ambient dimension")
+    if n == 2:
+        return _hull_area(points)
+    if n != 3:
+        raise ValueError("only ambient dimensions 2 and 3 are supported")
     origin = points[0]
-    offsets = [tuple(x - o for x, o in zip(p, origin)) for p in points]
-    basis = _offsets_plane_basis(offsets)
-    if basis is None:
-        return Fraction(0)
-    return _cyclic_area(_plane_coordinates(offsets, basis))
+    offsets = [tuple(x - o for x, o in zip(p, origin)) for p in points[1:]]
+    normals = (_cross(a, b) for a, b in itertools.combinations(offsets, 2))
+    normal = next((c for c in normals if any(c)), None)
+    if normal is None:
+        return Fraction(0)  # the vertices span less than a plane
+    u = primitive_vector(normal)
+    if any(sum(c * x for c, x in zip(u, v)) for v in offsets):
+        raise ValueError("vertices must lie in one plane")
+    return _projected_area(points, u)
 
 
-def _offsets_plane_basis(
-    offsets: Sequence[tuple[Fraction, ...]],
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """`plane_lattice_basis` of the first nonzero offset and the first one
-    independent of it, or None when the offsets span less than a plane."""
-    d1 = next((v for v in offsets if any(x != 0 for x in v)), None)
-    if d1 is None:
-        return None
-    for v in offsets:
-        try:
-            return plane_lattice_basis(d1, v)
-        except ValueError:
-            continue
-    return None
+def _projected_area(
+    points: Sequence[tuple[Fraction, ...]], u: tuple[int, ...]
+) -> Fraction:
+    """Lattice area of the hull of points on a plane with primitive normal u."""
+    k = next(i for i, c in enumerate(u) if c != 0)
+    i, j = (m for m in range(3) if m != k)
+    return _hull_area([(p[i], p[j]) for p in points]) / abs(u[k])
 
 
-def _cyclic_area(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
-    """Shoelace area of the convex polygon on plane points, any order."""
-    ordered = sort_cyclic(points)
-    area2 = Fraction(0)
-    for k in range(len(ordered)):
-        x1, y1 = ordered[k]
-        x2, y2 = ordered[(k + 1) % len(ordered)]
-        area2 += x1 * y2 - x2 * y1
+def _hull_area(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
+    """Shoelace area of the convex hull of plane points, any order.
+
+    The hull is Andrew's monotone chain, upper and lower, so points inside
+    the polygon or on its edges drop out before the shoelace sum.
+    """
+    ordered = sorted(set(points))
+    hull: list[tuple[Fraction, Fraction]] = []
+    for chain in (ordered, ordered[::-1]):
+        start = len(hull)
+        for p in chain:
+            while len(hull) >= start + 2:
+                (ax, ay), (bx, by) = hull[-2], hull[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                hull.pop()
+            hull.append(p)
+        hull.pop()  # the chain's last point starts the next one
+    area2 = sum(
+        (x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1])),
+        Fraction(0),
+    )
     return abs(area2) / 2
 
 
@@ -226,71 +225,36 @@ def sort_cyclic(
     return sorted(unique, key=functools.cmp_to_key(compare))
 
 
-def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+def _pyramid_volume(
+    apex: Sequence[Fraction],
+    facets: Iterable[tuple[tuple[int, ...], Fraction, Sequence[tuple[Fraction, ...]]]],
+) -> Fraction:
+    """Lattice volume of a 3-polytope as the facet pyramids over an apex.
 
-
-def _convex_hull_3d_facets(
-    points: Sequence[Sequence[Rational]],
-) -> list[list[tuple[Fraction, ...]]]:
-    """Facet vertex cycles of the hull of rational points in 3-space.
-
-    Brute force over support planes; adequate for the handful of
-    vertices arising from chamber polytopes.
+    Each facet is (u, c, vertices) with u primitive, u . w + c >= 0 on the
+    polytope and = 0 on the vertices; the apex is any point of the
+    polytope.  The pyramid over facet F has lattice height u . apex + c,
+    so the volume is sum_F (u_F . apex + c_F) area(F) / 3.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    count = len(pts)
-    centroid = tuple(
-        sum((p[i] for p in pts), Fraction(0)) / count for i in range(3)
-    )
-    facets = {}
-    for i, j, k in itertools.combinations(range(count), 3):
-        a, b, c = pts[i], pts[j], pts[k]
-        normal = _cross(
-            tuple(x - y for x, y in zip(b, a)),
-            tuple(x - y for x, y in zip(c, a)),
-        )
-        if all(x == 0 for x in normal):
-            continue
-        values = [
-            sum(nv * (p[d] - a[d]) for d, nv in zip(range(3), normal))
-            for p in pts
-        ]
-        if not (all(v >= 0 for v in values) or all(v <= 0 for v in values)):
-            continue
-        side = sum(nv * (centroid[d] - a[d]) for d, nv in zip(range(3), normal))
-        oriented = normal if side <= 0 else tuple(-x for x in normal)
-        prim = primitive_vector(oriented)
-        offset = -sum(nv * x for nv, x in zip(prim, a))
-        key = (prim, offset)
-        if key in facets:
-            continue
-        on_plane = [p for p, v in zip(pts, values) if v == 0]
-        origin = on_plane[0]
-        offsets = [
-            tuple(x - o for x, o in zip(p, origin)) for p in on_plane
-        ]
-        basis = _offsets_plane_basis(offsets)
-        if basis is None:
-            continue
-        coords = _plane_coordinates(offsets, basis)
-        back = dict(zip(coords, on_plane))
-        facets[key] = [back[s] for s in sort_cyclic(coords)]
-    return list(facets.values())
+    total = Fraction(0)
+    for u, c, vertices in facets:
+        height = sum((x * a for x, a in zip(u, apex)), c)
+        if height:
+            total += height * _projected_area(vertices, u)
+    return total / 3
 
 
 def affine_volume(vertices: Sequence[Sequence[Rational]]) -> Fraction:
-    """Lattice-normalized volume of a full-dimensional polytope, n <= 3.
+    """Lattice-normalized volume of the convex hull of points, n <= 3.
 
-    Computed as 1/n! times the sum of simplex determinants of a fan
-    triangulation from the first vertex, after cyclic ordering in the
-    plane case.  The standard simplex has volume 1/n!.
+    In the line it is the length and in the plane the shoelace area.  In
+    3-space the supporting planes come from the triples of points whose
+    plane has all points on one side, and the volume is the sum of facet
+    pyramids sum_F (u_F . apex + c_F) area(F) / 3 over the first point.
+    Points that span less than 3-space give 0.  The standard simplex has
+    volume 1/n!.
     """
-    points = [tuple(Fraction(x) for x in v) for v in vertices]
+    points = _rational_points(vertices)
     if not points:
         return Fraction(0)
     n = len(points[0])
@@ -298,25 +262,29 @@ def affine_volume(vertices: Sequence[Sequence[Rational]]) -> Fraction:
         xs = [p[0] for p in points]
         return max(xs) - min(xs)
     if n == 2:
-        return _cyclic_area([(p[0], p[1]) for p in points])
+        return _hull_area(points)
     if n != 3:
         raise ValueError("only dimensions 1, 2 and 3 are supported")
-    facets = _convex_hull_3d_facets(points)
-    apex = points[0]
-    total = Fraction(0)
-    for facet in facets:
-        # cones over the facets from a hull vertex tile the polytope, but
-        # the facet cycles carry no consistent orientation: take absolute
-        # values per facet
-        signed = Fraction(0)
-        for k in range(1, len(facet) - 1):
-            a = [x - o for x, o in zip(facet[0], apex)]
-            b = [x - o for x, o in zip(facet[k], apex)]
-            c = [x - o for x, o in zip(facet[k + 1], apex)]
-            signed += (
-                a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0])
-            )
-        total += abs(signed)
-    return total / 6
+    facets = {}
+    for a, b, c in itertools.combinations(points, 3):
+        normal = _cross(
+            tuple(x - y for x, y in zip(b, a)),
+            tuple(x - y for x, y in zip(c, a)),
+        )
+        if not any(normal):
+            continue
+        values = [
+            sum(nv * (x - y) for nv, x, y in zip(normal, p, a)) for p in points
+        ]
+        if all(v >= 0 for v in values):
+            u = primitive_vector(normal)
+        elif all(v <= 0 for v in values):
+            u = primitive_vector(tuple(-x for x in normal))
+        else:
+            continue
+        key = (u, -sum(e * x for e, x in zip(u, a)))
+        if key not in facets:
+            facets[key] = [p for p, v in zip(points, values) if v == 0]
+    return _pyramid_volume(
+        points[0], [(u, c, on) for (u, c), on in facets.items()]
+    )

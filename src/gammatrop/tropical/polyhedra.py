@@ -21,6 +21,7 @@ from ..errors import StructureError, UnsupportedDimensionError
 from .forms import TropicalPolynomial
 from .lattice import (
     _cross,
+    _pyramid_volume,
     affine_length,
     affine_volume,
     plane_lattice_basis,
@@ -423,7 +424,18 @@ class LatticePolytope:
         return tuple(sorted(out))
 
     def volume(self) -> Fraction:
-        return affine_volume(self.vertices)
+        """Lattice-normalized volume.
+
+        In dim 3 it is the sum of pyramids over the irredundant facets
+        from the first vertex v, sum_F (u_F . v + c_F) area(F) / 3, with
+        no hull computed; in lower dimension it is `affine_volume`.
+        """
+        if self.dim != 3:
+            return affine_volume(self.vertices)
+        return _pyramid_volume(
+            self.vertices[0],
+            [(u, c, self.facet_vertices((u, c))) for u, c in self.facets],
+        )
 
 
 def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:

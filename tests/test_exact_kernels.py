@@ -9,9 +9,11 @@ defining property of its answer.
 import itertools
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from gammatrop.tropical import affine_volume, halfplane_polygon, polygon_affine_area
 from gammatrop.tropical.lattice import _cross, sort_cyclic
@@ -222,4 +224,14 @@ def test_polygon_area_is_unimodular_invariant(rows, m, shift):
 )
 def test_volume_is_unimodular_invariant(points, m, shift):
     points = [tuple(Fraction(x, 2) for x in p) for p in points]
-    assert affine_volume(apply(m, shift, points)) == affine_volume(points)
+    volume = affine_volume(points)
+    assert affine_volume(apply(m, shift, points)) == volume
+    # absolute reference: Qhull's Euclidean volume, which the lattice
+    # volume equals since Z^3 has covolume 1
+    offsets = [[x - o for x, o in zip(p, points[0])] for p in points[1:]]
+    triples = itertools.combinations(offsets, 3)
+    if any(sum(x * y for x, y in zip(a, _cross(b, c))) for a, b, c in triples):
+        hull = ConvexHull(points).volume
+        assert float(volume) == pytest.approx(hull, rel=1e-12, abs=1e-12)
+    else:
+        assert volume == 0

@@ -257,6 +257,19 @@ def test_config_validation():
         QuadratureConfig(rule_order=4)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
+    # NaN fails every comparison, so it is rejected rather than let through
+    for bad in (
+        {"abs_tol": math.nan},
+        {"rel_tol": math.nan},
+        {"rel_tol": -1e-3},
+        {"tail_cutoff": 0.0},
+        {"tail_cutoff": -1e-30},
+        {"tail_cutoff": math.nan},
+    ):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**bad)
+        with pytest.raises(ValueError):
+            QuadratureConfig.from_json_dict({k: str(v) for k, v in bad.items()})
 
 
 def test_integration_is_deterministic():

@@ -369,6 +369,8 @@ def test_polygon_affine_area_basics():
 
 def test_polygon_affine_area_matches_pick_count():
     rng = random.Random(11)
+    lift_rng = random.Random(12)
+    lifted_normals = []
     checked = 0
     while checked < 30:
         tri = [
@@ -385,7 +387,23 @@ def test_polygon_affine_area_matches_pick_count():
             [tuple(map(Fraction, v)) for v in tri]
         )
         assert area == interior + Fraction(boundary, 2) - 1
+        # the same triangle lifted into 3-space by an element of GL(3, Z)
+        mat = random_unimodular(lift_rng, 3)
+        lifted = [
+            tuple(mat[i][0] * x + mat[i][1] * y for i in range(3))
+            for x, y in tri
+        ]
+        assert polygon_affine_area(lifted) == area
+        # the plane's normal, primitive as a row of the adjugate of mat
+        a, b = [row[0] for row in mat], [row[1] for row in mat]
+        lifted_normals.append((
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ))
         checked += 1
+    # some plane meets the lattice with projection index |u_k| > 1
+    assert any(all(abs(c) != 1 for c in u) for u in lifted_normals)
 
 
 def test_polygon_affine_area_in_space():
@@ -400,6 +418,17 @@ def test_polygon_affine_area_in_space():
     assert interior + Fraction(boundary, 2) - 1 == 8
 
 
+def test_polygon_affine_area_rejects_bad_input():
+    with pytest.raises(ValueError, match="one plane"):
+        polygon_affine_area([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="ambient dimensions 2 and 3"):
+        polygon_affine_area([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
+    with pytest.raises(ValueError, match="ambient dimensions 2 and 3"):
+        polygon_affine_area([(0,), (1,), (2,)])
+    with pytest.raises(ValueError, match="one ambient dimension"):
+        polygon_affine_area([(0, 0), (1, 0), (0, 1, 0)])
+
+
 def test_affine_volume_dimensions():
     assert affine_volume([(-1,), (3,)]) == 4
     assert affine_volume([(0, 0), (2, 0), (2, 2), (0, 2)]) == 4
@@ -409,6 +438,24 @@ def test_affine_volume_dimensions():
     assert affine_volume(simplex) == Fraction(1, 6)
     big = [(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)]
     assert affine_volume(big) == Fraction(32, 3)
+    # points that are not vertices of the hull add nothing
+    half = Fraction(1, 2)
+    assert affine_volume([(0, 0), (2, 0), (2, 2), (0, 2), (half, 1)]) == 4
+    assert polygon_affine_area(
+        [(0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1), (half, 1, 1)]
+    ) == 4
+    on_facet = [
+        (0, 0, 0), (0, 0, -1), (0, -half, 0), (half, 0, -3 * half),
+        (-half, half, -3 * half),
+    ]
+    assert affine_volume(on_facet) == Fraction(1, 8)
+    for mixed in (
+        [(0, 0), (2, 0), (2, 2, 5), (0, 2)],
+        [(0,), (2, 7)],
+        [(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)],
+    ):
+        with pytest.raises(ValueError, match="one ambient dimension"):
+            affine_volume(mixed)
 
 
 def test_affine_measures_are_unimodular_invariant():
@@ -589,6 +636,13 @@ def test_k3_chamber_is_the_reflexive_simplex():
     assert chamber.contains((0, 0, 0))
     assert chamber.contains((-1, -1, -1))
     assert not chamber.contains((4, 0, 0))
+    # reflexive: every facet at lattice distance 1 from the origin, so
+    # the volume is a third of the boundary area, in every lattice chart
+    rng = random.Random(20240901)
+    for _ in range(5):
+        mat = random_unimodular(rng, 3)
+        image = compact_chamber(tropicalize(monomial_substitution(k3_family(), mat)))
+        assert 3 * image.volume() == boundary_affine_area(image)
 
 
 def test_chamber_requires_a_bounded_region():
