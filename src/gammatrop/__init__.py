@@ -22,7 +22,6 @@ from .errors import (
     ConditioningError,
     GammatropError,
     NonConvergenceError,
-    SingularFiberError,
     StructureError,
     UnsupportedDimensionError,
 )

@@ -26,9 +26,5 @@ class UnsupportedDimensionError(GammatropError):
     """The requested ambient dimension is outside the supported range."""
 
 
-class SingularFiberError(GammatropError):
-    """A torus fiber was sampled exactly at its pinch point."""
-
-
 class NonConvergenceError(GammatropError):
     """A quadrature result did not reach the requested tolerance."""

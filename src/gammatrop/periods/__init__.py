@@ -2,7 +2,6 @@
 
 from .curves import (
     ELLIPTIC_T_MAX,
-    elliptic_oval_points,
     elliptic_period,
     pants_section_integral,
 )
@@ -13,12 +12,7 @@ from .error_integrals import (
 )
 from .fano import exp_period_orthant, fano_gamma_prediction, fano_prediction_polynomial
 from .k3 import K3_T_MAX, k3_period
-from .local_model import (
-    FiberSample,
-    local_fiber_sample,
-    local_model_polytope_area,
-    local_model_region_period,
-)
+from .local_model import local_model_polytope_area, local_model_region_period
 from .types import FAMILY_KINDS, MirrorFamily, PeriodSample
 
 __all__ = [
@@ -33,11 +27,8 @@ __all__ = [
     "fano_prediction_polynomial",
     "local_model_polytope_area",
     "local_model_region_period",
-    "FiberSample",
-    "local_fiber_sample",
     "pants_section_integral",
     "elliptic_period",
-    "elliptic_oval_points",
     "ELLIPTIC_T_MAX",
     "k3_period",
     "K3_T_MAX",

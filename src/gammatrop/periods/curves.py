@@ -24,7 +24,6 @@ from .types import PeriodSample, _require_converged
 __all__ = [
     "pants_section_integral",
     "elliptic_period",
-    "elliptic_oval_points",
     "ELLIPTIC_T_MAX",
 ]
 
@@ -166,31 +165,3 @@ def elliptic_period(
         parametrization="oval_sqrt_asinh",
         converged=res_a.converged and res_b.converged,
     )
-
-
-def elliptic_oval_points(t: float, count: int = 64) -> list[tuple[float, float]]:
-    """Sample the log_t image of the positive-real oval.
-
-    Returns (log_t X, log_t Y) for both Y-branches over a geometric
-    X-grid spanning the branch interval.  The image approaches the
-    triangle with vertices (-1, -1), (-1, 2), (2, -1).
-    """
-    if not 0.0 < t <= ELLIPTIC_T_MAX:
-        raise ValueError(f"t must lie in (0, {ELLIPTIC_T_MAX}]")
-    if count < 2:
-        raise ValueError("need at least two sample points")
-    big_l = -math.log(t)
-    x_low, sigma_plus, _ = _oval_roots(t)
-    x_high = (1.0 - sigma_plus) / t
-    points: list[tuple[float, float]] = []
-    for k in range(count):
-        frac = k / (count - 1)
-        x = x_low * (x_high / x_low) ** frac
-        # branch discriminant of the Y-quadratic: (1-tX)^2 - 4t^2/X
-        d = max((1.0 - t * x) ** 2 - 4.0 * t * t / x, 0.0)
-        y_plus = ((1.0 - t * x) + math.sqrt(d)) / (2.0 * t)
-        y_minus = 1.0 / (x * y_plus)
-        log_x = -math.log(x) / big_l
-        points.append((log_x, -math.log(y_plus) / big_l))
-        points.append((log_x, -math.log(y_minus) / big_l))
-    return points

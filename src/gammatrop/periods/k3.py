@@ -107,7 +107,7 @@ def k3_period(
         # d Phi/d rho = -L * sum(s_i T_i) > 0 at the outward crossing
         return rho * rho / (-big_l * (s0 * t0 + s1 * t1 + s2 * t2 + s3 * t3))
 
-    res = integrate_2d(integrand, Sphere(1.0), cfg)
+    res = integrate_2d(integrand, Sphere(), cfg)
     scale = big_l**3
     return PeriodSample(
         t=t,

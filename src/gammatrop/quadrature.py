@@ -1,9 +1,10 @@
 """Deterministic adaptive quadrature and asymptotic fitting.
 
-One fixed nested interpolatory rule pair per config (open rules, so
-integrable endpoint singularities never get evaluated at the endpoint),
-bisection of the worst panel, and a reduction order that does not depend
-on scheduling.  Rerunning with the same config is bit-identical.
+One fixed nested interpolatory rule pair, 15 interior cosine nodes and
+the 7-node rule on every other one (open rules, so integrable endpoint
+singularities never get evaluated at the endpoint), bisection of the
+worst panel, and a reduction order that does not depend on scheduling.
+Rerunning with the same config is bit-identical.
 
 One adaptive loop serves 1d and 2d: a heap of panels, each a box with
 its value and error, of which each round bisects the worst and evaluates
@@ -11,12 +12,11 @@ both children in one integrand call.  A box is an interval (a, b) in 1d,
 whose panel rule is the fine rule with an error of 1.5 times its
 difference to the coarse rule.  In 2d the domain is a list of patches,
 (u, v) boxes (u0, u1, v0, v1) with a map to the integrand's arguments and
-a jacobian: the identity for a rectangle, (theta, phi) with
-r^2 sin(theta) for the sphere, and a fan of Duffy-mapped unit squares for
-a convex polygon.  A 2d panel takes the tensor product of the fine rule
-and an error from the coarse rule along each axis.  Every weight of both
-rules is positive, so a non-finite node makes the panel's value
-non-finite; such a panel gets error inf.
+a jacobian: (theta, phi) with sin(theta) for the unit sphere, and a fan
+of Duffy-mapped unit squares for a convex polygon.  A 2d panel takes the
+tensor product of the fine rule and an error from the coarse rule along
+each axis.  Every weight of both rules is positive, so a non-finite node
+makes the panel's value non-finite; such a panel gets error inf.
 
 Integrands must be elementwise: each value depends only on the arguments
 at its own node, and one call may cover many panels.  Planar integrands
@@ -39,7 +39,6 @@ from .errors import ConditioningError
 __all__ = [
     "QuadratureConfig",
     "IntegrationResult",
-    "Rectangle",
     "ConvexPolygon",
     "Sphere",
     "AsymptoticFit",
@@ -53,31 +52,25 @@ __all__ = [
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    rule_order: int = 15           # nodes of the fine rule; must be odd
     max_subdivisions: int = 2000   # splits per panel heap: one heap per 1d
                                    # interval or half-line, one per 2d integral
-    tail_cutoff: float = 1e-30     # |f| below this truncates unbounded tails
 
     def __post_init__(self):
-        if self.rule_order < 3 or self.rule_order % 2 == 0:
-            raise ValueError("rule_order must be an odd integer >= 3")
-        # written as negations so that NaN fails them too
-        if not (self.abs_tol > 0 and self.rel_tol >= 0):
-            raise ValueError("tolerances must be positive")
-        if not self.tail_cutoff > 0:
-            raise ValueError("tail_cutoff must be positive")
+        # written as negations so that NaN fails them too; an infinite
+        # tolerance would accept the first panels of any integral
+        if not (0 < self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite, abs_tol > 0 and rel_tol >= 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuadratureConfig":
-        kwargs = {}
-        for key in ("abs_tol", "rel_tol", "tail_cutoff"):
-            if key in data:
-                kwargs[key] = float(data[key])
-        for key in ("rule_order", "max_subdivisions"):
-            if key in data:
-                kwargs[key] = int(data[key])
+        unknown = sorted(set(data) - {"abs_tol", "rel_tol", "max_subdivisions"})
+        if unknown:
+            raise ValueError(f"unknown QuadratureConfig keys: {unknown}")
+        kwargs = {key: float(data[key]) for key in ("abs_tol", "rel_tol") if key in data}
+        if "max_subdivisions" in data:
+            kwargs["max_subdivisions"] = int(data["max_subdivisions"])
         return cls(**kwargs)
 
 
@@ -89,7 +82,8 @@ class IntegrationResult:
     converged: bool
 
 
-_RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_RULE_ORDER = 15        # nodes of the fine rule; odd, so the coarse rule nests
+_TAIL_CUTOFF = 1e-30    # |f| below this truncates unbounded tails
 
 
 def _interior_cosine_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,22 +101,17 @@ def _interior_cosine_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), w
 
 
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fine nodes, fine weights, and coarse weights on every other node."""
-    if order not in _RULE_CACHE:
-        nodes, weights = _interior_cosine_rule(order + 1)
-        _, coarse = _interior_cosine_rule((order + 1) // 2)
-        _RULE_CACHE[order] = (nodes, weights, coarse)
-    return _RULE_CACHE[order]
+# fine nodes and weights, and the coarse weights on every other fine node
+_NODES, _WEIGHTS = _interior_cosine_rule(_RULE_ORDER + 1)
+_COARSE = _interior_cosine_rule((_RULE_ORDER + 1) // 2)[1]
 
 
-def _panel_sums(y: np.ndarray, a: float, b: float, order: int) -> tuple[float, float]:
+def _panel_sums(y: np.ndarray, a: float, b: float) -> tuple[float, float]:
     """Fine-rule integral and nested error estimate from the node values."""
-    _, weights, coarse = _rule(order)
     half = 0.5 * (b - a)
-    fine = half * float(weights @ y)
+    fine = half * float(_WEIGHTS @ y)
     # coarse rule lives on the odd-indexed fine nodes
-    crs = half * float(coarse @ y[1::2])
+    crs = half * float(_COARSE @ y[1::2])
     # the difference estimates the coarse error; the 1.5 margin keeps it
     # an upper bound for the fine rule even on singular panels
     err = 1.5 * abs(fine - crs)
@@ -149,27 +138,27 @@ def _values(y, size: int) -> np.ndarray:
     return y
 
 
-def _panels_1d(f, boxes, to_args, order: int):
+def _panels_1d(f, boxes, to_args):
     """The intervals `boxes`, in one integrand call, as heap entries.
 
     Returns the (value, error, axis, box) of each interval and the number
     of evaluations.  `to_args` is unused: the nodes are the arguments.
     """
-    nodes = _rule(order)[0]
-    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * nodes for a, b in boxes])
+    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _NODES for a, b in boxes])
     y = _values(f(x), x.size)
+    n = _RULE_ORDER
     entries = [
-        (*_panel_sums(y[k * order:(k + 1) * order], a, b, order), 0, (a, b))
+        (*_panel_sums(y[k * n:(k + 1) * n], a, b), 0, (a, b))
         for k, (a, b) in enumerate(boxes)
     ]
     return entries, x.size
 
 
-def _find_tail_cutoff(f, start: float, direction: int, cfg: QuadratureConfig):
+def _find_tail_cutoff(f, start: float, direction: int):
     """Truncation point for an unbounded tail, plus a bound on what is cut.
 
     Probes f one point at a time at geometrically growing offsets until
-    |f| stays below tail_cutoff twice in a row.  The discarded mass is
+    |f| stays below _TAIL_CUTOFF twice in a row.  The discarded mass is
     bounded using the decay rate observed between the last two probes;
     if |f| did not fall between them, by |f| times their distance.
     The probe points are also returned: they seed the initial panels, so
@@ -183,7 +172,7 @@ def _find_tail_cutoff(f, start: float, direction: int, cfg: QuadratureConfig):
         point = start + direction * offset
         probes.append(point)
         mags.append(abs(float(_values(f(np.array([point])), 1)[0])))
-        if mags[-1] < cfg.tail_cutoff:
+        if mags[-1] < _TAIL_CUTOFF:
             below += 1
             if below >= 2:
                 break
@@ -214,8 +203,8 @@ def _at_float_width(a: float, b: float) -> bool:
 def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluations=0):
     """The adaptive panel loop of one integral, in 1d and 2d alike.
 
-    `patches` is a list of (boxes, to_args); `rule(f, boxes, to_args,
-    order)` evaluates the boxes in one integrand call and returns their
+    `patches` is a list of (boxes, to_args); `rule(f, boxes, to_args)`
+    evaluates the boxes in one integrand call and returns their
     (value, error, axis, box) entries and the evaluation count.  Each round
     bisects the worst panel along its axis, for at most max_subdivisions
     rounds.  A panel whose error is inf is left out of the running totals
@@ -230,7 +219,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
 
     def push(boxes, to_args):
         nonlocal total_val, total_err, infinite, evaluations
-        entries, count = rule(f, boxes, to_args, cfg.rule_order)
+        entries, count = rule(f, boxes, to_args)
         evaluations += count
         for value, err, axis, box in entries:
             if err == math.inf:
@@ -272,9 +261,9 @@ def _integrate_interval(f, a: float, b: float, cfg: QuadratureConfig) -> Integra
     tail_bound = 0.0
     probes: list[float] = []
     if math.isinf(b):
-        b, tail_bound, probes = _find_tail_cutoff(f, a, +1, cfg)
+        b, tail_bound, probes = _find_tail_cutoff(f, a, +1)
     elif math.isinf(a):
-        a, tail_bound, probes = _find_tail_cutoff(f, b, -1, cfg)
+        a, tail_bound, probes = _find_tail_cutoff(f, b, -1)
     if not a < b:
         return IntegrationResult(0.0, tail_bound, len(probes), True)
     boundaries = [a] + sorted(p for p in probes if a < p < b) + [b]
@@ -293,7 +282,7 @@ def integrate_1d(
     array of its values there, and each value depends only on its own
     node.  One call covers all initial panels, or both children of a
     split.  Endpoints may be infinite; tails are truncated where the
-    integrand magnitude falls below config.tail_cutoff and the truncated
+    integrand magnitude falls below 1e-30 and the truncated
     mass is added to the error estimate.  The whole real line is the sum
     of two half-line runs.  The reported error estimate is the sum of
     per-panel nested-rule differences plus tail bounds.
@@ -317,22 +306,28 @@ def integrate_1d(
 # --- 2d domains ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-
-
 class ConvexPolygon:
-    """Convex polygon given by its vertices (any order)."""
+    """Convex polygon given by its vertices (any order).
+
+    Points on an edge are allowed; a non-finite vertex, or one strictly
+    inside the hull of the others, raises ValueError.
+    """
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
         pts = [(float(x), float(y)) for x, y in vertices]
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        if not all(math.isfinite(c) for p in pts for c in p):
+            raise ValueError(f"polygon vertices must be finite, got {pts}")
         cx = sum(p[0] for p in pts) / len(pts)
         cy = sum(p[1] for p in pts) / len(pts)
         pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+        # sorted by angle about the centroid, a convex polygon turns left or
+        # goes straight at every vertex; a right turn is a dent, whose fan
+        # triangles from vertex 0 would overlap or leave the polygon
+        for (x0, y0), (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+            if (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1) < 0:
+                raise ValueError(f"polygon vertices are not in convex position: {pts}")
         self.vertices = pts
 
 
@@ -340,22 +335,13 @@ class ConvexPolygon:
 class Sphere:
     """Unit sphere with its surface measure; integrands take (nx, ny, nz)."""
 
-    radius: float = 1.0
-
 
 def _patches(domain) -> list[tuple[tuple[float, float, float, float], Callable]]:
     """The domain as (u, v) boxes, each with a map to (arguments, jacobian)."""
-    if isinstance(domain, Rectangle):
-        (x0, x1), (y0, y1) = domain.x_range, domain.y_range
-        if not (-math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf):
-            raise ValueError(f"rectangle sides must be finite with a < b, got {domain}")
-        return [((x0, x1, y0, y1), lambda u, v: ((u, v), 1.0))]
     if isinstance(domain, Sphere):
-        r = domain.radius
-
         def sphere(theta, phi):
-            ring = r * np.sin(theta)
-            return (ring * np.cos(phi), ring * np.sin(phi), r * np.cos(theta)), r * ring
+            ring = np.sin(theta)
+            return (ring * np.cos(phi), ring * np.sin(phi), np.cos(theta)), ring
 
         return [((0.0, math.pi, 0.0, 2.0 * math.pi), sphere)]
     if isinstance(domain, ConvexPolygon):
@@ -378,7 +364,7 @@ def _patches(domain) -> list[tuple[tuple[float, float, float, float], Callable]]
     raise ValueError(f"unsupported 2d domain: {domain!r}")
 
 
-def _panels_2d(f, boxes, to_args, order: int):
+def _panels_2d(f, boxes, to_args):
     """The (u, v) boxes of one patch, in one integrand call, as heap entries.
 
     Each box takes the tensor product of the fine rule.  Its error is 1.5
@@ -389,27 +375,26 @@ def _panels_2d(f, boxes, to_args, order: int):
     Returns the (value, error, axis, box) of each box, axis 0 for u and 1
     for v, and the number of evaluations.
     """
-    nodes, weights, coarse = _rule(order)
     box = np.array(boxes)
     hu = 0.5 * (box[:, 1] - box[:, 0])
     hv = 0.5 * (box[:, 3] - box[:, 2])
-    u = 0.5 * (box[:, :1] + box[:, 1:2]) + hu[:, None] * nodes
-    v = 0.5 * (box[:, 2:3] + box[:, 3:]) + hv[:, None] * nodes
+    u = 0.5 * (box[:, :1] + box[:, 1:2]) + hu[:, None] * _NODES
+    v = 0.5 * (box[:, 2:3] + box[:, 3:]) + hv[:, None] * _NODES
     u, v = np.broadcast_arrays(u[:, :, None], v[:, None, :])
     args, jacobian = to_args(u.ravel(), v.ravel())
     y = (_values(f(*args), u.size) * jacobian).reshape(u.shape)
-    along_v = y @ weights
-    along_u = weights @ y
+    along_v = y @ _WEIGHTS
+    along_u = _WEIGHTS @ y
     area = hu * hv
-    fine = area * (along_v @ weights)
+    fine = area * (along_v @ _WEIGHTS)
     # the weights are positive, so a non-finite node makes fine non-finite;
     # its differences below may be -inf - -inf, a nan that must not warn,
     # and the branch after them replaces its error and split axis
     bad = ~np.isfinite(fine)
     nonfinite = bad.any()
     with np.errstate(invalid="ignore") if nonfinite else contextlib.nullcontext():
-        err_u = np.abs(fine - area * (along_v[:, 1::2] @ coarse))
-        err_v = np.abs(fine - area * (along_u[:, 1::2] @ coarse))
+        err_u = np.abs(fine - area * (along_v[:, 1::2] @ _COARSE))
+        err_v = np.abs(fine - area * (along_u[:, 1::2] @ _COARSE))
     err = 1.5 * (err_u + err_v)
     split_v = err_v > err_u
     if nonfinite:
@@ -427,15 +412,15 @@ def integrate_2d(
     domain,
     config: QuadratureConfig | None = None,
 ) -> IntegrationResult:
-    """Global adaptive integral over a rectangle, polygon, or sphere.
+    """Global adaptive integral over a convex polygon or the unit sphere.
 
     The integrand must be elementwise, and it receives 1d arrays of equal
-    shape: f(x, y) for planar domains and f(nx, ny, nz) for the sphere.
-    The domain is cut into patches, each a (u, v) box with a map to the
-    integrand's arguments and its jacobian: the identity for a rectangle,
-    (theta, phi) with weight r^2 sin(theta) for the sphere, and for a
-    polygon the fan of triangles from vertex 0, each the unit square under
-    the Duffy map with jacobian u |det|.
+    shape: f(x, y) for a `ConvexPolygon` and f(nx, ny, nz) for the
+    `Sphere`.  The domain is cut into patches, each a (u, v) box with a
+    map to the integrand's arguments and its jacobian: (theta, phi) with
+    weight sin(theta) for the sphere, and for a polygon the fan of
+    triangles from vertex 0, each the unit square under the Duffy map with
+    jacobian u |det|.
 
     Every box is a panel of one heap, evaluated by the tensor product of
     the fine rule in one integrand call per patch.  Each round bisects the
@@ -492,6 +477,9 @@ def fit_asymptotic(
         )
     ts = np.array([s[0] for s in samples], dtype=float)
     vals = np.array([s[1] for s in samples], dtype=float)
+    # NaN passes the range check below, and lstsq would not reject it
+    if not (np.isfinite(ts).all() and np.isfinite(vals).all()):
+        raise ValueError("samples must be finite")
     if np.any(ts <= 0.0) or np.any(ts >= 1.0):
         raise ValueError("samples need t in (0, 1)")
     big_l = -np.log(ts)

@@ -11,8 +11,6 @@ from .forms import (
     LaurentFamily,
     LaurentTerm,
     TropicalPolynomial,
-    amoeba_membership,
-    log_t_image,
     monomial_substitution,
     tropicalize,
 )
@@ -23,7 +21,6 @@ from .lattice import (
     polygon_affine_area,
     primitive_vector,
 )
-from .monodromy import focus_focus_monodromy
 from .polyhedra import (
     Cell,
     CellComplex,
@@ -42,8 +39,6 @@ __all__ = [
     "TropicalPolynomial",
     "tropicalize",
     "monomial_substitution",
-    "log_t_image",
-    "amoeba_membership",
     "primitive_vector",
     "plane_lattice_basis",
     "affine_length",
@@ -57,5 +52,4 @@ __all__ = [
     "boundary_affine_area",
     "edge_singularities",
     "halfplane_polygon",
-    "focus_focus_monodromy",
 ]

@@ -9,10 +9,9 @@ the pointwise minimum of its forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rational = int | Fraction
 
@@ -206,58 +205,3 @@ def monomial_substitution(
         for term in family.terms
     )
     return LaurentFamily(terms=terms)
-
-
-def log_t_image(
-    points: Iterable[Sequence[complex]], t: float
-) -> list[tuple[float, ...]]:
-    """Coordinatewise log_t of absolute values, the amoeba projection.
-
-    With t in (0, 1) the map is Log_t(z) = (log|z_i| / log t)_i, so small
-    |z_i| go to large positive coordinates.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
-    log_t = math.log(t)
-    image = []
-    for z in points:
-        coords = []
-        for zi in z:
-            r = abs(complex(zi))
-            if r == 0.0:
-                raise ValueError("points must avoid the coordinate hyperplanes")
-            coords.append(math.log(r) / log_t)
-        image.append(tuple(coords))
-    return image
-
-
-def amoeba_membership(x: float, y: float, t: float) -> bool:
-    """Whether (x, y) lies in the amoeba of the pair of pants X + Y + 1 = 0.
-
-    A point is in Log_t of the zero set iff t^x, t^y, 1 satisfy the three
-    triangle inequalities, which pins y to the band
-
-        log_t(1 + t^x) <= y <= log_t|1 - t^x|,
-
-    the upper bound read as +infinity on the wall t^x = 1.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
-    log_t = math.log(t)
-    u = x * log_t
-    # softplus keeps log(1 + e^u) finite-accurate for u of either sign
-    if u > 0.0:
-        log_sum = u + math.log1p(math.exp(-u))
-    else:
-        log_sum = math.log1p(math.exp(u))
-    lower = log_sum / log_t
-    if y < lower:
-        return False
-    if u == 0.0:
-        return True
-    if u > 0.0:
-        log_diff = u + math.log1p(-math.exp(-u))
-    else:
-        log_diff = math.log1p(-math.exp(u))
-    upper = log_diff / log_t
-    return y <= upper

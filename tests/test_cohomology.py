@@ -31,15 +31,6 @@ EULER_GAMMA = 0.5772156649015328606
 # --- independent oracles -------------------------------------------------
 
 
-def poly_mul(a, b, n):
-    """Truncated product of coefficient lists, plain Fraction arithmetic."""
-    out = [Fraction(0)] * (n + 1)
-    for i, x in enumerate(a[: n + 1]):
-        for j, y in enumerate(b[: n + 1 - i]):
-            out[i + j] += Fraction(x) * Fraction(y)
-    return out
-
-
 def poly_div(a, b, n):
     """Truncated quotient a/b of coefficient lists, b[0] != 0."""
     a = [Fraction(x) for x in a] + [Fraction(0)] * n

@@ -1,5 +1,5 @@
-"""Package layout: every import in gammatrop sits at module level, and
-every name a module exports in `__all__` exists.
+"""Package layout: every import in gammatrop sits at module level and is
+used, and every name a module exports in `__all__` exists.
 
 An import inside a function or class usually hides an import cycle; this
 keeps the tropical layer acyclic: polyhedra imports lattice, never back.
@@ -40,3 +40,28 @@ def test_every_export_resolves():
             if not hasattr(module, name)
         ]
     assert not stale, f"names in __all__ that do not resolve: {stale}"
+
+
+def test_no_unused_import():
+    # a package __init__ imports to re-export; any other module must use
+    # each name it imports, or export it in __all__
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(SRC.parent)}:{node.lineno} {name}")
+    assert not unused, f"unused imports: {unused}"

@@ -1,7 +1,6 @@
-"""Tests for period integrals, error integrals, and fiber samples."""
+"""Tests for period integrals and error integrals."""
 
 import math
-import random
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +10,6 @@ import pytest
 import gammatrop.periods.k3 as k3
 from gammatrop.errors import (
     NonConvergenceError,
-    SingularFiberError,
     StructureError,
     UnsupportedDimensionError,
 )
@@ -20,7 +18,6 @@ from gammatrop.periods import (
     K3_T_MAX,
     MirrorFamily,
     PeriodSample,
-    elliptic_oval_points,
     elliptic_period,
     error_integral_dim1,
     error_integral_dim2_a,
@@ -29,7 +26,6 @@ from gammatrop.periods import (
     fano_gamma_prediction,
     fano_prediction_polynomial,
     k3_period,
-    local_fiber_sample,
     local_model_polytope_area,
     local_model_region_period,
     pants_section_integral,
@@ -82,21 +78,6 @@ def eta3_oracle() -> float:
 def pants_antiderivative(x: float, t: float) -> float:
     big_l = -math.log(t)
     return big_l * x + math.log1p(math.exp(-big_l * x))
-
-
-TRIANGLE = ((-1.0, -1.0), (-1.0, 2.0), (2.0, -1.0))
-
-
-def triangle_boundary_distance(p: tuple[float, float]) -> float:
-    best = math.inf
-    for i in range(3):
-        ax, ay = TRIANGLE[i]
-        bx, by = TRIANGLE[(i + 1) % 3]
-        vx, vy = bx - ax, by - ay
-        s = ((p[0] - ax) * vx + (p[1] - ay) * vy) / (vx * vx + vy * vy)
-        s = max(0.0, min(1.0, s))
-        best = min(best, math.hypot(p[0] - (ax + s * vx), p[1] - (ay + s * vy)))
-    return best
 
 
 def test_period_sample_validation():
@@ -315,60 +296,6 @@ def test_local_region_period_residual_decay():
     assert slope >= 0.9  # b = 1
 
 
-def test_local_fiber_trivial_point():
-    fs = local_fiber_sample(0.0, 1.0, (0.0, 0.0), 1e-2)
-    x1, x2, y = fs.point
-    assert abs(y - 1.0) < 1e-15
-    assert abs(x1 * x2 - (1.0 + y)) < 1e-12
-    assert abs(abs(x1) - math.sqrt(2.0)) < 1e-12
-    assert abs(abs(x2) - math.sqrt(2.0)) < 1e-12
-
-
-def test_local_fiber_singular_cases():
-    with pytest.raises(SingularFiberError):
-        local_fiber_sample(0.0, 1.0, (math.pi, 0.0), 1e-2)
-    with pytest.raises(ValueError):
-        local_fiber_sample(0.5, 1.0, (math.pi, 0.0), 1e-2)
-    with pytest.raises(ValueError):
-        local_fiber_sample(0.0, 0.0, (0.0, 0.0), 1e-2)
-    with pytest.raises(ValueError):
-        local_fiber_sample(0.0, 1.0, (0.0, 0.0), 1.5)
-
-
-def test_local_fiber_defining_equation_random():
-    rng = random.Random(20240817)
-    for _ in range(50):
-        lam = rng.uniform(-3.0, 3.0)
-        r = math.exp(rng.uniform(-2.3, 2.3))
-        theta = rng.uniform(-math.pi, math.pi)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        if abs(r - 1.0) < 1e-6 and abs(abs(theta) - math.pi) < 1e-6:
-            continue
-        fs = local_fiber_sample(lam, r, (theta, phi), 1e-3)
-        x1, x2, y = fs.point
-        assert abs(x1 * x2 - (1.0 + y)) <= 1e-10 * (1.0 + abs(y))
-        assert abs((abs(x1) ** 2 - abs(x2) ** 2) - lam) <= 1e-9 * (1.0 + abs(lam))
-        assert abs(abs(y) - r) <= 1e-12 * r
-
-
-def test_local_fiber_regional_approximations():
-    # fiber-wide estimate, valid when |y| stays away from 0: r = 1/t
-    balanced_devs = []
-    dominant_devs = []
-    for t in (1e-2, 1e-4, 1e-6):
-        fs = local_fiber_sample(1.5, 1.0 / t, (0.7, 0.3), t)
-        balanced_devs.append(max(abs(d) for d in fs.balanced_deviation))
-        fs2 = local_fiber_sample(1.5, 1.0, (0.7, 0.3), t)
-        dominant_devs.append(abs(fs2.dominant_deviation_x1))
-    assert balanced_devs[0] > balanced_devs[2]
-    assert balanced_devs[2] < 1e-3
-    assert dominant_devs[0] > dominant_devs[1] > dominant_devs[2]
-    assert dominant_devs[2] < 0.05
-    fs = local_fiber_sample(0.0, 2.0, (0.3, 0.0), 1e-3)
-    assert fs.dominant_approx is None
-    assert fs.dominant_deviation_x1 is None
-
-
 def test_pants_quadrature_matches_antiderivative():
     for (x0, x1, t) in ((1.0, 2.0, 1e-2), (-1.5, 0.7, 1e-3), (0.25, 0.26, 0.5)):
         value = pants_section_integral(x0, x1, t)
@@ -451,15 +378,6 @@ def test_elliptic_determinism_and_validation():
         elliptic_period(ELLIPTIC_T_MAX * 2.0)
     with pytest.raises(ValueError):
         elliptic_period(0.0)
-
-
-def test_elliptic_oval_approaches_triangle():
-    distances = []
-    for t in (1e-2, 1e-3, 1e-4):
-        pts = elliptic_oval_points(t, 80)
-        distances.append(max(triangle_boundary_distance(p) for p in pts))
-    assert distances[0] > distances[1] > distances[2]
-    assert distances[2] < 0.1
 
 
 def test_k3_period_matches_asymptotic():

@@ -1,5 +1,6 @@
 """Tests for tropicalization, exact polyhedra and lattice measurements."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,14 +14,11 @@ from gammatrop.tropical import (
     TropicalPolynomial,
     affine_length,
     affine_volume,
-    amoeba_membership,
     boundary_affine_area,
     compact_chamber,
     corner_locus,
     edge_singularities,
-    focus_focus_monodromy,
     halfplane_polygon,
-    log_t_image,
     monomial_substitution,
     plane_lattice_basis,
     polygon_affine_area,
@@ -283,40 +281,6 @@ def test_tropicalization_equivariance_under_substitution():
             assert sub_trop.active_set(w) == trop.active_set(pulled)
 
 
-def test_log_t_image_values():
-    t = 0.01
-    image = log_t_image([(t * t + 0j, 1.0 + 0j)], t)
-    assert image[0][0] == pytest.approx(2.0, rel=1e-12)
-    assert image[0][1] == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        log_t_image([(0j, 1.0 + 0j)], t)
-
-
-def test_amoeba_membership_examples():
-    assert amoeba_membership(1.0, 0.0, 1e-2)
-    assert amoeba_membership(0.0, 1.0, 1e-2)
-    assert not amoeba_membership(5.0, 5.0, 1e-2)
-    # the wall x = 0 has an unbounded tentacle in y
-    assert amoeba_membership(0.0, 1000.0, 1e-2)
-    # deep inside the complement of every tentacle
-    assert not amoeba_membership(-3.0, 5.0, 1e-2)
-    with pytest.raises(ValueError):
-        amoeba_membership(0.0, 0.0, 1.5)
-
-
-def test_amoeba_boundary_consistency_with_points_on_curve():
-    # points of the curve X + Y + 1 = 0 must map into the amoeba
-    t = 1e-2
-    rng = random.Random(7)
-    for _ in range(50):
-        x_val = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        y_val = -1.0 - x_val
-        if abs(x_val) < 1e-6 or abs(y_val) < 1e-6:
-            continue
-        (x, y), = log_t_image([(x_val, y_val)], t)
-        assert amoeba_membership(x, y, t)
-
-
 # --- lattice utilities ---
 
 
@@ -531,21 +495,24 @@ def test_k3_corner_locus_structure():
 
 def test_corner_locus_sampling_consistency():
     # every sampled point with two or more active forms lies in the cell
-    # carrying exactly that active set
-    trop = tropicalize(k3_family())
-    complex_ = corner_locus(trop, (-6, 6))
-    by_active = {c.active: c for c in complex_.cells}
-    rng = random.Random(20240824)
-    hits = 0
-    for _ in range(10_000):
-        w = tuple(Fraction(rng.randrange(-24, 25), 4) for _ in range(3))
-        active = trop.active_set(w)
-        if len(active) < 2:
-            continue
-        hits += 1
-        assert active in by_active
-        assert point_in_cell(by_active[active], w)
-    assert hits > 100  # the quarter-integer grid hits the locus often
+    # carrying exactly that active set: for K3, the elliptic family and one
+    # GL(3, Z) image of K3
+    image = monomial_substitution(k3_family(), random_unimodular(random.Random(20240825), 3))
+    for family in (k3_family(), elliptic_family(), image):
+        trop = tropicalize(family)
+        complex_ = corner_locus(trop, (-6, 6))
+        by_active = {c.active: c for c in complex_.cells}
+        rng = random.Random(20240824)
+        hits = 0
+        for _ in range(10_000):
+            w = tuple(Fraction(rng.randrange(-24, 25), 4) for _ in range(trop.dim))
+            active = trop.active_set(w)
+            if len(active) < 2:
+                continue
+            hits += 1
+            assert active in by_active
+            assert point_in_cell(by_active[active], w)
+        assert hits > 100  # the quarter-integer grid hits the locus often
 
 
 def test_corner_locus_respects_unimodular_changes():
@@ -645,6 +612,32 @@ def test_k3_chamber_is_the_reflexive_simplex():
         assert 3 * image.volume() == boundary_affine_area(image)
 
 
+def test_compact_chamber_agrees_with_point_sampling():
+    # the chamber is where its form, the constant term (listed last), is
+    # least; sampled rationals around it, boundary points included, are in
+    # the chamber exactly when that form is active there
+    rng = random.Random(20240826)
+    families = []
+    for family, n in ((k3_family(), 3), (elliptic_family(), 2)):
+        families.append(family)
+        families += [monomial_substitution(family, random_unimodular(rng, n)) for _ in range(3)]
+    for family in families:
+        trop = tropicalize(family)
+        chamber = compact_chamber(trop)
+        chamber_form = len(trop.forms) - 1
+        assert trop.forms[chamber_form].slope == (0,) * trop.dim
+        lows = [math.floor(min(v[k] for v in chamber.vertices)) - 1 for k in range(trop.dim)]
+        highs = [math.ceil(max(v[k] for v in chamber.vertices)) + 1 for k in range(trop.dim)]
+        inside = 0
+        for _ in range(300):
+            q = rng.randint(1, 4)
+            w = tuple(Fraction(rng.randrange(q * lo, q * hi + 1), q) for lo, hi in zip(lows, highs))
+            expected = chamber_form in trop.active_set(w)
+            assert chamber.contains(w) == expected
+            inside += expected
+        assert 0 < inside < 300
+
+
 def test_chamber_requires_a_bounded_region():
     with pytest.raises(StructureError):
         compact_chamber(tropicalize(pants_family()))
@@ -695,48 +688,3 @@ def test_edge_singularities_reject_bad_input():
     chamber = compact_chamber(tropicalize(elliptic_family()))
     with pytest.raises(UnsupportedDimensionError):
         edge_singularities(chamber)
-
-
-def test_focus_focus_monodromy_matrices():
-    m = focus_focus_monodromy()
-    assert m == ((1, 1), (0, 1))
-    assert focus_focus_monodromy(-1) == ((1, -1), (0, 1))
-    # the two orientations are mutually inverse shears
-    product = (
-        (
-            m[0][0] * 1 + m[0][1] * 0,
-            m[0][0] * -1 + m[0][1] * 1,
-        ),
-        (
-            m[1][0] * 1 + m[1][1] * 0,
-            m[1][0] * -1 + m[1][1] * 1,
-        ),
-    )
-    assert product == ((1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        focus_focus_monodromy(0)
-
-
-def test_focus_focus_monodromy_from_chart_gluing():
-    # the two charts glue by J+ above and J- below the singular point;
-    # the loop around it compares them
-    j_plus = ((-1, 0), (0, 1))
-    j_minus = ((-1, 1), (0, 1))
-
-    def matmul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-
-    # J- is an involution, so it equals its own inverse
-    assert matmul(j_minus, j_minus) == ((1, 0), (0, 1))
-    inv_minus = j_minus
-    loop = tuple(
-        tuple(
-            sum(inv_minus[i][k] * j_plus[k][j] for k in range(2))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-    assert loop == focus_focus_monodromy()
