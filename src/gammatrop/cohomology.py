@@ -248,12 +248,16 @@ class ManifoldModel:
     """P^n, or a smooth degree-d hypersurface in P^n.
 
     hypersurface_degree None means the ambient projective space itself.
+    Both are ints; a float or a bool raises TypeError.
     """
 
     ambient_dim: int
     hypersurface_degree: int | None = None
 
     def __post_init__(self):
+        for value in (self.ambient_dim, self.hypersurface_degree):
+            if value is not None and (type(value) is bool or not isinstance(value, int)):
+                raise TypeError(f"ManifoldModel needs int data, got {value!r}")
         if self.ambient_dim < 1:
             raise UnsupportedDimensionError(
                 f"ambient_dim must be >= 1, got {self.ambient_dim}"
@@ -283,7 +287,7 @@ class ManifoldModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ManifoldModel":
-        return cls(int(data["ambient"]), data.get("degree"))
+        return cls(data["ambient"], data.get("degree"))
 
 
 def total_chern(m: ManifoldModel) -> GradedElement:

@@ -60,7 +60,10 @@ class QuadratureConfig:
         # tolerance would accept the first panels of any integral
         if not (0 < self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
             raise ValueError("tolerances must be finite, abs_tol > 0 and rel_tol >= 0")
-        if self.max_subdivisions < 1:
+        cap = self.max_subdivisions
+        if type(cap) is bool or not isinstance(cap, int):
+            raise TypeError(f"max_subdivisions must be an int, got {cap!r}")
+        if cap < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
     @classmethod
@@ -70,7 +73,9 @@ class QuadratureConfig:
             raise ValueError(f"unknown QuadratureConfig keys: {unknown}")
         kwargs = {key: float(data[key]) for key in ("abs_tol", "rel_tol") if key in data}
         if "max_subdivisions" in data:
-            kwargs["max_subdivisions"] = int(data["max_subdivisions"])
+            # a string is parsed; any other value must already be an int
+            value = data["max_subdivisions"]
+            kwargs["max_subdivisions"] = int(value) if isinstance(value, str) else value
         return cls(**kwargs)
 
 

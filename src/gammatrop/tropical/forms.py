@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 Rational = int | Fraction
@@ -34,15 +35,16 @@ def _point(w: Sequence[Rational], dim: int) -> tuple[Fraction, ...]:
 class AffineForm:
     """The function w |-> <slope, w> + offset on Q^n.
 
-    Slopes are integer vectors (monomial exponents); offsets are rational
-    (powers of t are allowed to be fractional).
+    Slopes are integer vectors (monomial exponents), and a non-integer
+    entry raises TypeError; offsets are rational (powers of t are allowed
+    to be fractional).
     """
 
     slope: tuple[int, ...]
     offset: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", tuple(int(s) for s in self.slope))
+        object.__setattr__(self, "slope", tuple(index(s) for s in self.slope))
         object.__setattr__(self, "offset", _as_fraction(self.offset))
 
     @property
@@ -87,7 +89,7 @@ class TropicalPolynomial:
 
 @dataclass(frozen=True)
 class LaurentTerm:
-    """One monomial c * t^t_exponent * X^exponent."""
+    """One monomial c * t^t_exponent * X^exponent; exponents are ints."""
 
     coefficient: complex
     t_exponent: Fraction
@@ -98,7 +100,7 @@ class LaurentTerm:
             raise ValueError("terms must have nonzero coefficients")
         object.__setattr__(self, "coefficient", complex(self.coefficient))
         object.__setattr__(self, "t_exponent", _as_fraction(self.t_exponent))
-        object.__setattr__(self, "exponent", tuple(int(e) for e in self.exponent))
+        object.__setattr__(self, "exponent", tuple(index(e) for e in self.exponent))
 
 
 @dataclass(frozen=True)
@@ -187,10 +189,11 @@ def monomial_substitution(
     """Substitute X_i -> prod_j Y_j^(A_ji), sending exponents m to A m.
 
     For A in GL(n, Z) this is a torus automorphism; the tropicalization
-    of the substituted family at w equals the original at A^T w.
+    of the substituted family at w equals the original at A^T w.  The
+    entries of A must be ints.
     """
     n = family.dim
-    rows = [tuple(int(a) for a in row) for row in matrix]
+    rows = [tuple(index(a) for a in row) for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"matrix must be {n} x {n}")
     terms = tuple(

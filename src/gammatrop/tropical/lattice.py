@@ -8,7 +8,6 @@ These are the invariants preserved by GL(n, Z) and translations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -162,11 +161,15 @@ def _projected_area(
     return _hull_area([(p[i], p[j]) for p in points]) / abs(u[k])
 
 
-def _hull_area(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
-    """Shoelace area of the convex hull of plane points, any order.
+def _convex_hull(
+    points: Iterable[tuple[Fraction, Fraction]]
+) -> list[tuple[Fraction, Fraction]]:
+    """The vertices of the convex hull of plane points, counterclockwise.
 
-    The hull is Andrew's monotone chain, upper and lower, so points inside
-    the polygon or on its edges drop out before the shoelace sum.
+    Andrew's monotone chain, lower then upper, so the cycle starts at the
+    lexicographically smallest point; points inside the hull or on its
+    edges, and duplicates, drop out.  Collinear points give their two
+    extreme points, and a single point gives [].
     """
     ordered = sorted(set(points))
     hull: list[tuple[Fraction, Fraction]] = []
@@ -180,49 +183,17 @@ def _hull_area(points: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
                 hull.pop()
             hull.append(p)
         hull.pop()  # the chain's last point starts the next one
+    return hull
+
+
+def _hull_area(points: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """Shoelace area of the `_convex_hull` of plane points, any order."""
+    hull = _convex_hull(points)
     area2 = sum(
         (x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1])),
         Fraction(0),
     )
     return abs(area2) / 2
-
-
-def sort_cyclic(
-    points: Sequence[tuple[Fraction, Fraction]]
-) -> list[tuple[Fraction, Fraction]]:
-    """Order plane points counterclockwise around their centroid, exactly.
-
-    Points are split into upper and lower half-planes about the centroid
-    and compared by exact cross products, so no floating-point angles are
-    involved.  Duplicate points are collapsed.
-    """
-    unique = sorted(set(points))
-    if len(unique) <= 2:
-        return unique
-    cx = sum(p[0] for p in unique) / len(unique)
-    cy = sum(p[1] for p in unique) / len(unique)
-
-    def half(p: tuple[Fraction, Fraction]) -> int:
-        dx, dy = p[0] - cx, p[1] - cy
-        if dy > 0 or (dy == 0 and dx > 0):
-            return 0
-        return 1
-
-    def compare(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> int:
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = (p[0] - cx) * (q[1] - cy) - (q[0] - cx) * (p[1] - cy)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        # collinear with the centroid: nearer point first for determinism
-        dp = (p[0] - cx) ** 2 + (p[1] - cy) ** 2
-        dq = (q[0] - cx) ** 2 + (q[1] - cy) ** 2
-        return -1 if dp < dq else (1 if dp > dq else 0)
-
-    return sorted(unique, key=functools.cmp_to_key(compare))
 
 
 def _pyramid_volume(

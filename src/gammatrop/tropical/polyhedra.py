@@ -4,6 +4,9 @@ The corner locus of a min-of-affine-forms function is stratified by the
 set of forms attaining the minimum.  Cells are enumerated by active
 subset, cut out by exact rational linear algebra, and clipped to a
 bounding box for presentation; no floating point enters any predicate.
+Every vertex, of a clipped cell, a compact chamber or a
+`halfplane_polygon`, comes from one kernel, `_region_vertices`, and
+every polygon is ordered by one hull, `lattice._convex_hull`.
 Predicates and eliminations run on Python ints: each rational row is
 scaled once by the lcm of its denominators, which changes no sign and no
 solution set, and only returned coordinates are built as Fractions.
@@ -15,11 +18,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from ..errors import StructureError, UnsupportedDimensionError
 from .forms import TropicalPolynomial
 from .lattice import (
+    _convex_hull,
     _cross,
     _pyramid_volume,
     affine_length,
@@ -27,7 +32,6 @@ from .lattice import (
     plane_lattice_basis,
     polygon_affine_area,
     primitive_vector,
-    sort_cyclic,
 )
 
 Rational = int | Fraction
@@ -87,6 +91,63 @@ def _solve_affine(
             v[col] = Fraction(-aug[row][f], aug[row][col])
         basis.append(tuple(v))
     return tuple(particular), basis
+
+
+def _minors(rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The signed maximal minors h of k <= 3 integer rows of length k + 1.
+
+    h_j is (-1)^j times the determinant of the rows without column j, so
+    row . h is the determinant of the rows with that row stacked on top:
+    0 for each of them.  For k = 2 this is the cross product.
+    """
+    k = len(rows)
+    if k == 0:
+        return (1,)
+    if k == 1:
+        ((c, d),) = rows
+        return (d, -c)
+    if k == 2:
+        return _cross(*rows)
+    h = []
+    for j in range(4):
+        a, b, c = (r[:j] + r[j + 1:] for r in rows)
+        h.append((-1) ** j * sum(map(mul, a, _cross(b, c))))
+    return tuple(h)
+
+
+def _region_vertices(
+    rows: Sequence[tuple[tuple[Rational, ...], Rational]], k: int
+) -> list[Point]:
+    """The sorted vertices of {s in Q^k : c . s + d >= 0 for all rows}.
+
+    Rows are (c, d) pairs, k <= 3, each cleared to an integer row.  Every
+    k rows meet in the homogeneous point h = (x, w) of their signed
+    minors.  One with w = 0 is skipped; otherwise h is made w > 0, and
+    x / w is a vertex once (c, d) . h >= 0 for every row.  Only vertices
+    become Fractions.  For k = 0 the one candidate is the empty point.
+    An empty region gives [], and an unbounded one the vertices it has.
+    """
+    lines = [_integer_row((*c, d)) for c, d in rows]
+    vertices = set()
+    for combo in itertools.combinations(lines, k):
+        h = _minors(combo)
+        w = h[-1]
+        if w == 0:
+            continue
+        if w < 0:
+            h, w = tuple(-x for x in h), -w
+        if all(sum(map(mul, line, h)) >= 0 for line in lines):
+            vertices.add(tuple(Fraction(x, w) for x in h[:-1]))
+    return sorted(vertices)
+
+
+def _affine_dim(points: Sequence[Point]) -> int:
+    """The dimension of the affine span of the points; -1 for none."""
+    if not points:
+        return -1
+    n = len(points[0])
+    offsets = [tuple(x - o for x, o in zip(p, points[0])) for p in points[1:]]
+    return n - len(_solve_affine([(row, Fraction(0)) for row in offsets], n)[1])
 
 
 def _recession_nontrivial(
@@ -150,10 +211,12 @@ class Cell:
     """One closed stratum of a corner locus, clipped to the query box.
 
     active lists the forms attaining the minimum on the relative
-    interior; vertices describe the clipped piece (cyclically ordered
-    for 2-cells); directions are primitive integer vectors spanning the
-    cell, with a ray's direction pointing toward its unbounded end;
-    bounded refers to the cell before clipping.
+    interior; vertices describe the clipped piece: sorted for points and
+    segments, and for a 2-cell the counterclockwise `_convex_hull` cycle
+    in the cell's own coordinates, from the vertex least in them;
+    directions are primitive integer vectors spanning the cell, with a
+    ray's direction pointing toward its unbounded end; bounded refers to
+    the cell before clipping.
     """
 
     dim: int
@@ -265,34 +328,12 @@ def _cell_for_subset(
         box_rows.append((coeffs, origin[j] - lo))
         box_rows.append((tuple(-c for c in coeffs), hi - origin[j]))
 
-    all_rows = ineqs + box_rows
-    if k == 0:
-        if any(
-            rhs < 0 for coeffs, rhs in all_rows
-        ):
-            return None
-        vertices_s: list[tuple[Fraction, ...]] = [()]
-    elif k == 1:
-        lo_s, hi_s = None, None
-        for (c,), d in all_rows:
-            if c == 0:
-                if d < 0:
-                    return None
-                continue
-            bound = -d / c
-            if c > 0:
-                lo_s = bound if lo_s is None else max(lo_s, bound)
-            else:
-                hi_s = bound if hi_s is None else min(hi_s, bound)
-        if lo_s is None or hi_s is None or not lo_s < hi_s:
-            return None
-        vertices_s = [(lo_s,), (hi_s,)]
-    elif k == 2:
-        vertices_s = halfplane_polygon(all_rows)
-        if len(vertices_s) < 3:
-            return None
-    else:
-        raise UnsupportedDimensionError("cells of dim > 2 are not supported")
+    # k <= 2: two distinct forms give at least one independent equation
+    vertices_s = _region_vertices(ineqs + box_rows, k)
+    if _affine_dim(vertices_s) != k:
+        return None
+    if k == 2:
+        vertices_s = _convex_hull(vertices_s)
 
     vertices = tuple(
         tuple(
@@ -344,36 +385,15 @@ def halfplane_polygon(
 ) -> list[tuple[Fraction, Fraction]]:
     """Vertices of the bounded {s in R^2 : c . s + d >= 0 for all rows}, ccw.
 
-    Rows are (c, d) pairs.  An empty region, or one squeezed to a point
-    or a segment, gives []; a region with a vertex that is unbounded
-    raises ValueError.  Each row is cleared to integers, every pair is
-    intersected in homogeneous coordinates (x, y, det), and a vertex
-    becomes a Fraction only once it satisfies every row.
+    Rows are (c, d) pairs.  The vertices are `_region_vertices(rows, 2)`,
+    ordered by `_convex_hull`: counterclockwise from the lexicographically
+    least one.  An empty region, or one squeezed to a point or a segment,
+    gives []; a region with a vertex that is unbounded raises ValueError.
     """
-    lines = [_integer_row((*c, d)) for c, d in rows]
-    candidates = set()
-    for (a1, b1, d1), (a2, b2, d2) in itertools.combinations(lines, 2):
-        det = a1 * b2 - b1 * a2
-        if det == 0:
-            continue
-        x = d2 * b1 - d1 * b2
-        y = d1 * a2 - d2 * a1
-        if det < 0:
-            x, y, det = -x, -y, -det
-        if all(a * x + b * y + d * det >= 0 for a, b, d in lines):
-            candidates.add((Fraction(x, det), Fraction(y, det)))
-    if candidates and _recession_nontrivial([(a, b) for a, b, _ in lines], 2):
+    vertices = _region_vertices(rows, 2)
+    if vertices and _recession_nontrivial([c for c, _ in rows], 2):
         raise ValueError("halfplane_polygon needs a bounded region")
-    ordered = sort_cyclic(sorted(candidates))
-    if len(ordered) < 3:
-        return []
-    # reject clips squeezed to a segment
-    (x0, y0), (x1, y1) = ordered[0], ordered[1]
-    if all(
-        (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0) == 0 for x, y in ordered
-    ):
-        return []
-    return ordered
+    return _convex_hull(vertices) if _affine_dim(vertices) == 2 else []
 
 
 @dataclass(frozen=True)
@@ -479,33 +499,11 @@ def _form_region(p: TropicalPolynomial, i: int) -> LatticePolytope | None:
         rows.append((coef, const))
     if _recession_nontrivial([c for c, _ in rows], n):
         return None
-    vertices = set()
-    for combo in itertools.combinations(rows, n):
-        solved = _solve_affine(
-            [(c, -d) for c, d in combo], n
-        )
-        if solved is None or solved[1]:
-            continue
-        point = solved[0]
-        if all(
-            sum((c * x for c, x in zip(coef, point)), const) >= 0
-            for coef, const in rows
-        ):
-            vertices.add(point)
-    vertices = sorted(vertices)
-    if not _full_dimensional(vertices, n):
+    vertices = _region_vertices(rows, n)
+    if _affine_dim(vertices) != n:
         return None
     facets = _irredundant_facets(rows, vertices, n)
     return LatticePolytope(dim=n, vertices=tuple(vertices), facets=facets)
-
-
-def _full_dimensional(vertices: Sequence[Point], n: int) -> bool:
-    if len(vertices) < n + 1:
-        return False
-    origin = vertices[0]
-    offsets = [tuple(x - o for x, o in zip(v, origin)) for v in vertices[1:]]
-    solved = _solve_affine([(row, Fraction(0)) for row in offsets], n)
-    return solved is not None and len(solved[1]) == 0
 
 
 def _irredundant_facets(
@@ -520,12 +518,7 @@ def _irredundant_facets(
             for v in vertices
             if sum((c * x for c, x in zip(coef, v)), const) == 0
         ]
-        if len(active) < n:
-            continue
-        origin = active[0]
-        offsets = [tuple(x - o for x, o in zip(v, origin)) for v in active[1:]]
-        solved = _solve_affine([(row, Fraction(0)) for row in offsets], n)
-        if solved is None or len(solved[1]) != 1:
+        if _affine_dim(active) != n - 1:
             continue
         normal = primitive_vector(coef)
         scale = None

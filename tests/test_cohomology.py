@@ -373,3 +373,11 @@ def test_model_validation():
     assert ManifoldModel(4, 5).dim == 3
     assert ManifoldModel(4, 5).is_calabi_yau
     assert not ManifoldModel(4).is_calabi_yau
+    # the data are ints: no float reaches the exact layer, none is truncated,
+    # and a bool is not a degree
+    for ambient, degree in ((3, 4.5), (3, True), (3.7, None), (True, None), (3.0, 4)):
+        with pytest.raises(TypeError):
+            ManifoldModel(ambient, degree)
+        with pytest.raises(TypeError):
+            ManifoldModel.from_json_dict({"ambient": ambient, "degree": degree})
+    assert ManifoldModel.from_json_dict(ManifoldModel(4, 5).to_json_dict()) == ManifoldModel(4, 5)

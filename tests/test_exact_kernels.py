@@ -1,9 +1,10 @@
 """Property tests: the integer kernels of the exact tropical layer.
 
-halfplane_polygon, _solve_affine and _recession_nontrivial clear each row's
-denominators and work on ints.  Each is checked here against a reference
-that runs the same algorithm on Fractions throughout, and against the
-defining property of its answer.
+_region_vertices (for every k, and through halfplane_polygon for k = 2),
+_solve_affine and _recession_nontrivial clear each row's denominators and
+work on ints.  Each is checked here against a reference that runs the same
+algorithm on Fractions throughout, and against the defining property of
+its answer.
 """
 
 import itertools
@@ -16,8 +17,12 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from gammatrop.tropical import affine_volume, halfplane_polygon, polygon_affine_area
-from gammatrop.tropical.lattice import _cross, sort_cyclic
-from gammatrop.tropical.polyhedra import _recession_nontrivial, _solve_affine
+from gammatrop.tropical.lattice import _cross
+from gammatrop.tropical.polyhedra import (
+    _recession_nontrivial,
+    _region_vertices,
+    _solve_affine,
+)
 
 EXACT = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -32,6 +37,21 @@ def vectors(n):
 # --- Fraction references ---
 
 
+def ref_ccw_cycle(points):
+    """Gift wrapping from the lexicographic minimum: each next vertex has
+    every point on or left of the edge to it."""
+    def left_of(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]) >= 0
+
+    cycle = [min(points)]
+    while True:
+        p = cycle[-1]
+        q = next(q for q in points if q != p and all(left_of(p, q, r) for r in points))
+        if q == cycle[0]:
+            return cycle
+        cycle.append(q)
+
+
 def ref_halfplane_polygon(rows):
     candidates = set()
     for (c1, d1), (c2, d2) in itertools.combinations(rows, 2):
@@ -44,13 +64,38 @@ def ref_halfplane_polygon(rows):
         )
         if all(c[0] * s[0] + c[1] * s[1] + d >= 0 for c, d in rows):
             candidates.add(s)
-    ordered = sort_cyclic(sorted(candidates))
+    ordered = sorted(candidates)
     if len(ordered) < 3:
         return []
     (x0, y0), (x1, y1) = ordered[0], ordered[1]
     if all((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0) == 0 for x, y in ordered):
         return []
-    return ordered
+    return ref_ccw_cycle(ordered)
+
+
+def ref_interval(rows):
+    """The k = 1 region's vertices by clipping an interval on Fractions."""
+    if any(c == 0 and d < 0 for (c,), d in rows):
+        return []
+    lo = max((-d / c for (c,), d in rows if c > 0), default=None)
+    hi = min((-d / c for (c,), d in rows if c < 0), default=None)
+    if lo is not None and hi is not None and lo > hi:
+        return []
+    return sorted({(x,) for x in (lo, hi) if x is not None})
+
+
+def ref_region_vertices_3d(rows):
+    """The k = 3 region's vertices: every 3 rows solved as equations on
+    Fractions, kept when the solution is unique and satisfies every row."""
+    vertices = set()
+    for combo in itertools.combinations(rows, 3):
+        solved = ref_solve_affine([(c, -d) for c, d in combo], 3)
+        if solved is None or solved[1]:
+            continue
+        point = solved[0]
+        if all(sum(a * x for a, x in zip(c, point)) + d >= 0 for c, d in rows):
+            vertices.add(point)
+    return sorted(vertices)
 
 
 def ref_solve_affine(rows, n):
@@ -126,6 +171,17 @@ def boxed_rows(draw):
     return [(rows + box)[i] for i in order]
 
 
+def halfspaces(k):
+    """Random rows c . s + d >= 0 in Q^k, sometimes closed off by a box."""
+    rows = st.lists(st.tuples(vectors(k), rationals), max_size=7)
+    box = st.integers(1, 12).map(lambda r: [
+        (tuple(Fraction(sign * (i == j)) for j in range(k)), Fraction(r, 2))
+        for i in range(k)
+        for sign in (1, -1)
+    ])
+    return st.tuples(rows, st.one_of(st.just([]), box)).map(lambda p: p[0] + p[1])
+
+
 @st.composite
 def affine_systems(draw):
     """(rows, n): often consistent by construction, sometimes not."""
@@ -169,6 +225,30 @@ def apply(m, shift, points):
 @given(boxed_rows())
 def test_halfplane_polygon_matches_fraction_reference(rows):
     assert halfplane_polygon(rows) == ref_halfplane_polygon(rows)
+
+
+@EXACT
+@given(st.lists(rationals, max_size=4))
+def test_region_vertices_of_a_point(offsets):
+    # in Q^0 each row is the constant d >= 0, and the one candidate is ()
+    rows = [((), d) for d in offsets]
+    expected = [()] if all(d >= 0 for d in offsets) else []
+    assert _region_vertices(rows, 0) == expected
+
+
+@EXACT
+@given(halfspaces(1))
+def test_region_vertices_match_interval_clip(rows):
+    assert _region_vertices(rows, 1) == ref_interval(rows)
+
+
+@EXACT
+@given(halfspaces(3))
+def test_region_vertices_match_fraction_reference_in_space(rows):
+    vertices = _region_vertices(rows, 3)
+    assert vertices == ref_region_vertices_3d(rows)
+    for v in vertices:
+        assert all(isinstance(x, Fraction) for x in v)
 
 
 @EXACT

@@ -1,5 +1,6 @@
 """Package layout: every import in gammatrop sits at module level and is
-used, and every name a module exports in `__all__` exists.
+used, every name a module exports in `__all__` exists, and every
+module-level function or class is referenced or exported.
 
 An import inside a function or class usually hides an import cycle; this
 keeps the tropical layer acyclic: polyhedra imports lattice, never back.
@@ -7,6 +8,7 @@ keeps the tropical layer acyclic: polyhedra imports lattice, never back.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gammatrop"
@@ -65,3 +67,35 @@ def test_no_unused_import():
                     if name not in used:
                         unused.append(f"{path.relative_to(SRC.parent)}:{node.lineno} {name}")
     assert not unused, f"unused imports: {unused}"
+
+
+def test_no_unreferenced_definition():
+    # every module-level function or class is used somewhere in src/
+    # outside its own body, or exported in an __all__; a helper whose last
+    # caller went, such as an old polygon sort, fails here
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
+
+    def references(node):
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    exported = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+    unused = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and used[node.name] == references(node)[node.name]
+    ]
+    assert not unused, f"definitions nothing references: {unused}"

@@ -283,6 +283,15 @@ def test_config_validation():
             QuadratureConfig.from_json_dict({key: value})
     good = {"abs_tol": "1e-8", "rel_tol": "0", "max_subdivisions": "50"}
     assert QuadratureConfig.from_json_dict(good) == QuadratureConfig(1e-8, 0.0, 50)
+    assert QuadratureConfig.from_json_dict({"max_subdivisions": 50}).max_subdivisions == 50
+    # the subdivision cap is an int: a float is not truncated, a bool is no cap
+    for bad in (2.5, 2.7, 2.0, True):
+        with pytest.raises(TypeError):
+            QuadratureConfig(max_subdivisions=bad)
+        with pytest.raises(TypeError):
+            QuadratureConfig.from_json_dict({"max_subdivisions": bad})
+    with pytest.raises(ValueError):
+        QuadratureConfig.from_json_dict({"max_subdivisions": "2.7"})
 
 
 def test_integration_is_deterministic():

@@ -25,6 +25,7 @@ from gammatrop.tropical import (
     primitive_vector,
     tropicalize,
 )
+from gammatrop.tropical.lattice import _cross
 
 # --- reference families ---
 
@@ -226,6 +227,18 @@ def test_laurent_family_validation():
         LaurentFamily(terms=(term, term))
     with pytest.raises(ValueError):
         LaurentFamily(terms=(term, LaurentTerm(1, Fraction(0), (1,))))
+    # exponents and substitution matrices are ints, never truncated floats
+    with pytest.raises(TypeError):
+        LaurentTerm(1, Fraction(0), (2.9, 0))
+    with pytest.raises(TypeError):
+        AffineForm((1.5, 0), Fraction(0))
+    data = LaurentFamily(terms=(term,)).to_json_dict()
+    data["terms"][0]["exp"] = [1.5, 0]
+    with pytest.raises(TypeError):
+        LaurentFamily.from_json_dict(data)
+    with pytest.raises(TypeError):
+        monomial_substitution(elliptic_family(), [[1, 0.5], [0, 1]])
+    assert LaurentTerm(1, Fraction(0), (2, -1)).exponent == (2, -1)
 
 
 def test_laurent_family_evaluate():
@@ -515,6 +528,29 @@ def test_corner_locus_sampling_consistency():
         assert hits > 100  # the quarter-integer grid hits the locus often
 
 
+def test_two_cells_are_convex_cycles():
+    # a 2-cell's vertices are a convex cycle: the cross products of
+    # consecutive edges are nonzero and all point one way.  The elliptic
+    # and pants loci lie in the plane and have no 2-cells, so each family
+    # is lifted to 3-space by one more term, Z
+    def lifted(family):
+        terms = [LaurentTerm(t.coefficient, t.t_exponent, (*t.exponent, 0)) for t in family.terms]
+        return LaurentFamily(terms=(*terms, LaurentTerm(1, Fraction(0), (0, 0, 1))))
+
+    image = monomial_substitution(k3_family(), random_unimodular(random.Random(20240826), 3))
+    for family in (k3_family(), lifted(elliptic_family()), lifted(pants_family()), image):
+        two_cells = corner_locus(tropicalize(family), (-400, 400)).cells_of_dim(2)
+        assert two_cells
+        for cell in two_cells:
+            verts = cell.vertices
+            edges = [tuple(b - a for a, b in zip(u, v)) for u, v in zip(verts, verts[1:] + verts[:1])]
+            turns = [_cross(e, f) for e, f in zip(edges, edges[1:] + edges[:1])]
+            assert all(any(turn) for turn in turns)
+            for turn in turns:
+                assert not any(_cross(turn, turns[0]))
+                assert sum(x * y for x, y in zip(turn, turns[0])) > 0
+
+
 def test_corner_locus_respects_unimodular_changes():
     # cell structure transported by a torus automorphism: counts, active
     # sets, vertex positions and bounded measures all match
@@ -655,7 +691,7 @@ def test_halfplane_polygon_needs_a_bounded_region():
     with pytest.raises(ValueError, match="bounded"):
         halfplane_polygon(rows)
     capped = rows + [((Fraction(0), Fraction(-1)), Fraction(5))]
-    assert halfplane_polygon(capped) == [(5, 5), (0, 5), (0, 1), (1, 0), (5, 0)]
+    assert halfplane_polygon(capped) == [(0, 1), (1, 0), (5, 0), (5, 5), (0, 5)]
     # an empty region has no vertex and stays []
     assert halfplane_polygon(rows + [((Fraction(-1), Fraction(-1)), Fraction(0))]) == []
 
