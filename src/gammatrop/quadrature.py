@@ -11,11 +11,13 @@ its value and error, of which each round bisects the worst and evaluates
 both children in one integrand call.  A box is an interval (a, b) in 1d,
 whose panel rule is the fine rule with an error of 1.5 times its
 difference to the coarse rule.  In 2d the domain is a list of patches,
-(u, v) boxes (u0, u1, v0, v1) with a map to the integrand's arguments and
-a jacobian: (theta, phi) with sin(theta) for the unit sphere, and a fan
-of Duffy-mapped unit squares for a convex polygon.  A 2d panel takes the
-tensor product of the fine rule and an error from the coarse rule along
-each axis.  Every weight of both rules is positive, so a non-finite node
+each a list of (u, v) boxes (u0, u1, v0, v1) with a map to the
+integrand's arguments and a jacobian.  Every patch is a triangle under
+the Duffy map of the unit square: for a convex polygon the fan of
+triangles from one vertex, and for the unit sphere the radial projection
+of facet triangles whose cones from the origin tile space.  A 2d panel
+takes the tensor product of the fine rule and an error from the coarse
+rule along each axis.  Every weight of both rules is positive, so a non-finite node
 makes the panel's value non-finite; such a panel gets error inf.
 
 Integrands must be elementwise: each value depends only on the arguments
@@ -56,6 +58,9 @@ class QuadratureConfig:
                                    # interval or half-line, one per 2d integral
 
     def __post_init__(self):
+        for tol in (self.abs_tol, self.rel_tol):
+            if isinstance(tol, bool):
+                raise TypeError(f"tolerances must be numbers, got {tol!r}")
         # written as negations so that NaN fails them too; an infinite
         # tolerance would accept the first panels of any integral
         if not (0 < self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
@@ -68,15 +73,16 @@ class QuadratureConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuadratureConfig":
-        unknown = sorted(set(data) - {"abs_tol", "rel_tol", "max_subdivisions"})
+        parse = {"abs_tol": float, "rel_tol": float, "max_subdivisions": int}
+        unknown = sorted(set(data) - set(parse))
         if unknown:
             raise ValueError(f"unknown QuadratureConfig keys: {unknown}")
-        kwargs = {key: float(data[key]) for key in ("abs_tol", "rel_tol") if key in data}
-        if "max_subdivisions" in data:
-            # a string is parsed; any other value must already be an int
-            value = data["max_subdivisions"]
-            kwargs["max_subdivisions"] = int(value) if isinstance(value, str) else value
-        return cls(**kwargs)
+        # a string is parsed; any other value is checked by the constructor,
+        # so a bool is rejected instead of read as 0 or 1
+        return cls(**{
+            key: parse[key](value) if isinstance(value, str) else value
+            for key, value in data.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -336,22 +342,87 @@ class ConvexPolygon:
         self.vertices = pts
 
 
-@dataclass(frozen=True)
 class Sphere:
-    """Unit sphere with its surface measure; integrands take (nx, ny, nz)."""
+    """Unit sphere, charted by the radial projection of triangles.
+
+    `facets` are triangles (a, b, c) in 3-space whose cones from the
+    origin tile space, such as the faces of a polytope around the origin;
+    integrands take the direction (nx, ny, nz).  A non-finite vertex, a
+    facet whose plane passes through the origin, or facets whose solid
+    angles do not sum to 4 pi raise ValueError.
+    """
+
+    def __init__(self, facets: Sequence[Sequence[tuple[float, float, float]]]):
+        tris = [tuple(tuple(float(c) for c in p) for p in facet) for facet in facets]
+        if not tris or any(len(tri) != 3 or any(len(p) != 3 for p in tri) for tri in tris):
+            raise ValueError(f"facets must be triangles in 3-space, got {tris}")
+        if not all(math.isfinite(c) for tri in tris for p in tri for c in p):
+            raise ValueError(f"facet vertices must be finite, got {tris}")
+        solid_angle = []
+        for a, b, c in tris:
+            det = _det3(a, b, c)
+            if det == 0.0:
+                raise ValueError(f"facet {(a, b, c)} lies in a plane through the origin")
+            # Van Oosterom and Strackee: tan(omega / 2) = |det| / this
+            na, nb, nc = (math.hypot(*p) for p in (a, b, c))
+            denominator = na * nb * nc + _dot(a, b) * nc + _dot(a, c) * nb + _dot(b, c) * na
+            solid_angle.append(2.0 * math.atan2(abs(det), denominator))
+        # overlapping cones, or a gap between them, change the total
+        total = math.fsum(solid_angle)
+        if not math.isclose(total, 4.0 * math.pi, rel_tol=1e-9):
+            raise ValueError(f"facet cones cover a solid angle of {total}, not 4 pi")
+        self.facets = tris
 
 
-def _patches(domain) -> list[tuple[tuple[float, float, float, float], Callable]]:
-    """The domain as (u, v) boxes, each with a map to (arguments, jacobian)."""
+def _dot(p, q) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _det3(a, b, c) -> float:
+    """det(a, b, c) = a . (b x c)."""
+    cross = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0])
+    return _dot(a, cross)
+
+
+def _duffy(corner, e1, e2, u, v):
+    """The point corner + u ((1 - v) e1 + v e2); the edge u = 0 collapses onto corner."""
+    s = 1.0 - v
+    return tuple(o + u * (s * x + v * y) for o, x, y in zip(corner, e1, e2))
+
+
+# Each sphere facet starts as 6 boxes, cut at u = 3/4 and v = 1/4, 3/4, so
+# that every facet edge (u = 1, v = 0, v = 1) lies in a thin panel.  A band
+# along an edge that is narrower than the gap between a box's edge and its
+# outermost node is otherwise missed by both rules, and the loop stops on
+# their false agreement (K3 at t = 1e-30 with one box per facet).
+_FACET_BOXES = tuple(
+    (u0, u1, v0, v1)
+    for u0, u1 in itertools.pairwise((0.0, 0.75, 1.0))
+    for v0, v1 in itertools.pairwise((0.0, 0.25, 0.75, 1.0))
+)
+
+
+def _patches(domain) -> list[tuple[Sequence[tuple[float, float, float, float]], Callable]]:
+    """The domain as lists of (u, v) boxes, each with a map to (arguments, jacobian)."""
+    patches = []
     if isinstance(domain, Sphere):
-        def sphere(theta, phi):
-            ring = np.sin(theta)
-            return (ring * np.cos(phi), ring * np.sin(phi), np.cos(theta)), ring
+        for a, b, c in domain.facets:
+            e1 = tuple(q - p for p, q in zip(a, b))
+            e2 = tuple(q - p for p, q in zip(a, c))
+            det = abs(_det3(a, b, c))
 
-        return [((0.0, math.pi, 0.0, 2.0 * math.pi), sphere)]
+            def radial(u, v, a=a, e1=e1, e2=e2, det=det):
+                # the plane's area element u |e1 x e2| seen from the
+                # origin is the solid angle u |det| / |p|^3
+                x, y, z = _duffy(a, e1, e2, u, v)
+                r2 = x * x + y * y + z * z
+                r = np.sqrt(r2)
+                return (x / r, y / r, z / r), u * det / (r2 * r)
+
+            patches.append((_FACET_BOXES, radial))
+        return patches
     if isinstance(domain, ConvexPolygon):
         (x0, y0), *rest = domain.vertices
-        patches = []
         for (x1, y1), (x2, y2) in zip(rest, rest[1:]):
             ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
             det = abs(ax * by - ay * bx)
@@ -360,11 +431,9 @@ def _patches(domain) -> list[tuple[tuple[float, float, float, float], Callable]]
                 continue
 
             def duffy(u, v, ax=ax, ay=ay, bx=bx, by=by, det=det):
-                # the edge u = 0 collapses onto vertex 0
-                s = 1.0 - v
-                return (x0 + u * (s * ax + v * bx), y0 + u * (s * ay + v * by)), u * det
+                return _duffy((x0, y0), (ax, ay), (bx, by), u, v), u * det
 
-            patches.append(((0.0, 1.0, 0.0, 1.0), duffy))
+            patches.append(([(0.0, 1.0, 0.0, 1.0)], duffy))
         return patches
     raise ValueError(f"unsupported 2d domain: {domain!r}")
 
@@ -421,11 +490,14 @@ def integrate_2d(
 
     The integrand must be elementwise, and it receives 1d arrays of equal
     shape: f(x, y) for a `ConvexPolygon` and f(nx, ny, nz) for the
-    `Sphere`.  The domain is cut into patches, each a (u, v) box with a
-    map to the integrand's arguments and its jacobian: (theta, phi) with
-    weight sin(theta) for the sphere, and for a polygon the fan of
-    triangles from vertex 0, each the unit square under the Duffy map with
-    jacobian u |det|.
+    `Sphere`.  The domain is cut into patches, each a triangle (a, b, c)
+    as the unit square under the Duffy map
+    p = a + u ((1 - v) (b - a) + v (c - a)), with a map to the integrand's
+    arguments and its jacobian.  For a polygon the triangles are the fan
+    from vertex 0, with jacobian u |det(b - a, c - a)|.  For the sphere
+    they are its facets, and the direction p / |p| has jacobian
+    u |det(a, b, c)| / |p|^3; each facet starts as 6 boxes, so that its
+    edges lie in thin panels.
 
     Every box is a panel of one heap, evaluated by the tensor product of
     the fine rule in one integrand call per patch.  Each round bisects the
@@ -435,8 +507,7 @@ def integrate_2d(
     tolerance.
     """
     cfg = config or QuadratureConfig()
-    patches = [([box], to_args) for box, to_args in _patches(domain)]
-    return _cubature(f, _panels_2d, patches, cfg)
+    return _cubature(f, _panels_2d, _patches(domain), cfg)
 
 
 # --- asymptotic fits -----------------------------------------------------

@@ -388,6 +388,9 @@ def test_k3_period_matches_asymptotic():
     big_l = sample.big_l
     predicted = 32.0 * big_l**2 - 24.0 * ZETA2
     assert abs(sample.value - predicted) < 0.05
+    # the quadrature is deterministic, so its evaluation count is a gate
+    # with no noise; the (theta, phi) box of the sphere took 41,625
+    assert sample.evaluations <= 11_700
 
 
 def test_k3_period_default_tolerance():
@@ -426,6 +429,25 @@ def test_k3_matches_exact_series(t):
     gap = abs(sample.value - k3_series(t))
     assert gap <= sample.error_estimate
     assert gap <= 1e-11
+
+
+@pytest.mark.parametrize("tol", (1e-5, 1e-7))
+@pytest.mark.parametrize("t", (0.1, 1e-2, 1e-4, 1e-8, 1e-16, 1e-30))
+def test_k3_error_estimate_bounds_the_series_gap(t, tol):
+    # at t = 1e-30 and tol 1e-5 the edge bands are narrower than the gap
+    # between a facet's edge and the outermost nodes of one box per facet,
+    # and such a chart stopped 7.38 off with an estimate of 3.16
+    sample = k3_period(t, QuadratureConfig(abs_tol=tol, rel_tol=tol))
+    assert sample.converged
+    assert abs(sample.value - k3_series(t)) <= sample.error_estimate
+
+
+def test_k3_facets_are_the_chamber_facets():
+    # the charts are the faces of the tropical chamber, not a magic constant
+    chamber = compact_chamber(tropicalize(MirrorFamily("quartic_k3").laurent_family()))
+    assert sorted(map(sorted, k3._FACETS)) == sorted(
+        sorted(chamber.facet_vertices(facet)) for facet in chamber.facets
+    )
 
 
 def test_k3_small_t_has_no_overflow():

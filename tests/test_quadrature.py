@@ -48,6 +48,21 @@ def bessel_k0(x: float) -> float:
     return -(math.log(x / 2.0) + EULER_GAMMA) * i0 + correction
 
 
+# the unit sphere charted by the faces of the octahedron and of the K3
+# chamber, a tetrahedron whose faces are not equidistant from its vertices
+OCTAHEDRON = Sphere([
+    ((x, 0, 0), (0, y, 0), (0, 0, z)) for x in (1, -1) for y in (1, -1) for z in (1, -1)
+])
+TETRAHEDRON = Sphere((
+    ((-1, -1, -1), (3, -1, -1), (-1, 3, -1)),
+    ((-1, -1, -1), (3, -1, -1), (-1, -1, 3)),
+    ((-1, -1, -1), (-1, 3, -1), (-1, -1, 3)),
+    ((3, -1, -1), (-1, 3, -1), (-1, -1, 3)),
+))
+# a constant takes about 177k evaluations at the default tolerance 1e-10
+SPHERE_CONFIG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+
+
 def integrate_box(f, box, config=None):
     """The 2d panel loop on the box (x0, x1, y0, y1) under the identity chart."""
     cfg = config or QuadratureConfig()
@@ -252,8 +267,9 @@ def test_integrand_output_shape_is_checked():
         integrate_1d(lambda x: x[:, None], (0.0, math.inf))
     with pytest.raises(ValueError, match="elementwise"):
         integrate_box(lambda x, y: np.ones(3), (0.0, 1.0, 0.0, 1.0))
-    with pytest.raises(ValueError, match="elementwise"):
-        integrate_2d(lambda nx, ny, nz: np.ones((len(nx), 1)), Sphere())
+    for sphere in (OCTAHEDRON, TETRAHEDRON):
+        with pytest.raises(ValueError, match="elementwise"):
+            integrate_2d(lambda nx, ny, nz: np.ones((len(nx), 1)), sphere)
 
 
 def test_config_validation():
@@ -292,6 +308,14 @@ def test_config_validation():
             QuadratureConfig.from_json_dict({"max_subdivisions": bad})
     with pytest.raises(ValueError):
         QuadratureConfig.from_json_dict({"max_subdivisions": "2.7"})
+    # a bool is no tolerance either, in the constructor or read from JSON
+    for bad in ({"abs_tol": True}, {"rel_tol": False}, {"abs_tol": True, "rel_tol": False}):
+        with pytest.raises(TypeError):
+            QuadratureConfig(**bad)
+        with pytest.raises(TypeError):
+            QuadratureConfig.from_json_dict(bad)
+    numbers = {"abs_tol": 1e-8, "rel_tol": 0.0}
+    assert QuadratureConfig.from_json_dict(numbers) == QuadratureConfig(1e-8, 0.0)
 
 
 def test_integration_is_deterministic():
@@ -360,15 +384,40 @@ def test_polygon_vertices_any_order():
 
 
 def test_sphere_surface_area():
-    result = integrate_2d(lambda nx, ny, nz: 1.0, Sphere())
-    assert result.value == pytest.approx(4.0 * math.pi, rel=1e-10)
+    for sphere in (OCTAHEDRON, TETRAHEDRON):
+        result = integrate_2d(lambda nx, ny, nz: 1.0, sphere, SPHERE_CONFIG)
+        assert result.converged
+        assert abs(result.value - 4.0 * math.pi) <= result.error_estimate
+        assert result.value == pytest.approx(4.0 * math.pi, rel=1e-10)
 
 
 def test_sphere_second_moment():
     # integral of z^2 over the unit sphere is 4 pi / 3
-    result = integrate_2d(lambda nx, ny, nz: nz * nz, Sphere())
-    assert result.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-10)
+    for sphere in (OCTAHEDRON, TETRAHEDRON):
+        result = integrate_2d(lambda nx, ny, nz: nz * nz, sphere, SPHERE_CONFIG)
+        assert result.converged
+        assert abs(result.value - 4.0 * math.pi / 3.0) <= result.error_estimate
+        assert result.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-10)
 
+
+def test_sphere_validation():
+    octahedron = OCTAHEDRON.facets
+    for bad, message in (
+        ([], "triangles"),
+        ([facet[:2] for facet in octahedron], "triangles"),
+        ([((math.nan, 0, 0), (0, 1, 0), (0, 0, 1))] + octahedron[1:], "finite"),
+        ([((1, 0, 0), (math.inf, 1, 0), (0, 0, 1))] + octahedron[1:], "finite"),
+        ([((1, 0, 0), (-1, 0, 0), (0, 0, 1))] + octahedron[1:], "through the origin"),
+        # a gap and an overlap
+        (octahedron[1:], "4 pi"),
+        (octahedron + octahedron[:1], "4 pi"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Sphere(bad)
+    # orientation and the order of the facets do not matter
+    flipped = Sphere([(a, c, b) for a, b, c in reversed(octahedron)])
+    result = integrate_2d(lambda nx, ny, nz: nz * nz, flipped, SPHERE_CONFIG)
+    assert result.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-10)
 
 
 def integrate_domain(f, domain, config=None):
@@ -384,7 +433,8 @@ TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 CASES = (
     ((-8.0, 8.0, -8.0, 8.0), lambda x, y: np.exp(-x * x - y * y - x * y)),
     (TRIANGLE, lambda x, y: np.cos(3.0 * x * y) + x),
-    (Sphere(), lambda nx, ny, nz: np.exp(nx + ny * nz)),
+    (OCTAHEDRON, lambda nx, ny, nz: np.exp(nx + ny * nz)),
+    (TETRAHEDRON, lambda nx, ny, nz: np.exp(nx + ny * nz)),
 )
 
 
@@ -418,7 +468,9 @@ def cubature_reference(f, domain):
     return float(res.estimate)
 
 
-@pytest.mark.parametrize("domain, f", CASES, ids=["rectangle", "polygon", "sphere"])
+@pytest.mark.parametrize(
+    "domain, f", CASES, ids=["rectangle", "polygon", "sphere", "sphere_tetrahedron"]
+)
 def test_integrate_2d_matches_independent_cubature(domain, f):
     cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
     result = integrate_domain(f, domain, cfg)
@@ -438,11 +490,12 @@ def test_integrate_2d_subdivision_cap_reports_nonconvergence():
 @pytest.mark.parametrize(
     "domain, f",
     (
-        (Sphere(), lambda nx, ny, nz: nz * nz),
+        (OCTAHEDRON, lambda nx, ny, nz: nz * nz),
+        (TETRAHEDRON, lambda nx, ny, nz: nz * nz),
         ((-8.0, 8.0, -8.0, 8.0), lambda x, y: np.exp(-x * x - y * y)),
         (TRIANGLE, lambda x, y: 1.0),
     ),
-    ids=["sphere", "rectangle", "polygon"],
+    ids=["sphere", "sphere_tetrahedron", "rectangle", "polygon"],
 )
 def test_integrate_2d_batches_sections(domain, f):
     # a panel's tensor grid, or both children of a split, share one call
