@@ -3,20 +3,26 @@
 Works in the truncated one-generator cohomology ring of a projective
 space P^n or of a degree-d hypersurface inside it: an element is a
 polynomial in the hyperplane class H, cut off beyond the top degree.
-Coefficients are kept exact (integers, fractions, and sympy expressions
-carrying zeta values, Euler's gamma and powers of 2*pi*i); numeric
-evaluation happens in one final pass.
+
+Coefficients are exact.  Every Gamma-side number lies in
+Q[i, euler_gamma, pi, zeta(3), zeta(5), ...]: the log-Gamma coefficients
+are -euler_gamma and (-1)^k zeta(k)/k, zeta at an even integer is a
+rational multiple of a power of pi, and ch(V) brings in powers of 2 pi i.
+A rational is a plain int or Fraction; any other such number is an
+`_Exact`, a sparse map from monomials to Fractions with i^2 = -1 folded
+in, so +, -, *, == and hash are exact with no simplification step.
+Numeric evaluation happens in one final float pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import scipy.special
-import sympy
 
 from .errors import UnsupportedDimensionError
 
@@ -34,6 +40,161 @@ __all__ = [
     "gamma_period_polynomial",
 ]
 
+_EULER_GAMMA = 0.5772156649015329
+
+# A monomial i^e0 euler_gamma^e1 pi^e2 zeta(3)^e3 zeta(5)^e4 ... is the
+# exponent tuple (e0, e1, e2, e3, ...); in canonical form e0 is 0 or 1 and
+# the tuple has no trailing zero, so the rational monomial is ().
+
+
+def _generator_name(k: int) -> str:
+    """Printed name of generator k: I, EulerGamma, pi, zeta(3), zeta(5), ..."""
+    return ("I", "EulerGamma", "pi")[k] if k < 3 else f"zeta({2 * k - 3})"
+
+
+def _generator_float(k: int) -> float:
+    """Float value of the real generator k >= 1."""
+    if k == 1:
+        return _EULER_GAMMA
+    return math.pi if k == 2 else zeta_value(2 * k - 3)
+
+
+def _exact(terms: Iterable[tuple[tuple[int, ...], int | Fraction]]):
+    """The canonical value of sum(c * monomial) over (monomial, c) pairs.
+
+    Folds i^2 = -1, strips trailing zero exponents, merges equal monomials
+    and drops zero terms.  A rational comes back as an int (when integral)
+    or a Fraction, anything else as an `_Exact`.
+    """
+    out: dict[tuple[int, ...], int | Fraction] = {}
+    for monomial, c in terms:
+        if monomial and monomial[0] > 1:
+            c = -c if monomial[0] % 4 > 1 else c
+            monomial = (monomial[0] % 2,) + monomial[1:]
+        while monomial and not monomial[-1]:
+            monomial = monomial[:-1]
+        out[monomial] = out[monomial] + c if monomial in out else c
+    out = {m: c if type(c) is Fraction else Fraction(c) for m, c in out.items() if c}
+    if not out:
+        return 0
+    if len(out) == 1 and () in out:
+        c = out[()]
+        return c.numerator if c.denominator == 1 else c
+    return _Exact(out)
+
+
+class _Exact:
+    """An irrational number of Q[i, euler_gamma, pi, zeta(3), zeta(5), ...].
+
+    `terms` maps canonical monomials to nonzero Fractions and holds more
+    than the rational monomial; build values with `_exact`.  Arithmetic
+    with int, Fraction and `_Exact` stays exact, and a result that is
+    rational comes back as int or Fraction, so == and hash agree with
+    those types.  complex() is the float pass; str() prints the names
+    I, EulerGamma, pi and zeta(k).
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, ...], Fraction]):
+        self.terms = terms
+
+    def __add__(self, other):
+        if isinstance(other, _Exact):
+            return _exact(itertools.chain(self.terms.items(), other.terms.items()))
+        if isinstance(other, (int, Fraction)):
+            return _exact(itertools.chain(self.terms.items(), [((), other)]))
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Exact({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, (_Exact, int, Fraction)):
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _exact((m, c * other) for m, c in self.terms.items())
+        if not isinstance(other, _Exact):
+            return NotImplemented
+        return _exact(
+            (tuple(a + b for a, b in itertools.zip_longest(p, q, fillvalue=0)), c * d)
+            for p, c in self.terms.items()
+            for q, d in other.terms.items()
+        )
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, _Exact):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return False  # a canonical _Exact is never rational
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __complex__(self):
+        parts = ([], [])
+        for monomial, c in self.terms.items():
+            x = float(c)
+            for k, e in enumerate(monomial[1:], start=1):
+                x *= _generator_float(k) ** e
+            parts[monomial[0] if monomial else 0].append(x)
+        return complex(math.fsum(parts[0]), math.fsum(parts[1]))
+
+    def __repr__(self):
+        return _format_sum(_factored_terms(self))
+
+
+def _factored_terms(c) -> list[tuple[Fraction, list[str]]]:
+    """(coefficient, factor names) of each term of a ring value, highest
+    monomial first; a rational is one term with no factors."""
+    if not isinstance(c, _Exact):
+        return [(c, [])] if c else []
+    return [
+        (coefficient, [_generator_name(k) + (f"**{e}" if e > 1 else "") for k, e in enumerate(m) if e])
+        for m, coefficient in sorted(c.terms.items(), reverse=True)
+    ]
+
+
+def _format_sum(terms: Iterable[tuple[int | Fraction, list[str]]]) -> str:
+    """Text of sum(c * product of factors) over (c, factors) pairs, as
+    "9*L**2/2 - 9*EulerGamma*L + pi**2/4"."""
+    text = ""
+    for c, factors in terms:
+        c = Fraction(c)
+        numerator = abs(c.numerator)
+        body = "*".join(([str(numerator)] if numerator != 1 or not factors else []) + factors)
+        if c.denominator != 1:
+            body += f"/{c.denominator}"
+        if text:
+            text += (" - " if c < 0 else " + ") + body
+        else:
+            text = ("-" if c < 0 else "") + body
+    return text or "0"
+
+
+_TWO_PI_I = _exact([((1, 0, 1), 2)])
+
+
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m from sum_{k <= j} C(j+1, k) B_k = 0 for j >= 1 (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return b
+
 
 def zeta_value(k: int) -> float:
     """Riemann zeta at an integer k >= 2, as a float."""
@@ -49,19 +210,28 @@ def log_gamma_series(order: int) -> list[float]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [-float(sympy.EulerGamma)]
+    coeffs = [-_EULER_GAMMA]
     for k in range(2, order + 1):
         coeffs.append((-1) ** k * zeta_value(k) / k)
     return coeffs
 
 
-def log_gamma_series_exact(order: int) -> list[sympy.Expr]:
-    """Same coefficients as exact sympy expressions."""
+def log_gamma_series_exact(order: int) -> list:
+    """Same coefficients as exact ring values.
+
+    zeta(2m) = (-1)^(m+1) B_2m (2 pi)^(2m) / (2 (2m)!) with the Bernoulli
+    number B_2m; zeta at an odd k >= 3 is a generator of the ring.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [-sympy.EulerGamma]
+    bernoulli = _bernoulli(order)
+    coeffs = [_exact([((0, 1), -1)])]
     for k in range(2, order + 1):
-        coeffs.append(sympy.Rational((-1) ** k, k) * sympy.zeta(k))
+        if k % 2:
+            zeta = ((0,) * ((k + 3) // 2) + (1,), 1)
+        else:
+            zeta = ((0, 0, k), (-1) ** (k // 2 + 1) * bernoulli[k] * 2**k / (2 * math.factorial(k)))
+        coeffs.append(_exact([zeta]) * Fraction((-1) ** k, k))
     return coeffs
 
 
@@ -69,8 +239,9 @@ class GradedElement:
     """Polynomial in the hyperplane class H truncated beyond degree n.
 
     coefficients[k] is the coefficient of H^k; products drop every term
-    of degree > truncation.  Coefficient arithmetic is generic: exact
-    types (int, Fraction, sympy.Expr) stay exact.
+    of degree > truncation.  Coefficients are ints, Fractions or exact
+    ring values (see the module docstring); arithmetic on them is
+    generic, so any type with exact +, - and * stays exact.
     """
 
     __slots__ = ("coefficients", "truncation")
@@ -169,25 +340,20 @@ class GradedElement:
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
-        if self.truncation != other.truncation:
-            return False
-        for a, b in zip(self.coefficients, other.coefficients):
-            if a == b:
-                continue
-            if sympy.simplify(sympy.sympify(a) - sympy.sympify(b)) != 0:
-                return False
-        return True
+        return self.truncation == other.truncation and self.coefficients == other.coefficients
 
     def __hash__(self):
-        return hash((self.truncation, tuple(map(sympy.sympify, self.coefficients))))
+        return hash((self.truncation, tuple(self.coefficients)))
 
     def inverse(self) -> "GradedElement":
-        """Multiplicative inverse; requires an invertible degree-0 part."""
+        """Multiplicative inverse; requires a nonzero rational degree-0 part."""
         c0 = self.coefficients[0]
+        if not isinstance(c0, (int, Fraction)):
+            raise TypeError(f"inverse needs a rational constant term, got {c0!r}")
         if c0 == 0:
             raise ValueError("element with zero constant term is not invertible")
         n = self.truncation
-        inv0 = Fraction(1, c0) if isinstance(c0, int) else 1 / sympy.sympify(c0)
+        inv0 = Fraction(1) / c0
         out = [inv0] + [0] * n
         for k in range(1, n + 1):
             acc = 0
@@ -229,18 +395,10 @@ class GradedElement:
 
     def to_complex(self) -> list[complex]:
         """Numeric evaluation pass over the coefficients."""
-        return [_to_complex(c) for c in self.coefficients]
+        return [complex(c) for c in self.coefficients]
 
     def __repr__(self):
         return f"GradedElement({self.coefficients!r})"
-
-
-def _to_complex(c) -> complex:
-    if isinstance(c, (int, float, complex)):
-        return complex(c)
-    if isinstance(c, Fraction):
-        return complex(float(c))
-    return complex(sympy.sympify(c).evalf())
 
 
 @dataclass(frozen=True)
@@ -343,8 +501,8 @@ def gamma_class(m: ManifoldModel) -> GradedElement:
 
     Defined as the product of Gamma(1 + delta_i) over the Chern roots,
     i.e. exp(sum_k a_k p_k) with a_k the log-Gamma Taylor coefficients
-    and p_k the power sums.  Coefficients come out as exact sympy
-    expressions in euler_gamma and zeta values.
+    and p_k the power sums.  Coefficients come out as exact ring values
+    in euler_gamma, pi and odd zeta values.
     """
     n = m.dim
     c = total_chern(m)
@@ -374,8 +532,10 @@ def integrate(m: ManifoldModel, x: GradedElement):
 class PeriodPolynomial:
     """Polynomial in L = -log t predicted for a period integral.
 
-    coefficients[k] multiplies L^k; entries are exact sympy scalars (or
-    plain numbers).  evaluate() switches to floats.
+    coefficients[k] multiplies L^k; entries are ints, Fractions or exact
+    ring values (see the module docstring).  evaluate() switches to
+    floats, and symbolic() prints the expanded polynomial in L with the
+    names EulerGamma, pi, I and zeta(k).
     """
 
     __slots__ = ("coefficients",)
@@ -387,14 +547,14 @@ class PeriodPolynomial:
     def degree(self) -> int:
         deg = 0
         for k, c in enumerate(self.coefficients):
-            if sympy.sympify(c) != 0:
+            if c != 0:
                 deg = k
         return deg
 
     def evaluate(self, big_l: float) -> complex:
         acc = 0j
         for k, c in enumerate(self.coefficients):
-            acc += _to_complex(c) * big_l**k
+            acc += complex(c) * big_l**k
         return acc
 
     def evaluate_at_t(self, t: float) -> complex:
@@ -403,14 +563,16 @@ class PeriodPolynomial:
         return self.evaluate(-math.log(t))
 
     def symbolic(self) -> str:
-        big_l = sympy.Symbol("L")
-        expr = sum(sympy.sympify(c) * big_l**k for k, c in enumerate(self.coefficients))
-        return str(sympy.expand(expr))
+        terms = []
+        for k in reversed(range(len(self.coefficients))):
+            power = [] if k == 0 else ["L" if k == 1 else f"L**{k}"]
+            terms += [(c, factors + power) for c, factors in _factored_terms(self.coefficients[k])]
+        return _format_sum(terms)
 
     def to_json_dict(self) -> dict:
         coeffs = []
         for c in self.coefficients:
-            z = _to_complex(c)
+            z = complex(c)
             coeffs.append(z.real if z.imag == 0.0 else [z.real, z.imag])
         return {"coeffs": coeffs, "symbolic": self.symbolic()}
 
@@ -428,28 +590,30 @@ def gamma_period_polynomial(
     Expands the integral of exp(L*omega) * GammaClass * (2 pi i)^(deg/2)
     * ch(V) over the model, with omega = omega_multiple * H.  The degree-k
     ch component picks up the multiplier (2 pi i)^k.  Default V is the
-    trivial line bundle.
+    trivial line bundle.  omega_multiple is an int or a Fraction.
     """
+    if type(omega_multiple) is bool or not isinstance(omega_multiple, (int, Fraction)):
+        raise TypeError(f"omega_multiple must be an int or a Fraction, got {omega_multiple!r}")
     n = m.dim
     gamma = gamma_class(m)
     if chern_character_of_v is None:
         v_hat = GradedElement.one(n)
     else:
         v_hat = GradedElement.zero(n)
-        two_pi_i = 2 * sympy.pi * sympy.I
-        for k, ch_k in enumerate(chern_character_of_v):
+        multiplier = 1  # (2 pi i)^k
+        for ch_k in chern_character_of_v:
             if ch_k.truncation != n:
                 raise ValueError(
                     f"ch component truncation {ch_k.truncation} does not match dim {n}"
                 )
-            v_hat = v_hat + two_pi_i**k * ch_k
+            v_hat = v_hat + multiplier * ch_k
+            multiplier = multiplier * _TWO_PI_I
     total = gamma * v_hat
-    omega_multiple = sympy.sympify(omega_multiple)
     coeffs = []
     for j in range(n + 1):
         # coefficient of L^j: int omega^j/j! * total picks degree n-j of total
-        c = total.coefficient(n - j) * omega_multiple**j * sympy.Rational(1, math.factorial(j))
+        c = total.coefficient(n - j) * Fraction(omega_multiple**j, math.factorial(j))
         if m.hypersurface_degree is not None:
             c = c * m.hypersurface_degree
-        coeffs.append(sympy.expand(sympy.sympify(c)))
+        coeffs.append(c)
     return PeriodPolynomial(coeffs)

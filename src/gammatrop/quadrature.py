@@ -27,6 +27,7 @@ get y as an array of x's shape, not a scalar.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import heapq
 import itertools
@@ -348,8 +349,9 @@ class Sphere:
     `facets` are triangles (a, b, c) in 3-space whose cones from the
     origin tile space, such as the faces of a polytope around the origin;
     integrands take the direction (nx, ny, nz).  A non-finite vertex, a
-    facet whose plane passes through the origin, or facets whose solid
-    angles do not sum to 4 pi raise ValueError.
+    facet whose plane passes through the origin, facets whose solid
+    angles do not sum to 4 pi, or an edge (an unordered pair of vertices)
+    that is not shared by exactly two facets raise ValueError.
     """
 
     def __init__(self, facets: Sequence[Sequence[tuple[float, float, float]]]):
@@ -371,6 +373,14 @@ class Sphere:
         total = math.fsum(solid_angle)
         if not math.isclose(total, 4.0 * math.pi, rel_tol=1e-9):
             raise ValueError(f"facet cones cover a solid angle of {total}, not 4 pi")
+        # a double cover of half the sphere has the right total; its edges
+        # through the doubled region belong to four facets
+        edges = collections.Counter(
+            frozenset(pair) for tri in tris for pair in itertools.combinations(tri, 2)
+        )
+        loose = sorted(tuple(sorted(edge)) for edge, count in edges.items() if count != 2)
+        if loose:
+            raise ValueError(f"facet edges not shared by exactly two facets: {loose}")
         self.facets = tris
 
 

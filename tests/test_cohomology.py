@@ -2,19 +2,25 @@
 
 Expected values are either trivial identities, cross-checked against the
 independent oracles implemented at the top of this file, or frozen after
-an oracle run.
+an oracle run.  sympy is the independent reference for the exact ring:
+`to_sympy` converts ring values, and `gamma_series_reference` builds the
+Gamma polynomials from sympy's own series of Gamma(1+x).
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammatrop.cohomology import (
     GradedElement,
     ManifoldModel,
+    _exact,
     chern_character,
     gamma_class,
     gamma_period_polynomial,
@@ -63,6 +69,72 @@ def zeta_em_oracle(s, terms=100):
     return total
 
 
+def to_sympy(x):
+    """A ring value as a sympy expression.
+
+    Rationals are ints or Fractions; any other value maps exponent tuples
+    (e_I, e_EulerGamma, e_pi, e_zeta(3), e_zeta(5), ...) to Fractions.
+    """
+    if isinstance(x, (int, Fraction)):
+        return sympy.Rational(x.numerator, x.denominator)
+    generators = [sympy.I, sympy.EulerGamma, sympy.pi]
+    out = sympy.Integer(0)
+    for monomial, c in x.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for k, e in enumerate(monomial):
+            term *= (generators[k] if k < 3 else sympy.zeta(2 * k - 3)) ** e
+        out += term
+    return out
+
+
+BIG_L, X = sympy.symbols("L x")
+
+
+def poly_to_sympy(poly):
+    return sum(to_sympy(c) * BIG_L**k for k, c in enumerate(poly.coefficients))
+
+
+def truncated_product(a, b, n):
+    """Coefficients of a*b up to x^n, for coefficient lists of length > n."""
+    return [sympy.expand(sum(a[i] * b[k - i] for i in range(k + 1))) for k in range(n + 1)]
+
+
+@functools.cache
+def gamma_power(k):
+    """Coefficients of Gamma(1+x)^k up to x^8; Gamma(1+x) from sympy.series."""
+    if k == 1:
+        series = sympy.series(sympy.gamma(1 + X), X, 0, 9).removeO()
+        return tuple(sympy.expand(series).coeff(X, j) for j in range(9))
+    return tuple(truncated_product(gamma_power(k - 1), gamma_power(1), 8))
+
+
+def gamma_series_reference(m, omega_multiple, line_degree=None):
+    """The Gamma polynomial of m from sympy's series of Gamma(1+x).
+
+    P^n: the x^n coefficient of Gamma(1+x)^(n+1) exp(omega L x).  A
+    hypersurface of degree d: d times the x^(n-1) coefficient of the same
+    product divided by Gamma(1+dx).  Pairing with O(line_degree) multiplies
+    by exp(2 pi i line_degree x).  Products are truncated power series in
+    sympy; only Gamma(1+x) itself goes through sympy.series, since a direct
+    series of the n = 8 products takes tens of seconds.
+    """
+    top = m.dim
+    g = gamma_power(1)
+    out = gamma_power(m.ambient_dim + 1)[: top + 1]
+    exponent = omega_multiple * BIG_L
+    if line_degree is not None:
+        exponent += 2 * sympy.pi * sympy.I * line_degree
+    out = truncated_product(out, [exponent**k / math.factorial(k) for k in range(top + 1)], top)
+    d = m.hypersurface_degree
+    if d is None:
+        return sympy.expand(out[top])
+    # divide by Gamma(1+dx): q_k = (out_k - sum_{j<k} q_j g_{k-j} d^(k-j)) / g_0
+    q = []
+    for k in range(top + 1):
+        q.append(sympy.expand(out[k] - sum(q[j] * g[k - j] * d ** (k - j) for j in range(k))))
+    return sympy.expand(d * q[top])
+
+
 # --- zeta and log-Gamma coefficients -------------------------------------
 
 
@@ -99,7 +171,7 @@ def test_log_gamma_series_matches_lgamma():
 
 
 def test_log_gamma_series_exact_values():
-    a = log_gamma_series_exact(3)
+    a = [to_sympy(c) for c in log_gamma_series_exact(3)]
     assert a[0] == -sympy.EulerGamma
     assert sympy.simplify(a[1] - sympy.zeta(2) / 2) == 0
     assert sympy.simplify(a[2] + sympy.zeta(3) / 3) == 0
@@ -212,7 +284,7 @@ def test_chern_character_trivial_bundle():
 def test_gamma_class_p1():
     g = gamma_class(ManifoldModel(1))
     assert g.coefficients[0] == 1
-    assert sympy.simplify(g.coefficients[1] + 2 * sympy.EulerGamma) == 0
+    assert sympy.simplify(to_sympy(g.coefficients[1]) + 2 * sympy.EulerGamma) == 0
 
 
 def test_gamma_class_p2_hand_oracle():
@@ -220,9 +292,9 @@ def test_gamma_class_p2_hand_oracle():
     g = gamma_class(ManifoldModel(2))
     gam = sympy.EulerGamma
     assert g.coefficients[0] == 1
-    assert sympy.simplify(g.coefficients[1] + 3 * gam) == 0
+    assert sympy.simplify(to_sympy(g.coefficients[1]) + 3 * gam) == 0
     expect2 = sympy.Rational(9, 2) * gam**2 + sympy.Rational(3, 2) * sympy.zeta(2)
-    assert sympy.simplify(g.coefficients[2] - expect2) == 0
+    assert sympy.simplify(to_sympy(g.coefficients[2]) - expect2) == 0
 
 
 def test_gamma_class_cubic_curve_trivial():
@@ -235,8 +307,8 @@ def test_gamma_class_quintic():
     g = gamma_class(ManifoldModel(4, 5))
     assert g.coefficients[0] == 1
     assert g.coefficients[1] == 0
-    assert sympy.simplify(g.coefficients[2] + 10 * sympy.zeta(2)) == 0
-    assert sympy.simplify(g.coefficients[3] - 40 * sympy.zeta(3)) == 0
+    assert sympy.simplify(to_sympy(g.coefficients[2]) + 10 * sympy.zeta(2)) == 0
+    assert sympy.simplify(to_sympy(g.coefficients[3]) - 40 * sympy.zeta(3)) == 0
 
 
 # --- integration ---------------------------------------------------------
@@ -264,13 +336,14 @@ def test_integrate_shape_check():
 def test_period_polynomial_p1():
     poly = gamma_period_polynomial(ManifoldModel(1), 2)
     assert len(poly.coefficients) == 2
-    assert sympy.simplify(poly.coefficients[1] - 2) == 0
-    assert sympy.simplify(poly.coefficients[0] + 2 * sympy.EulerGamma) == 0
+    c = [to_sympy(x) for x in poly.coefficients]
+    assert sympy.simplify(c[1] - 2) == 0
+    assert sympy.simplify(c[0] + 2 * sympy.EulerGamma) == 0
 
 
 def test_period_polynomial_quintic_exact():
     poly = gamma_period_polynomial(ManifoldModel(4, 5), 1)
-    c = poly.coefficients
+    c = [to_sympy(x) for x in poly.coefficients]
     assert sympy.simplify(c[3] - sympy.Rational(5, 6)) == 0
     assert sympy.simplify(c[2]) == 0
     assert sympy.simplify(c[1] / sympy.zeta(2) + 50) == 0
@@ -280,11 +353,15 @@ def test_period_polynomial_quintic_exact():
 def test_period_polynomial_cubic_and_k3():
     cubic = gamma_period_polynomial(ManifoldModel(2, 3), 3)
     assert cubic.coefficients[0] == 0
-    assert sympy.simplify(cubic.coefficients[1] - 9) == 0
+    assert sympy.simplify(to_sympy(cubic.coefficients[1]) - 9) == 0
     k3 = gamma_period_polynomial(ManifoldModel(3, 4), 4)
-    assert sympy.simplify(k3.coefficients[2] - 32) == 0
-    assert sympy.simplify(k3.coefficients[1]) == 0
-    assert sympy.simplify(k3.coefficients[0] / sympy.zeta(2) + 24) == 0
+    c = [to_sympy(x) for x in k3.coefficients]
+    assert sympy.simplify(c[2] - 32) == 0
+    assert sympy.simplify(c[1]) == 0
+    assert sympy.simplify(c[0] / sympy.zeta(2) + 24) == 0
+    # exactly 32 L^2 - 24 zeta(2) = 32 L^2 - 4 pi^2, with no simplification
+    assert k3.coefficients == [_exact([((0, 0, 2), -4)]), 0, 32]
+    assert repr(k3) == "PeriodPolynomial(32*L**2 - 4*pi**2)"
 
 
 def cy3_formula_oracle(m, omega_multiple):
@@ -315,7 +392,7 @@ def test_period_polynomial_cy3_formula_other_polarizations():
         poly = gamma_period_polynomial(m, mult)
         expect = cy3_formula_oracle(m, mult)
         for a, b in zip(poly.coefficients, expect):
-            assert sympy.simplify(a - b) == 0
+            assert sympy.simplify(to_sympy(a) - b) == 0
 
 
 def test_period_polynomial_top_coefficient_is_symplectic_volume():
@@ -327,7 +404,7 @@ def test_period_polynomial_top_coefficient_is_symplectic_volume():
         poly = gamma_period_polynomial(m, mult)
         h = GradedElement.hyperplane(m.dim)
         vol = Fraction(integrate(m, (mult * h) ** m.dim), math.factorial(m.dim))
-        assert sympy.simplify(poly.coefficients[m.dim] - sympy.sympify(vol)) == 0
+        assert sympy.simplify(to_sympy(poly.coefficients[m.dim]) - sympy.sympify(vol)) == 0
 
 
 def test_period_polynomial_bundle_pairing():
@@ -337,8 +414,55 @@ def test_period_polynomial_bundle_pairing():
     poly = gamma_period_polynomial(m, 2, ch_v)
     plain = gamma_period_polynomial(m, 2)
     two_pi_i = 2 * sympy.pi * sympy.I
-    assert sympy.simplify(poly.coefficients[0] - plain.coefficients[0] - two_pi_i) == 0
-    assert sympy.simplify(poly.coefficients[1] - plain.coefficients[1]) == 0
+    c, p = [to_sympy(x) for x in poly.coefficients], [to_sympy(x) for x in plain.coefficients]
+    assert sympy.simplify(c[0] - p[0] - two_pi_i) == 0
+    assert sympy.simplify(c[1] - p[1]) == 0
+
+
+# every Gamma polynomial the benchmark builds: P^1..P^8 and the Calabi-Yau
+# hypersurfaces of P^2..P^8, each with omega = (n+1) H
+BENCH_MODELS = [ManifoldModel(n) for n in range(1, 9)] + [
+    ManifoldModel(n, n + 1) for n in range(2, 9)
+]
+
+
+@pytest.mark.parametrize("m", BENCH_MODELS, ids=repr)
+def test_gamma_polynomials_equal_series_reference(m):
+    poly = gamma_period_polynomial(m, m.ambient_dim + 1)
+    reference = gamma_series_reference(m, m.ambient_dim + 1)
+    assert sympy.expand(poly_to_sympy(poly) - reference) == 0
+    # the printed form keeps sympy's names and parses back to the same value
+    assert sympy.expand(sympy.sympify(poly.symbolic()) - reference) == 0
+
+
+@pytest.mark.parametrize("m", [ManifoldModel(1), ManifoldModel(3), ManifoldModel(3, 4)], ids=repr)
+def test_bundle_pairing_equals_series_reference(m):
+    # ch(O(k)) = exp(k H), paired through (2 pi i)^deg
+    n = m.dim
+    for k in (1, -2):
+        ch_v = [
+            GradedElement([0] * j + [Fraction(k**j, math.factorial(j))], n)
+            for j in range(n + 1)
+        ]
+        poly = gamma_period_polynomial(m, 3, ch_v)
+        reference = gamma_series_reference(m, 3, line_degree=k)
+        assert sympy.expand(poly_to_sympy(poly) - reference) == 0
+
+
+def test_omega_multiple_must_be_rational():
+    m = ManifoldModel(2)
+    assert gamma_period_polynomial(m, Fraction(3, 2)).coefficients[2] == Fraction(9, 8)
+    for bad in (1.5, True, sympy.Integer(3), "3"):
+        with pytest.raises(TypeError):
+            gamma_period_polynomial(m, bad)
+
+
+def test_inverse_needs_rational_constant_term():
+    gamma = log_gamma_series_exact(1)[0]
+    with pytest.raises(TypeError):
+        GradedElement([gamma, 1], 1).inverse()
+    with pytest.raises(ValueError):
+        GradedElement([0, 1], 1).inverse()
 
 
 def test_period_polynomial_bundle_shape_check():
@@ -358,6 +482,101 @@ def test_period_polynomial_json_roundtrip():
     d = gamma_period_polynomial(ManifoldModel(4, 5), 1).to_json_dict()
     assert d["coeffs"][3] == pytest.approx(5 / 6, abs=1e-15)
     assert "zeta(3)" in d["symbolic"]
+
+
+# --- the exact ring against sympy ----------------------------------------
+
+RING = settings(derandomize=True, max_examples=50, deadline=None, database=None)
+SYMPY_GENERATORS = (sympy.I, sympy.EulerGamma, sympy.pi, sympy.zeta(3), sympy.zeta(5))
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# (monomial, coefficient) pairs over I, EulerGamma, pi, zeta(3), zeta(5); the
+# exponent of I runs to 3 and exponents may end in zeros, so not canonical
+ring_terms = st.lists(
+    st.tuples(st.lists(st.integers(0, 3), max_size=5).map(tuple), small_fractions),
+    max_size=4,
+)
+
+
+def terms_to_sympy(terms):
+    return sympy.expand(sum(
+        (sympy.Rational(c.numerator, c.denominator)
+         * sympy.Mul(*(g**e for g, e in zip(SYMPY_GENERATORS, m)))
+         for m, c in terms),
+        sympy.Integer(0),
+    ))
+
+
+def same(x, reference):
+    return sympy.expand(to_sympy(x) - reference) == 0
+
+
+@RING
+@given(ring_terms, ring_terms, small_fractions)
+def test_ring_arithmetic_matches_sympy(s, t, r):
+    a, b = _exact(s), _exact(t)
+    sa, sb = terms_to_sympy(s), terms_to_sympy(t)
+    # construction folds I^2 = -1 and merges equal monomials
+    assert same(a, sa) and same(b, sb)
+    sr = sympy.Rational(r.numerator, r.denominator)
+    for ours, reference in (
+        (a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (-a, -sa),
+        (a + r, sa + sr), (r - a, sr - sa), (a * r, sa * sr), (r * a, sr * sa),
+        (a * 3, 3 * sa), (2 - a, 2 - sa),
+    ):
+        assert same(ours, reference)
+
+
+@RING
+@given(ring_terms, ring_terms)
+def test_ring_equality_and_hash(s, t):
+    a, b = _exact(s), _exact(t)
+    assert (a == b) == (sympy.expand(terms_to_sympy(s) - terms_to_sympy(t)) == 0)
+    for x, y in ((a + b, b + a), (a * b, b * a), ((a + b) - b, a), (a * (b + 1), a * b + a)):
+        assert x == y and hash(x) == hash(y)
+
+
+@RING
+@given(ring_terms, small_fractions, small_fractions.filter(bool))
+def test_rational_results_are_plain_rationals(s, r, q):
+    a = _exact(s)
+    i = _exact([((1,), 1)])
+    assert i * i == -1 and i * i * i == -i
+    # (r + q i)(r - q i) = r^2 + q^2, and a + r - a = r
+    for x, expect in (((r + q * i) * (r - q * i), r * r + q * q), ((a + r) - a, r)):
+        assert type(x) in (int, Fraction) and x == expect and hash(x) == hash(expect)
+        assert x == sympy.Rational(expect.numerator, expect.denominator)
+        assert sympy.Rational(expect.numerator, expect.denominator) == x
+        if expect.denominator == 1:
+            assert x == int(expect) and int(expect) == x
+
+
+@RING
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(ring_terms, min_size=n, max_size=n)),
+    small_fractions.filter(bool),
+)
+def test_graded_exp_log_inverse_match_sympy(higher, c0):
+    # references are truncated power series in sympy: u = sum_k s_k H^k
+    n = len(higher)
+    coefficients = [_exact(t) for t in higher]
+    u = [sympy.Integer(0)] + [terms_to_sympy(t) for t in higher]
+    sc0 = sympy.Rational(c0.numerator, c0.denominator)
+    powers = [[sympy.Integer(1)] + [sympy.Integer(0)] * n]  # u^k up to H^n
+    for _ in range(n):
+        powers.append(truncated_product(powers[-1], u, n))
+
+    def check(element, weights):
+        for j, c in enumerate(element.coefficients):
+            assert same(c, sum(w * p[j] for w, p in zip(weights, powers)))
+
+    check(GradedElement([0] + coefficients, n).exp(),
+          [sympy.Rational(1, math.factorial(k)) for k in range(n + 1)])
+    check(GradedElement([1] + coefficients, n).log(),
+          [0] + [sympy.Rational((-1) ** (k + 1), k) for k in range(1, n + 1)])
+    x = GradedElement([c0] + coefficients, n)
+    # 1/(c0 + u) = sum_k (-1)^k u^k / c0^(k+1)
+    check(x.inverse(), [(-1) ** k / sc0 ** (k + 1) for k in range(n + 1)])
+    assert x * x.inverse() == GradedElement.one(n)
 
 
 # --- model bookkeeping ---------------------------------------------------

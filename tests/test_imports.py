@@ -1,6 +1,7 @@
 """Package layout: every import in gammatrop sits at module level and is
-used, every name a module exports in `__all__` exists, and every
-module-level function or class is referenced or exported.
+used, every name a module exports in `__all__` exists, every
+module-level function or class is referenced or exported, and importing
+the package loads no computer algebra system.
 
 An import inside a function or class usually hides an import cycle; this
 keeps the tropical layer acyclic: polyhedra imports lattice, never back.
@@ -8,6 +9,9 @@ keeps the tropical layer acyclic: polyhedra imports lattice, never back.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -99,3 +103,17 @@ def test_no_unreferenced_definition():
         and used[node.name] == references(node)[node.name]
     ]
     assert not unused, f"definitions nothing references: {unused}"
+
+
+def test_package_import_loads_no_sympy():
+    # sympy is a test-only reference; the exact layer has its own ring, and
+    # importing sympy would double the start-up time of every run
+    code = (
+        "import sys\n"
+        "import gammatrop, gammatrop.periods, gammatrop.tropical\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+    )
+    path = [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", f"importing gammatrop loaded {out.stdout.strip()}"

@@ -411,6 +411,8 @@ def test_sphere_validation():
         # a gap and an overlap
         (octahedron[1:], "4 pi"),
         (octahedron + octahedron[:1], "4 pi"),
+        # the four upper faces twice: 4 pi in all, but z integrates to 2 pi
+        ([f for f in octahedron if f[2][2] > 0] * 2, "exactly two facets"),
     ):
         with pytest.raises(ValueError, match=message):
             Sphere(bad)
