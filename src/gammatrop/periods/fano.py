@@ -13,6 +13,7 @@ of P^n.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 from scipy.special import k0 as _bessel_k0
@@ -34,6 +35,12 @@ _SUPPORTED_DIMS = (1, 2, 3)
 def _check_t(t: float) -> None:
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
+
+
+def _check_n(n: int) -> None:
+    # a bool is an int to isinstance, but True is no dimension
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
 
 
 def exp_period_orthant(
@@ -59,8 +66,7 @@ def exp_period_orthant(
     Non-convergent quadrature is reported on the returned sample, not
     raised.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_n(n)
     if n not in _SUPPORTED_DIMS:
         raise UnsupportedDimensionError(
             f"exp_period_orthant supports n in {_SUPPORTED_DIMS}, got {n}"
@@ -98,15 +104,23 @@ def exp_period_orthant(
     )
 
 
-def fano_prediction_polynomial(n: int) -> PeriodPolynomial:
-    """Period polynomial in L predicted for the P^n orthant period."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+@cache
+def _prediction(n: int) -> PeriodPolynomial:
+    """The Gamma polynomial of P^n, built once per checked n; never
+    handed out, since PeriodPolynomial is mutable."""
     return gamma_period_polynomial(ManifoldModel(n), n + 1)
+
+
+def fano_prediction_polynomial(n: int) -> PeriodPolynomial:
+    """Period polynomial in L predicted for the P^n orthant period; a new
+    object on every call."""
+    _check_n(n)
+    return PeriodPolynomial(_prediction(n).coefficients)
 
 
 def fano_gamma_prediction(n: int, t: float) -> float:
     """Predicted orthant-period value at parameter t."""
     _check_t(t)
-    value = fano_prediction_polynomial(n).evaluate_at_t(t)
+    _check_n(n)
+    value = _prediction(n).evaluate_at_t(t)
     return float(value.real)

@@ -68,7 +68,7 @@ class MirrorFamily:
         params = dict(self.parameters)
         if self.kind == "projective_fano":
             n = params.get("n")
-            if not isinstance(n, int) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValueError("projective_fano needs an integer n >= 1")
         if self.kind == "local_model_2d":
             for name in ("a1", "a2", "b"):

@@ -16,25 +16,21 @@ from typing import Iterable, Sequence
 Rational = int | Fraction
 
 
-def _gcd_all(values: Sequence[int]) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(v))
-    return g
-
-
 def primitive_vector(v: Sequence[Rational]) -> tuple[int, ...]:
     """The primitive integer vector on the ray through v.
 
-    Rational input is cleared to integers first; the zero vector has no
-    direction and raises ValueError.
+    Integer input is divided by its gcd; other rational input is cleared
+    to integers first.  The zero vector has no direction and raises
+    ValueError.
     """
-    fractions = [Fraction(x) for x in v]
-    if all(x == 0 for x in fractions):
+    integers = list(v)
+    if not all(isinstance(x, int) for x in integers):
+        fractions = [Fraction(x) for x in integers]
+        scale = math.lcm(*(x.denominator for x in fractions))
+        integers = [int(x * scale) for x in fractions]
+    g = math.gcd(*integers)
+    if g == 0:
         raise ValueError("the zero vector has no primitive direction")
-    scale = math.lcm(*(x.denominator for x in fractions))
-    integers = [int(x * scale) for x in fractions]
-    g = _gcd_all(integers)
     return tuple(x // g for x in integers)
 
 

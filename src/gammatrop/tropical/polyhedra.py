@@ -2,14 +2,17 @@
 
 The corner locus of a min-of-affine-forms function is stratified by the
 set of forms attaining the minimum.  Cells are enumerated by active
-subset, cut out by exact rational linear algebra, and clipped to a
-bounding box for presentation; no floating point enters any predicate.
-Every vertex, of a clipped cell, a compact chamber or a
-`halfplane_polygon`, comes from one kernel, `_region_vertices`, and
-every polygon is ordered by one hull, `lattice._convex_hull`.
-Predicates and eliminations run on Python ints: each rational row is
-scaled once by the lcm of its denominators, which changes no sign and no
-solution set, and only returned coordinates are built as Fractions.
+subset, cut out in ambient coordinates, and clipped to a bounding box for
+presentation; no floating point enters any predicate.  Predicates and
+eliminations run on Python ints in homogeneous coordinates: a point x is
+(x, 1) up to a positive scale, each form is one integer row (slope,
+offset) over a common denominator, and each rational row is scaled once
+by the lcm of its denominators, which changes no sign and no solution
+set.  Every rank and kernel comes from one fraction-free elimination,
+`_echelon`; every vertex, of a clipped cell, a compact chamber or a
+`halfplane_polygon`, from one kernel, `_homogeneous_vertices`; and every
+polygon is ordered by one hull, `lattice._convex_hull`.  Only returned
+coordinates are built as Fractions.
 """
 
 from __future__ import annotations
@@ -48,49 +51,66 @@ def _integer_row(values: Sequence[Rational]) -> tuple[int, ...]:
     return tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
-def _solve_affine(
-    rows: Sequence[tuple[tuple[Rational, ...], Rational]], n: int
-) -> tuple[Point, list[Point]] | None:
-    """Solve coef . w = rhs exactly; (particular, kernel basis) or None.
+def _form_rows(p: TropicalPolynomial) -> list[tuple[int, ...]]:
+    """Each form as the integer row (D m, D a) over one common denominator D."""
+    scale = math.lcm(*(f.offset.denominator for f in p.forms))
+    return [
+        (*(scale * s for s in f.slope), f.offset.numerator * (scale // f.offset.denominator))
+        for f in p.forms
+    ]
 
-    Fraction-free Gauss-Jordan on integer rows: each elimination is
-    p * row - f * pivot_row, reduced by its gcd, and pivot rows are never
-    normalized.  The reduced row echelon form is read out as Fractions at
-    the end.
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """p * row - f * pivot_row, which is 0 at col, divided by its gcd."""
+    p, f = pivot_row[col], row[col]
+    out = [p * x - f * y for x, y in zip(row, pivot_row)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _echelon(
+    rows: Sequence[Sequence[int]], m: int
+) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """Rank, a maximal independent subset and a kernel basis of int rows.
+
+    Fraction-free Gauss-Jordan elimination on rows of length m, taken in
+    order; pivot rows are never normalized.  A row that the rows before
+    it do not reduce to zero is independent of them and gets a pivot
+    column, its first nonzero entry.  Returns ({pivot column: index of
+    its row}, kernel): the map's length is the rank and its values are a
+    maximal independent subset E.  The kernel has one primitive integer
+    vector per free column c, in order of c, positive at c and 0 at every
+    other free column, as read off the reduced row echelon form.
     """
-    aug = [_integer_row((*coef, rhs)) for coef, rhs in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, len(aug)) if aug[k][col]), None)
-        if pivot is None:
+    reduced: dict[int, list[int]] = {}
+    independent: dict[int, int] = {}
+    for index, row in enumerate(rows):
+        row = list(row)
+        for col, pivot_row in reduced.items():
+            if row[col]:
+                row = _eliminate(row, pivot_row, col)
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pivot_row = aug[r]
-        p = pivot_row[col]
-        for k in range(len(aug)):
-            f = aug[k][col]
-            if k != r and f:
-                row = [p * x - f * y for x, y in zip(aug[k], pivot_row)]
-                g = math.gcd(*row)
-                aug[k] = [x // g for x in row] if g > 1 else row
-        pivot_cols.append(col)
-        r += 1
-    for k in range(r, len(aug)):
-        if aug[k][n]:
-            return None
-    particular = [Fraction(0)] * n
-    for row, col in enumerate(pivot_cols):
-        particular[col] = Fraction(aug[row][n], aug[row][col])
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, col in enumerate(pivot_cols):
-            v[col] = Fraction(-aug[row][f], aug[row][col])
-        basis.append(tuple(v))
-    return tuple(particular), basis
+        for c, pivot_row in reduced.items():
+            if pivot_row[col]:
+                reduced[c] = _eliminate(pivot_row, row, col)
+        reduced[col] = row
+        independent[col] = index
+    kernel = []
+    for free in (c for c in range(m) if c not in reduced):
+        scale = math.lcm(*(r[c] for c, r in reduced.items() if r[free]))
+        v = [0] * m
+        v[free] = scale
+        for c, r in reduced.items():
+            v[c] = -r[free] * (scale // r[c])
+        kernel.append(primitive_vector(v))
+    return independent, kernel
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows, all of one length."""
+    return len(_echelon(rows, len(rows[0]))[0]) if rows else 0
 
 
 def _minors(rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -115,19 +135,18 @@ def _minors(rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(h)
 
 
-def _region_vertices(
-    rows: Sequence[tuple[tuple[Rational, ...], Rational]], k: int
-) -> list[Point]:
-    """The sorted vertices of {s in Q^k : c . s + d >= 0 for all rows}.
+def _homogeneous_vertices(
+    lines: Sequence[tuple[int, ...]], k: int
+) -> list[tuple[int, ...]]:
+    """The vertices h = (x, w) of {line . h >= 0 for all lines}, k <= 3.
 
-    Rows are (c, d) pairs, k <= 3, each cleared to an integer row.  Every
-    k rows meet in the homogeneous point h = (x, w) of their signed
-    minors.  One with w = 0 is skipped; otherwise h is made w > 0, and
-    x / w is a vertex once (c, d) . h >= 0 for every row.  Only vertices
-    become Fractions.  For k = 0 the one candidate is the empty point.
-    An empty region gives [], and an unbounded one the vertices it has.
+    Lines are integer rows of length k + 1 whose last entry pairs with w.
+    Every k lines meet in the homogeneous point h of their signed minors.
+    One with w = 0 is skipped; otherwise h is made w > 0, and x / w is a
+    vertex once line . h >= 0 for every line.  Each vertex comes once, as
+    a primitive h; for k = 0 the one candidate is (1,).  An empty region
+    gives [], and an unbounded one the vertices it has.
     """
-    lines = [_integer_row((*c, d)) for c, d in rows]
     vertices = set()
     for combo in itertools.combinations(lines, k):
         h = _minors(combo)
@@ -135,19 +154,29 @@ def _region_vertices(
         if w == 0:
             continue
         if w < 0:
-            h, w = tuple(-x for x in h), -w
+            h = tuple(-x for x in h)
         if all(sum(map(mul, line, h)) >= 0 for line in lines):
-            vertices.add(tuple(Fraction(x, w) for x in h[:-1]))
-    return sorted(vertices)
+            g = math.gcd(*h)
+            vertices.add(tuple(x // g for x in h))
+    return list(vertices)
 
 
-def _affine_dim(points: Sequence[Point]) -> int:
-    """The dimension of the affine span of the points; -1 for none."""
-    if not points:
-        return -1
-    n = len(points[0])
-    offsets = [tuple(x - o for x, o in zip(p, points[0])) for p in points[1:]]
-    return n - len(_solve_affine([(row, Fraction(0)) for row in offsets], n)[1])
+def _point(h: Sequence[int]) -> Point:
+    """The affine point x / w of a homogeneous h = (x, w), w != 0."""
+    w = h[-1]
+    return tuple(Fraction(x, w) for x in h[:-1])
+
+
+def _region_vertices(
+    rows: Sequence[tuple[tuple[Rational, ...], Rational]], k: int
+) -> list[Point]:
+    """The sorted vertices of {s in Q^k : c . s + d >= 0 for all rows}.
+
+    Rows are (c, d) pairs, each cleared to an integer line for
+    `_homogeneous_vertices`; only the vertices become Fractions.
+    """
+    lines = [_integer_row((*c, d)) for c, d in rows]
+    return sorted(map(_point, _homogeneous_vertices(lines, k)))
 
 
 def _recession_nontrivial(
@@ -211,12 +240,16 @@ class Cell:
     """One closed stratum of a corner locus, clipped to the query box.
 
     active lists the forms attaining the minimum on the relative
-    interior; vertices describe the clipped piece: sorted for points and
-    segments, and for a 2-cell the counterclockwise `_convex_hull` cycle
-    in the cell's own coordinates, from the vertex least in them;
-    directions are primitive integer vectors spanning the cell, with a
-    ray's direction pointing toward its unbounded end; bounded refers to
-    the cell before clipping.
+    interior; vertices describe the clipped piece in ambient coordinates:
+    sorted for points and segments, and for a 2-cell the counterclockwise
+    `_convex_hull` cycle of its projection that drops the first
+    coordinate its plane's normal involves (the projection of
+    `lattice._projected_area`), from the vertex least there; directions
+    are primitive integer vectors spanning the cell, with a ray's
+    direction pointing toward its unbounded end and a 2-cell's pair the
+    `plane_lattice_basis` of the first two kernel vectors of its
+    equalities (see `_echelon`); bounded refers to the cell before
+    clipping.
     """
 
     dim: int
@@ -265,11 +298,17 @@ def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
     if n > 3:
         raise UnsupportedDimensionError("corner locus supports dim <= 3")
     bounds = _normalize_box(box, n)
-    forms = p.forms
+    rows = _form_rows(p)
+    box_lines = []
+    for j, (lo, hi) in enumerate(bounds):
+        unit = [int(i == j) for i in range(n)]
+        box_lines.append((*(lo.denominator * x for x in unit), -lo.numerator))
+        box_lines.append((*(-hi.denominator * x for x in unit), hi.numerator))
+    known: dict[tuple[int, ...], Point] = {}
     cells: list[Cell] = []
-    for size in range(2, len(forms) + 1):
-        for subset in itertools.combinations(range(len(forms)), size):
-            cell = _cell_for_subset(p, subset, bounds)
+    for size in range(2, len(rows) + 1):
+        for subset in itertools.combinations(range(len(rows)), size):
+            cell = _cell_for_subset(rows, subset, box_lines, known)
             if cell is not None:
                 cells.append(cell)
     cells.sort(key=lambda c: (c.dim, c.active))
@@ -277,107 +316,74 @@ def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
 
 
 def _cell_for_subset(
-    p: TropicalPolynomial,
+    rows: Sequence[tuple[int, ...]],
     subset: tuple[int, ...],
-    bounds: tuple[tuple[Fraction, Fraction], ...],
+    box_lines: Sequence[tuple[int, ...]],
+    known: dict[tuple[int, ...], Point],
 ) -> Cell | None:
-    n = p.dim
-    forms = p.forms
-    base = subset[0]
-    m0 = forms[base].slope
-    a0 = forms[base].offset
-    eq_rows = []
-    for i in subset[1:]:
-        coef = tuple(Fraction(forms[i].slope[j] - m0[j]) for j in range(n))
-        eq_rows.append((coef, a0 - forms[i].offset))
-    solved = _solve_affine(eq_rows, n)
-    if solved is None:
-        return None
-    origin, basis = solved
-    k = len(basis)
+    """The cell where exactly the subset's forms are least, or None.
 
-    def diff_on_hull(l: int) -> tuple[tuple[Fraction, ...], Fraction] | None:
-        """(coeffs in cell coords, value at origin) of f_l - f_base."""
-        slope = tuple(Fraction(forms[l].slope[j] - m0[j]) for j in range(n))
-        const = forms[l].offset - a0
-        at_origin = sum(
-            (c * x for c, x in zip(slope, origin)), const
-        )
-        coeffs = tuple(
-            sum(c * b for c, b in zip(slope, vec)) for vec in basis
-        )
-        return coeffs, at_origin
+    The equalities f_i = f_base are the integer rows row_i - row_base.
+    Their kernel K in homogeneous coordinates has dimension k + 1 for a
+    k-cell: k directions (w = 0) and one point of the affine hull, last.
+    Every other form's row and every box row is reduced to coordinates g
+    on K, h = sum g_i K_i, once; the cell is the region of the reduced
+    rows, so its vertices, directions and recession test all work on g.
+    Each vertex is built once per corner locus, as `known`[primitive h].
+    """
+    n = len(rows[0]) - 1
+    base = rows[subset[0]]
 
+    def against_base(i: int) -> tuple[int, ...]:
+        return tuple(x - y for x, y in zip(rows[i], base))
+
+    independent, kernel = _echelon([against_base(i) for i in subset[1:]], n + 1)
+    if n in independent:
+        return None  # a pivot at w: the linear parts of E have lower rank than E
+    k = len(kernel) - 1
+
+    def reduced(line: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sum(map(mul, line, v)) for v in kernel)
+
+    inactive = [reduced(against_base(l)) for l in range(len(rows)) if l not in subset]
     # a form equal to the minimum on the whole affine hull belongs to a
     # larger active set; that subset produces the cell instead
-    inactive = [l for l in range(len(forms)) if l not in subset]
-    ineqs = []
-    for l in inactive:
-        coeffs, at_origin = diff_on_hull(l)
-        if at_origin == 0 and all(c == 0 for c in coeffs):
-            return None
-        ineqs.append((coeffs, at_origin))
-
-    bounded = not _recession_nontrivial([c for c, _ in ineqs], k)
-
-    # box constraints, expressed in cell coordinates
-    box_rows = []
-    for j in range(n):
-        lo, hi = bounds[j]
-        coeffs = tuple(vec[j] for vec in basis)
-        box_rows.append((coeffs, origin[j] - lo))
-        box_rows.append((tuple(-c for c in coeffs), hi - origin[j]))
-
-    # k <= 2: two distinct forms give at least one independent equation
-    vertices_s = _region_vertices(ineqs + box_rows, k)
-    if _affine_dim(vertices_s) != k:
+    if not all(map(any, inactive)):
         return None
-    if k == 2:
-        vertices_s = _convex_hull(vertices_s)
-
-    vertices = tuple(
-        tuple(
-            origin[j] + sum(s * vec[j] for s, vec in zip(sv, basis))
-            for j in range(n)
-        )
-        for sv in vertices_s
-    )
-
-    directions: tuple[tuple[int, ...], ...]
-    if k == 0:
-        directions = ()
-    elif k == 1:
-        prim = primitive_vector(basis[0])
-        has_upper = any(
-            c < 0 for (c,), _ in ineqs
-        )
-        has_lower = any(
-            c > 0 for (c,), _ in ineqs
-        )
-        if not has_upper and has_lower:
-            pass  # unbounded as s -> +inf, keep +prim
-        elif not has_lower and has_upper:
-            prim = tuple(-x for x in prim)
-        else:
-            prim = _canonical_sign(prim)
+    found = _homogeneous_vertices(inactive + [reduced(b) for b in box_lines], k)
+    if _rank(found) != k + 1:
+        return None
+    columns = list(zip(*kernel))
+    points = [primitive_vector([sum(map(mul, g, c)) for c in columns]) for g in found]
+    bounded, directions = True, ()
+    if k == 1:
+        upper = any(g[0] < 0 for g in inactive)
+        lower = any(g[0] > 0 for g in inactive)
+        bounded = upper and lower
+        prim = primitive_vector(kernel[0][:-1])
+        flipped = tuple(-x for x in prim)
+        if upper == lower:
+            prim = max(prim, flipped)  # first nonzero entry positive
+        elif upper:
+            prim = flipped  # unbounded as g_0 -> -inf
         directions = (prim,)
-    else:
-        directions = plane_lattice_basis(basis[0], basis[1])
-
+    elif k == 2:
+        bounded = not _recession_nontrivial([g[:-1] for g in inactive], 2)
+        # the plane's normal is E's one row: drop its pivot, the first
+        # nonzero coordinate, and order the shadow on ints over one w
+        i, j = (c for c in range(3) if c not in independent)
+        w = math.lcm(*(h[-1] for h in points))
+        shadow = {(h[i] * (w // h[-1]), h[j] * (w // h[-1])): h for h in points}
+        points = [shadow[q] for q in _convex_hull(shadow)]
+        directions = plane_lattice_basis(kernel[0][:-1], kernel[1][:-1])
+    vertices = [known[h] if h in known else known.setdefault(h, _point(h)) for h in points]
     return Cell(
         dim=k,
-        active=tuple(sorted(subset)),
-        vertices=vertices,
+        active=subset,
+        vertices=tuple(vertices if k == 2 else sorted(vertices)),
         directions=directions,
         bounded=bounded,
     )
-
-
-def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
 
 
 def halfplane_polygon(
@@ -393,7 +399,8 @@ def halfplane_polygon(
     vertices = _region_vertices(rows, 2)
     if vertices and _recession_nontrivial([c for c, _ in rows], 2):
         raise ValueError("halfplane_polygon needs a bounded region")
-    return _convex_hull(vertices) if _affine_dim(vertices) == 2 else []
+    full = _rank([_integer_row((*v, 1)) for v in vertices]) == 3
+    return _convex_hull(vertices) if full else []
 
 
 @dataclass(frozen=True)
@@ -428,18 +435,14 @@ class LatticePolytope:
         )
 
     def edges(self) -> tuple[tuple[Point, Point], ...]:
-        """Vertex pairs whose common active facets cut out a line."""
+        """Vertex pairs whose common facets' normals have rank dim - 1."""
+        on = [
+            {f for f in self.facets if sum((c * x for c, x in zip(f[0], v)), f[1]) == 0}
+            for v in self.vertices
+        ]
         out = []
-        for v, u in itertools.combinations(self.vertices, 2):
-            common = [
-                normal
-                for normal, offset in self.facets
-                if sum((c * x for c, x in zip(normal, v)), offset) == 0
-                and sum((c * x for c, x in zip(normal, u)), offset) == 0
-            ]
-            rows = [tuple(Fraction(c) for c in normal) for normal in common]
-            solved = _solve_affine([(r, Fraction(0)) for r in rows], self.dim)
-            if solved is not None and len(solved[1]) == 1:
+        for (v, v_on), (u, u_on) in itertools.combinations(zip(self.vertices, on), 2):
+            if _rank([normal for normal, _ in v_on & u_on]) == self.dim - 1:
                 out.append((v, u))
         return tuple(sorted(out))
 
@@ -466,14 +469,10 @@ def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
     otherwise the family is not of the expected shape and a
     StructureError is raised.
     """
-    n = p.dim
-    if n > 3:
+    if p.dim > 3:
         raise UnsupportedDimensionError("compact chamber supports dim <= 3")
-    found = []
-    for i in range(len(p.forms)):
-        result = _form_region(p, i)
-        if result is not None:
-            found.append(result)
+    rows = _form_rows(p)
+    found = [r for i in range(len(rows)) if (r := _form_region(rows, i)) is not None]
     if len(found) != 1:
         raise StructureError(
             f"expected exactly one compact chamber, found {len(found)}"
@@ -481,52 +480,48 @@ def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
     return found[0]
 
 
-def _form_region(p: TropicalPolynomial, i: int) -> LatticePolytope | None:
-    n = p.dim
-    fi = p.forms[i]
-    rows = []
-    for j, fj in enumerate(p.forms):
+def _form_region(rows: Sequence[tuple[int, ...]], i: int) -> LatticePolytope | None:
+    """The region where form i is least, if it is a bounded n-polytope."""
+    n = len(rows[i]) - 1
+    lines = []
+    for j, row in enumerate(rows):
         if j == i:
             continue
-        coef = tuple(
-            Fraction(fj.slope[k] - fi.slope[k]) for k in range(n)
-        )
-        const = fj.offset - fi.offset
-        if all(c == 0 for c in coef):
-            if const < 0:
+        line = tuple(x - y for x, y in zip(row, rows[i]))
+        if not any(line[:-1]):
+            if line[-1] < 0:
                 return None  # another form is everywhere smaller
             continue
-        rows.append((coef, const))
-    if _recession_nontrivial([c for c, _ in rows], n):
+        lines.append(line)
+    if _recession_nontrivial([line[:-1] for line in lines], n):
         return None
-    vertices = _region_vertices(rows, n)
-    if _affine_dim(vertices) != n:
+    found = _homogeneous_vertices(lines, n)
+    if _rank(found) != n + 1:
         return None
-    facets = _irredundant_facets(rows, vertices, n)
-    return LatticePolytope(dim=n, vertices=tuple(vertices), facets=facets)
+    return LatticePolytope(
+        dim=n,
+        vertices=tuple(sorted(map(_point, found))),
+        facets=_irredundant_facets(lines, found, n),
+    )
 
 
 def _irredundant_facets(
-    rows: Sequence[tuple[tuple[Fraction, ...], Fraction]],
-    vertices: Sequence[Point],
+    lines: Sequence[tuple[int, ...]],
+    vertices: Sequence[tuple[int, ...]],
     n: int,
 ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    facets = {}
-    for coef, const in rows:
-        active = [
-            v
-            for v in vertices
-            if sum((c * x for c, x in zip(coef, v)), const) == 0
-        ]
-        if _affine_dim(active) != n - 1:
+    """The lines whose equality holds on an (n - 1)-face, made primitive.
+
+    Lines and vertices are homogeneous integer rows, so the face test is
+    line . h == 0 on ints.
+    """
+    facets = set()
+    for line in lines:
+        on = [h for h in vertices if sum(map(mul, line, h)) == 0]
+        if _rank(on) != n:
             continue
-        normal = primitive_vector(coef)
-        scale = None
-        for c, e in zip(coef, normal):
-            if e != 0:
-                scale = c / e
-                break
-        facets[(normal, const / scale)] = None
+        g = math.gcd(*line[:-1])
+        facets.add((tuple(c // g for c in line[:-1]), Fraction(line[-1], g)))
     return tuple(sorted(facets))
 
 

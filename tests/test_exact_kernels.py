@@ -1,13 +1,16 @@
 """Property tests: the integer kernels of the exact tropical layer.
 
 _region_vertices (for every k, and through halfplane_polygon for k = 2),
-_solve_affine and _recession_nontrivial clear each row's denominators and
-work on ints.  Each is checked here against a reference that runs the same
-algorithm on Fractions throughout, and against the defining property of
-its answer.
+_echelon, _recession_nontrivial and corner_locus clear each row's
+denominators and work on ints.  Each is checked here against a reference
+that runs on Fractions throughout, and against the defining property of
+its answer.  The corner-locus reference cuts each cell out in its own
+coordinates, an origin and basis of its affine hull, as the exact layer
+once did.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,12 +19,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from gammatrop.tropical import affine_volume, halfplane_polygon, polygon_affine_area
+from gammatrop.tropical import (
+    AffineForm,
+    TropicalPolynomial,
+    affine_volume,
+    corner_locus,
+    halfplane_polygon,
+    plane_lattice_basis,
+    polygon_affine_area,
+    primitive_vector,
+)
 from gammatrop.tropical.lattice import _cross
 from gammatrop.tropical.polyhedra import (
+    _echelon,
+    _integer_row,
     _recession_nontrivial,
     _region_vertices,
-    _solve_affine,
 )
 
 EXACT = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -84,12 +97,12 @@ def ref_interval(rows):
     return sorted({(x,) for x in (lo, hi) if x is not None})
 
 
-def ref_region_vertices_3d(rows):
-    """The k = 3 region's vertices: every 3 rows solved as equations on
+def ref_region_vertices(rows, k):
+    """The region's vertices: every k rows solved as equations on
     Fractions, kept when the solution is unique and satisfies every row."""
     vertices = set()
-    for combo in itertools.combinations(rows, 3):
-        solved = ref_solve_affine([(c, -d) for c, d in combo], 3)
+    for combo in itertools.combinations(rows, k):
+        solved = ref_solve_affine([(c, -d) for c, d in combo], k)
         if solved is None or solved[1]:
             continue
         point = solved[0]
@@ -152,6 +165,68 @@ def ref_recession(rows, k):
     return any(feasible(d) or feasible(tuple(-x for x in d)) for d in candidates)
 
 
+def ref_affine_dim(points):
+    if not points:
+        return -1
+    n = len(points[0])
+    offsets = [tuple(x - o for x, o in zip(p, points[0])) for p in points[1:]]
+    return n - len(ref_solve_affine([(row, Fraction(0)) for row in offsets], n)[1])
+
+
+def ref_cell(forms, subset, box):
+    """One cell in its own coordinates: the affine hull of the subset's
+    equalities as an origin and a basis, every other form and the box
+    rewritten there on Fractions, the vertices mapped back."""
+    n = len(box)
+    m0, a0 = forms[subset[0]].slope, forms[subset[0]].offset
+
+    def against_base(f):
+        return tuple(Fraction(s - b) for s, b in zip(f.slope, m0)), f.offset - a0
+
+    solved = ref_solve_affine(
+        [(slope, -const) for slope, const in map(against_base, (forms[i] for i in subset[1:]))], n
+    )
+    if solved is None:
+        return None
+    origin, basis = solved
+    k = len(basis)
+    ineqs = []
+    for l, form in enumerate(forms):
+        if l in subset:
+            continue
+        slope, const = against_base(form)
+        coeffs = tuple(sum(c * b for c, b in zip(slope, vec)) for vec in basis)
+        at_origin = sum((c * x for c, x in zip(slope, origin)), const)
+        if at_origin == 0 and not any(coeffs):
+            return None
+        ineqs.append((coeffs, at_origin))
+    rows = list(ineqs)
+    for j, (lo, hi) in enumerate(box):
+        coeffs = tuple(vec[j] for vec in basis)
+        rows += [(coeffs, origin[j] - lo), (tuple(-c for c in coeffs), hi - origin[j])]
+    points = ref_region_vertices(rows, k)
+    if ref_affine_dim(points) != k:
+        return None
+    vertices = frozenset(
+        tuple(origin[j] + sum(s * vec[j] for s, vec in zip(sv, basis)) for j in range(n))
+        for sv in points
+    )
+    directions = ()
+    if k == 1:
+        prim = primitive_vector(basis[0])
+        signs = {c > 0 for (c,), _ in ineqs if c != 0}
+        if signs == {True}:
+            directions = (prim,)
+        elif signs == {False}:
+            directions = (tuple(-x for x in prim),)
+        else:  # a line or a bounded segment: first nonzero entry positive
+            first = next(x for x in prim if x)
+            directions = (prim if first > 0 else tuple(-x for x in prim),)
+    elif k == 2:
+        directions = plane_lattice_basis(basis[0], basis[1])
+    return k, subset, vertices, not ref_recession([c for c, _ in ineqs], k), directions
+
+
 # --- strategies ---
 
 
@@ -196,6 +271,30 @@ def affine_systems(draw):
 
 
 @st.composite
+def tropical_polynomials(draw):
+    """(p, box): 2-5 distinct forms in dimension 1-3 and a random box.
+
+    Half the cases are the n + 2 slopes of the fan of P^n (the unit
+    vectors, minus their sum, and 0) with random offsets, whose chamber
+    is bounded when it is not empty; the others draw their slopes from
+    that fan and [-2, 2]^n, so parallel slopes and ties are common.
+    """
+    n = draw(st.integers(1, 3))
+    fan = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n, (0,) * n]
+    if draw(st.booleans()):
+        pairs = [(m, draw(rationals)) for m in fan]
+    else:
+        size = draw(st.integers(2, 5))
+        slopes = st.one_of(st.sampled_from(fan), st.tuples(*[st.integers(-2, 2)] * n))
+        pairs = draw(st.lists(st.tuples(slopes, rationals), min_size=size, max_size=size, unique=True))
+    box = []
+    for _ in range(n):
+        lo = Fraction(draw(st.integers(-40, 4)), 4)
+        box.append((lo, lo + Fraction(draw(st.integers(1, 80)), 4)))
+    return TropicalPolynomial(tuple(AffineForm(m, a) for m, a in pairs)), tuple(box)
+
+
+@st.composite
 def unimodular(draw, n):
     """A matrix in GL(n, Z): a product of row negations and row additions."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -209,6 +308,21 @@ def unimodular(draw, n):
         else:
             m[i] = [x + k * y for x, y in zip(m[i], m[j])]
     return m
+
+
+def same_plane_lattice(basis, other):
+    """Whether two pairs of integer 3-vectors span one lattice: the same
+    normal up to sign, and each vector an integer combination of the
+    other pair."""
+    normal = _cross(*other)
+    if _cross(*basis) not in (normal, tuple(-x for x in normal)):
+        return False
+    norm2 = sum(x * x for x in normal)
+    return all(
+        sum(a * b for a, b in zip(_cross(v, w), normal)) % norm2 == 0
+        for v in basis
+        for w in other
+    )
 
 
 def apply(m, shift, points):
@@ -246,36 +360,85 @@ def test_region_vertices_match_interval_clip(rows):
 @given(halfspaces(3))
 def test_region_vertices_match_fraction_reference_in_space(rows):
     vertices = _region_vertices(rows, 3)
-    assert vertices == ref_region_vertices_3d(rows)
+    assert vertices == ref_region_vertices(rows, 3)
     for v in vertices:
         assert all(isinstance(x, Fraction) for x in v)
 
 
+def homogeneous(rows):
+    """Each equation coef . w = rhs as the integer row (coef, -rhs) on (w, 1)."""
+    return [_integer_row((*coef, -rhs)) for coef, rhs in rows]
+
+
 @EXACT
 @given(affine_systems())
-def test_solve_affine_matches_fraction_rref(system):
+def test_echelon_rank_independent_set_and_kernel(system):
     rows, n = system
-    solved = _solve_affine(rows, n)
-    assert solved == ref_solve_affine(rows, n)
+    lines = homogeneous(rows)
+    independent, kernel = _echelon(lines, n + 1)
+    rank = sympy.Matrix(lines).rank() if lines else 0
+    assert len(independent) == rank == n + 1 - len(kernel)
+    chosen = [lines[i] for i in independent.values()]
+    assert (sympy.Matrix(chosen).rank() if chosen else 0) == rank
+    # K spans ker E: it is annihilated by every row, and independent
+    for v in kernel:
+        assert all(sum(a * x for a, x in zip(line, v)) == 0 for line in lines)
+        assert math.gcd(*v) == 1
+    assert (sympy.Matrix(kernel).rank() if kernel else 0) == len(kernel)
+    # against the Fraction reduced row echelon form: the kernel's free
+    # columns are in order, and only the last vector, a homogeneous point
+    # of the solution set, is nonzero at w
+    solved = ref_solve_affine(rows, n)
+    assert (n in independent) == (solved is None)
     if solved is None:
+        assert all(v[n] == 0 for v in kernel)
         return
     particular, basis = solved
-    for coef, rhs in rows:
-        assert sum(c * x for c, x in zip(coef, particular)) == rhs
-        for v in basis:
-            assert sum(c * x for c, x in zip(coef, v)) == 0
-    rank = sympy.Matrix([list(c) for c, _ in rows]).rank() if rows else 0
-    assert len(basis) == n - rank
+    *directions, point = kernel
+    assert point[n] > 0
+    assert tuple(Fraction(x, point[n]) for x in point[:n]) == particular
+    for v, b in zip(directions, basis, strict=True):
+        assert v[n] == 0
+        scale = next(Fraction(x) / y for x, y in zip(v, b) if y)
+        assert scale > 0 and all(x == scale * y for x, y in zip(v, b))
 
 
 @EXACT
 @given(affine_systems())
-def test_solve_affine_rejects_inconsistent_systems(system):
+def test_echelon_detects_inconsistent_systems(system):
     rows, n = system
     # the sum of all rows, with its right-hand side shifted by one
     coef = tuple(sum(c[j] for c, _ in rows) for j in range(n))
     rhs = sum((r for _, r in rows), Fraction(0)) + 1
-    assert _solve_affine([*rows, (coef, rhs)], n) is None
+    independent, kernel = _echelon(homogeneous([*rows, (coef, rhs)]), n + 1)
+    # a pivot in the w column: the linear parts have rank below the rows'
+    assert n in independent
+    assert all(v[n] == 0 for v in kernel)
+
+
+@EXACT
+@given(tropical_polynomials())
+def test_corner_locus_matches_cell_coordinate_reference(case):
+    p, box = case
+    cells = corner_locus(p, box).cells
+    expected = [
+        cell
+        for size in range(2, len(p.forms) + 1)
+        for subset in itertools.combinations(range(len(p.forms)), size)
+        if (cell := ref_cell(p.forms, subset, box)) is not None
+    ]
+    got = {(c.dim, c.active): c for c in cells}
+    assert len(got) == len(cells)
+    assert set(got) == {(k, subset) for k, subset, *_ in expected}
+    for k, subset, vertices, bounded, directions in expected:
+        cell = got[k, subset]
+        assert set(cell.vertices) == vertices and len(cell.vertices) == len(vertices)
+        assert cell.bounded == bounded
+        if k < 2:
+            assert cell.vertices == tuple(sorted(vertices))
+            assert cell.directions == directions
+        else:
+            assert same_plane_lattice(cell.directions, directions)
 
 
 @EXACT

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gammatrop.periods.k3 as k3
+from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial
 from gammatrop.errors import (
     NonConvergenceError,
     StructureError,
@@ -267,6 +268,34 @@ def test_fano_prediction_polynomials():
     for big_l in (0.0, 1.0, 2.37):
         assert abs(p2.evaluate(big_l).real - p2_oracle(big_l)) < 1e-10
         assert abs(p3.evaluate(big_l).real - p3_oracle(big_l)) < 1e-10
+
+
+def test_fano_prediction_is_built_once_and_handed_out_fresh():
+    for n in (1, 2, 3):
+        built = gamma_period_polynomial(ManifoldModel(n), n + 1)
+        for t in (0.5, 1e-3, 1e-12):
+            assert fano_gamma_prediction(n, t) == float(built.evaluate_at_t(t).real)
+        first = fano_prediction_polynomial(n)
+        assert first.coefficients == built.coefficients
+        before = fano_gamma_prediction(n, 1e-3)
+        first.coefficients[-1] = 0
+        first.coefficients.append(7)
+        assert fano_prediction_polynomial(n).coefficients == built.coefficients
+        assert fano_gamma_prediction(n, 1e-3) == before
+
+
+def test_fano_dimension_rejects_bool():
+    # True == 1 and hashes like it, so it must not reach the cached n = 1
+    fano_prediction_polynomial(1)
+    for bad in (True, False):
+        with pytest.raises(ValueError):
+            exp_period_orthant(bad, 0.1)
+        with pytest.raises(ValueError):
+            fano_gamma_prediction(bad, 0.1)
+        with pytest.raises(ValueError):
+            fano_prediction_polynomial(bad)
+        with pytest.raises(ValueError):
+            MirrorFamily("projective_fano", {"n": bad})
 
 
 def test_local_polytope_area():
