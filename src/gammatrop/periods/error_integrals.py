@@ -25,6 +25,17 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def _scale(mode: str, t: float | None) -> float:
+    """L = -log t for raw mode; reduced mode is raw mode at L = 1."""
+    if mode == "reduced":
+        return 1.0
+    if mode == "raw":
+        if t is None or not 0.0 < t < 1.0:
+            raise ValueError("raw mode needs t in (0, 1)")
+        return -math.log(t)
+    raise ValueError(f"mode must be 'reduced' or 'raw', got {mode!r}")
+
+
 def error_integral_dim1(
     mode: str = "reduced",
     t: float | None = None,
@@ -32,32 +43,18 @@ def error_integral_dim1(
 ) -> float:
     """The 1d tropicalization error; equals zeta(2) for every t.
 
-    reduced mode integrates the t-free substitution s = L y:
-
-        integral of (log(1 + e^-s) + min(0, s)) ds over R,
-
-    whose integrand telescopes to the symmetric log(1 + e^-|s|).  raw
-    mode computes L^2 times the integral of (-log_t(1 + t^y) +
-    min(0, y)) dy directly at the given t; the same telescoping gives
-    the stable integrand log(1 + e^-L|y|) / L.
+    raw mode computes L^2 times the integral of (-log_t(1 + t^y) +
+    min(0, y)) dy at the given t; the integrand telescopes to the stable
+    symmetric form log(1 + e^-L|y|) / L.  reduced mode is the t-free
+    substitution s = L y, which is the same integral at L = 1.
     """
-    cfg = config or QuadratureConfig()
-    if mode == "reduced":
-        result = integrate_1d(
-            lambda s: _softplus(-np.abs(s)), (-math.inf, math.inf), cfg
-        )
-        return _require_converged(result, "dim-1 reduced error integral")
-    if mode == "raw":
-        if t is None or not 0.0 < t < 1.0:
-            raise ValueError("raw mode needs t in (0, 1)")
-        big_l = -math.log(t)
-        result = integrate_1d(
-            lambda y: _softplus(-big_l * np.abs(y)) / big_l,
-            (-math.inf, math.inf),
-            cfg,
-        )
-        return big_l**2 * _require_converged(result, "dim-1 raw error integral")
-    raise ValueError(f"mode must be 'reduced' or 'raw', got {mode!r}")
+    big_l = _scale(mode, t)
+    result = integrate_1d(
+        lambda y: _softplus(-big_l * np.abs(y)) / big_l,
+        (-math.inf, math.inf),
+        config or QuadratureConfig(),
+    )
+    return big_l**2 * _require_converged(result, f"dim-1 {mode} error integral")
 
 
 def error_integral_dim2_a(
@@ -67,39 +64,23 @@ def error_integral_dim2_a(
 ) -> float:
     """The squared-phase error along a 1d slice; equals zeta(3).
 
-    reduced mode computes half the integral of (log(1 + e^-s))^2 -
-    min(0, s)^2 over R.  Writing log(1 + e^-s) = -min(0, s) +
-    log(1 + e^-|s|) cancels the quadratic growth:
+    raw mode evaluates (1/2) L^3 times the integral of ((log_t(1+t^y))^2
+    - min(0, y)^2) dy at the given t, and reduced mode the same at L = 1.
+    Writing log(1 + e^-s) = -min(0, s) + log(1 + e^-|s|) with s = L y
+    cancels the quadratic growth:
 
         (phase)^2 - min^2 = -2 min(0, s) g(s) + g(s)^2,  g = log(1+e^-|s|),
 
-    leaving an absolutely integrable integrand.  raw mode evaluates the
-    t-dependent form (1/2) L^3 integral of ((log_t(1+t^y))^2 -
-    min(0, y)^2) dy at the given t.
+    leaving an absolutely integrable integrand.
     """
-    cfg = config or QuadratureConfig()
-    if mode == "reduced":
+    big_l = _scale(mode, t)
 
-        def integrand(s):
-            g = _softplus(-np.abs(s))
-            return -2.0 * np.minimum(0.0, s) * g + g * g
+    def integrand(y):
+        g = _softplus(-big_l * np.abs(y))
+        return -2.0 * np.minimum(0.0, y) * g + g * g / big_l
 
-        result = integrate_1d(integrand, (-math.inf, math.inf), cfg)
-        return 0.5 * _require_converged(result, "dim-2 slice error integral")
-    if mode == "raw":
-        if t is None or not 0.0 < t < 1.0:
-            raise ValueError("raw mode needs t in (0, 1)")
-        big_l = -math.log(t)
-
-        def integrand(y):
-            g = _softplus(-big_l * np.abs(y))
-            return -2.0 * np.minimum(0.0, y) * g + g * g / big_l
-
-        result = integrate_1d(integrand, (-math.inf, math.inf), cfg)
-        return 0.5 * big_l**2 * _require_converged(
-            result, "dim-2 slice raw error integral"
-        )
-    raise ValueError(f"mode must be 'reduced' or 'raw', got {mode!r}")
+    result = integrate_1d(integrand, (-math.inf, math.inf), config or QuadratureConfig())
+    return 0.5 * big_l**2 * _require_converged(result, f"dim-2 slice {mode} error integral")
 
 
 def _tropical_line() -> TropicalPolynomial:

@@ -28,7 +28,7 @@ class PeriodSample:
     error_estimate: float
     evaluations: int
     parametrization: str
-    converged: bool = True
+    converged: bool
 
     def __post_init__(self) -> None:
         if not 0.0 < self.t < 1.0:

@@ -55,8 +55,8 @@ __all__ = [
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000   # splits per panel heap: one heap per 1d
-                                   # interval or half-line, one per 2d integral
+    max_subdivisions: int = 2000   # splits per panel heap, one heap per
+                                   # 1d or 2d integral
 
     def __post_init__(self):
         for tol in (self.abs_tol, self.rel_tol):
@@ -268,21 +268,6 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     return IntegrationResult(value, error, evaluations, _meets_tolerance(error, value, cfg))
 
 
-def _integrate_interval(f, a: float, b: float, cfg: QuadratureConfig) -> IntegrationResult:
-    """One run of the panel loop over [a, b], of which one end may be infinite."""
-    tail_bound = 0.0
-    probes: list[float] = []
-    if math.isinf(b):
-        b, tail_bound, probes = _find_tail_cutoff(f, a, +1)
-    elif math.isinf(a):
-        a, tail_bound, probes = _find_tail_cutoff(f, b, -1)
-    if not a < b:
-        return IntegrationResult(0.0, tail_bound, len(probes), True)
-    boundaries = [a] + sorted(p for p in probes if a < p < b) + [b]
-    initial = list(zip(boundaries, boundaries[1:]))
-    return _cubature(f, _panels_1d, [(initial, None)], cfg, tail_bound, len(probes))
-
-
 def integrate_1d(
     f: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
@@ -295,24 +280,32 @@ def integrate_1d(
     node.  One call covers all initial panels, or both children of a
     split.  Endpoints may be infinite; tails are truncated where the
     integrand magnitude falls below 1e-30 and the truncated
-    mass is added to the error estimate.  The whole real line is the sum
-    of two half-line runs.  The reported error estimate is the sum of
-    per-panel nested-rule differences plus tail bounds.
+    mass is added to the error estimate.  The whole real line is split
+    at 0, each tail probed from there, and one panel heap runs over both
+    halves.  The reported error estimate is the sum of per-panel
+    nested-rule differences plus tail bounds.
     """
     cfg = config or QuadratureConfig()
     a, b = (float(end) for end in interval)
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
-    if not (math.isinf(a) and math.isinf(b)):
-        return _integrate_interval(f, a, b, cfg)
-    left = _integrate_interval(f, a, 0.0, cfg)
-    right = _integrate_interval(f, 0.0, b, cfg)
-    return IntegrationResult(
-        left.value + right.value,
-        left.error_estimate + right.error_estimate,
-        left.evaluations + right.evaluations,
-        left.converged and right.converged,
-    )
+    # the whole line is split at 0, and both its tails are probed from there
+    split = [0.0] if math.isinf(a) and math.isinf(b) else []
+    tail_bound = 0.0
+    probes: list[float] = []
+    ends = []
+    for end, start, direction in ((a, b, -1), (b, a, +1)):
+        if math.isinf(end):
+            end, bound, found = _find_tail_cutoff(f, split[0] if split else start, direction)
+            tail_bound += bound
+            probes += found
+        ends.append(end)
+    a, b = ends
+    if not a < b:
+        return IntegrationResult(0.0, tail_bound, len(probes), True)
+    boundaries = [a] + sorted(p for p in probes + split if a < p < b) + [b]
+    initial = list(zip(boundaries, boundaries[1:]))
+    return _cubature(f, _panels_1d, [(initial, None)], cfg, tail_bound, len(probes))
 
 
 # --- 2d domains ----------------------------------------------------------

@@ -121,12 +121,10 @@ def _rational_points(
 def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
     """Lattice-normalized area of the convex hull of coplanar rational points.
 
-    Vertices may sit in the plane or in 3-space, in any order.  In 3-space
-    let u be the primitive normal of their plane and k the first
-    coordinate with u_k != 0: dropping coordinate k maps the plane's
-    lattice onto a sublattice of Z^2 of index |u_k|, so the area is the
-    shoelace area of the projected hull divided by |u_k|.  Vertices off
-    one plane, or in another ambient dimension, raise ValueError.
+    Vertices may sit in the plane or in 3-space, in any order; in 3-space
+    the area is `_projected_measure` through the primitive normal of their
+    plane.  Vertices off one plane, or in another ambient dimension, raise
+    ValueError.
     """
     points = _rational_points(vertices)
     if not points:
@@ -145,16 +143,25 @@ def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
     u = primitive_vector(normal)
     if any(sum(c * x for c, x in zip(u, v)) for v in offsets):
         raise ValueError("vertices must lie in one plane")
-    return _projected_area(points, u)
+    return _projected_measure(points, u)
 
 
-def _projected_area(
+def _projected_measure(
     points: Sequence[tuple[Fraction, ...]], u: tuple[int, ...]
 ) -> Fraction:
-    """Lattice area of the hull of points on a plane with primitive normal u."""
+    """Lattice measure of the hull of points on a hyperplane, n = 2 or 3.
+
+    u is the hyperplane's primitive normal and k the first coordinate
+    with u_k != 0.  Dropping coordinate k maps the hyperplane's lattice
+    onto a sublattice of Z^(n-1) of index |u_k|, so the measure is the
+    projected length (n = 2) or shoelace area (n = 3) over |u_k|.
+    """
     k = next(i for i, c in enumerate(u) if c != 0)
-    i, j = (m for m in range(3) if m != k)
-    return _hull_area([(p[i], p[j]) for p in points]) / abs(u[k])
+    shadow = [p[:k] + p[k + 1:] for p in points]
+    if len(u) == 2:
+        xs = [x for (x,) in shadow]
+        return (max(xs) - min(xs)) / abs(u[k])
+    return _hull_area(shadow) / abs(u[k])
 
 
 def _convex_hull(
@@ -207,7 +214,7 @@ def _pyramid_volume(
     for u, c, vertices in facets:
         height = sum((x * a for x, a in zip(u, apex)), c)
         if height:
-            total += height * _projected_area(vertices, u)
+            total += height * _projected_measure(vertices, u)
     return total / 3
 
 

@@ -10,16 +10,19 @@ offset) over a common denominator, and each rational row is scaled once
 by the lcm of its denominators, which changes no sign and no solution
 set.  Every rank and kernel comes from one fraction-free elimination,
 `_echelon`; every vertex, of a clipped cell, a compact chamber or a
-`halfplane_polygon`, from one kernel, `_homogeneous_vertices`; and every
-polygon is ordered by one hull, `lattice._convex_hull`.  Only returned
-coordinates are built as Fractions.
+`halfplane_polygon`, from one kernel, `_homogeneous_vertices`, whose
+signed `_minors` also give the extreme rays of the recession test; and
+every polygon is ordered by one hull, `lattice._convex_hull`.  A compact
+chamber decides which vertex lies on which facet once, on these ints, and
+its edges, volume, boundary measure and edge singularities read that
+incidence.  Only returned coordinates are built as Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -29,6 +32,7 @@ from .forms import TropicalPolynomial
 from .lattice import (
     _convex_hull,
     _cross,
+    _projected_measure,
     _pyramid_volume,
     affine_length,
     affine_volume,
@@ -179,43 +183,25 @@ def _region_vertices(
     return sorted(map(_point, _homogeneous_vertices(lines, k)))
 
 
-def _recession_nontrivial(
-    rows: Sequence[tuple[Rational, ...]], k: int
-) -> bool:
+def _recession_nontrivial(rows: Sequence[tuple[int, ...]], k: int) -> bool:
     """Whether {d != 0 : c . d >= 0 for all c in rows} is nonempty, k <= 3.
 
-    Rows are cleared to integers first; candidate directions are the
-    normals of rows (k = 2) or cross products of pairs of rows (k = 3),
-    together with the unit vectors, so every test is on ints.
+    Rows are integer vectors of length k.  Rows of rank below k, none at
+    all included, leave a line in the cone.  Otherwise the cone is
+    pointed, and if it is not {0} it has an extreme ray: the kernel of
+    k - 1 independent rows, which is their signed `_minors` up to sign.
+    Q^0 has no nonzero direction.
     """
     if k == 0:
         return False
-    if not rows:
+    if _rank(rows) < k:
         return True
-    rows = [_integer_row(row) for row in rows]
-
-    def feasible(d: Sequence[int]) -> bool:
-        if not any(d):
-            return False
-        return all(
-            sum(c * x for c, x in zip(row, d)) >= 0 for row in rows
-        )
-
-    if k == 1:
-        return feasible((1,)) or feasible((-1,))
-    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    if k == 2:
-        candidates = [(-c[1], c[0]) for c in rows + unit]
-    elif k == 3:
-        candidates = [
-            _cross(a, b) for a, b in itertools.combinations(rows + unit, 2)
-        ]
-    else:
-        raise UnsupportedDimensionError("recession test supports dim <= 3")
-    for d in candidates:
-        if feasible(d) or feasible(tuple(-x for x in d)):
-            return True
-    return False
+    return any(
+        all(sum(map(mul, row, d)) >= 0 for row in rows)
+        for combo in itertools.combinations(rows, k - 1)
+        if any(h := _minors(combo))
+        for d in (h, tuple(-x for x in h))
+    )
 
 
 def _normalize_box(
@@ -244,7 +230,7 @@ class Cell:
     sorted for points and segments, and for a 2-cell the counterclockwise
     `_convex_hull` cycle of its projection that drops the first
     coordinate its plane's normal involves (the projection of
-    `lattice._projected_area`), from the vertex least there; directions
+    `lattice._projected_measure`), from the vertex least there; directions
     are primitive integer vectors spanning the cell, with a ray's
     direction pointing toward its unbounded end and a 2-cell's pair the
     `plane_lattice_basis` of the first two kernel vectors of its
@@ -397,7 +383,7 @@ def halfplane_polygon(
     gives []; a region with a vertex that is unbounded raises ValueError.
     """
     vertices = _region_vertices(rows, 2)
-    if vertices and _recession_nontrivial([c for c, _ in rows], 2):
+    if vertices and _recession_nontrivial([_integer_row(c) for c, _ in rows], 2):
         raise ValueError("halfplane_polygon needs a bounded region")
     full = _rank([_integer_row((*v, 1)) for v in vertices]) == 3
     return _convex_hull(vertices) if full else []
@@ -408,12 +394,16 @@ class LatticePolytope:
     """A full-dimensional rational polytope with its irredundant facets.
 
     Facet rows are (normal, offset) with primitive integer normal,
-    meaning normal . w + offset >= 0 on the polytope.
+    meaning normal . w + offset >= 0 on the polytope.  incidence, parallel
+    to facets, holds each facet's vertices as increasing indices into
+    vertices; it is decided once, on the integers the polytope is cut out
+    with, and every face of the polytope is read from it.
     """
 
     dim: int
     vertices: tuple[Point, ...]
     facets: tuple[tuple[tuple[int, ...], Fraction], ...]
+    incidence: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def contains(self, w: Sequence[Rational]) -> bool:
         point = tuple(Fraction(x) for x in w)
@@ -427,23 +417,16 @@ class LatticePolytope:
     def facet_vertices(
         self, facet: tuple[tuple[int, ...], Fraction]
     ) -> tuple[Point, ...]:
-        normal, offset = facet
-        return tuple(
-            v
-            for v in self.vertices
-            if sum((c * x for c, x in zip(normal, v)), offset) == 0
-        )
+        """The vertices on one of facets, in the order of vertices."""
+        return tuple(self.vertices[j] for j in self.incidence[self.facets.index(facet)])
 
     def edges(self) -> tuple[tuple[Point, Point], ...]:
         """Vertex pairs whose common facets' normals have rank dim - 1."""
-        on = [
-            {f for f in self.facets if sum((c * x for c, x in zip(f[0], v)), f[1]) == 0}
-            for v in self.vertices
-        ]
         out = []
-        for (v, v_on), (u, u_on) in itertools.combinations(zip(self.vertices, on), 2):
-            if _rank([normal for normal, _ in v_on & u_on]) == self.dim - 1:
-                out.append((v, u))
+        for i, j in itertools.combinations(range(len(self.vertices)), 2):
+            common = [u for (u, _), on in zip(self.facets, self.incidence) if i in on and j in on]
+            if _rank(common) == self.dim - 1:
+                out.append((self.vertices[i], self.vertices[j]))
         return tuple(sorted(out))
 
     def volume(self) -> Fraction:
@@ -481,7 +464,12 @@ def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
 
 
 def _form_region(rows: Sequence[tuple[int, ...]], i: int) -> LatticePolytope | None:
-    """The region where form i is least, if it is a bounded n-polytope."""
+    """The region where form i is least, if it is a bounded n-polytope.
+
+    Its facets are the lines whose equality holds on an (n - 1)-face.
+    Lines and vertices are homogeneous integer rows, so each line's face,
+    its incidence, is the vertices with line . h == 0 on ints.
+    """
     n = len(rows[i]) - 1
     lines = []
     for j, row in enumerate(rows):
@@ -498,50 +486,34 @@ def _form_region(rows: Sequence[tuple[int, ...]], i: int) -> LatticePolytope | N
     found = _homogeneous_vertices(lines, n)
     if _rank(found) != n + 1:
         return None
+    vertices, found = zip(*sorted((_point(h), h) for h in found))
+    facets = {}
+    for line in lines:
+        on = tuple(j for j, h in enumerate(found) if sum(map(mul, line, h)) == 0)
+        if _rank([found[j] for j in on]) == n:
+            g = math.gcd(*line[:-1])
+            facets[tuple(c // g for c in line[:-1]), Fraction(line[-1], g)] = on
+    ordered = sorted(facets)
     return LatticePolytope(
         dim=n,
-        vertices=tuple(sorted(map(_point, found))),
-        facets=_irredundant_facets(lines, found, n),
+        vertices=vertices,
+        facets=tuple(ordered),
+        incidence=tuple(facets[f] for f in ordered),
     )
-
-
-def _irredundant_facets(
-    lines: Sequence[tuple[int, ...]],
-    vertices: Sequence[tuple[int, ...]],
-    n: int,
-) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """The lines whose equality holds on an (n - 1)-face, made primitive.
-
-    Lines and vertices are homogeneous integer rows, so the face test is
-    line . h == 0 on ints.
-    """
-    facets = set()
-    for line in lines:
-        on = [h for h in vertices if sum(map(mul, line, h)) == 0]
-        if _rank(on) != n:
-            continue
-        g = math.gcd(*line[:-1])
-        facets.add((tuple(c // g for c in line[:-1]), Fraction(line[-1], g)))
-    return tuple(sorted(facets))
 
 
 def boundary_affine_area(polytope: LatticePolytope) -> Fraction:
     """Total lattice-normalized measure of the boundary.
 
-    For a polygon this is the lattice perimeter; for a 3-polytope the
-    sum of lattice areas of the facets.
+    The sum over the facets of their lattice measures: for a polygon its
+    lattice perimeter, for a 3-polytope the lattice areas of its facets.
     """
-    if polytope.dim == 2:
-        total = Fraction(0)
-        for v, u in polytope.edges():
-            total += affine_length(v, u)
-        return total
-    if polytope.dim == 3:
-        total = Fraction(0)
-        for facet in polytope.facets:
-            total += polygon_affine_area(polytope.facet_vertices(facet))
-        return total
-    raise UnsupportedDimensionError("boundary area supports dim 2 and 3")
+    if polytope.dim not in (2, 3):
+        raise UnsupportedDimensionError("boundary area supports dim 2 and 3")
+    return sum(
+        (_projected_measure(polytope.facet_vertices(f), f[0]) for f in polytope.facets),
+        Fraction(0),
+    )
 
 
 def edge_singularities(polytope: LatticePolytope) -> tuple[Point, ...]:
@@ -550,24 +522,19 @@ def edge_singularities(polytope: LatticePolytope) -> tuple[Point, ...]:
     The boundary of a reflexive 3-polytope carries an integral-affine
     structure whose focus-focus singularities sit at the midpoints
     between consecutive lattice points along each edge.  Vertices must
-    be lattice points.
+    be lattice points, so an edge is an integer difference d of lattice
+    length g = gcd(d), and its midpoints are a + (2j + 1) d / (2g).
     """
     if polytope.dim != 3:
         raise UnsupportedDimensionError("edge singularities require dim 3")
     for v in polytope.vertices:
         if any(x.denominator != 1 for x in v):
             raise ValueError("polytope vertices must be lattice points")
-    points = set()
+    doubled = set()
     for v, u in polytope.edges():
-        length = affine_length(v, u)
-        if length.denominator != 1:
-            raise ValueError("edges must have integer lattice length")
-        prim = primitive_vector(tuple(b - a for a, b in zip(v, u)))
-        for j in range(int(length)):
-            points.add(
-                tuple(
-                    a + (Fraction(2 * j + 1, 2)) * d
-                    for a, d in zip(v, prim)
-                )
-            )
-    return tuple(sorted(points))
+        a = [x.numerator for x in v]
+        d = [y.numerator - x for x, y in zip(a, u)]
+        g = math.gcd(*d)
+        for j in range(g):
+            doubled.add(tuple(2 * x + (2 * j + 1) * (e // g) for x, e in zip(a, d)))
+    return tuple(tuple(Fraction(x, 2) for x in p) for p in sorted(doubled))

@@ -6,7 +6,9 @@ denominators and work on ints.  Each is checked here against a reference
 that runs on Fractions throughout, and against the defining property of
 its answer.  The corner-locus reference cuts each cell out in its own
 coordinates, an origin and basis of its affine hull, as the exact layer
-once did.
+once did.  A compact chamber decides its face incidence once, on ints;
+its facet vertices, edges, boundary measure and edge singularities are
+checked against face tests and measures on Fractions.
 """
 
 import itertools
@@ -15,15 +17,20 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from gammatrop.errors import StructureError
 from gammatrop.tropical import (
     AffineForm,
     TropicalPolynomial,
+    affine_length,
     affine_volume,
+    boundary_affine_area,
+    compact_chamber,
     corner_locus,
+    edge_singularities,
     halfplane_polygon,
     plane_lattice_basis,
     polygon_affine_area,
@@ -163,6 +170,45 @@ def ref_recession(rows, k):
     else:
         candidates = [_cross(a, b) for a, b in itertools.combinations(pool, 2)]
     return any(feasible(d) or feasible(tuple(-x for x in d)) for d in candidates)
+
+
+def on_facet(facet, v):
+    normal, offset = facet
+    return sum((c * x for c, x in zip(normal, v)), offset) == 0
+
+
+def ref_facet_vertices(chamber, facet):
+    return tuple(v for v in chamber.vertices if on_facet(facet, v))
+
+
+def ref_edges(chamber):
+    """Vertex pairs whose common facets, by face test, have normals of
+    rank dim - 1."""
+    on = [{f for f in chamber.facets if on_facet(f, v)} for v in chamber.vertices]
+    out = []
+    for (v, v_on), (u, u_on) in itertools.combinations(zip(chamber.vertices, on), 2):
+        common = [normal for normal, _ in v_on & u_on]
+        if (sympy.Matrix(common).rank() if common else 0) == chamber.dim - 1:
+            out.append((v, u))
+    return tuple(sorted(out))
+
+
+def ref_boundary_affine_area(chamber):
+    if chamber.dim == 2:
+        return sum((affine_length(v, u) for v, u in ref_edges(chamber)), Fraction(0))
+    return sum(
+        (polygon_affine_area(ref_facet_vertices(chamber, f)) for f in chamber.facets),
+        Fraction(0),
+    )
+
+
+def ref_edge_singularities(chamber):
+    points = set()
+    for v, u in ref_edges(chamber):
+        prim = primitive_vector(tuple(b - a for a, b in zip(v, u)))
+        for j in range(int(affine_length(v, u))):
+            points.add(tuple(a + Fraction(2 * j + 1, 2) * d for a, d in zip(v, prim)))
+    return tuple(sorted(points))
 
 
 def ref_affine_dim(points):
@@ -310,6 +356,56 @@ def unimodular(draw, n):
     return m
 
 
+def polynomial(slopes, offsets):
+    return TropicalPolynomial(tuple(map(AffineForm, slopes, offsets)))
+
+
+def shifted(offsets, shifts):
+    return [a + s for a, s in zip(offsets, shifts, strict=True)]
+
+
+@st.composite
+def quartic_images(draw):
+    """The quartic's tropicalization min(1 + w_i, 1 - sum w, 0) under a
+    unimodular map, its offsets shifted by integers, sometimes cut by one
+    more form of small slope and offset."""
+    fan = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    slopes = apply(draw(unimodular(3)), (0, 0, 0), fan) + [(0, 0, 0)]
+    offsets = [1, 1, 1, 1, 0]
+    if draw(st.booleans()):
+        extra = st.tuples(*[st.integers(-1, 1)] * 3).filter(lambda m: m not in slopes)
+        slopes.append(draw(extra))
+        offsets.append(draw(st.integers(1, 3)))
+    shifts = draw(st.lists(st.integers(-1, 3), min_size=len(slopes), max_size=len(slopes)))
+    return polynomial(slopes, shifted(offsets, shifts))
+
+
+@st.composite
+def planar_polynomials(draw):
+    """The cubic's tropicalization min(1 + w_i, 1 - w_1 - w_2, 0) under a
+    unimodular map with integer offset shifts, or 3-5 random forms: slope
+    0 at offset 0 and others of positive offset, so its region is not
+    empty."""
+    if draw(st.booleans()):
+        fan = [(1, 0), (0, 1), (-1, -1)]
+        slopes = apply(draw(unimodular(2)), (0, 0), fan) + [(0, 0)]
+        shifts = draw(st.lists(st.integers(-1, 3), min_size=4, max_size=4))
+        return polynomial(slopes, shifted([1, 1, 1, 0], shifts))
+    nonzero = st.tuples(*[st.integers(-2, 2)] * 2).filter(any)
+    slopes = draw(st.lists(nonzero, min_size=2, max_size=4, unique=True))
+    positive = st.builds(Fraction, st.integers(1, 8), st.sampled_from((1, 2, 3, 4, 6)))
+    offsets = draw(st.lists(positive, min_size=len(slopes), max_size=len(slopes)))
+    return polynomial([(0, 0)] + slopes, [0] + offsets)
+
+
+def only_chamber(p):
+    """The compact chamber of p; examples without exactly one are dropped."""
+    try:
+        return compact_chamber(p)
+    except StructureError:
+        assume(False)
+
+
 def same_plane_lattice(basis, other):
     """Whether two pairs of integer 3-vectors span one lattice: the same
     normal up to sign, and each vector an integer combination of the
@@ -447,7 +543,37 @@ def test_corner_locus_matches_cell_coordinate_reference(case):
 ))
 def test_recession_matches_fraction_reference(case):
     k, rows = case
-    assert _recession_nontrivial(rows, k) == ref_recession(rows, k)
+    assert _recession_nontrivial([_integer_row(r) for r in rows], k) == ref_recession(rows, k)
+
+
+def check_chamber_faces(chamber):
+    """Incidence, edges, volume and boundary measure against Fractions."""
+    for facet in chamber.facets:
+        assert chamber.facet_vertices(facet) == ref_facet_vertices(chamber, facet)
+    assert chamber.edges() == ref_edges(chamber)
+    assert chamber.volume() == affine_volume(chamber.vertices)
+    area = boundary_affine_area(chamber)
+    assert type(area) is Fraction and area == ref_boundary_affine_area(chamber)
+
+
+@EXACT
+@given(quartic_images())
+def test_chamber_faces_match_fraction_reference_in_space(p):
+    chamber = only_chamber(p)
+    check_chamber_faces(chamber)
+    if all(x.denominator == 1 for v in chamber.vertices for x in v):
+        points = edge_singularities(chamber)
+        assert points == ref_edge_singularities(chamber)
+        assert all(type(x) is Fraction for q in points for x in q)
+    else:
+        with pytest.raises(ValueError, match="lattice points"):
+            edge_singularities(chamber)
+
+
+@EXACT
+@given(planar_polynomials())
+def test_chamber_faces_match_fraction_reference_in_the_plane(p):
+    check_chamber_faces(only_chamber(p))
 
 
 @EXACT

@@ -82,11 +82,16 @@ def pants_antiderivative(x: float, t: float) -> float:
 
 
 def test_period_sample_validation():
-    s = PeriodSample(t=0.01, value=1.0, error_estimate=0.0, evaluations=1, parametrization="x")
+    s = PeriodSample(
+        t=0.01, value=1.0, error_estimate=0.0, evaluations=1, parametrization="x", converged=True
+    )
     assert abs(s.big_l - math.log(100.0)) < 1e-15
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            PeriodSample(t=bad, value=1.0, error_estimate=0.0, evaluations=1, parametrization="x")
+            PeriodSample(
+                t=bad, value=1.0, error_estimate=0.0, evaluations=1, parametrization="x",
+                converged=True,
+            )
 
 
 def test_mirror_family_validation():
@@ -121,6 +126,20 @@ def test_error_dim1_reduced_is_zeta2():
 def test_error_dim1_raw_t_independent():
     for t in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8):
         assert abs(error_integral_dim1("raw", t) - ZETA2) < 1e-6
+
+
+def test_error_reduced_mode_is_raw_mode_at_unit_scale():
+    # -log(e^-1) is exactly 1.0 in floats, so L = 1 and the two modes run
+    # one integrand on the same nodes
+    t = math.exp(-1.0)
+    assert -math.log(t) == 1.0
+    assert error_integral_dim1("reduced") == error_integral_dim1("raw", t)
+    assert error_integral_dim2_a("reduced") == error_integral_dim2_a("raw", t)
+    for f in (error_integral_dim1, error_integral_dim2_a):
+        with pytest.raises(ValueError, match="raw mode needs t"):
+            f("raw")
+        with pytest.raises(ValueError, match="mode must be"):
+            f("exact", t)
 
 
 def test_error_dim2_a_reduced_is_zeta3():

@@ -163,6 +163,27 @@ def test_integrate_two_sided_exponential_kink():
     check_result(result, 2.0, 1e-9)
 
 
+@pytest.mark.parametrize(
+    "f, exact",
+    (
+        (lambda x: 1.0 / np.cosh(x), math.pi),
+        (lambda x: 1.0 / (1.0 + x * x), math.pi),
+        (lambda x: np.exp(-x * x), math.sqrt(math.pi)),
+        (lambda s: np.logaddexp(0.0, -np.abs(s)), math.pi**2 / 6),
+    ),
+    ids=["sech", "lorentzian", "gaussian", "softplus"],
+)
+@pytest.mark.parametrize("tol", (1e-6, 1e-8))
+def test_real_line_convergence_means_the_target_is_met(f, exact, tol):
+    # both halves of the real line share one target: a converged result's
+    # estimate meets it, and bounds the actual error
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=0.0)
+    result = integrate_1d(f, (-math.inf, math.inf), cfg)
+    assert result.converged
+    assert result.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(result.value))
+    assert abs(result.value - exact) <= result.error_estimate
+
+
 def test_integrate_reports_nonconvergence():
     cfg = QuadratureConfig(max_subdivisions=3)
     result = integrate_1d(lambda x: x**-0.5, (0.0, 1.0), cfg)
@@ -220,13 +241,14 @@ def test_tail_bound_uses_the_last_two_probes(direction):
     (
         (lambda x: x**-0.5, (0.0, 1.0), "is*"),
         (lambda x: np.exp(-x), (0.0, math.inf), "p+is*"),
-        (lambda x: 1.0 / (1.0 + x * x), (-math.inf, math.inf), "p+is*p+is*"),
+        (lambda x: 1.0 / (1.0 + x * x), (-math.inf, math.inf), "p+is*"),
     ),
     ids=["finite", "half-line", "real-line"],
 )
 def test_integrate_1d_call_pattern(f, interval, pattern):
-    # per half-line run: one-point tail probes (p), one call for all initial
-    # panels (i), then one call per split with both children (s)
+    # one-point tail probes of every infinite end (p), one call for all
+    # initial panels of both halves of the real line (i), then one call
+    # per split with both children (s)
     cfg = QuadratureConfig()
     sizes = []
 

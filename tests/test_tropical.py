@@ -611,6 +611,12 @@ def test_interval_chamber_for_dimension_one():
     assert chamber.volume() == 2
 
 
+def test_point_chamber_for_dimension_zero():
+    # Q^0 is one point, a polytope with no facets and no recession direction
+    chamber = compact_chamber(TropicalPolynomial((AffineForm((), 0), AffineForm((), 1))))
+    assert (chamber.dim, chamber.vertices, chamber.facets) == (0, ((),), ())
+
+
 def test_elliptic_chamber_is_the_triangle():
     chamber = compact_chamber(tropicalize(elliptic_family()))
     assert chamber.vertices == (
