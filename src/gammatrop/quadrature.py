@@ -8,17 +8,22 @@ Rerunning with the same config is bit-identical.
 
 One adaptive loop serves 1d and 2d: a heap of panels, each a box with
 its value and error, of which each round bisects the worst and evaluates
-both children in one integrand call.  A box is an interval (a, b) in 1d,
-whose panel rule is the fine rule with an error of 1.5 times its
-difference to the coarse rule.  In 2d the domain is a list of patches,
-each a list of (u, v) boxes (u0, u1, v0, v1) with a map to the
+both children in one integrand call.  A box is an interval (a, b) in 1d.
+The 1d panel rule is one (2, 15) rule matrix, of the fine weights and of
+the fine plus the coarse weights: this matrix times the node values of
+all boxes of a call, one column per box, gives every fine and coarse sum
+in one product.  A panel's value is its fine sum, and its error is 1.5
+times the difference to the coarse one.  In 2d the domain is a list of
+patches, each a list of (u, v) boxes (u0, u1, v0, v1) with a map to the
 integrand's arguments and a jacobian.  Every patch is a triangle under
 the Duffy map of the unit square: for a convex polygon the fan of
 triangles from one vertex, and for the unit sphere the radial projection
 of facet triangles whose cones from the origin tile space.  A 2d panel
 takes the tensor product of the fine rule and an error from the coarse
-rule along each axis.  Every weight of both rules is positive, so a non-finite node
-makes the panel's value non-finite; such a panel gets error inf.
+rule along each axis.  Every weight of both rules is positive, so a
+non-finite node makes the panel's value non-finite; such a panel gets
+error inf, and so does a 1d panel so narrow that two of its nodes round
+onto one float.
 
 Integrands must be elementwise: each value depends only on the arguments
 at its own node, and one call may cover many panels.  Planar integrands
@@ -116,20 +121,11 @@ def _interior_cosine_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
 # fine nodes and weights, and the coarse weights on every other fine node
 _NODES, _WEIGHTS = _interior_cosine_rule(_RULE_ORDER + 1)
 _COARSE = _interior_cosine_rule((_RULE_ORDER + 1) // 2)[1]
-
-
-def _panel_sums(y: np.ndarray, a: float, b: float) -> tuple[float, float]:
-    """Fine-rule integral and nested error estimate from the node values."""
-    half = 0.5 * (b - a)
-    fine = half * float(_WEIGHTS @ y)
-    # coarse rule lives on the odd-indexed fine nodes
-    crs = half * float(_COARSE @ y[1::2])
-    # the difference estimates the coarse error; the 1.5 margin keeps it
-    # an upper bound for the fine rule even on singular panels
-    err = 1.5 * abs(fine - crs)
-    if not math.isfinite(err):
-        err = math.inf
-    return fine, err
+# the 1d rule matrix, whose rows are the fine weights and the fine plus
+# the coarse weights.  Every entry is positive, so a non-finite node makes
+# both sums non-finite and never meets a zero weight, where 0 * inf warns.
+_RULE_1D = np.vstack((_WEIGHTS, _WEIGHTS))
+_RULE_1D[1, 1::2] += _COARSE
 
 
 def _values(y, size: int) -> np.ndarray:
@@ -153,17 +149,35 @@ def _values(y, size: int) -> np.ndarray:
 def _panels_1d(f, boxes, to_args):
     """The intervals `boxes`, in one integrand call, as heap entries.
 
+    The nodes of all boxes are one broadcast, one row per box, and
+    _RULE_1D times their values gives every box's fine sum and fine plus
+    coarse sum in one product; the rest is arithmetic on Python floats.
     Returns the (value, error, axis, box) of each interval and the number
     of evaluations.  `to_args` is unused: the nodes are the arguments.
     """
-    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _NODES for a, b in boxes])
-    y = _values(f(x), x.size)
-    n = _RULE_ORDER
-    entries = [
-        (*_panel_sums(y[k * n:(k + 1) * n], a, b), 0, (a, b))
-        for k, (a, b) in enumerate(boxes)
-    ]
-    return entries, x.size
+    mid_half = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in boxes])
+    nodes = mid_half[:, :1] + mid_half[:, 1:] * _NODES
+    y = _values(f(nodes.ravel()), nodes.size)
+    # the rule is the left operand: with the node values on the left,
+    # OpenBLAS's AVX-512 kernels warn "invalid value" on any non-finite
+    # node, as if it met a zero; ndarray.dot skips the ufunc dispatch of @
+    fine_sums, both_sums = _RULE_1D.dot(y.reshape(-1, _RULE_ORDER).T).tolist()
+    entries = []
+    for k, (box, fine, both) in enumerate(zip(boxes, fine_sums, both_sums)):
+        a, b = box
+        half = 0.5 * (b - a)
+        value = half * fine
+        # the difference to the coarse rule estimates its error; the 1.5
+        # margin keeps it an upper bound for the fine rule even on
+        # singular panels
+        err = 1.5 * abs(value - half * (both - fine))
+        # two adjacent nodes on one float leave both rules fewer points
+        # than they weigh, and their agreement proves nothing; the nodes
+        # are 0.057 half apart, so that needs half < 4e-15 |a + b|
+        if not err < math.inf or (half < 1e-13 * abs(a + b) and not np.diff(nodes[k]).all()):
+            err = math.inf
+        entries.append((value, err, 0, box))
+    return entries, nodes.size
 
 
 def _find_tail_cutoff(f, start: float, direction: int):
@@ -175,13 +189,19 @@ def _find_tail_cutoff(f, start: float, direction: int):
     if |f| did not fall between them, by |f| times their distance.
     The probe points are also returned: they seed the initial panels, so
     mass far from the finite endpoint cannot hide between rule nodes.
+    An offset that rounds back onto the start or the last probe is
+    skipped; a tail probed fewer than two times is not cut at all, and
+    its bound is inf.
     """
-    offset = 1.0
+    offset = 0.5
     below = 0
     probes: list[float] = []
     mags: list[float] = []
     for _ in range(80):
+        offset *= 2.0
         point = start + direction * offset
+        if point == (probes[-1] if probes else start):
+            continue
         probes.append(point)
         mags.append(abs(float(_values(f(np.array([point])), 1)[0])))
         if mags[-1] < _TAIL_CUTOFF:
@@ -190,7 +210,8 @@ def _find_tail_cutoff(f, start: float, direction: int):
                 break
         else:
             below = 0
-        offset *= 2.0
+    if len(probes) < 2:
+        return start, math.inf, probes
     (prev_point, point), (prev_mag, mag) = probes[-2:], mags[-2:]
     if mag == 0.0:
         bound = 0.0
@@ -302,7 +323,9 @@ def integrate_1d(
         ends.append(end)
     a, b = ends
     if not a < b:
-        return IntegrationResult(0.0, tail_bound, len(probes), True)
+        # only a tail that cannot move from its start ends here; its
+        # bound is inf
+        return IntegrationResult(0.0, tail_bound, len(probes), False)
     boundaries = [a] + sorted(p for p in probes + split if a < p < b) + [b]
     initial = list(zip(boundaries, boundaries[1:]))
     return _cubature(f, _panels_1d, [(initial, None)], cfg, tail_bound, len(probes))

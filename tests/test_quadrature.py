@@ -88,6 +88,80 @@ def test_panel_rule_error_estimate_small_for_low_degree():
     assert err < 1e-10 * abs(value)
 
 
+def reference_panel(f, a, b):
+    """One panel by two mat-vecs, the fine and the coarse rule, as a reference."""
+    nodes, weights = _interior_cosine_rule(_RULE_ORDER + 1)
+    coarse = _interior_cosine_rule((_RULE_ORDER + 1) // 2)[1]
+    half = 0.5 * (b - a)
+    y = f(0.5 * (a + b) + half * nodes)
+    with np.errstate(invalid="ignore"):
+        fine = half * float(weights @ y)
+        crs = half * float(coarse @ y[1::2])
+    err = 1.5 * abs(fine - crs)
+    return fine, err if math.isfinite(err) else math.inf
+
+
+def test_panel_rule_batch_matches_single_boxes():
+    # one call over k boxes gives each box what it gets alone, and what
+    # the two mat-vecs give, up to the order of summation; an error is
+    # 1.5 times the difference of two sums of about |value| + err, each
+    # of which may move by an ulp or two
+    boxes = [(0.0, 1.0), (1.0, 2.5), (-3.0, -0.5), (2.5, 2.75), (7.0, 9.0), (20.0, 25.0)]
+    for f in (lambda x: np.sin(9.0 * x) + 0.1 * x, lambda x: 1.0 / (1e-3 + (x - np.round(x)) ** 2)):
+        batch, count = _panels_1d(f, boxes, None)
+        assert count == len(boxes) * _RULE_ORDER
+        for box, (value, err, axis, entry_box) in zip(boxes, batch):
+            [alone], _ = _panels_1d(f, [box], None)
+            assert entry_box == box and axis == 0
+            for other_value, other_err in (alone[:2], reference_panel(f, *box)):
+                assert value == pytest.approx(other_value, rel=1e-15, abs=0.0)
+                assert abs(err - other_err) <= 1e-14 * (abs(value) + err)
+
+
+@pytest.mark.parametrize("index", range(_RULE_ORDER))
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_panel_rule_nonfinite_node(index, bad):
+    # on (-1, 1) the nodes are the rule's own; a non-finite value at node
+    # `index` makes that panel's value non-finite and its error inf, alone
+    # or among other boxes, whose panels stay finite.  The coarse rule
+    # has weight 0 at the even indices, where a zero-padded coarse column
+    # would meet the node as 0 * inf and warn; so would a BLAS kernel that
+    # pads the values' operand.
+    pole = _interior_cosine_rule(_RULE_ORDER + 1)[0][index]
+
+    def f(x):
+        return np.where(x == pole, bad, 1.0 + x * x)
+
+    for boxes in (
+        [(-1.0, 1.0)],
+        [(-1.0, 1.0), (1.0, 3.0)],
+        [(-5.0, -3.0), (-3.0, -1.0), (-1.0, 1.0), (1.0, 3.0)],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries, _ = _panels_1d(f, boxes, None)
+        for box, (value, err, _, _) in zip(boxes, entries):
+            if box == (-1.0, 1.0):
+                assert value == bad or math.isnan(bad) and math.isnan(value)
+                assert err == math.inf
+                assert repr((value, err)) == repr(reference_panel(f, *box))
+            else:
+                assert math.isfinite(value) and math.isfinite(err)
+
+
+def test_panel_rule_collapsed_nodes_have_inf_error():
+    # at 1e17 the floats are 16 apart, so the 15 nodes of a 16-wide panel
+    # fall on two floats and both rules agree on a constant
+    gaussian = lambda x: np.exp(-(x - 1e17) ** 2)
+    [(value, err, _, _)], _ = _panels_1d(gaussian, [(1e17, 1e17 + 16.0)], None)
+    assert err == math.inf
+    # a panel that is narrow against its position but whose nodes stay
+    # apart keeps its finite error
+    [(value, err, _, _)], _ = _panels_1d(lambda x: x - 1.0, [(1.0, 1.0 + 2e-13)], None)
+    assert math.isfinite(err)
+    assert value == pytest.approx(2e-26, rel=1e-2)
+
+
 @pytest.mark.parametrize("order", range(3, 65, 2))
 def test_rule_weights_are_positive(order):
     # a non-finite node then always makes the panel value non-finite, which
@@ -234,6 +308,38 @@ def test_tail_bound_uses_the_last_two_probes(direction):
     assert probes == [direction * 2.0**k for k in range(9)]
     assert point == direction * 256.0
     assert bound == 4.0 * 1e-31 * 128.0
+
+
+@pytest.mark.parametrize("direction", (1, -1))
+def test_tail_probes_skip_offsets_below_the_float_spacing(direction):
+    # at 1e17 the floats are 16 apart: the offsets 1, 2, 4 and 8 round
+    # back onto the start and are not probed
+    start = direction * 1e17
+    point, bound, probes = _find_tail_cutoff(lambda x: np.exp(-(x - start) ** 2), start, direction)
+    assert probes == [start + direction * 16.0, start + direction * 32.0]
+    assert (point, bound) == (probes[-1], 0.0)
+    # at 1e300 no offset up to 2^79 moves; the tail is not cut at all
+    assert _find_tail_cutoff(lambda x: 1.0 / x, direction * 1e300, direction) == (
+        direction * 1e300, math.inf, []
+    )
+
+
+@pytest.mark.parametrize(
+    "f, interval",
+    (
+        (lambda x: np.exp(-(x - 1e17) ** 2), (1e17, math.inf)),
+        (lambda x: np.exp(-(x + 1e17) ** 2), (-math.inf, -1e17)),
+        (lambda x: 1.0 / x, (1e300, math.inf)),
+    ),
+    ids=["gaussian-at-1e17", "gaussian-at-minus-1e17", "harmonic-at-1e300"],
+)
+def test_tails_beyond_the_float_spacing_do_not_converge(f, interval):
+    # the Gaussian's panels are 16 wide and their 15 nodes fall on two
+    # floats (the integral is sqrt(pi)/2, not the 16 both rules agree on);
+    # 1/x diverges, and no probe can leave 1e300
+    result = integrate_1d(f, interval)
+    assert not result.converged
+    assert result.error_estimate == math.inf
 
 
 @pytest.mark.parametrize(
