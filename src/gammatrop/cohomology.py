@@ -11,7 +11,9 @@ rational multiple of a power of pi, and ch(V) brings in powers of 2 pi i.
 A rational is a plain int or Fraction; any other such number is an
 `_Exact`, a sparse map from monomials to Fractions with i^2 = -1 folded
 in, so +, -, *, == and hash are exact with no simplification step.
-Numeric evaluation happens in one final float pass.
+Numeric evaluation happens in one final float pass, in which zeta at an
+odd integer is the Euler-Maclaurin sum of `zeta_value`, computed once per
+k from the module's own Bernoulli numbers.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
-
-import scipy.special
 
 from .errors import UnsupportedDimensionError
 
@@ -200,7 +201,32 @@ def zeta_value(k: int) -> float:
     """Riemann zeta at an integer k >= 2, as a float."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"zeta_value requires an integer k >= 2, got {k!r}")
-    return float(scipy.special.zeta(k))
+    return _zeta(k)
+
+
+# Euler-Maclaurin after the first _ZETA_HEAD - 1 terms, with
+# _ZETA_BERNOULLI Bernoulli corrections: the first omitted one is below
+# 6e-18 for every k (largest at k = 2, 3), so the exact sum, rounded
+# once, is within an ulp of zeta(k)
+_ZETA_HEAD = 10
+_ZETA_BERNOULLI = 8
+
+
+@cache
+def _zeta(k: int) -> float:
+    """zeta(k) = sum_{n<N} n^-k + N^(1-k)/(k-1) + N^-k/2
+    + sum_j B_2j/(2j)! k(k+1)...(k+2j-2) N^(1-k-2j), in Fractions, then
+    rounded once; cached, since each k costs about a millisecond."""
+    n = _ZETA_HEAD
+    bernoulli = _bernoulli(2 * _ZETA_BERNOULLI)
+    # the head, then N^(1-k)/(k-1) + N^-k/2 as one fraction
+    total = sum(Fraction(1, m**k) for m in range(1, n))
+    total += Fraction(2 * n + k - 1, 2 * (k - 1) * n**k)
+    rising = k
+    for j in range(1, _ZETA_BERNOULLI + 1):
+        total += bernoulli[2 * j] * rising / (math.factorial(2 * j) * n ** (k + 2 * j - 1))
+        rising *= (k + 2 * j - 1) * (k + 2 * j)
+    return float(total)
 
 
 def log_gamma_series(order: int) -> list[float]:

@@ -8,15 +8,26 @@ contracted by K0(z) = 1/2 int_R exp(-z cosh s) ds (DLMF 10.32.9), so
 every supported n is one quadrature over the whole line.  The predicted
 side is the period polynomial in L = -log t built from the Gamma class
 of P^n.
+
+K0 is evaluated here, elementwise and with every coefficient built at
+import.  For x <= 2 it is the ascending series (DLMF 10.31.2)
+K0(x) = -(log(x/2) + euler_gamma) I0(x) + sum_k H_k (x^2/4)^k / (k!)^2,
+15 terms of each sum on shared powers of x^2/4.  For x > 2 the integral
+above, with w = sqrt(2x) sinh(s/2), is
+K0(x) = e^-x sqrt(2/x) int_0^inf e^(-w^2) (1 + w^2/(2x))^(-1/2) dw, taken
+by the trapezoid rule with step 1/4 on 30 nodes.  Its integrand is
+analytic for |Im w| < sqrt(2x), which is more than 2, so the rule
+converges geometrically.  Against mpmath the relative error is below
+1e-14 on [1e-300, 700], largest near x = 2, where the series cancels.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
-from scipy.special import k0 as _bessel_k0
 
 from ..cohomology import ManifoldModel, PeriodPolynomial, gamma_period_polynomial
 from ..errors import UnsupportedDimensionError
@@ -30,6 +41,52 @@ __all__ = [
 ]
 
 _SUPPORTED_DIMS = (1, 2, 3)
+
+# the series: row k holds the coefficients 1/(k!)^2 of I0 and H_k/(k!)^2
+# of the harmonic sum, for the power (x^2/4)^k
+_K0_TERMS = 15
+_K0_POWERS = np.arange(float(_K0_TERMS))
+_K0_SERIES = np.array([
+    [float(Fraction(1, math.factorial(k) ** 2)),
+     float(sum(Fraction(1, j) for j in range(1, k + 1)) / math.factorial(k) ** 2)]
+    for k in range(_K0_TERMS)
+])
+# the trapezoid rule at w_j = j/4: K0(x) = e^-x sum_j c_j / sqrt(x + w_j^2/2)
+# with c_j = sqrt(2) e^(-w_j^2) / 4, halved at w_0 = 0
+_K0_HALF_NODES_SQ = 0.5 * (0.25 * np.arange(30.0)) ** 2
+_K0_TRAPEZOID = 0.25 * math.sqrt(2.0) * np.exp(-2.0 * _K0_HALF_NODES_SQ)
+_K0_TRAPEZOID[0] *= 0.5
+
+
+def _k0_series(x: np.ndarray) -> np.ndarray:
+    """K0 by its ascending series, for x <= 2."""
+    h = 0.5 * x
+    # one (1, 15) by (15, 2) product per point, so a point's value does not
+    # depend on the other points of its call
+    i0, harmonic = np.matmul((h * h)[:, None, None] ** _K0_POWERS, _K0_SERIES)[:, 0].T
+    # K0(0) is inf, and a negative x is outside the domain: nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log(h)
+    return harmonic - (log + np.euler_gamma) * i0
+
+
+def _k0_trapezoid(x: np.ndarray) -> np.ndarray:
+    """K0 by the trapezoid rule, for x > 2."""
+    return np.exp(-x) * (_K0_TRAPEZOID / np.sqrt(x[:, None] + _K0_HALF_NODES_SQ)).sum(axis=1)
+
+
+def _bessel_k0(x: np.ndarray) -> np.ndarray:
+    """K0 at each point of the 1-d array x: inf at 0, 0 at inf, nan at nan."""
+    near = x <= 2.0
+    if near.all():
+        return _k0_series(x)
+    if not near.any():
+        return _k0_trapezoid(x)
+    out = np.empty(x.shape)
+    out[near] = _k0_series(x[near])
+    far = ~near
+    out[far] = _k0_trapezoid(x[far])
+    return out
 
 
 def _check_t(t: float) -> None:
@@ -89,7 +146,9 @@ def exp_period_orthant(
     else:
 
         def integrand(a):
-            return 8.0 * _bessel_k0(2.0 * t * np.exp(a)) * _bessel_k0(2.0 * t * np.exp(-a))
+            # one K0 call on both arguments
+            k = _bessel_k0(2.0 * t * np.exp(np.concatenate((a, -a))))
+            return 8.0 * k[:a.size] * k[a.size:]
 
         parametrization = "bessel_pair_1d"
 

@@ -241,9 +241,10 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     (value, error, axis, box) entries and the evaluation count.  Each round
     bisects the worst panel along its axis, for at most max_subdivisions
     rounds.  A panel whose error is inf is left out of the running totals
-    and counted instead; the loop does not stop while any is left.  Value
-    and error are each summed over all panels at the end, and tail_bound
-    is added to the error.
+    and counted instead; the loop does not stop on tolerance while any is
+    left, and it stops at once when one of them is too narrow to split.
+    Value and error are each summed over all panels at the end, and
+    tail_bound is added to the error.
     """
     heap = []  # entries: (-err, tie_breaker, value, err, axis, box, to_args)
     tie = itertools.count()
@@ -274,6 +275,10 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
         lo, hi = box[i:i + 2]
         if _at_float_width(lo, hi):
             finished.append((value, err))
+            if err == math.inf:
+                # a panel that cannot be split keeps its inf error: the
+                # integral cannot converge, and more splits cannot change that
+                break
             continue
         splits += 1
         if err == math.inf:
@@ -480,9 +485,11 @@ def _panels_2d(f, boxes, to_args):
     hv = 0.5 * (box[:, 3] - box[:, 2])
     u = 0.5 * (box[:, :1] + box[:, 1:2]) + hu[:, None] * _NODES
     v = 0.5 * (box[:, 2:3] + box[:, 3:]) + hv[:, None] * _NODES
-    u, v = np.broadcast_arrays(u[:, :, None], v[:, None, :])
-    args, jacobian = to_args(u.ravel(), v.ravel())
-    y = (_values(f(*args), u.size) * jacobian).reshape(u.shape)
+    # the (u, v) grid of each box, u major: each u node repeated and the
+    # v nodes tiled
+    size = u.size * _RULE_ORDER
+    args, jacobian = to_args(u.repeat(_RULE_ORDER), np.tile(v, _RULE_ORDER).ravel())
+    y = (_values(f(*args), size) * jacobian).reshape(-1, _RULE_ORDER, _RULE_ORDER)
     along_v = y @ _WEIGHTS
     along_u = _WEIGHTS @ y
     area = hu * hv
@@ -504,7 +511,7 @@ def _panels_2d(f, boxes, to_args):
             (~np.isfinite(along_v[bad])).sum(axis=1) > (~np.isfinite(along_u[bad])).sum(axis=1)
         )
     # False and True index the box as axes 0 (u) and 1 (v)
-    return list(zip(fine.tolist(), err.tolist(), split_v.tolist(), boxes)), u.size
+    return list(zip(fine.tolist(), err.tolist(), split_v.tolist(), boxes)), size
 
 
 def integrate_2d(

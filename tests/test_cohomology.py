@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -148,8 +149,17 @@ def test_zeta_odd_against_euler_maclaurin_oracle():
     assert zeta_value(5) == pytest.approx(zeta_em_oracle(5), abs=1e-12)
 
 
+def test_zeta_matches_mpmath_to_an_ulp():
+    for k in range(2, 41):
+        with mpmath.workdps(40):
+            reference = float(mpmath.zeta(k))
+        assert abs(zeta_value(k) - reference) <= math.ulp(reference)
+
+
 def test_zeta_rejects_small_arguments():
-    for bad in (1, 0, -2):
+    # a cached zeta(2) must not answer for 2.0 or True
+    zeta_value(2)
+    for bad in (1, 0, -2, 2.0, True):
         with pytest.raises(ValueError):
             zeta_value(bad)
 

@@ -1,7 +1,7 @@
 """Package layout: every import in gammatrop sits at module level and is
 used, every name a module exports in `__all__` exists, every
 module-level function or class is referenced or exported, and importing
-the package loads no computer algebra system.
+the package loads neither sympy nor scipy, which only the tests use.
 
 An import inside a function or class usually hides an import cycle; this
 keeps the tropical layer acyclic: polyhedra imports lattice, never back.
@@ -105,15 +105,49 @@ def test_no_unreferenced_definition():
     assert not unused, f"definitions nothing references: {unused}"
 
 
-def test_package_import_loads_no_sympy():
-    # sympy is a test-only reference; the exact layer has its own ring, and
-    # importing sympy would double the start-up time of every run
+def loaded_by_package_import(top: str) -> list[str]:
+    """The modules of package `top` that a fresh interpreter has loaded
+    after importing gammatrop, gammatrop.periods and gammatrop.tropical."""
     code = (
         "import sys\n"
         "import gammatrop, gammatrop.periods, gammatrop.tropical\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))\n"
     )
     path = [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]", f"importing gammatrop loaded {out.stdout.strip()}"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_package_import_loads_no_sympy():
+    # sympy is a test-only reference; the exact layer has its own ring, and
+    # importing sympy would double the start-up time of every run
+    loaded = loaded_by_package_import("sympy")
+    assert not loaded, f"importing gammatrop loaded {loaded}"
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test-only reference too: K0 and zeta are the package's
+    # own, and importing scipy.special cost more than half of every start
+    loaded = loaded_by_package_import("scipy")
+    assert not loaded, f"importing gammatrop loaded {loaded}"
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency (pyproject.toml)
+    imports = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            imports += [
+                f"{path.relative_to(SRC.parent)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "scipy"
+            ]
+    assert not imports, f"modules that import scipy: {imports}"

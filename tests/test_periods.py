@@ -1,11 +1,13 @@
 """Tests for period integrals and error integrals."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 import gammatrop.periods.k3 as k3
 from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial
@@ -31,6 +33,7 @@ from gammatrop.periods import (
     local_model_region_period,
     pants_section_integral,
 )
+from gammatrop.periods.fano import _bessel_k0
 from gammatrop.quadrature import QuadratureConfig, fit_asymptotic, integrate_1d
 from gammatrop.tropical import compact_chamber, edge_singularities, tropicalize
 
@@ -218,6 +221,37 @@ def test_exp_period_matches_prediction_n2_n3():
 def test_exp_period_evaluation_count(n, evaluations):
     # today's counts at t = 1e-3, a gate with no noise like the elliptic one
     assert exp_period_orthant(n, 1e-3).evaluations <= evaluations
+
+
+# a log grid over the range the Fano integrands reach, and a dense band
+# about x = 2, where the series cancels and the trapezoid rule takes over
+K0_POINTS = np.concatenate((np.logspace(-300, math.log10(700.0), 301), np.linspace(1.5, 2.5, 101)))
+
+
+def test_bessel_k0_matches_mpmath():
+    with mpmath.workdps(30):
+        reference = np.array([float(mpmath.besselk(0, mpmath.mpf(x))) for x in K0_POINTS])
+    value = _bessel_k0(K0_POINTS)
+    assert np.abs(value / reference - 1.0).max() <= 1e-14
+    assert np.abs(value / scipy.special.k0(K0_POINTS) - 1.0).max() <= 1e-14
+
+
+def test_bessel_k0_special_values_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _bessel_k0(np.array([0.0, math.inf, math.nan, -1.0]))
+    assert value[0] == math.inf and value[1] == 0.0
+    assert np.isnan(value[2:]).all()
+
+
+def test_bessel_k0_batch_matches_single_points():
+    # the integrand contract: a point's value does not depend on the other
+    # points of its call, here calls on one side of x = 2 and across it
+    rng = np.random.default_rng(7)
+    calls = (K0_POINTS, rng.uniform(0.0, 2.0, 30), rng.uniform(2.0, 40.0, 30), np.array([0.5, 3.0]))
+    for x in calls:
+        alone = np.array([_bessel_k0(x[i:i + 1])[0] for i in range(x.size)])
+        assert np.array_equal(_bessel_k0(x), alone)
 
 
 def fano2_bessel_oracle(t: float) -> float:

@@ -16,6 +16,7 @@ from gammatrop.quadrature import (
     IntegrationResult,
     QuadratureConfig,
     Sphere,
+    _NODES,
     _RULE_ORDER,
     _cubature,
     _find_tail_cutoff,
@@ -342,6 +343,30 @@ def test_tails_beyond_the_float_spacing_do_not_converge(f, interval):
     assert result.error_estimate == math.inf
 
 
+def inverse_sqrt_pole(x):
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(np.abs(x - 0.25))
+
+
+@pytest.mark.parametrize(
+    "f, interval, evaluations",
+    (
+        (inverse_sqrt_pole, (0.0, 1.0), 4065),
+        (lambda x: np.exp(-((x - 1e17) / 1e4) ** 2), (1e17 - 1e6, 1e17 + 1e6), 2235),
+    ),
+    ids=["pole-on-a-node", "gaussian-at-1e17"],
+)
+def test_unsplittable_inf_panel_stops_the_loop(f, interval, evaluations):
+    # the panels beside the pole, and the 1e17 Gaussian's narrowest ones,
+    # reach float width with error inf, so the integral cannot converge:
+    # the loop stops there instead of spending all 2,000 splits (60,015
+    # evaluations each); the counts are today's
+    result = integrate_1d(f, interval)
+    assert not result.converged
+    assert result.error_estimate == math.inf
+    assert result.evaluations <= evaluations
+
+
 @pytest.mark.parametrize(
     "f, interval, pattern",
     (
@@ -639,6 +664,26 @@ def test_integrate_2d_batches_sections(domain, f):
     result = integrate_domain(counted, domain, cfg)
     assert sum(points) == result.evaluations
     assert sum(points) / len(points) >= 10 * _RULE_ORDER
+
+
+def test_panel_rule_2d_grid_is_the_broadcast_tensor_product():
+    # the chart gets each box's 15 x 15 nodes, u major, bit for bit as the
+    # broadcast of the box's u nodes against its v nodes
+    boxes = [(0.0, 1.0, 0.0, 1.0), (0.25, 0.5, 0.75, 1.0), (0.5, 0.625, 0.1, 0.3)]
+    grids = []
+
+    def to_args(u, v):
+        grids.append((u, v))
+        return (u, v), 1.0
+
+    entries, count = _panels_2d(lambda x, y: np.cos(x * y), boxes, to_args)
+    box = np.array(boxes)
+    u = 0.5 * (box[:, :1] + box[:, 1:2]) + 0.5 * (box[:, 1] - box[:, 0])[:, None] * _NODES
+    v = 0.5 * (box[:, 2:3] + box[:, 3:]) + 0.5 * (box[:, 3] - box[:, 2])[:, None] * _NODES
+    u, v = np.broadcast_arrays(u[:, :, None], v[:, None, :])
+    [(got_u, got_v)] = grids
+    assert np.array_equal(got_u, u.ravel()) and np.array_equal(got_v, v.ravel())
+    assert count == len(entries) * _RULE_ORDER**2 == u.size
 
 
 def test_integrate_2d_rejects_unsupported_domain():
