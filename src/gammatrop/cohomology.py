@@ -419,10 +419,6 @@ class GradedElement:
             out[k] = self.coefficients[k]
         return GradedElement(out, self.truncation)
 
-    def to_complex(self) -> list[complex]:
-        """Numeric evaluation pass over the coefficients."""
-        return [complex(c) for c in self.coefficients]
-
     def __repr__(self):
         return f"GradedElement({self.coefficients!r})"
 

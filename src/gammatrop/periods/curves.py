@@ -14,6 +14,7 @@ root only delta ~ 4 t^{3/2} away.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -122,10 +123,13 @@ def elliptic_period(
       delta)), a 1/sqrt pinched against the root X_c at distance delta =
       sigma_+ - sigma_- ~ 4 t^{3/2}; the substitution makes it 2 dw.
 
-    Orientation is fixed so the value is positive.
+    Orientation is fixed so the value is positive.  The roots of h need
+    4 t^3 as a normal float, so t below about 1.8e-103 raises ValueError.
     """
     if not 0.0 < t <= ELLIPTIC_T_MAX:
         raise ValueError(f"t must lie in (0, {ELLIPTIC_T_MAX}]")
+    if 4.0 * t**3 < sys.float_info.min:
+        raise ValueError(f"t = {t} is below the floor where 4 t^3 is a normal float")
     cfg = config or QuadratureConfig()
     big_l = -math.log(t)
     x_low, sigma_plus, sigma_neg = _oval_roots(t)
@@ -140,8 +144,9 @@ def elliptic_period(
     def integrand_low(s):
         x = x_low * np.exp(big_l * s * s)
         gap = x_low * np.expm1(big_l * s * s)
-        d = t * t * x * gap * (x_b - x) * (x_c - x)
-        return 4.0 * big_l * s * x / np.sqrt(d)
+        # D = t^2 x gap (x_b - x)(x_c - x), with t^2 and one x kept out of
+        # the root: the whole product is of order t^6 and underflows
+        return 4.0 * big_l * s * np.sqrt(x) / (t * np.sqrt(gap * (x_b - x) * (x_c - x)))
 
     res_a = integrate_1d(integrand_low, (0.0, math.sqrt(v_span)), cfg)
 

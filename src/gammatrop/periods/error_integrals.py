@@ -16,8 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from ..quadrature import ConvexPolygon, QuadratureConfig, integrate_1d, integrate_2d
-from ..tropical import AffineForm, TropicalPolynomial, corner_locus, halfplane_polygon
-from .types import _require_converged
+from ..tropical import corner_locus, halfplane_polygon, tropicalize
+from .types import MirrorFamily, _require_converged
+
+# min(0, y1, y2) up to the order of its forms: the tropical line of 1 + X + Y
+_PANTS_LINE = tropicalize(MirrorFamily("pair_of_pants").laurent_family())
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -83,34 +86,9 @@ def error_integral_dim2_a(
     return 0.5 * big_l**2 * _require_converged(result, f"dim-2 slice {mode} error integral")
 
 
-def _tropical_line() -> TropicalPolynomial:
-    """min(0, y1, y2), the tropicalization of 1 + X + Y."""
-    return TropicalPolynomial(forms=(
-        AffineForm((0, 0), Fraction(0)),
-        AffineForm((1, 0), Fraction(0)),
-        AffineForm((0, 1), Fraction(0)),
-    ))
-
-
-def _normalize_rect(u_rect) -> tuple[tuple[Fraction, Fraction], ...]:
-    if not isinstance(u_rect, (tuple, list)):
-        a = Fraction(u_rect)
-        if a <= 0:
-            raise ValueError("scalar rectangle half-width must be positive")
-        return ((-a, a), (-a, a))
-    sides = []
-    for lo, hi in u_rect:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo < hi:
-            raise ValueError("rectangle sides must satisfy lo < hi")
-        sides.append((lo, hi))
-    if len(sides) != 2:
-        raise ValueError("rectangle needs two coordinate ranges")
-    return tuple(sides)
-
-
-def _check_transversal(complex_, sides) -> None:
+def _check_transversal(complex_) -> None:
     """Reject rectangles whose boundary runs along or through the locus."""
+    sides = complex_.box
     walls = []
     for axis in range(2):
         for bound in sides[axis]:
@@ -185,15 +163,15 @@ def error_integral_dim2_b(
     min(0, y1, y2)); its asymptotic is L * length * zeta(2) + chi *
     zeta(3) + O(1/L), where length is the lattice length of U cut with
     the tropical line and chi records whether the vertex lies inside.
-    The rectangle boundary must be transversal to the line.
+    U is a `corner_locus` box: two (lo, hi) sides, or one (lo, hi) pair
+    for both.  Its boundary must be transversal to the line.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     cfg = config or QuadratureConfig()
-    sides = _normalize_rect(u_rect)
-    trop = _tropical_line()
-    complex_ = corner_locus(trop, sides)
-    _check_transversal(complex_, sides)
+    complex_ = corner_locus(_PANTS_LINE, u_rect)
+    _check_transversal(complex_)
+    sides = complex_.box
     length = sum(
         (c.affine_measure() for c in complex_.cells_of_dim(1)), Fraction(0)
     )

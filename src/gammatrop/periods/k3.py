@@ -6,21 +6,24 @@ rho(u) over the unit sphere around the origin (the body's symmetry
 center).  The residue 2-form pulled back to that radial chart gives
 value = L^3 * integral over S^2 of rho(u)^2 / (d Phi/d rho) d sigma(u).
 
-The sphere is charted by the radial projection of the 4 facets of the
-compact chamber of the tropicalization, the tetrahedron the body tends
-to as t -> 0.  Per unit area of a facet F the integrand tends to h_F / L,
-with h_F the distance of F's plane from the origin, so the facets sum to
-the leading term 32 L^2, the lattice area of the chamber's boundary.  The
--24 zeta(2) sits in bands of width about 1/L along the 6 edges, where two
-terms of Phi compete, and the facet charts run every edge along panel
-edges instead of across the panels.
+The sphere is charted by the radial projection of the 4 facets of
+compact_chamber(tropicalize(quartic)), the tetrahedron the body tends to
+as t -> 0; the terms of Phi are that chamber's facet forms.  Per unit
+area of a facet F the integrand tends to h_F / L, with h_F the distance
+of F's plane from the origin, so the facets sum to the leading term
+32 L^2, the lattice area of the chamber's boundary.  The -24 zeta(2)
+sits in bands of width about 1/L along the 6 edges, where two terms of
+Phi compete, and the facet charts run every edge along panel edges
+instead of across the panels.
 
 Along a ray u the exponents of Phi are affine in rho, so
 g(rho) = log Phi = log sum_i exp(-L (1 + rho s_i)), s_i = <slope_i, u>,
 is a log-sum-exp of affine functions and hence convex, with
 g(0) = log 4t < 0.  So g crosses zero once, with positive slope, and
 Newton's method started at a point where g >= 0 decreases monotonically
-to the crossing.
+to the crossing.  The chamber's gauge rho_0 = 1 / max_i(-s_i), where the
+ray leaves the chamber, is such a point: there every exponent is <= 0
+and the exit facet's term is 1, so the crossing lies in (0, rho_0].
 """
 
 from __future__ import annotations
@@ -29,24 +32,19 @@ import math
 
 import numpy as np
 
-from ..errors import StructureError
 from ..quadrature import QuadratureConfig, Sphere, integrate_2d
-from .types import PeriodSample
+from ..tropical import compact_chamber, tropicalize
+from .types import MirrorFamily, PeriodSample
 
 __all__ = ["k3_period", "K3_T_MAX"]
 
 K3_T_MAX = 0.1
 
-_SLOPES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
-_RHO_MAX = 8.0
-# the faces of compact_chamber(tropicalize(quartic)), the tetrahedron with
-# vertices (-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)
-_FACETS = (
-    ((-1, -1, -1), (3, -1, -1), (-1, 3, -1)),
-    ((-1, -1, -1), (3, -1, -1), (-1, -1, 3)),
-    ((-1, -1, -1), (-1, 3, -1), (-1, -1, 3)),
-    ((3, -1, -1), (-1, 3, -1), (-1, -1, 3)),
-)
+_FAMILY = MirrorFamily("quartic_k3").laurent_family()
+# Phi's terms are the family's unit-coefficient terms, each at t-power 1
+_SLOPES = tuple(term.exponent for term in _FAMILY.terms if term.coefficient == 1)
+_CHAMBER = compact_chamber(tropicalize(_FAMILY))
+_FACETS = tuple(_CHAMBER.facet_vertices(facet) for facet in _CHAMBER.facets)
 
 
 def _default_config() -> QuadratureConfig:
@@ -71,14 +69,19 @@ def _log_phi(rho, slopes, big_l):
 def _radial_root(slopes, big_l):
     """The radius rho of the crossing Phi = 1 along each ray, by Newton on log Phi.
 
-    The seed rho_0 = min(1 / max_i(-s_i), _RHO_MAX) makes the largest term
-    of Phi at least 1, so log Phi(rho_0) >= 0 and, log Phi being convex,
-    the Newton iterates fall monotonically onto the crossing.  Each element
-    steps until its next step would not decrease it, which happens once
-    rounding has reached the crossing, so no step count or tolerance
-    enters.  Every ray must cross within _RHO_MAX.
+    The seed is the chamber's gauge rho_0 = 1 / max_i(-s_i).  The slopes
+    sum to 0 and span R^3, so max_i(-s_i) > 0, and rho_0 is at most the
+    chamber's circumradius sqrt(11).  At rho_0 no exponent of Phi is
+    positive and the exit facet's term is 1, so log Phi(rho_0) >= 0 and,
+    log Phi being convex, the Newton iterates fall monotonically onto the
+    crossing in (0, rho_0].  In floats m fl(1/m) rounds to 1 or just
+    below it, so a seed can sit a rounding inside the body; it is then the
+    crossing already, and its first step does not decrease it.  Each
+    element steps until its next step would not decrease it, which happens
+    once rounding has reached the crossing, so no step count or tolerance
+    enters.
     """
-    rho = np.minimum(1.0 / (-slopes).max(axis=0), _RHO_MAX)
+    rho = 1.0 / (-slopes).max(axis=0)
     while True:
         g, dg = _log_phi(rho, slopes, big_l)
         step = rho - g / dg
@@ -95,13 +98,13 @@ def k3_period(
     """Quartic-mirror period over the positive-real cycle at parameter t.
 
     The radial coordinate of the cycle along each direction is the zero of
-    log Phi on rho in (0, 8].  log Phi is convex along rays and equals
-    log 4t < 0 at rho = 0, so the crossing is unique, and Newton's method
-    from a seed where log Phi >= 0 descends monotonically onto it; each
-    direction iterates until a step no longer decreases its rho.  A
-    direction whose ray never leaves the body within rho = 8 raises
-    StructureError naming the direction.  Orientation is fixed so the
-    value is positive; the asymptotic is 32 L^2 - 24 zeta(2) + o(1).
+    log Phi on rho in (0, rho_0], with rho_0 the radius at which the ray
+    leaves the compact chamber.  log Phi is convex along rays, equals
+    log 4t < 0 at rho = 0 and is >= 0 at rho_0, so the crossing is unique,
+    and Newton's method from rho_0 descends monotonically onto it; each
+    direction iterates until a step no longer decreases its rho.
+    Orientation is fixed so the value is positive; the asymptotic is
+    32 L^2 - 24 zeta(2) + o(1).
     """
     if not 0.0 < t <= K3_T_MAX:
         raise ValueError(f"t must lie in (0, {K3_T_MAX}]")
@@ -110,14 +113,6 @@ def k3_period(
 
     def integrand(nx, ny, nz):
         slopes = np.array([nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES])
-        log_phi_max, _ = _log_phi(np.full_like(nx, _RHO_MAX), slopes, big_l)
-        bad = ~(log_phi_max > 0.0)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            direction = (float(nx[idx]), float(ny[idx]), float(nz[idx]))
-            raise StructureError(
-                f"radial solve found no crossing along direction {direction}"
-            )
         rho = _radial_root(slopes, big_l)
         t0, t1, t2, t3 = np.exp(-big_l * (1.0 + rho * slopes))
         s0, s1, s2, s3 = slopes

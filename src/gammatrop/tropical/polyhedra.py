@@ -207,18 +207,18 @@ def _recession_nontrivial(rows: Sequence[tuple[int, ...]], k: int) -> bool:
 def _normalize_box(
     box: Sequence, n: int
 ) -> tuple[tuple[Fraction, Fraction], ...]:
-    entries = list(box)
-    if len(entries) == 2 and not isinstance(entries[0], (tuple, list)):
-        entries = [entries] * n
-    if len(entries) != n:
+    try:
+        entries = list(box)
+        if len(entries) == 2 and not isinstance(entries[0], (tuple, list)):
+            entries = [entries] * n
+        bounds = tuple((Fraction(lo), Fraction(hi)) for lo, hi in entries)
+    except TypeError:
+        raise ValueError(f"box must be a sequence of (lo, hi) bounds, got {box!r}") from None
+    if len(bounds) != n:
         raise ValueError(f"box must give bounds for all {n} coordinates")
-    out = []
-    for lo, hi in entries:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo < hi:
-            raise ValueError("box bounds must satisfy lo < hi")
-        out.append((lo, hi))
-    return tuple(out)
+    if not all(lo < hi for lo, hi in bounds):
+        raise ValueError("box bounds must satisfy lo < hi")
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,9 @@ def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
     Every subset of two or more forms is tried as a candidate active
     set; a subset survives if its equality locus is consistent, no
     further form is forced equal on that locus, and the resulting cell
-    meets the box in its full dimension.
+    meets the box in its full dimension.  The box is n (lo, hi) pairs of
+    rationals, or one pair for every coordinate; any other box raises
+    ValueError.
     """
     n = p.dim
     if n > 3:

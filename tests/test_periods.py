@@ -13,7 +13,6 @@ import gammatrop.periods.k3 as k3
 from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial
 from gammatrop.errors import (
     NonConvergenceError,
-    StructureError,
     UnsupportedDimensionError,
 )
 from gammatrop.periods import (
@@ -184,6 +183,8 @@ def test_error_dim2_b_rejects_non_transversal():
     # corner (-2,-2) of the square sits on the diagonal ray
     with pytest.raises(ValueError):
         error_integral_dim2_b(2, 1e-3)
+    with pytest.raises(ValueError):
+        error_integral_dim2_b((-2, 2), 1e-3)
     # wall x = 0 passes through the trivalent vertex at the origin
     with pytest.raises(ValueError):
         error_integral_dim2_b(((-2, 0), (-2, 2)), 1e-3)
@@ -473,6 +474,24 @@ def test_elliptic_determinism_and_validation():
         elliptic_period(0.0)
 
 
+@pytest.mark.parametrize("t", (1e-60, 1e-100))
+def test_elliptic_small_t_is_nine_l(t):
+    # the series' d >= 1 terms are below t^3, so the period is 9 L in
+    # floats; chart 1's discriminant, a product of order t^6, underflowed
+    # to 0 below about t = 5e-52 before t^2 and one X left its root
+    sample = elliptic_period(t)
+    assert sample.converged
+    assert abs(sample.value - 9.0 * sample.big_l) <= 1e-12 * sample.value
+    assert sample.evaluations <= 1050
+
+
+def test_elliptic_rejects_t_below_the_normal_floor():
+    # 4 t^3, the constant of the cubic whose roots frame the oval, is
+    # subnormal there
+    with pytest.raises(ValueError):
+        elliptic_period(1e-110)
+
+
 def test_k3_period_matches_asymptotic():
     t = 1e-2
     cfg = QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5)
@@ -545,8 +564,9 @@ def test_k3_facets_are_the_chamber_facets():
 
 def test_k3_small_t_has_no_overflow():
     # at t = 1e-30 every d >= 1 term of the series is below 1e-100, and
-    # Phi at rho = 8 reaches t^{-7}; the suite turns RuntimeWarnings into
-    # errors, so an overflowing exponential fails here
+    # the radial solve evaluates Phi only from the chamber's boundary
+    # inwards, where no exponent is positive; the suite turns
+    # RuntimeWarnings into errors, so an overflowing exponential fails here
     sample = k3_period(1e-30, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5))
     assert sample.converged
     predicted = 32.0 * sample.big_l**2 - 24.0 * ZETA2
@@ -592,11 +612,38 @@ def test_k3_radial_root_matches_bisection(t):
     assert np.all(phi(np.nextafter(rho, np.inf)) >= 1.0 - rounding)
 
 
-def test_k3_no_crossing_names_the_direction(monkeypatch):
-    # with the search radius inside the body no ray reaches Phi = 1
-    monkeypatch.setattr(k3, "_RHO_MAX", 1e-3)
-    with pytest.raises(StructureError, match=r"no crossing along direction \(\S+, \S+, \S+\)"):
-        k3_period(1e-2)
+@pytest.mark.parametrize("t", (0.1, 1e-2, 1e-30))
+def test_k3_newton_seed_is_the_chamber_gauge(t):
+    # the seed rho_0 = 1 / max_i(-s_i) is where the ray leaves the chamber
+    rng = np.random.default_rng(21)
+    u = rng.standard_normal((3, 20000))
+    u /= np.linalg.norm(u, axis=0)
+    slopes = np.array([u[0] * sx + u[1] * sy + u[2] * sz for sx, sy, sz in k3._SLOPES])
+    big_l = -math.log(t)
+    rho0 = 1.0 / (-slopes).max(axis=0)
+    # the chamber's circumradius, |(3, -1, -1)|
+    assert np.all(rho0 <= math.sqrt(11.0))
+    # m fl(1/m) rounds to 1 or to its predecessor 1 - eps/2, so no exponent
+    # is positive, and the exit facet's is 0 or -L eps / 2
+    exponents = -big_l * (1.0 + rho0 * slopes)
+    assert np.all(exponents <= 0.0)
+    assert np.all(exponents.max(axis=0) >= -big_l * np.finfo(float).eps / 2.0)
+    # so log Phi(rho_0) >= 0 up to that rounding, and a seed the rounding
+    # puts inside the body is the crossing already: Newton keeps it
+    log_phi, _ = k3._log_phi(rho0, slopes, big_l)
+    assert np.all(log_phi >= -big_l * np.finfo(float).eps / 2.0)
+    inside = log_phi < 0.0
+    assert np.array_equal(k3._radial_root(slopes[:, inside], big_l), rho0[inside])
+
+
+def test_k3_phi_terms_are_the_chamber_facet_forms():
+    family = MirrorFamily("quartic_k3").laurent_family()
+    chamber = compact_chamber(tropicalize(family))
+    assert sorted(k3._SLOPES) == sorted(normal for normal, _ in chamber.facets)
+    assert all(offset == 1 for _, offset in chamber.facets)
+    assert all(
+        term.t_exponent == 1 for term in family.terms if term.exponent in k3._SLOPES
+    )
 
 
 def test_k3_validation():

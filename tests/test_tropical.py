@@ -595,6 +595,10 @@ def test_corner_locus_box_validation():
         corner_locus(trop, (1, -1))
     with pytest.raises(ValueError):
         corner_locus(trop, ((0, 1),))
+    # a box that is not a sequence of (lo, hi) bounds
+    for box in (5, None, ((0, 1), 5), ((0, 1), (0, None))):
+        with pytest.raises(ValueError):
+            corner_locus(trop, box)
 
 
 # --- chambers and polytope combinatorics ---
