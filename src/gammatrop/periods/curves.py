@@ -53,7 +53,10 @@ def pants_section_integral(
     big_l = -math.log(t)
 
     def integrand(x):
-        return big_l / (1.0 + np.exp(-big_l * x))
+        # e^{-L x} is capped at e^709, short of where it overflows; past
+        # the cap the integrand is below L e^-709 < 1e-305, and so is what
+        # the cap changes
+        return big_l / (1.0 + np.exp(np.minimum(-big_l * x, 709.0)))
 
     res = integrate_1d(integrand, (float(x0), float(x1)), cfg)
     return _require_converged(res, "pants section integral")

@@ -45,6 +45,8 @@ _FAMILY = MirrorFamily("quartic_k3").laurent_family()
 _SLOPES = tuple(term.exponent for term in _FAMILY.terms if term.coefficient == 1)
 _CHAMBER = compact_chamber(tropicalize(_FAMILY))
 _FACETS = tuple(_CHAMBER.facet_vertices(facet) for facet in _CHAMBER.facets)
+# checked once here; every call integrates over the same charts
+_SPHERE = Sphere(_FACETS)
 
 
 def _default_config() -> QuadratureConfig:
@@ -119,7 +121,7 @@ def k3_period(
         # d Phi/d rho = -L * sum(s_i T_i) > 0 at the outward crossing
         return rho * rho / (-big_l * (s0 * t0 + s1 * t1 + s2 * t2 + s3 * t3))
 
-    res = integrate_2d(integrand, Sphere(_FACETS), cfg)
+    res = integrate_2d(integrand, _SPHERE, cfg)
     scale = big_l**3
     return PeriodSample(
         t=t,

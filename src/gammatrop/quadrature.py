@@ -20,10 +20,14 @@ the Duffy map of the unit square: for a convex polygon the fan of
 triangles from one vertex, and for the unit sphere the radial projection
 of facet triangles whose cones from the origin tile space.  A 2d panel
 takes the tensor product of the fine rule and an error from the coarse
-rule along each axis.  Every weight of both rules is positive, so a
-non-finite node makes the panel's value non-finite; such a panel gets
-error inf, and so does a 1d panel so narrow that two of its nodes round
-onto one float.
+rule along each axis.  Its rule is one (3, 225) matrix on the 15 x 15
+node values, u major, of outer products of the 1d rows: fine by fine,
+fine plus coarse along u by fine, and fine by fine plus coarse along v.
+This matrix times the node values of all boxes of a call gives every
+box's three sums in one product.  Every weight of both rules is
+positive, so a non-finite node makes the panel's value non-finite; such
+a panel gets error inf, and so does a 1d panel so narrow that two of its
+nodes round onto one float.
 
 Integrands must be elementwise: each value depends only on the arguments
 at its own node, and one call may cover many panels.  Planar integrands
@@ -33,7 +37,6 @@ get y as an array of x's shape, not a scalar.
 from __future__ import annotations
 
 import collections
-import contextlib
 import heapq
 import itertools
 import math
@@ -126,6 +129,15 @@ _COARSE = _interior_cosine_rule((_RULE_ORDER + 1) // 2)[1]
 # both sums non-finite and never meets a zero weight, where 0 * inf warns.
 _RULE_1D = np.vstack((_WEIGHTS, _WEIGHTS))
 _RULE_1D[1, 1::2] += _COARSE
+# the 2d rule matrix on a box's 15 x 15 node values, u major: the fine
+# rule on both axes, and the fine plus the coarse rule along u, then
+# along v, with the fine rule on the other axis.  Its entries are
+# products of positive ones, so as in _RULE_1D no node meets a zero weight.
+_RULE_2D = np.stack((
+    np.outer(_RULE_1D[0], _RULE_1D[0]),
+    np.outer(_RULE_1D[1], _RULE_1D[0]),
+    np.outer(_RULE_1D[0], _RULE_1D[1]),
+)).reshape(3, -1)
 
 
 def _values(y, size: int) -> np.ndarray:
@@ -472,46 +484,51 @@ def _patches(domain) -> list[tuple[Sequence[tuple[float, float, float, float]], 
 def _panels_2d(f, boxes, to_args):
     """The (u, v) boxes of one patch, in one integrand call, as heap entries.
 
-    Each box takes the tensor product of the fine rule.  Its error is 1.5
-    times the sum, over both axes, of its difference to the rule that is
-    coarse along that axis, and it splits along the axis with the larger
-    difference.  A box with a non-finite value splits across the axis with
-    fewer non-finite line sums, so a singular line is cut off, not along.
-    Returns the (value, error, axis, box) of each box, axis 0 for u and 1
-    for v, and the number of evaluations.
+    Each box takes the tensor product of the fine rule.  _RULE_2D times
+    the node values of all boxes, one column per box, gives each box's
+    fine sum and its sums under the rule that is coarse along u and along
+    v, each plus the fine sum, in one product; the rest is arithmetic on
+    Python floats.  A box's error is 1.5 times the sum, over both axes, of
+    its difference to the coarse rule along that axis, and it splits along
+    the axis with the larger difference.  A box with a non-finite value
+    splits across the axis with fewer non-finite line sums, so a singular
+    line is cut off, not along.  Returns the (value, error, axis, box) of
+    each box, axis 0 for u and 1 for v, and the number of evaluations.
     """
-    box = np.array(boxes)
-    hu = 0.5 * (box[:, 1] - box[:, 0])
-    hv = 0.5 * (box[:, 3] - box[:, 2])
-    u = 0.5 * (box[:, :1] + box[:, 1:2]) + hu[:, None] * _NODES
-    v = 0.5 * (box[:, 2:3] + box[:, 3:]) + hv[:, None] * _NODES
+    bounds = np.array(boxes)
+    mid = 0.5 * (bounds[:, ::2] + bounds[:, 1::2])
+    half = 0.5 * (bounds[:, 1::2] - bounds[:, ::2])
+    # the u and the v nodes of each box, as (k, 2, 15)
+    nodes = mid[:, :, None] + half[:, :, None] * _NODES
     # the (u, v) grid of each box, u major: each u node repeated and the
-    # v nodes tiled
-    size = u.size * _RULE_ORDER
-    args, jacobian = to_args(u.repeat(_RULE_ORDER), np.tile(v, _RULE_ORDER).ravel())
-    y = (_values(f(*args), size) * jacobian).reshape(-1, _RULE_ORDER, _RULE_ORDER)
-    along_v = y @ _WEIGHTS
-    along_u = _WEIGHTS @ y
-    area = hu * hv
-    fine = area * (along_v @ _WEIGHTS)
-    # the weights are positive, so a non-finite node makes fine non-finite;
-    # its differences below may be -inf - -inf, a nan that must not warn,
-    # and the branch after them replaces its error and split axis
-    bad = ~np.isfinite(fine)
-    nonfinite = bad.any()
-    with np.errstate(invalid="ignore") if nonfinite else contextlib.nullcontext():
-        err_u = np.abs(fine - area * (along_v[:, 1::2] @ _COARSE))
-        err_v = np.abs(fine - area * (along_u[:, 1::2] @ _COARSE))
-    err = 1.5 * (err_u + err_v)
-    split_v = err_v > err_u
-    if nonfinite:
-        err[bad] = math.inf
-        # line sums along v at each u node, against along u at each v node
-        split_v[bad] = (
-            (~np.isfinite(along_v[bad])).sum(axis=1) > (~np.isfinite(along_u[bad])).sum(axis=1)
-        )
-    # False and True index the box as axes 0 (u) and 1 (v)
-    return list(zip(fine.tolist(), err.tolist(), split_v.tolist(), boxes)), size
+    # v nodes repeated as a block
+    u = nodes[:, 0].repeat(_RULE_ORDER)
+    v = nodes[:, 1:].repeat(_RULE_ORDER, axis=1).ravel()
+    args, jacobian = to_args(u, v)
+    y = (_values(f(*args), u.size) * jacobian).reshape(-1, _RULE_ORDER * _RULE_ORDER)
+    # the rule is the left operand, as in _panels_1d
+    sums = _RULE_2D.dot(y.T).tolist()
+    entries = []
+    for k, (box, (hu, hv), fine, both_u, both_v) in enumerate(zip(boxes, half.tolist(), *sums)):
+        area = hu * hv
+        value = area * fine
+        err_u = abs(value - area * (both_u - fine))
+        err_v = abs(value - area * (both_v - fine))
+        err = 1.5 * (err_u + err_v)
+        split_v = err_v > err_u
+        if not err < math.inf:
+            # the weights are positive, so a non-finite node makes the
+            # value non-finite; split across the axis with fewer
+            # non-finite line sums, along v at each u node against along
+            # u at each v node
+            err = math.inf
+            grid = y[k].reshape(_RULE_ORDER, _RULE_ORDER)
+            along_v = _WEIGHTS.dot(grid.T)
+            along_u = _WEIGHTS.dot(grid)
+            split_v = bool((~np.isfinite(along_v)).sum() > (~np.isfinite(along_u)).sum())
+        # False and True index the box as axes 0 (u) and 1 (v)
+        entries.append((value, err, split_v, box))
+    return entries, u.size
 
 
 def integrate_2d(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import gammatrop.periods.error_integrals as error_integrals
 import gammatrop.periods.k3 as k3
 from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial
 from gammatrop.errors import (
@@ -33,7 +34,7 @@ from gammatrop.periods import (
     pants_section_integral,
 )
 from gammatrop.periods.fano import _bessel_k0
-from gammatrop.quadrature import QuadratureConfig, fit_asymptotic, integrate_1d
+from gammatrop.quadrature import QuadratureConfig, fit_asymptotic, integrate_1d, integrate_2d
 from gammatrop.tropical import compact_chamber, edge_singularities, tropicalize
 
 EULER_GAMMA = 0.5772156649015328606
@@ -168,6 +169,27 @@ def test_error_dim2_b_structure_on_transversal_rectangle():
     assert chi == 1
     big_l = math.log(10.0**4)
     assert abs(value - (6 * ZETA2 * big_l + ZETA3)) < 1e-3
+
+
+# today's integrate_2d evaluations of the polygons of the rectangle
+# ((-4, 2), (-2, 2)); the two sum to the 224,550 of one benchmark sweep
+DIM2_B_EVALUATIONS = {1e-3: 109_125, 1e-4: 115_425}
+
+
+@pytest.mark.parametrize("t", sorted(DIM2_B_EVALUATIONS))
+def test_error_dim2_b_evaluation_count(t, monkeypatch):
+    # the quadrature is deterministic, so a change of the 2d panel rule
+    # that alters one split decision moves the count with no noise
+    counts = []
+
+    def counted(*args, **kwargs):
+        result = integrate_2d(*args, **kwargs)
+        counts.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(error_integrals, "integrate_2d", counted)
+    error_integral_dim2_b(((-4, 2), (-2, 2)), t)
+    assert counts and sum(counts) <= DIM2_B_EVALUATIONS[t]
 
 
 def test_error_dim2_b_off_locus():
@@ -390,6 +412,16 @@ def test_pants_quadrature_matches_antiderivative():
         value = pants_section_integral(x0, x1, t)
         exact = pants_antiderivative(x1, t) - pants_antiderivative(x0, t)
         assert abs(value - exact) < 1e-10 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("x0, x1, t", ((-10.0, 1.0, 1e-50), (-3.0, 1.0, 1e-200)))
+def test_pants_far_negative_section_does_not_overflow(x0, x1, t):
+    # -L x reaches 1151 and 1381 here, past where exp overflows at 709.78;
+    # the suite turns the overflow warning into an error
+    value = pants_section_integral(x0, x1, t)
+    with mpmath.workdps(30):
+        exact = mpmath.log1p(mpmath.mpf(t) ** -x1) - mpmath.log1p(mpmath.mpf(t) ** -x0)
+    assert abs(value - float(exact)) < 1e-10 * abs(float(exact))
 
 
 def test_pants_interval_endpoints():

@@ -1,5 +1,6 @@
 """Tests for adaptive quadrature, 2d domains and asymptotic power fits."""
 
+import itertools
 import math
 import re
 import warnings
@@ -64,10 +65,14 @@ TETRAHEDRON = Sphere((
 SPHERE_CONFIG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
 
 
+def identity_chart(u, v):
+    return (u, v), 1.0
+
+
 def integrate_box(f, box, config=None):
     """The 2d panel loop on the box (x0, x1, y0, y1) under the identity chart."""
     cfg = config or QuadratureConfig()
-    return _cubature(f, _panels_2d, [([box], lambda u, v: ((u, v), 1.0))], cfg)
+    return _cubature(f, _panels_2d, [([box], identity_chart)], cfg)
 
 
 # --- single panel rule ---
@@ -684,6 +689,114 @@ def test_panel_rule_2d_grid_is_the_broadcast_tensor_product():
     [(got_u, got_v)] = grids
     assert np.array_equal(got_u, u.ravel()) and np.array_equal(got_v, v.ravel())
     assert count == len(entries) * _RULE_ORDER**2 == u.size
+
+
+def reference_panel_2d(f, box):
+    """One box by nested per-axis sums, fine and coarse along each axis, as a reference.
+
+    Returns its value, error and split axis: along v (True) if the rule
+    coarse along v differs more, and for a non-finite box along v if more
+    line sums along v than along u are non-finite.
+    """
+    nodes, weights = _interior_cosine_rule(_RULE_ORDER + 1)
+    coarse = _interior_cosine_rule((_RULE_ORDER + 1) // 2)[1]
+    u0, u1, v0, v1 = box
+    hu, hv = 0.5 * (u1 - u0), 0.5 * (v1 - v0)
+    u = 0.5 * (u0 + u1) + hu * nodes
+    v = 0.5 * (v0 + v1) + hv * nodes
+    y = f(u[:, None], v[None, :])
+    with np.errstate(invalid="ignore"):
+        along_v = y @ weights  # one sum along v at each u node
+        along_u = weights @ y  # one sum along u at each v node
+        area = hu * hv
+        fine = area * float(along_v @ weights)
+        err_u = abs(fine - area * float(along_v[1::2] @ coarse))
+        err_v = abs(fine - area * float(along_u[1::2] @ coarse))
+    if not math.isfinite(fine):
+        return fine, math.inf, bool((~np.isfinite(along_v)).sum() > (~np.isfinite(along_u)).sum())
+    return fine, 1.5 * (err_u + err_v), bool(err_v > err_u)
+
+
+@pytest.mark.parametrize("count", (1, 2, 5))
+def test_panel_rule_2d_matches_the_nested_sums(count):
+    # one rule-matrix product per call gives each box what the nested
+    # per-axis sums give, up to the order of summation; an error is 1.5
+    # times differences of sums of about |value| + err.  The integrands
+    # are positive, so no value is a cancellation.
+    boxes = [(0.0, 1.0, 0.0, 1.0), (1.0, 2.5, -0.5, 0.0), (-3.0, -0.5, 0.25, 0.375),
+             (2.0, 2.125, 4.0, 7.0), (-1.0, 1.0, -6.0, -2.0)][:count]
+    functions = (
+        lambda x, y: np.exp(1.5 * x) * (2.0 + np.cos(4.0 * y)),
+        lambda x, y: 1.0 / (1e-2 + (x - 0.3) ** 2 + 4.0 * (y + 0.2) ** 2),
+        lambda x, y: (2.0 + np.sin(7.0 * x)) * np.exp(-y * y),
+    )
+    for f in functions:
+        entries, evaluations = _panels_2d(f, boxes, identity_chart)
+        assert evaluations == count * _RULE_ORDER**2
+        for box, (value, err, axis, entry_box) in zip(boxes, entries):
+            ref_value, ref_err, ref_axis = reference_panel_2d(f, box)
+            assert entry_box == box
+            assert value == pytest.approx(ref_value, rel=1e-15, abs=0.0)
+            assert abs(err - ref_err) <= 1e-14 * (abs(value) + err)
+            assert axis == ref_axis
+
+
+NONFINITE_2D_CALLS = (
+    [(-1.0, 1.0, -1.0, 1.0)],
+    [(-1.0, 1.0, -1.0, 1.0), (1.0, 3.0, -1.0, 1.0)],
+    [(-3.0, -1.0, -1.0, 1.0), (-1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, 3.0), (1.0, 3.0, 1.0, 3.0)],
+)
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_panel_rule_2d_nonfinite_node(bad):
+    # on (-1, 1)^2 the nodes are the rule's own; a non-finite value at any
+    # of its 225 nodes makes that box's value non-finite and its error
+    # inf, alone or among other boxes, whose panels stay finite, and with
+    # no floating-point warning
+    for i, j in itertools.product(range(_RULE_ORDER), repeat=2):
+
+        def f(x, y):
+            return np.where((x == _NODES[i]) & (y == _NODES[j]), bad, 1.0 + x * x + y)
+
+        for boxes in NONFINITE_2D_CALLS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entries, _ = _panels_2d(f, boxes, identity_chart)
+            for box, (value, err, axis, _) in zip(boxes, entries):
+                if box == (-1.0, 1.0, -1.0, 1.0):
+                    assert value == bad or math.isnan(bad) and math.isnan(value)
+                    assert err == math.inf
+                    # one line sum along each axis is non-finite; u wins the tie
+                    assert axis == 0
+                    assert repr((value, err, axis)) == repr(reference_panel_2d(f, box))
+                else:
+                    assert math.isfinite(value) and math.isfinite(err)
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize("line_axis", (0, 1))
+def test_panel_rule_2d_splits_across_a_singular_line(bad, line_axis):
+    # a whole line of non-finite nodes, at one u node (axis 0) or at one v
+    # node (axis 1): the box is split along that axis, so the cut runs
+    # parallel to the line and cuts it off
+    index = 4
+
+    def f(x, y):
+        on_line = (x if line_axis == 0 else y) == _NODES[index]
+        return np.where(on_line, bad, np.cos(x + 2.0 * y))
+
+    for boxes in NONFINITE_2D_CALLS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries, _ = _panels_2d(f, boxes, identity_chart)
+        for box, (value, err, axis, _) in zip(boxes, entries):
+            # the line crosses every box whose range on its axis is (-1, 1)
+            if box[2 * line_axis:2 * line_axis + 2] == (-1.0, 1.0):
+                assert err == math.inf and axis == line_axis
+                assert repr((value, err, axis)) == repr(reference_panel_2d(f, box))
+            else:
+                assert math.isfinite(value) and math.isfinite(err)
 
 
 def test_integrate_2d_rejects_unsupported_domain():
