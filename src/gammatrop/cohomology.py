@@ -3,6 +3,10 @@
 Works in the truncated one-generator cohomology ring of a projective
 space P^n or of a degree-d hypersurface inside it: an element is a
 polynomial in the hyperplane class H, cut off beyond the top degree.
+The Gamma class is exp(sum_k a_k p_k H^k), with a_k the Taylor
+coefficients of log Gamma(1+x) and p_k the power sums of the Chern roots,
+read off log c = sum_i log(1 + x_i).  exp and log are the power-series
+recurrences, O(n^2) coefficient products each.
 
 Coefficients are exact.  Every Gamma-side number lies in
 Q[i, euler_gamma, pi, zeta(3), zeta(5), ...]: the log-Gamma coefficients
@@ -232,14 +236,10 @@ def _zeta(k: int) -> float:
 def log_gamma_series(order: int) -> list[float]:
     """Taylor coefficients a_1..a_order of log Gamma(1+x) at x = 0.
 
-    a_1 = -euler_gamma and a_k = (-1)^k zeta(k)/k for k >= 2.
+    a_1 = -euler_gamma and a_k = (-1)^k zeta(k)/k for k >= 2: the float
+    pass of `log_gamma_series_exact`.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    coeffs = [-_EULER_GAMMA]
-    for k in range(2, order + 1):
-        coeffs.append((-1) ** k * zeta_value(k) / k)
-    return coeffs
+    return [complex(a).real for a in log_gamma_series_exact(order)]
 
 
 def log_gamma_series_exact(order: int) -> list:
@@ -389,29 +389,35 @@ class GradedElement:
         return GradedElement(out, n)
 
     def exp(self) -> "GradedElement":
-        """exp of a nilpotent element (zero constant term required)."""
-        if self.coefficients[0] != 0:
+        """exp of a nilpotent element (zero constant term required).
+
+        g = exp f solves g' = f' g, so k g_k = sum_{j=1..k} j f_j g_{k-j}:
+        O(n^2) coefficient products, where n truncated powers of f take
+        O(n^3).
+        """
+        f = self.coefficients
+        if f[0] != 0:
             raise ValueError("exp requires zero constant term")
-        n = self.truncation
-        result = GradedElement.one(n)
-        term = GradedElement.one(n)
-        for k in range(1, n + 1):
-            term = term * self
-            result = result + Fraction(1, math.factorial(k)) * term
-        return result
+        jf = [j * c for j, c in enumerate(f)]
+        g = [1]
+        for k in range(1, self.truncation + 1):
+            g.append(Fraction(1, k) * sum(jf[j] * g[k - j] for j in range(1, k + 1)))
+        return GradedElement(g, self.truncation)
 
     def log(self) -> "GradedElement":
-        """log of 1 + nilpotent (constant term must equal 1)."""
-        if self.coefficients[0] != 1:
+        """log of 1 + nilpotent (constant term must equal 1).
+
+        The exp recurrence solved for f = log g:
+        k f_k = k g_k - sum_{j=1..k-1} j f_j g_{k-j}.
+        """
+        g = self.coefficients
+        if g[0] != 1:
             raise ValueError("log requires constant term 1")
         n = self.truncation
-        u = self - GradedElement.one(n)
-        result = GradedElement.zero(n)
-        term = GradedElement.one(n)
+        jf = [0]  # k f_k
         for k in range(1, n + 1):
-            term = term * u
-            result = result + Fraction((-1) ** (k + 1), k) * term
-        return result
+            jf.append(k * g[k] - sum(jf[j] * g[k - j] for j in range(1, k)))
+        return GradedElement([0] + [Fraction(1, k) * jf[k] for k in range(1, n + 1)], n)
 
     def degree_part(self, k: int) -> "GradedElement":
         out = [0] * (self.truncation + 1)
@@ -486,35 +492,24 @@ def total_chern(m: ManifoldModel) -> GradedElement:
     return c
 
 
-def _power_sums(c: GradedElement, top: int) -> list[GradedElement]:
-    """Newton's identities: power sums p_1..p_top of the Chern roots.
+def _power_sums(c: GradedElement) -> list:
+    """Power sums p_1..p_n of the Chern roots, n the truncation.
 
-    p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^(k-1) k c_k.
-    c_k beyond the truncation (or the rank) is zero.
+    log c = sum_i log(1 + x_i) = sum_k (-1)^(k+1) p_k H^k / k, so p_k is
+    (-1)^(k+1) k times the H^k coefficient of log c; c_0 must be 1.
     """
-    n = c.truncation
-    ck = [c.degree_part(k) for k in range(n + 1)]
-    ps: list[GradedElement] = []
-    for k in range(1, top + 1):
-        acc = GradedElement.zero(n)
-        for j in range(1, k):
-            if j <= n:
-                sign = (-1) ** (j + 1)
-                acc = acc + sign * (ck[j] * ps[k - 1 - j])
-        if k <= n:
-            acc = acc + ((-1) ** (k + 1) * k) * ck[k]
-        ps.append(acc)
-    return ps
+    log_c = c.log().coefficients
+    return [(-1) ** (k + 1) * k * log_c[k] for k in range(1, c.truncation + 1)]
 
 
 def chern_character(c: GradedElement, rank: int) -> list[GradedElement]:
-    """Chern character components [ch_0, ch_1, ..., ch_n], ch_k = p_k/k!."""
+    """Chern character components [ch_0, ch_1, ..., ch_n], ch_k = p_k H^k/k!."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
     n = c.truncation
     ch = [rank * GradedElement.one(n)]
-    for k, p in enumerate(_power_sums(c, n), start=1):
-        ch.append(Fraction(1, math.factorial(k)) * p)
+    for k, p in enumerate(_power_sums(c), start=1):
+        ch.append(GradedElement([0] * k + [Fraction(1, math.factorial(k)) * p], n))
     return ch
 
 
@@ -522,18 +517,13 @@ def gamma_class(m: ManifoldModel) -> GradedElement:
     """Gamma class of the tangent bundle.
 
     Defined as the product of Gamma(1 + delta_i) over the Chern roots,
-    i.e. exp(sum_k a_k p_k) with a_k the log-Gamma Taylor coefficients
-    and p_k the power sums.  Coefficients come out as exact ring values
-    in euler_gamma, pi and odd zeta values.
+    i.e. exp(sum_k a_k p_k H^k) with a_k the log-Gamma Taylor
+    coefficients and p_k the power sums.  Coefficients come out as exact
+    ring values in euler_gamma, pi and odd zeta values.
     """
-    n = m.dim
-    c = total_chern(m)
-    a = log_gamma_series_exact(n)
-    ps = _power_sums(c, n)
-    arg = GradedElement.zero(n)
-    for ak, pk in zip(a, ps):
-        arg = arg + ak * pk
-    return arg.exp()
+    a = log_gamma_series_exact(m.dim)
+    ps = _power_sums(total_chern(m))
+    return GradedElement([0] + [ak * pk for ak, pk in zip(a, ps)], m.dim).exp()
 
 
 def integrate(m: ManifoldModel, x: GradedElement):

@@ -24,6 +24,7 @@ converges geometrically.  Against mpmath the relative error is below
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -41,6 +42,20 @@ __all__ = [
 ]
 
 _SUPPORTED_DIMS = (1, 2, 3)
+
+# the smallest t per n.  An integrand is below the 1e-30 tail cutoff once
+# an exponent passes 70, so the mass ends where t e^u = 70 for n = 1 and
+# where t e^(-2a) = 70 for n = 2, whose smallest K0 argument with mass is
+# then 2 t^(3/2) / sqrt(70) = 0.24 t^(3/2).  For n = 3 the two K0
+# arguments multiply to 4 t^2, and the larger carries mass up to about 70,
+# so the smaller down to 4 t^2 / 70.  Below these t the exponent cap
+# (n = 1) or the K0 argument floor (n = 2, 3) binds inside the mass, and
+# the quadrature would converge to a wrong value or not at all.
+_T_FLOOR = {
+    1: 70.0 * math.exp(-709.0),
+    2: (sys.float_info.min * math.sqrt(70.0) / 2.0) ** (2.0 / 3.0),
+    3: math.sqrt(sys.float_info.min * 70.0 / 4.0),
+}
 
 # the series: row k holds the coefficients 1/(k!)^2 of I0 and H_k/(k!)^2
 # of the harmonic sum, for the power (x^2/4)^k
@@ -89,6 +104,25 @@ def _bessel_k0(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """e^x with x capped at 709, short of where it overflows.
+
+    For t above `_T_FLOOR` the cap binds only on tail probes past the
+    integrand's mass, where its value stays below the tail cutoff.
+    """
+    return np.exp(np.minimum(x, 709.0))
+
+
+def _k0_argument(t: float, a: np.ndarray) -> np.ndarray:
+    """2 t e^a, floored at the smallest normal float.
+
+    Where 2 t e^a would underflow to 0, K0 would be inf and meet a 0
+    factor; at the floor K0 is about 708 and the other factor is 0.  A
+    subnormal floor would not do, since `_k0_series` halves it.
+    """
+    return np.maximum(2.0 * t * _exp(a), sys.float_info.min)
+
+
 def _check_t(t: float) -> None:
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
@@ -121,7 +155,9 @@ def exp_period_orthant(
 
     The truncated tails are bounded in the reported error estimate.
     Non-convergent quadrature is reported on the returned sample, not
-    raised.
+    raised.  t below a floor per n raises ValueError: about 8.5e-307,
+    2.1e-205 and 6.2e-154 for n = 1, 2, 3, where the exponent cap or the
+    K0 argument floor would bind inside the integrand's mass.
     """
     _check_n(n)
     if n not in _SUPPORTED_DIMS:
@@ -129,25 +165,27 @@ def exp_period_orthant(
             f"exp_period_orthant supports n in {_SUPPORTED_DIMS}, got {n}"
         )
     _check_t(t)
+    if t < _T_FLOOR[n]:
+        raise ValueError(f"t = {t} is below the floor {_T_FLOOR[n]:.2g} of the n = {n} period")
     cfg = config or QuadratureConfig()
 
     if n == 1:
 
         def integrand(u):
-            return np.exp(-t * (np.exp(u) + np.exp(-u)))
+            return np.exp(-t * (_exp(u) + _exp(-u)))
 
         parametrization = "log_orthant_1d"
     elif n == 2:
 
         def integrand(a):
-            return 4.0 * _bessel_k0(2.0 * t * np.exp(a)) * np.exp(-t * np.exp(-2.0 * a))
+            return 4.0 * _bessel_k0(_k0_argument(t, a)) * np.exp(-t * _exp(-2.0 * a))
 
         parametrization = "bessel_line_1d"
     else:
 
         def integrand(a):
             # one K0 call on both arguments
-            k = _bessel_k0(2.0 * t * np.exp(np.concatenate((a, -a))))
+            k = _bessel_k0(_k0_argument(t, np.concatenate((a, -a))))
             return 8.0 * k[:a.size] * k[a.size:]
 
         parametrization = "bessel_pair_1d"

@@ -69,7 +69,8 @@ def _log_phi(rho, slopes, big_l):
 
 
 def _radial_root(slopes, big_l):
-    """The radius rho of the crossing Phi = 1 along each ray, by Newton on log Phi.
+    """The radius rho of the crossing Phi = 1 along each ray, by Newton on
+    log Phi, and d log Phi/d rho there.
 
     The seed is the chamber's gauge rho_0 = 1 / max_i(-s_i).  The slopes
     sum to 0 and span R^3, so max_i(-s_i) > 0, and rho_0 is at most the
@@ -81,7 +82,7 @@ def _radial_root(slopes, big_l):
     crossing already, and its first step does not decrease it.  Each
     element steps until its next step would not decrease it, which happens
     once rounding has reached the crossing, so no step count or tolerance
-    enters.
+    enters.  The last pass evaluated the derivative at the returned rho.
     """
     rho = 1.0 / (-slopes).max(axis=0)
     while True:
@@ -89,7 +90,7 @@ def _radial_root(slopes, big_l):
         step = rho - g / dg
         lower = step < rho
         if not lower.any():
-            return rho
+            return rho, dg
         rho = np.where(lower, step, rho)
 
 
@@ -115,11 +116,9 @@ def k3_period(
 
     def integrand(nx, ny, nz):
         slopes = np.array([nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES])
-        rho = _radial_root(slopes, big_l)
-        t0, t1, t2, t3 = np.exp(-big_l * (1.0 + rho * slopes))
-        s0, s1, s2, s3 = slopes
-        # d Phi/d rho = -L * sum(s_i T_i) > 0 at the outward crossing
-        return rho * rho / (-big_l * (s0 * t0 + s1 * t1 + s2 * t2 + s3 * t3))
+        rho, dg = _radial_root(slopes, big_l)
+        # d Phi/d rho = Phi d log Phi/d rho, and Phi = 1 at the crossing
+        return rho * rho / dg
 
     res = integrate_2d(integrand, _SPHERE, cfg)
     scale = big_l**3

@@ -140,14 +140,26 @@ _RULE_2D = np.stack((
 )).reshape(3, -1)
 
 
+_FLOAT = np.dtype(float)
+
+
 def _values(y, size: int) -> np.ndarray:
     """Integrand output as a float array of `size` values.
 
     A 0-d result is a constant and is broadcast; any other shape that is
     not (size,) raises, because in a batch it would shift the values of
-    every later request.
+    every later request.  A complex result raises TypeError, since the
+    cast to float would drop its imaginary part.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
+    # float64 output, the usual case, passes on one identity test
+    if y.dtype is not _FLOAT:
+        if y.dtype.kind == "c":
+            raise TypeError(
+                f"integrand returned {y.dtype} values; integrate the real "
+                "and imaginary parts separately"
+            )
+        y = y.astype(float)
     if y.ndim == 0:
         return np.full(size, float(y))
     if y.shape != (size,):

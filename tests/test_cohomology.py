@@ -219,6 +219,55 @@ def test_exp_log_roundtrip_exact():
         assert back.coefficients == x.coefficients
 
 
+def exp_by_powers(x):
+    """exp of a nilpotent element as sum_k x^k / k!, by repeated products."""
+    n = x.truncation
+    total, term = GradedElement.one(n), GradedElement.one(n)
+    for k in range(1, n + 1):
+        term = term * x
+        total = total + Fraction(1, math.factorial(k)) * term
+    return total
+
+
+def log_by_powers(x):
+    """log of 1 + u as sum_k (-1)^(k+1) u^k / k, by repeated products."""
+    n = x.truncation
+    u = x - GradedElement.one(n)
+    total, term = GradedElement.zero(n), GradedElement.one(n)
+    for k in range(1, n + 1):
+        term = term * u
+        total = total + Fraction((-1) ** (k + 1), k) * term
+    return total
+
+
+def random_ring_value(rng):
+    """0, a Fraction, or an exact value of one or two monomials in
+    I, EulerGamma, pi and zeta(3)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == 1:
+        return c
+    return _exact(
+        (tuple(rng.randint(0, 2) for _ in range(4)), c * rng.randint(1, 3))
+        for _ in range(kind - 1)
+    )
+
+
+@pytest.mark.parametrize("kind", ("fraction", "exact"))
+def test_exp_log_match_repeated_products(kind):
+    rng = random.Random(20261019)
+    for n in range(9):
+        for _ in range(3):
+            if kind == "fraction":
+                higher = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            else:
+                higher = [random_ring_value(rng) for _ in range(n)]
+            assert GradedElement([0] + higher, n).exp() == exp_by_powers(GradedElement([0] + higher, n))
+            assert GradedElement([1] + higher, n).log() == log_by_powers(GradedElement([1] + higher, n))
+
+
 # --- Chern data ----------------------------------------------------------
 
 
@@ -281,6 +330,13 @@ def test_chern_character_quintic_oracle():
     assert ch[3].coefficients[3] == -20
 
 
+def test_chern_character_needs_unit_constant_term():
+    # the power sums are read off log c, which needs c_0 = 1
+    for c0 in (0, 2, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="constant term 1"):
+            chern_character(GradedElement([c0, 3, 3], 2), 2)
+
+
 def test_chern_character_trivial_bundle():
     ch = chern_character(GradedElement.one(3), 7)
     assert ch[0].coefficients == [7, 0, 0, 0]
@@ -322,6 +378,27 @@ def test_gamma_class_quintic():
 
 
 # --- integration ---------------------------------------------------------
+
+
+@functools.cache
+def gamma_of_scaled_h(scale, n):
+    """Gamma(1 + scale H) truncated at H^n, as exp(sum_k a_k scale^k H^k)
+    by repeated products."""
+    a = log_gamma_series_exact(n)
+    return exp_by_powers(GradedElement([0] + [ak * scale ** (k + 1) for k, ak in enumerate(a)], n))
+
+
+def test_gamma_class_is_the_gamma_quotient():
+    # Gamma(1+H)^(N+1) on P^N, divided by Gamma(1+dH) on a degree-d hypersurface
+    for big_n in range(1, 9):
+        for d in [None] + list(range(1, big_n + 3)):
+            if d is not None and big_n < 2:
+                continue
+            m = ManifoldModel(big_n, d)
+            expect = gamma_of_scaled_h(1, m.dim) ** (big_n + 1)
+            if d is not None:
+                expect = expect * gamma_of_scaled_h(d, m.dim).inverse()
+            assert gamma_class(m) == expect
 
 
 def test_integrate_fundamental_classes():
@@ -443,6 +520,108 @@ def test_gamma_polynomials_equal_series_reference(m):
     assert sympy.expand(poly_to_sympy(poly) - reference) == 0
     # the printed form keeps sympy's names and parses back to the same value
     assert sympy.expand(sympy.sympify(poly.symbolic()) - reference) == 0
+
+
+# the printed Gamma polynomials of BENCH_MODELS, frozen from the
+# Newton-identity construction of the power sums and exp by repeated
+# products; a rebuilt construction must print them character for character
+BENCH_GAMMA_TEXT = [
+    "2*L - 2*EulerGamma",
+    "9*L**2/2 - 9*EulerGamma*L + 9*EulerGamma**2/2 + pi**2/4",
+    (
+        "32*L**3/3 - 32*EulerGamma*L**2 + 32*EulerGamma**2*L + 4*pi**2*L/3 - "
+        "32*EulerGamma**3/3 - 4*EulerGamma*pi**2/3 - 4*zeta(3)/3"
+    ),
+    (
+        "625*L**4/24 - 625*EulerGamma*L**3/6 + 625*EulerGamma**2*L**2/4 + 125*pi**2*L**2/24 -"
+        " 625*EulerGamma**3*L/6 - 125*EulerGamma*pi**2*L/12 - 25*zeta(3)*L/3 + "
+        "625*EulerGamma**4/24 + 125*EulerGamma**2*pi**2/24 + 25*EulerGamma*zeta(3)/3 + "
+        "29*pi**4/288"
+    ),
+    (
+        "324*L**5/5 - 324*EulerGamma*L**4 + 648*EulerGamma**2*L**3 + 18*pi**2*L**3 - "
+        "648*EulerGamma**3*L**2 - 54*EulerGamma*pi**2*L**2 - 36*zeta(3)*L**2 + "
+        "324*EulerGamma**4*L + 54*EulerGamma**2*pi**2*L + 72*EulerGamma*zeta(3)*L + "
+        "17*pi**4*L/20 - 324*EulerGamma**5/5 - 18*EulerGamma**3*pi**2 - "
+        "36*EulerGamma**2*zeta(3) - 17*EulerGamma*pi**4/20 - pi**2*zeta(3) - 6*zeta(5)/5"
+    ),
+    (
+        "117649*L**6/720 - 117649*EulerGamma*L**5/120 + 117649*EulerGamma**2*L**4/48 + "
+        "16807*pi**2*L**4/288 - 117649*EulerGamma**3*L**3/36 - 16807*EulerGamma*pi**2*L**3/72"
+        " - 2401*zeta(3)*L**3/18 + 117649*EulerGamma**4*L**2/48 + "
+        "16807*EulerGamma**2*pi**2*L**2/48 + 2401*EulerGamma*zeta(3)*L**2/6 + "
+        "4459*pi**4*L**2/960 - 117649*EulerGamma**5*L/120 - 16807*EulerGamma**3*pi**2*L/72 - "
+        "2401*EulerGamma**2*zeta(3)*L/6 - 4459*EulerGamma*pi**4*L/480 - "
+        "343*pi**2*zeta(3)*L/36 - 49*zeta(5)*L/5 + 117649*EulerGamma**6/720 + "
+        "16807*EulerGamma**4*pi**2/288 + 2401*EulerGamma**3*zeta(3)/18 + "
+        "4459*EulerGamma**2*pi**4/960 + 343*EulerGamma*pi**2*zeta(3)/36 + "
+        "49*EulerGamma*zeta(5)/5 + 263*pi**6/5760 + 49*zeta(3)**2/18"
+    ),
+    (
+        "131072*L**7/315 - 131072*EulerGamma*L**6/45 + 131072*EulerGamma**2*L**5/15 + "
+        "8192*pi**2*L**5/45 - 131072*EulerGamma**3*L**4/9 - 8192*EulerGamma*pi**2*L**4/9 - "
+        "4096*zeta(3)*L**4/9 + 131072*EulerGamma**4*L**3/9 + 16384*EulerGamma**2*pi**2*L**3/9"
+        " + 16384*EulerGamma*zeta(3)*L**3/9 + 2816*pi**4*L**3/135 - "
+        "131072*EulerGamma**5*L**2/15 - 16384*EulerGamma**3*pi**2*L**2/9 - "
+        "8192*EulerGamma**2*zeta(3)*L**2/3 - 2816*EulerGamma*pi**4*L**2/45 - "
+        "512*pi**2*zeta(3)*L**2/9 - 256*zeta(5)*L**2/5 + 131072*EulerGamma**6*L/45 + "
+        "8192*EulerGamma**4*pi**2*L/9 + 16384*EulerGamma**3*zeta(3)*L/9 + "
+        "2816*EulerGamma**2*pi**4*L/45 + 1024*EulerGamma*pi**2*zeta(3)*L/9 + "
+        "512*EulerGamma*zeta(5)*L/5 + 496*pi**6*L/945 + 256*zeta(3)**2*L/9 - "
+        "131072*EulerGamma**7/315 - 8192*EulerGamma**5*pi**2/45 - "
+        "4096*EulerGamma**4*zeta(3)/9 - 2816*EulerGamma**3*pi**4/135 - "
+        "512*EulerGamma**2*pi**2*zeta(3)/9 - 256*EulerGamma**2*zeta(5)/5 - "
+        "496*EulerGamma*pi**6/945 - 256*EulerGamma*zeta(3)**2/9 - 88*pi**4*zeta(3)/135 - "
+        "16*pi**2*zeta(5)/15 - 8*zeta(7)/7"
+    ),
+    (
+        "4782969*L**8/4480 - 4782969*EulerGamma*L**7/560 + 4782969*EulerGamma**2*L**6/160 + "
+        "177147*pi**2*L**6/320 - 4782969*EulerGamma**3*L**5/80 - "
+        "531441*EulerGamma*pi**2*L**5/160 - 59049*zeta(3)*L**5/40 + "
+        "4782969*EulerGamma**4*L**4/64 + 531441*EulerGamma**2*pi**2*L**4/64 + "
+        "59049*EulerGamma*zeta(3)*L**4/8 + 107163*pi**4*L**4/1280 - "
+        "4782969*EulerGamma**5*L**3/80 - 177147*EulerGamma**3*pi**2*L**3/16 - "
+        "59049*EulerGamma**2*zeta(3)*L**3/4 - 107163*EulerGamma*pi**4*L**3/320 - "
+        "2187*pi**2*zeta(3)*L**3/8 - 2187*zeta(5)*L**3/10 + 4782969*EulerGamma**6*L**2/160 + "
+        "531441*EulerGamma**4*pi**2*L**2/64 + 59049*EulerGamma**3*zeta(3)*L**2/4 + "
+        "321489*EulerGamma**2*pi**4*L**2/640 + 6561*EulerGamma*pi**2*zeta(3)*L**2/8 + "
+        "6561*EulerGamma*zeta(5)*L**2/10 + 6579*pi**6*L**2/1792 + 729*zeta(3)**2*L**2/4 - "
+        "4782969*EulerGamma**7*L/560 - 531441*EulerGamma**5*pi**2*L/160 - "
+        "59049*EulerGamma**4*zeta(3)*L/8 - 107163*EulerGamma**3*pi**4*L/320 - "
+        "6561*EulerGamma**2*pi**2*zeta(3)*L/8 - 6561*EulerGamma**2*zeta(5)*L/10 - "
+        "6579*EulerGamma*pi**6*L/896 - 729*EulerGamma*zeta(3)**2*L/2 - "
+        "1323*pi**4*zeta(3)*L/160 - 243*pi**2*zeta(5)*L/20 - 81*zeta(7)*L/7 + "
+        "4782969*EulerGamma**8/4480 + 177147*EulerGamma**6*pi**2/320 + "
+        "59049*EulerGamma**5*zeta(3)/40 + 107163*EulerGamma**4*pi**4/1280 + "
+        "2187*EulerGamma**3*pi**2*zeta(3)/8 + 2187*EulerGamma**3*zeta(5)/10 + "
+        "6579*EulerGamma**2*pi**6/1792 + 729*EulerGamma**2*zeta(3)**2/4 + "
+        "1323*EulerGamma*pi**4*zeta(3)/160 + 243*EulerGamma*pi**2*zeta(5)/20 + "
+        "81*EulerGamma*zeta(7)/7 + 23479*pi**8/1075200 + 27*pi**2*zeta(3)**2/8 + "
+        "27*zeta(3)*zeta(5)/5"
+    ),
+    "9*L",
+    "32*L**2 - 4*pi**2",
+    "625*L**3/6 - 125*pi**2*L/3 + 200*zeta(3)",
+    "324*L**4 - 270*pi**2*L**2 + 2520*zeta(3)*L - 11*pi**4/4",
+    (
+        "117649*L**5/120 - 16807*pi**2*L**3/12 + 19208*zeta(3)*L**2 - 1029*pi**4*L/40 - "
+        "2744*pi**2*zeta(3) + 23520*zeta(5)"
+    ),
+    (
+        "131072*L**6/45 - 57344*pi**2*L**4/9 + 114688*zeta(3)*L**3 - 1792*pi**4*L**2/15 - "
+        "50176*pi**2*zeta(3)*L + 419328*zeta(5)*L - 3664*pi**6/45 + 112896*zeta(3)**2"
+    ),
+    (
+        "4782969*L**7/560 - 531441*pi**2*L**5/20 + 590490*zeta(3)*L**4 - 2187*pi**4*L**3/10 -"
+        " 524880*pi**2*zeta(3)*L**2 + 4304016*zeta(5)*L**2 - 58194*pi**6*L/35 + "
+        "2332800*zeta(3)**2*L - 432*pi**4*zeta(3) - 637632*pi**2*zeta(5) + 6149520*zeta(7)"
+    ),
+]
+
+
+def test_gamma_polynomials_print_as_frozen():
+    for m, text in zip(BENCH_MODELS, BENCH_GAMMA_TEXT, strict=True):
+        assert repr(gamma_period_polynomial(m, m.ambient_dim + 1)) == f"PeriodPolynomial({text})"
 
 
 @pytest.mark.parametrize("m", [ManifoldModel(1), ManifoldModel(3), ManifoldModel(3, 4)], ids=repr)

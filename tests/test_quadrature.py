@@ -430,6 +430,28 @@ def test_integrand_output_shape_is_checked():
             integrate_2d(lambda nx, ny, nz: np.ones((len(nx), 1)), sphere)
 
 
+def test_integrate_1d_rejects_complex_output():
+    # a cast to float kept the real part: e^(ix) over (0, 1) came back as
+    # sin 1, converged, with only a ComplexWarning
+    for f in (lambda x: np.exp(1j * x), lambda x: 1j):
+        for interval in ((0.0, 1.0), (0.0, math.inf)):
+            with pytest.raises(TypeError, match="complex"):
+                integrate_1d(f, interval)
+    # real output of any other dtype is still cast
+    assert integrate_1d(lambda x: np.ones(x.size, dtype=int), (0.0, 1.0)).value == pytest.approx(1.0)
+    assert integrate_1d(lambda x: x.astype(np.float32), (0.0, 1.0)).value == pytest.approx(0.5)
+
+
+def test_integrate_2d_rejects_complex_output():
+    triangle = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(TypeError, match="complex"):
+        integrate_2d(lambda x, y: np.exp(1j * x), triangle)
+    with pytest.raises(TypeError, match="complex"):
+        integrate_2d(lambda nx, ny, nz: nx + 1j * ny, OCTAHEDRON)
+    with pytest.raises(TypeError, match="complex"):
+        integrate_box(lambda x, y: np.exp(1j * y), (0.0, 1.0, 0.0, 1.0))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
