@@ -10,13 +10,14 @@ stable for large L.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from ..quadrature import ConvexPolygon, QuadratureConfig, integrate_1d, integrate_2d
-from ..tropical import corner_locus, halfplane_polygon, tropicalize
+from ..tropical import AffineForm, corner_locus, halfplane_polygon, tropicalize
 from .types import MirrorFamily, _require_converged
 
 # min(0, y1, y2) up to the order of its forms: the tropical line of 1 + X + Y
@@ -117,39 +118,33 @@ def _check_transversal(complex_) -> None:
 
 
 def _smooth_pieces(sides) -> list[ConvexPolygon]:
-    """Split the rectangle along y1 = 0, y2 = 0, y1 = y2.
+    """Split the rectangle along the tropical line, one piece per ordering.
 
-    On each piece min(0, y1, y2) is a single affine form, so the
-    integrand is smooth there.
+    On the piece where the forms of `_PANTS_LINE` run f <= g <= h, the
+    minimum min(0, y1, y2) is the single affine form f, so the integrand
+    is smooth there.
     """
     (x0, x1), (y0, y1) = sides
-    base = [
+    box = [
         ((Fraction(1), Fraction(0)), -x0),
         ((Fraction(-1), Fraction(0)), x1),
         ((Fraction(0), Fraction(1)), -y0),
         ((Fraction(0), Fraction(-1)), y1),
     ]
-    cuts = (
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(1), Fraction(-1)),
-    )
     pieces = []
-    for signs in (
-        (s1, s2, s3)
-        for s1 in (1, -1)
-        for s2 in (1, -1)
-        for s3 in (1, -1)
-    ):
-        rows = list(base)
-        for s, cut in zip(signs, cuts):
-            rows.append((tuple(s * c for c in cut), Fraction(0)))
+    for f, g, h in itertools.permutations(_PANTS_LINE.forms):
+        rows = box + [_excess(g, f), _excess(h, g)]
         vertices = halfplane_polygon(rows)
-        if len(vertices) >= 3:
+        if vertices:
             pieces.append(
                 ConvexPolygon([(float(x), float(y)) for x, y in vertices])
             )
     return pieces
+
+
+def _excess(g: AffineForm, f: AffineForm) -> tuple[tuple[int, ...], Fraction]:
+    """g - f as a `halfplane_polygon` row, so the row reads f <= g."""
+    return tuple(a - b for a, b in zip(g.slope, f.slope)), g.offset - f.offset
 
 
 def error_integral_dim2_b(
@@ -162,7 +157,7 @@ def error_integral_dim2_b(
     value = L^3 times the integral over U of (-log_t(1+t^y1+t^y2) +
     min(0, y1, y2)); its asymptotic is L * length * zeta(2) + chi *
     zeta(3) + O(1/L), where length is the lattice length of U cut with
-    the tropical line and chi records whether the vertex lies inside.
+    the tropical line and chi counts the line's vertices inside U.
     U is a `corner_locus` box: two (lo, hi) sides, or one (lo, hi) pair
     for both.  Its boundary must be transversal to the line.
     """
@@ -175,8 +170,7 @@ def error_integral_dim2_b(
     length = sum(
         (c.affine_measure() for c in complex_.cells_of_dim(1)), Fraction(0)
     )
-    (x0, x1), (y0, y1) = sides
-    chi = int(x0 < 0 < x1 and y0 < 0 < y1)
+    chi = len(complex_.cells_of_dim(0))
 
     big_l = -math.log(t)
 

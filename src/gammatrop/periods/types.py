@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from ..errors import NonConvergenceError
 from ..tropical import LaurentFamily, LaurentTerm
@@ -54,11 +55,13 @@ class MirrorFamily:
     """A named mirror family with its parameters.
 
     kinds: projective_fano (parameter n), elliptic_cubic, local_model_2d
-    (parameters a1, a2, b), quartic_k3, pair_of_pants.
+    (parameters a1, a2, b), quartic_k3, pair_of_pants.  parameters is a
+    read-only view of a validated copy; it takes part in equality but not
+    in the hash, so equal families hash equal.
     """
 
     kind: str
-    parameters: dict[str, Any] = field(default_factory=dict)
+    parameters: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
@@ -75,7 +78,7 @@ class MirrorFamily:
                 value = params.get(name)
                 if value is None or not float(value) > 0:
                     raise ValueError(f"local_model_2d needs {name} > 0")
-        object.__setattr__(self, "parameters", params)
+        object.__setattr__(self, "parameters", MappingProxyType(params))
 
     def laurent_family(self) -> LaurentFamily:
         """The defining Laurent polynomial, where one exists.

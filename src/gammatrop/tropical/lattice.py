@@ -4,6 +4,14 @@ Lengths, areas and volumes here are normalized by the lattice, not the
 Euclidean metric: a primitive segment has length 1, a fundamental
 parallelogram of the lattice induced on a rational plane has area 1.
 These are the invariants preserved by GL(n, Z) and translations.
+
+Every measure, in any ambient dimension, is one rule: a simplex has the
+gcd of the maximal minors of its cleared edge vectors over D^k k!
+(`_simplex_measure`), and any other face is the sum over its pulling
+triangulation from its least point (`_pulling`), whose sub-faces are read
+from the facet incidence sets of its polytope (`_subfaces`).  A compact
+chamber brings its incidence; a bare point set finds its hull's facets
+once, in coordinates on its affine span, and measures in its own.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -35,21 +44,10 @@ def primitive_vector(v: Sequence[Rational]) -> tuple[int, ...]:
 
 
 def affine_length(p: Sequence[Rational], q: Sequence[Rational]) -> Fraction:
-    """Lattice length of the segment from p to q.
-
-    The segment must have rational direction; its length is the rational
-    multiple of the primitive direction vector it spans.
-    """
-    diff = [Fraction(b) - Fraction(a) for a, b in zip(q, p)]
-    if len(diff) != len(p) or len(p) != len(q):
+    """Lattice length of the segment from p to q, their `_simplex_measure`."""
+    if len(p) != len(q):
         raise ValueError("endpoints must share one ambient dimension")
-    if all(d == 0 for d in diff):
-        return Fraction(0)
-    prim = primitive_vector(diff)
-    for d, e in zip(diff, prim):
-        if e != 0:
-            return abs(d / e)
-    raise AssertionError("primitive direction of a nonzero vector is nonzero")
+    return _simplex_measure((p, q))
 
 
 def _cross(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
@@ -108,60 +106,126 @@ def plane_lattice_basis(
     return b1, b2
 
 
-def _rational_points(
-    vertices: Sequence[Sequence[Rational]],
-) -> list[tuple[Fraction, ...]]:
-    """The vertices as Fraction tuples, all of one ambient dimension."""
-    points = [tuple(Fraction(x) for x in v) for v in vertices]
-    if any(len(p) != len(points[0]) for p in points):
+def _wedge(minors: dict[tuple[int, ...], Rational], row: Sequence[Rational]) -> dict:
+    """The (k + 1)-minors of k rows and one more row, from their k-minors.
+
+    minors maps each increasing k-tuple of columns to the determinant of
+    the rows there; {(): 1} stands for no rows.  Each new minor is the
+    Laplace expansion along the new row, up to one sign shared by all.
+    """
+    size = len(next(iter(minors))) + 1
+    return {
+        cols: sum((-1) ** i * row[c] * minors[cols[:i] + cols[i + 1:]] for i, c in enumerate(cols))
+        for cols in itertools.combinations(range(len(row)), size)
+    }
+
+
+def _simplex_measure(points: Sequence[Sequence[Rational]]) -> Fraction:
+    """Lattice measure of the simplex on k + 1 rational points, any n.
+
+    The edge vectors p_i - p_0, cleared by one common denominator D, are
+    integer rows C.  A basis B of the lattice Z^n in their span has
+    coprime k x k minors and C = M B, so by Cauchy-Binet the gcd of the
+    k x k minors of C is |det M|, the index of the edge lattice, and the
+    measure is that gcd over D^k k!.  A flat simplex has measure 0 and a
+    point measure 1.
+    """
+    origin, *rest = points
+    edges = [[x - o for x, o in zip(p, origin)] for p in rest]
+    scale = math.lcm(*(x.denominator for row in edges for x in row))
+    minors: dict[tuple[int, ...], Rational] = {(): 1}
+    for row in edges:
+        minors = _wedge(minors, [x.numerator * (scale // x.denominator) for x in row])
+    k = len(edges)
+    return Fraction(math.gcd(*minors.values()), scale**k * math.factorial(k))
+
+
+def _subfaces(face: frozenset[int], incidence: Iterable[Iterable[int]]) -> set[frozenset[int]]:
+    """The facets of a face, as sets of point indices.
+
+    Every face of a polytope is the set of its points on some facets, so
+    the facets of a face are the maximal proper nonempty intersections of
+    its points with the polytope's facet incidence sets.
+    """
+    cuts = {face.intersection(on) for on in incidence} - {face, frozenset()}
+    return {c for c in cuts if not any(c < d for d in cuts)}
+
+
+def _pulling(face: frozenset[int], incidence: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
+    """The pulling triangulation of a face from its least point.
+
+    A point is its own simplex; any other face is the cone from its least
+    point over the pulled simplices of its facets that miss that point.
+    """
+    first = min(face)
+    if len(face) == 1:
+        return [(first,)]
+    return [
+        (first, *simplex)
+        for sub in _subfaces(face, incidence)
+        if first not in sub
+        for simplex in _pulling(sub, incidence)
+    ]
+
+
+def _face_measure(
+    points: Sequence[Sequence[Rational]], face: Iterable[int], incidence: Sequence[Iterable[int]]
+) -> Fraction:
+    """Lattice measure of a face of the polytope on points, no point twice:
+    `_simplex_measure` summed over its `_pulling` triangulation.  face and
+    the facet incidence sets hold indices into points."""
+    simplices = _pulling(frozenset(face), incidence)
+    return sum((_simplex_measure([points[i] for i in s]) for s in simplices), Fraction(0))
+
+
+def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction]:
+    """The dimension d and lattice measure of the hull of rational points.
+
+    The columns of a nonzero maximal minor of the points' differences,
+    found by `_wedge`, are coordinates on their affine span.  Dropping
+    the other coordinates only finds the hull's facets, each through d
+    affinely independent points with every point on one side, in
+    homogeneous integer coordinates over one denominator; the measure is
+    `_face_measure` of the points themselves.  An empty set gives d = -1
+    and measure 0.
+    """
+    points = sorted({tuple(map(Fraction, v)) for v in vertices})
+    if len({len(p) for p in points}) > 1:
         raise ValueError("vertices must share one ambient dimension")
-    return points
+    if not points:
+        return -1, Fraction(0)
+    span: dict[tuple[int, ...], Rational] = {(): 1}
+    for p in points[1:]:
+        wider = _wedge(span, [x - o for x, o in zip(p, points[0])])
+        if any(wider.values()):
+            span = wider
+    frame = next(cols for cols, m in span.items() if m)
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    shadow = [(*(int(p[j] * scale) for j in frame), scale) for p in points]
+    full = range(len(frame) + 1)
+    facets = set()
+    for combo in itertools.combinations(shadow, len(frame)):
+        minors = {(): 1}
+        for row in combo:
+            minors = _wedge(minors, row)
+        normal = [(-1) ** j * minors[tuple(c for c in full if c != j)] for j in full]
+        values = [sum(map(mul, normal, row)) for row in shadow]
+        if min(values) >= 0 or max(values) <= 0:
+            facets.add(frozenset(i for i, v in enumerate(values) if v == 0))
+    return len(frame), _face_measure(points, range(len(points)), list(facets))
 
 
 def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
     """Lattice-normalized area of the convex hull of coplanar rational points.
 
-    Vertices may sit in the plane or in 3-space, in any order; in 3-space
-    the area is `_projected_measure` through the primitive normal of their
-    plane.  Vertices off one plane, or in another ambient dimension, raise
-    ValueError.
+    Vertices may sit in any ambient dimension, in any order; points that
+    span less than a plane give 0.  Vertices off one plane, or of
+    different ambient dimensions, raise ValueError.
     """
-    points = _rational_points(vertices)
-    if not points:
-        return Fraction(0)
-    n = len(points[0])
-    if n == 2:
-        return _hull_area(points)
-    if n != 3:
-        raise ValueError("only ambient dimensions 2 and 3 are supported")
-    origin = points[0]
-    offsets = [tuple(x - o for x, o in zip(p, origin)) for p in points[1:]]
-    normals = (_cross(a, b) for a, b in itertools.combinations(offsets, 2))
-    normal = next((c for c in normals if any(c)), None)
-    if normal is None:
-        return Fraction(0)  # the vertices span less than a plane
-    u = primitive_vector(normal)
-    if any(sum(c * x for c, x in zip(u, v)) for v in offsets):
+    dim, area = _hull_measure(vertices)
+    if dim > 2:
         raise ValueError("vertices must lie in one plane")
-    return _projected_measure(points, u)
-
-
-def _projected_measure(
-    points: Sequence[tuple[Fraction, ...]], u: tuple[int, ...]
-) -> Fraction:
-    """Lattice measure of the hull of points on a hyperplane, n = 2 or 3.
-
-    u is the hyperplane's primitive normal and k the first coordinate
-    with u_k != 0.  Dropping coordinate k maps the hyperplane's lattice
-    onto a sublattice of Z^(n-1) of index |u_k|, so the measure is the
-    projected length (n = 2) or shoelace area (n = 3) over |u_k|.
-    """
-    k = next(i for i, c in enumerate(u) if c != 0)
-    shadow = [p[:k] + p[k + 1:] for p in points]
-    if len(u) == 2:
-        xs = [x for (x,) in shadow]
-        return (max(xs) - min(xs)) / abs(u[k])
-    return _hull_area(shadow) / abs(u[k])
+    return area if dim == 2 else Fraction(0)
 
 
 def _convex_hull(
@@ -189,76 +253,11 @@ def _convex_hull(
     return hull
 
 
-def _hull_area(points: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    """Shoelace area of the `_convex_hull` of plane points, any order."""
-    hull = _convex_hull(points)
-    area2 = sum(
-        (x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1])),
-        Fraction(0),
-    )
-    return abs(area2) / 2
-
-
-def _pyramid_volume(
-    apex: Sequence[Fraction],
-    facets: Iterable[tuple[tuple[int, ...], Fraction, Sequence[tuple[Fraction, ...]]]],
-) -> Fraction:
-    """Lattice volume of a 3-polytope as the facet pyramids over an apex.
-
-    Each facet is (u, c, vertices) with u primitive, u . w + c >= 0 on the
-    polytope and = 0 on the vertices; the apex is any point of the
-    polytope.  The pyramid over facet F has lattice height u . apex + c,
-    so the volume is sum_F (u_F . apex + c_F) area(F) / 3.
-    """
-    total = Fraction(0)
-    for u, c, vertices in facets:
-        height = sum((x * a for x, a in zip(u, apex)), c)
-        if height:
-            total += height * _projected_measure(vertices, u)
-    return total / 3
-
-
 def affine_volume(vertices: Sequence[Sequence[Rational]]) -> Fraction:
-    """Lattice-normalized volume of the convex hull of points, n <= 3.
+    """Lattice-normalized volume of the convex hull of points in Q^n, any n.
 
-    In the line it is the length and in the plane the shoelace area.  In
-    3-space the supporting planes come from the triples of points whose
-    plane has all points on one side, and the volume is the sum of facet
-    pyramids sum_F (u_F . apex + c_F) area(F) / 3 over the first point.
-    Points that span less than 3-space give 0.  The standard simplex has
+    Points that span less than Q^n give 0.  The standard simplex has
     volume 1/n!.
     """
-    points = _rational_points(vertices)
-    if not points:
-        return Fraction(0)
-    n = len(points[0])
-    if n == 1:
-        xs = [p[0] for p in points]
-        return max(xs) - min(xs)
-    if n == 2:
-        return _hull_area(points)
-    if n != 3:
-        raise ValueError("only dimensions 1, 2 and 3 are supported")
-    facets = {}
-    for a, b, c in itertools.combinations(points, 3):
-        normal = _cross(
-            tuple(x - y for x, y in zip(b, a)),
-            tuple(x - y for x, y in zip(c, a)),
-        )
-        if not any(normal):
-            continue
-        values = [
-            sum(nv * (x - y) for nv, x, y in zip(normal, p, a)) for p in points
-        ]
-        if all(v >= 0 for v in values):
-            u = primitive_vector(normal)
-        elif all(v <= 0 for v in values):
-            u = primitive_vector(tuple(-x for x in normal))
-        else:
-            continue
-        key = (u, -sum(e * x for e, x in zip(u, a)))
-        if key not in facets:
-            facets[key] = [p for p, v in zip(points, values) if v == 0]
-    return _pyramid_volume(
-        points[0], [(u, c, on) for (u, c), on in facets.items()]
-    )
+    dim, volume = _hull_measure(vertices)
+    return volume if vertices and dim == len(vertices[0]) else Fraction(0)

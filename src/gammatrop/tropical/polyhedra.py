@@ -15,7 +15,9 @@ signed `_minors` also give the extreme rays of the recession test; and
 every polygon is ordered by one hull, `lattice._convex_hull`.  A compact
 chamber decides which vertex lies on which facet once, on these ints, and
 its edges, volume, boundary measure and edge singularities read that
-incidence.  Only returned coordinates are built as Fractions.
+incidence through `lattice._subfaces`; its measures, and a cell's, are
+the one lattice measure of `lattice._simplex_measure`, in any dimension.
+Only returned coordinates are built as Fractions.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ from .forms import TropicalPolynomial
 from .lattice import (
     _convex_hull,
     _cross,
-    _projected_measure,
-    _pyramid_volume,
-    affine_length,
-    affine_volume,
+    _face_measure,
+    _simplex_measure,
+    _subfaces,
     plane_lattice_basis,
-    polygon_affine_area,
     primitive_vector,
 )
 
@@ -229,8 +229,8 @@ class Cell:
     interior; vertices describe the clipped piece in ambient coordinates:
     sorted for points and segments, and for a 2-cell the counterclockwise
     `_convex_hull` cycle of its projection that drops the first
-    coordinate its plane's normal involves (the projection of
-    `lattice._projected_measure`), from the vertex least there; directions
+    coordinate its plane's normal involves, from the vertex least there;
+    the projection only orders the cycle and never measures; directions
     are primitive integer vectors spanning the cell, with a ray's
     direction pointing toward its unbounded end and a 2-cell's pair the
     `plane_lattice_basis` of the first two kernel vectors of its
@@ -254,12 +254,20 @@ class Cell:
         )
 
     def affine_measure(self) -> Fraction:
-        """Lattice length or area of the clipped piece; 0 for points."""
+        """Lattice length or area of the clipped piece; 0 for points.
+
+        A segment is one simplex, and a 2-cell the fan of its cycle from
+        its first vertex, each measured by `_simplex_measure`.
+        """
         if self.dim == 0:
             return Fraction(0)
         if self.dim == 1:
-            return affine_length(self.vertices[0], self.vertices[-1])
-        return polygon_affine_area(self.vertices)
+            return _simplex_measure(self.vertices)
+        first, *rest = self.vertices
+        return sum(
+            (_simplex_measure((first, a, b)) for a, b in zip(rest, rest[1:])),
+            Fraction(0),
+        )
 
 
 @dataclass(frozen=True)
@@ -423,27 +431,17 @@ class LatticePolytope:
         return tuple(self.vertices[j] for j in self.incidence[self.facets.index(facet)])
 
     def edges(self) -> tuple[tuple[Point, Point], ...]:
-        """Vertex pairs whose common facets' normals have rank dim - 1."""
-        out = []
-        for i, j in itertools.combinations(range(len(self.vertices)), 2):
-            common = [u for (u, _), on in zip(self.facets, self.incidence) if i in on and j in on]
-            if _rank(common) == self.dim - 1:
-                out.append((self.vertices[i], self.vertices[j]))
-        return tuple(sorted(out))
+        """The vertex pairs of the 1-faces, the `_subfaces` of dim - 1
+        generations below the polytope."""
+        faces = {frozenset(range(len(self.vertices)))}
+        for _ in range(self.dim - 1):
+            faces = {sub for face in faces for sub in _subfaces(face, self.incidence)}
+        pairs = (sorted(face) for face in faces if len(face) == 2)
+        return tuple(sorted((self.vertices[i], self.vertices[j]) for i, j in pairs))
 
     def volume(self) -> Fraction:
-        """Lattice-normalized volume.
-
-        In dim 3 it is the sum of pyramids over the irredundant facets
-        from the first vertex v, sum_F (u_F . v + c_F) area(F) / 3, with
-        no hull computed; in lower dimension it is `affine_volume`.
-        """
-        if self.dim != 3:
-            return affine_volume(self.vertices)
-        return _pyramid_volume(
-            self.vertices[0],
-            [(u, c, self.facet_vertices((u, c))) for u, c in self.facets],
-        )
+        """Lattice-normalized volume, the `_face_measure` of all vertices."""
+        return _face_measure(self.vertices, range(len(self.vertices)), self.incidence)
 
 
 def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
@@ -507,13 +505,12 @@ def _form_region(rows: Sequence[tuple[int, ...]], i: int) -> LatticePolytope | N
 def boundary_affine_area(polytope: LatticePolytope) -> Fraction:
     """Total lattice-normalized measure of the boundary.
 
-    The sum over the facets of their lattice measures: for a polygon its
-    lattice perimeter, for a 3-polytope the lattice areas of its facets.
+    The sum of the `_face_measure` of the facets: for a segment its two
+    endpoints, for a polygon its lattice perimeter, for a 3-polytope the
+    lattice areas of its facets.
     """
-    if polytope.dim not in (2, 3):
-        raise UnsupportedDimensionError("boundary area supports dim 2 and 3")
     return sum(
-        (_projected_measure(polytope.facet_vertices(f), f[0]) for f in polytope.facets),
+        (_face_measure(polytope.vertices, on, polytope.incidence) for on in polytope.incidence),
         Fraction(0),
     )
 

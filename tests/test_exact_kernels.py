@@ -8,11 +8,14 @@ its answer.  The corner-locus reference cuts each cell out in its own
 coordinates, an origin and basis of its affine hull, as the exact layer
 once did.  A compact chamber decides its face incidence once, on ints;
 its facet vertices, edges, boundary measure and edge singularities are
-checked against face tests and measures on Fractions.
+checked against face tests and measures on Fractions, and the cell
+measures of the benchmark's seed-1 images against the projection-and-index
+rule that measured them before the one simplex measure.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,8 @@ from gammatrop.tropical import (
     AffineForm,
     TropicalPolynomial,
     affine_length,
+    monomial_substitution,
+    tropicalize,
     affine_volume,
     boundary_affine_area,
     compact_chamber,
@@ -36,6 +41,7 @@ from gammatrop.tropical import (
     polygon_affine_area,
     primitive_vector,
 )
+from gammatrop.periods import MirrorFamily
 from gammatrop.tropical.lattice import _cross
 from gammatrop.tropical.polyhedra import (
     _echelon,
@@ -209,6 +215,22 @@ def ref_edge_singularities(chamber):
         for j in range(int(affine_length(v, u))):
             points.add(tuple(a + Fraction(2 * j + 1, 2) * d for a, d in zip(v, prim)))
     return tuple(sorted(points))
+
+
+def ref_cell_measure(cell):
+    """A bounded cell's measure by the projection-and-index rule: a
+    segment's length over its primitive direction; a 2-cell in 3-space,
+    the shoelace area of its cycle without coordinate k, the first that
+    its plane's primitive normal u involves, over |u_k|."""
+    a, b, *rest = cell.vertices
+    if cell.dim == 1:
+        d = [y - x for x, y in zip(a, b)]
+        return next(abs(x / e) for x, e in zip(d, primitive_vector(d)) if e)
+    u = primitive_vector(_cross(*([y - x for x, y in zip(a, v)] for v in (b, rest[0]))))
+    k = next(i for i, x in enumerate(u) if x)
+    shadow = [v[:k] + v[k + 1:] for v in cell.vertices]
+    twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(shadow, shadow[1:] + shadow[:1]))
+    return abs(twice) / 2 / abs(u[k])
 
 
 def ref_affine_dim(points):
@@ -604,3 +626,43 @@ def test_volume_is_unimodular_invariant(points, m, shift):
         assert float(volume) == pytest.approx(hull, rel=1e-12, abs=1e-12)
     else:
         assert volume == 0
+
+
+def bench_seed1_images():
+    """The quartic and cubic images of one exact_invariants sweep of the
+    benchmark at seed 1: the same shears and swaps, drawn in its order."""
+    rng = random.Random(1)
+
+    def shears_and_swaps(n):
+        mat = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(6):
+            op = rng.randrange(3)
+            i, j = rng.sample(range(n), 2)
+            if op == 0:
+                mat[i] = [a + b for a, b in zip(mat[i], mat[j])]
+            elif op == 1:
+                mat[i] = [a - b for a, b in zip(mat[i], mat[j])]
+            else:
+                mat[i], mat[j] = mat[j], [-x for x in mat[i]]
+        return mat
+
+    quartic = MirrorFamily("quartic_k3").laurent_family()
+    cubic = MirrorFamily("elliptic_cubic").laurent_family()
+    for _ in range(80):
+        mat3, mat2 = shears_and_swaps(3), shears_and_swaps(2)
+        yield quartic, mat3
+        yield cubic, mat2
+
+
+def test_cell_measures_of_the_bench_images():
+    # every image has the measures of its family, as the projection rule
+    # gave them: the quartic's 6 edges of length 4 and 4 facets of area 8,
+    # the cubic's 3 edges of length 3
+    expected = {3: [(1, 4)] * 6 + [(2, 8)] * 4, 2: [(1, 3)] * 3}
+    for family, mat in bench_seed1_images():
+        complex_ = corner_locus(tropicalize(monomial_substitution(family, mat)), (-400, 400))
+        bounded = [c for c in complex_.cells if c.bounded and c.dim > 0]
+        for cell in bounded:
+            measure = cell.affine_measure()
+            assert type(measure) is Fraction and measure == ref_cell_measure(cell)
+        assert sorted((c.dim, c.affine_measure()) for c in bounded) == expected[len(mat)]

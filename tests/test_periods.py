@@ -1,5 +1,6 @@
 """Tests for period integrals and error integrals."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -36,7 +37,7 @@ from gammatrop.periods import (
 )
 from gammatrop.periods.fano import _bessel_k0
 from gammatrop.quadrature import QuadratureConfig, fit_asymptotic, integrate_1d, integrate_2d
-from gammatrop.tropical import compact_chamber, edge_singularities, tropicalize
+from gammatrop.tropical import compact_chamber, corner_locus, edge_singularities, tropicalize
 
 EULER_GAMMA = 0.5772156649015328606
 ZETA2 = math.pi**2 / 6
@@ -107,6 +108,21 @@ def test_mirror_family_validation():
         MirrorFamily("local_model_2d", {"a1": 1.0, "a2": -1.0, "b": 1.0})
     MirrorFamily("projective_fano", {"n": 3})
     MirrorFamily("local_model_2d", {"a1": 1, "a2": 2, "b": 0.5})
+
+
+def test_mirror_family_is_hashable_and_read_only():
+    assert hash(MirrorFamily("quartic_k3")) == hash(MirrorFamily("quartic_k3"))
+    given = {"n": 2}
+    family = MirrorFamily("projective_fano", given)
+    assert family == MirrorFamily("projective_fano", {"n": 2})
+    assert hash(family) == hash(MirrorFamily("projective_fano", {"n": 2}))
+    assert family != MirrorFamily("projective_fano", {"n": 3})
+    assert len({family, MirrorFamily("projective_fano", {"n": 2})}) == 1
+    with pytest.raises(TypeError):
+        family.parameters["n"] = 0
+    # the family keeps a copy: changing the caller's dict changes nothing
+    given["n"] = 0
+    assert family.parameters["n"] == 2
 
 
 def test_mirror_family_laurent():
@@ -226,6 +242,34 @@ def test_error_dim2_b_evaluation_count(t, monkeypatch):
     monkeypatch.setattr(error_integrals, "integrate_2d", counted)
     error_integral_dim2_b(((-4, 2), (-2, 2)), t)
     assert counts and sum(counts) <= DIM2_B_EVALUATIONS[t]
+
+
+def test_error_dim2_b_pieces_and_chi_come_from_the_line():
+    # on every transversal integer rectangle in [-3, 3]^2 the pieces tile
+    # it, one form of the line is least on each, and chi is 1 exactly
+    # when the line's vertex, the origin, is inside
+    line = error_integrals._PANTS_LINE
+    checked = 0
+    for x0, x1, y0, y1 in itertools.product(range(-3, 4), repeat=4):
+        if not (x0 < x1 and y0 < y1):
+            continue
+        complex_ = corner_locus(line, ((x0, x1), (y0, y1)))
+        try:
+            error_integrals._check_transversal(complex_)
+        except ValueError:
+            continue
+        checked += 1
+        assert len(complex_.cells_of_dim(0)) == int(x0 < 0 < x1 and y0 < 0 < y1)
+        area = 0.0
+        for piece in error_integrals._smooth_pieces(complex_.box):
+            pts = piece.vertices
+            area += sum(
+                xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(pts, pts[1:] + pts[:1])
+            ) / 2
+            centroid = tuple(Fraction(sum(c) / len(pts)) for c in zip(*pts))
+            assert len(line.active_set(centroid)) == 1
+        assert area == (x1 - x0) * (y1 - y0)
+    assert checked == 203
 
 
 def test_error_dim2_b_off_locus():

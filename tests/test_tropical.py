@@ -1,5 +1,6 @@
 """Tests for tropicalization, exact polyhedra and lattice measurements."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from gammatrop.errors import StructureError, UnsupportedDimensionError
 from gammatrop.tropical import (
     AffineForm,
     LaurentFamily,
+    LatticePolytope,
     LaurentTerm,
     TropicalPolynomial,
     affine_length,
@@ -25,7 +27,7 @@ from gammatrop.tropical import (
     primitive_vector,
     tropicalize,
 )
-from gammatrop.tropical.lattice import _cross
+from gammatrop.tropical.lattice import _cross, _face_measure, _subfaces
 
 # --- reference families ---
 
@@ -398,12 +400,20 @@ def test_polygon_affine_area_in_space():
 def test_polygon_affine_area_rejects_bad_input():
     with pytest.raises(ValueError, match="one plane"):
         polygon_affine_area([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with pytest.raises(ValueError, match="ambient dimensions 2 and 3"):
-        polygon_affine_area([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
-    with pytest.raises(ValueError, match="ambient dimensions 2 and 3"):
-        polygon_affine_area([(0,), (1,), (2,)])
+    with pytest.raises(ValueError, match="one plane"):
+        polygon_affine_area([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
     with pytest.raises(ValueError, match="one ambient dimension"):
         polygon_affine_area([(0, 0), (1, 0), (0, 1, 0)])
+
+
+def test_polygon_affine_area_in_any_ambient_dimension():
+    assert polygon_affine_area([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]) == Fraction(1, 2)
+    # a triangle on the plane spanned by (1, 1, 0, 0) and (0, 1, 1, 1)
+    tri = [(1, 1, 1, 1), (3, 3, 1, 1), (1, 4, 4, 4)]
+    assert polygon_affine_area(tri) == 3
+    # points on a line, or one point, span less than a plane
+    assert polygon_affine_area([(0,), (1,), (2,)]) == 0
+    assert polygon_affine_area([(1, 2, 3, 4, 5)]) == 0
 
 
 def test_affine_volume_dimensions():
@@ -706,15 +716,60 @@ def test_halfplane_polygon_needs_a_bounded_region():
     assert halfplane_polygon(rows + [((Fraction(-1), Fraction(-1)), Fraction(0))]) == []
 
 
-def test_boundary_area_rejects_unsupported_dimension():
+def test_interval_chamber_boundary_is_its_two_endpoints():
+    # the chamber of t x + t / x - 1 is [-1, 1]; its boundary, the
+    # Calabi-Yau of P^1, is two points of measure 1 each
     fam = LaurentFamily(terms=(
         LaurentTerm(1, Fraction(1), (1,)),
         LaurentTerm(1, Fraction(1), (-1,)),
         LaurentTerm(-1, Fraction(0), (0,)),
     ))
     chamber = compact_chamber(tropicalize(fam))
-    with pytest.raises(UnsupportedDimensionError):
-        boundary_affine_area(chamber)
+    assert chamber.volume() == 2
+    area = boundary_affine_area(chamber)
+    assert type(area) is Fraction and area == 2
+    assert chamber.edges() == (((Fraction(-1),), (Fraction(1),)),)
+
+
+def quintic_simplex() -> LatticePolytope:
+    """The 4-simplex of the mirror quintic, built from its facets."""
+    vertices = tuple(sorted(
+        tuple(Fraction(4 if i == j else -1) for j in range(4)) for i in range(-1, 4)
+    ))
+    facets = tuple(sorted(
+        [(tuple(int(i == j) for j in range(4)), Fraction(1)) for i in range(4)]
+        + [((-1, -1, -1, -1), Fraction(1))]
+    ))
+    incidence = tuple(
+        tuple(k for k, v in enumerate(vertices) if sum(a * x for a, x in zip(u, v)) + c == 0)
+        for u, c in facets
+    )
+    return LatticePolytope(dim=4, vertices=vertices, facets=facets, incidence=incidence)
+
+
+def test_quintic_simplex_measures():
+    # P^4's 625/24 is the volume; the quintic's 625 L^3 / 6 is the boundary
+    simplex = quintic_simplex()
+    assert simplex.volume() == affine_volume(simplex.vertices) == Fraction(625, 24)
+    assert boundary_affine_area(simplex) == Fraction(625, 6)
+    for on in simplex.incidence:
+        assert _face_measure(simplex.vertices, on, simplex.incidence) == Fraction(125, 6)
+    # every 3 and 2 of the 5 vertices span a face of the simplex
+    triangles = list(itertools.combinations(simplex.vertices, 3))
+    assert sum(polygon_affine_area(t) for t in triangles) == 125
+    ridges = {sub for on in simplex.incidence for sub in _subfaces(frozenset(on), simplex.incidence)}
+    assert len(ridges) == 10
+    assert sum(_face_measure(simplex.vertices, r, simplex.incidence) for r in ridges) == 125
+    assert simplex.edges() == tuple(itertools.combinations(simplex.vertices, 2))
+    assert sum(affine_length(v, u) for v, u in simplex.edges()) == 50
+    rng = random.Random(20261019)
+    for _ in range(5):
+        mat = random_unimodular(rng, 4)
+        image = [
+            tuple(sum(mat[i][j] * v[j] for j in range(4)) for i in range(4))
+            for v in simplex.vertices
+        ]
+        assert affine_volume(image) == Fraction(625, 24)
 
 
 def test_k3_edge_singularities():
