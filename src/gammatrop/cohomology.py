@@ -246,12 +246,13 @@ def log_gamma_series_exact(order: int) -> list:
     """Same coefficients as exact ring values.
 
     zeta(2m) = (-1)^(m+1) B_2m (2 pi)^(2m) / (2 (2m)!) with the Bernoulli
-    number B_2m; zeta at an odd k >= 3 is a generator of the ring.
+    number B_2m; zeta at an odd k >= 3 is a generator of the ring.  Order
+    0 gives [].
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     bernoulli = _bernoulli(order)
-    coeffs = [_exact([((0, 1), -1)])]
+    coeffs = [_exact([((0, 1), -1)])] if order else []
     for k in range(2, order + 1):
         if k % 2:
             zeta = ((0,) * ((k + 3) // 2) + (1,), 1)
@@ -431,10 +432,12 @@ class GradedElement:
 
 @dataclass(frozen=True)
 class ManifoldModel:
-    """P^n, or a smooth degree-d hypersurface in P^n.
+    """P^n, or a smooth degree-d hypersurface in P^n, n >= 1.
 
     hypersurface_degree None means the ambient projective space itself.
-    Both are ints; a float or a bool raises TypeError.
+    Both are ints; a float or a bool raises TypeError.  A hypersurface in
+    P^1 is d points, of dimension 0; for d = 2 it is the Calabi-Yau whose
+    count 2 is the boundary measure of the [-1, 1] chamber.
     """
 
     ambient_dim: int
@@ -452,10 +455,6 @@ class ManifoldModel:
         if d is not None:
             if d < 1:
                 raise ValueError(f"hypersurface degree must be >= 1, got {d}")
-            if self.ambient_dim < 2:
-                raise UnsupportedDimensionError(
-                    "hypersurfaces need ambient_dim >= 2"
-                )
 
     @property
     def dim(self) -> int:

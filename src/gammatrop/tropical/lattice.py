@@ -11,7 +11,9 @@ gcd of the maximal minors of its cleared edge vectors over D^k k!
 triangulation from its least point (`_pulling`), whose sub-faces are read
 from the facet incidence sets of its polytope (`_subfaces`).  A compact
 chamber brings its incidence; a bare point set finds its hull's facets
-once, in coordinates on its affine span, and measures in its own.
+once, in coordinates on its affine span, and measures in its own.  Every
+normal, of a plane or of a hull facet, and every homogeneous vertex of
+`polyhedra` is the signed `_minors` of its rows, for any number of rows.
 """
 
 from __future__ import annotations
@@ -50,14 +52,6 @@ def affine_length(p: Sequence[Rational], q: Sequence[Rational]) -> Fraction:
     return _simplex_measure((p, q))
 
 
-def _cross(a: Sequence[Rational], b: Sequence[Rational]) -> tuple[Rational, ...]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -76,11 +70,13 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def plane_lattice_basis(
     d1: Sequence[Rational], d2: Sequence[Rational]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A basis of the rank-2 lattice Z^n intersect span_Q(d1, d2), n <= 3.
+    """A basis of the rank-2 lattice Z^n intersect span_Q(d1, d2), n = 2, 3.
 
     The directions must be linearly independent.  In the plane the answer
     is the standard basis; in 3-space the plane is the kernel of its
-    primitive normal u, and a kernel basis comes from Bezout data for u.
+    primitive normal u, the pair's signed `_minors` made primitive, and a
+    kernel basis comes from Bezout data for u.  Other ambient dimensions
+    raise ValueError; the 2-cells of `corner_locus` need no more.
     """
     v1 = primitive_vector(d1)
     v2 = primitive_vector(d2)
@@ -93,7 +89,7 @@ def plane_lattice_basis(
         return (1, 0), (0, 1)
     if n != 3:
         raise ValueError("only ambient dimensions 2 and 3 are supported")
-    normal = _cross(v1, v2)
+    normal = _minors((v1, v2))
     if not any(normal):
         raise ValueError("directions must be linearly independent")
     u = primitive_vector(normal)
@@ -118,6 +114,33 @@ def _wedge(minors: dict[tuple[int, ...], Rational], row: Sequence[Rational]) -> 
         cols: sum((-1) ** i * row[c] * minors[cols[:i] + cols[i + 1:]] for i, c in enumerate(cols))
         for cols in itertools.combinations(range(len(row)), size)
     }
+
+
+def _minors(rows: Sequence[Sequence[Rational]]) -> tuple[Rational, ...]:
+    """The signed maximal minors h of k rows of length k + 1, any k.
+
+    h_j is (-1)^j times the determinant of the rows without column j, so
+    row . h is the determinant of the rows with that row stacked on top:
+    0 for each of them.  k = 0, 1 and 2 are closed forms, the last the
+    cross product; above, each determinant is the Laplace expansion along
+    the first row, whose cofactors are the `_minors` of the other rows
+    without column j.
+    """
+    k = len(rows)
+    if k == 0:
+        return (1,)
+    if k == 1:
+        ((c, d),) = rows
+        return (d, -c)
+    if k == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    first, *rest = rows
+    h = []
+    for j in range(k + 1):
+        cofactors = _minors([r[:j] + r[j + 1:] for r in rest])
+        h.append((-1) ** j * sum(map(mul, first[:j] + first[j + 1:], cofactors)))
+    return tuple(h)
 
 
 def _simplex_measure(points: Sequence[Sequence[Rational]]) -> Fraction:
@@ -184,10 +207,10 @@ def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction
     The columns of a nonzero maximal minor of the points' differences,
     found by `_wedge`, are coordinates on their affine span.  Dropping
     the other coordinates only finds the hull's facets, each through d
-    affinely independent points with every point on one side, in
-    homogeneous integer coordinates over one denominator; the measure is
-    `_face_measure` of the points themselves.  An empty set gives d = -1
-    and measure 0.
+    points, in homogeneous integer coordinates over one denominator,
+    whose signed `_minors` are a normal with every point on one side; the
+    measure is `_face_measure` of the points themselves.  An empty set
+    gives d = -1 and measure 0.
     """
     points = sorted({tuple(map(Fraction, v)) for v in vertices})
     if len({len(p) for p in points}) > 1:
@@ -202,13 +225,9 @@ def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction
     frame = next(cols for cols, m in span.items() if m)
     scale = math.lcm(*(x.denominator for p in points for x in p))
     shadow = [(*(int(p[j] * scale) for j in frame), scale) for p in points]
-    full = range(len(frame) + 1)
     facets = set()
     for combo in itertools.combinations(shadow, len(frame)):
-        minors = {(): 1}
-        for row in combo:
-            minors = _wedge(minors, row)
-        normal = [(-1) ** j * minors[tuple(c for c in full if c != j)] for j in full]
+        normal = _minors(combo)
         values = [sum(map(mul, normal, row)) for row in shadow]
         if min(values) >= 0 or max(values) <= 0:
             facets.add(frozenset(i for i, v in enumerate(values) if v == 0))

@@ -1,4 +1,4 @@
-"""Exact polyhedral structure of tropical hypersurfaces, ambient dim <= 3.
+"""Exact polyhedral structure of tropical hypersurfaces.
 
 The corner locus of a min-of-affine-forms function is stratified by the
 set of forms attaining the minimum.  Cells are enumerated by active
@@ -11,13 +11,16 @@ by the lcm of its denominators, which changes no sign and no solution
 set.  Every rank and kernel comes from one fraction-free elimination,
 `_echelon`; every vertex, of a clipped cell, a compact chamber or a
 `halfplane_polygon`, from one kernel, `_homogeneous_vertices`, whose
-signed `_minors` also give the extreme rays of the recession test; and
-every polygon is ordered by one hull, `lattice._convex_hull`.  A compact
-chamber decides which vertex lies on which facet once, on these ints, and
-its edges, volume, boundary measure and edge singularities read that
-incidence through `lattice._subfaces`; its measures, and a cell's, are
-the one lattice measure of `lattice._simplex_measure`, in any dimension.
-Only returned coordinates are built as Fractions.
+signed `lattice._minors` also give the extreme rays of the recession
+test; and every polygon is ordered by one hull, `lattice._convex_hull`.
+A compact chamber is found in any ambient dimension; the corner locus
+only for ambient dim <= 3, since its 2-cells take their directions from
+`plane_lattice_basis`.  A compact chamber decides which vertex lies on
+which facet once, on these ints, and its edges, volume, boundary measure
+and edge singularities read that incidence through `lattice._subfaces`;
+its measures, and a cell's, are the one lattice measure of
+`lattice._simplex_measure`, in any dimension.  Only returned coordinates
+are built as Fractions.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from ..errors import StructureError, UnsupportedDimensionError
 from .forms import TropicalPolynomial
 from .lattice import (
     _convex_hull,
-    _cross,
     _face_measure,
+    _minors,
     _simplex_measure,
     _subfaces,
     plane_lattice_basis,
@@ -117,39 +120,17 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_echelon(rows, len(rows[0]))[0]) if rows else 0
 
 
-def _minors(rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """The signed maximal minors h of k <= 3 integer rows of length k + 1.
-
-    h_j is (-1)^j times the determinant of the rows without column j, so
-    row . h is the determinant of the rows with that row stacked on top:
-    0 for each of them.  For k = 2 this is the cross product.
-    """
-    k = len(rows)
-    if k == 0:
-        return (1,)
-    if k == 1:
-        ((c, d),) = rows
-        return (d, -c)
-    if k == 2:
-        return _cross(*rows)
-    h = []
-    for j in range(4):
-        a, b, c = (r[:j] + r[j + 1:] for r in rows)
-        h.append((-1) ** j * sum(map(mul, a, _cross(b, c))))
-    return tuple(h)
-
-
 def _homogeneous_vertices(
     lines: Sequence[tuple[int, ...]], k: int
 ) -> list[tuple[int, ...]]:
-    """The vertices h = (x, w) of {line . h >= 0 for all lines}, k <= 3.
+    """The vertices h = (x, w) of {line . h >= 0 for all lines}, any k.
 
     Lines are integer rows of length k + 1 whose last entry pairs with w.
-    Every k lines meet in the homogeneous point h of their signed minors.
-    One with w = 0 is skipped; otherwise h is made w > 0, and x / w is a
-    vertex once line . h >= 0 for every line.  Each vertex comes once, as
-    a primitive h; for k = 0 the one candidate is (1,).  An empty region
-    gives [], and an unbounded one the vertices it has.
+    Every k lines meet in the homogeneous point h of their signed
+    `_minors`.  One with w = 0 is skipped; otherwise h is made w > 0, and
+    x / w is a vertex once line . h >= 0 for every line.  Each vertex
+    comes once, as a primitive h; for k = 0 the one candidate is (1,).
+    An empty region gives [], and an unbounded one the vertices it has.
     """
     vertices = set()
     for combo in itertools.combinations(lines, k):
@@ -184,7 +165,7 @@ def _region_vertices(
 
 
 def _recession_nontrivial(rows: Sequence[tuple[int, ...]], k: int) -> bool:
-    """Whether {d != 0 : c . d >= 0 for all c in rows} is nonempty, k <= 3.
+    """Whether {d != 0 : c . d >= 0 for all c in rows} is nonempty, any k.
 
     Rows are integer vectors of length k.  Rows of rank below k, none at
     all included, leave a line in the cone.  Otherwise the cone is
@@ -450,10 +431,9 @@ def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
     For each form the region where it attains the minimum is cut out;
     exactly one such region must be a bounded n-dimensional polytope,
     otherwise the family is not of the expected shape and a
-    StructureError is raised.
+    StructureError is raised.  Any ambient dimension n works: the mirror
+    quintic's n = 4 chamber is its 4-simplex.
     """
-    if p.dim > 3:
-        raise UnsupportedDimensionError("compact chamber supports dim <= 3")
     rows = _form_rows(p)
     found = [r for i in range(len(rows)) if (r := _form_region(rows, i)) is not None]
     if len(found) != 1:

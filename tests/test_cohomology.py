@@ -180,6 +180,13 @@ def test_log_gamma_series_matches_lgamma():
         assert series == pytest.approx(math.lgamma(1 + x), abs=1e-13)
 
 
+def test_log_gamma_series_order_zero_is_empty():
+    assert log_gamma_series(0) == log_gamma_series_exact(0) == []
+    for series in (log_gamma_series, log_gamma_series_exact):
+        with pytest.raises(ValueError):
+            series(-1)
+
+
 def test_log_gamma_series_exact_values():
     a = [to_sympy(c) for c in log_gamma_series_exact(3)]
     assert a[0] == -sympy.EulerGamma
@@ -774,8 +781,11 @@ def test_graded_exp_log_inverse_match_sympy(higher, c0):
 def test_model_validation():
     with pytest.raises(UnsupportedDimensionError):
         ManifoldModel(0)
-    with pytest.raises(UnsupportedDimensionError):
-        ManifoldModel(1, 2)
+    # two points in P^1: the 0-dimensional Calabi-Yau, whose period
+    # polynomial is its point count
+    pair = ManifoldModel(1, 2)
+    assert (pair.dim, pair.is_calabi_yau) == (0, True)
+    assert gamma_period_polynomial(pair, 2).coefficients == [2]
     with pytest.raises(ValueError):
         ManifoldModel(3, 0)
     assert ManifoldModel(4, 5).dim == 3

@@ -1,14 +1,17 @@
 """Property tests: the integer kernels of the exact tropical layer.
 
-_region_vertices (for every k, and through halfplane_polygon for k = 2),
-_echelon, _recession_nontrivial and corner_locus clear each row's
+_minors, the signed maximal minors of k rows, is checked against Fraction
+determinants for k = 0..4.  _region_vertices (for every k, and through
+halfplane_polygon for k = 2), _echelon, _recession_nontrivial (for
+k = 1..4) and corner_locus clear each row's
 denominators and work on ints.  Each is checked here against a reference
 that runs on Fractions throughout, and against the defining property of
 its answer.  The corner-locus reference cuts each cell out in its own
 coordinates, an origin and basis of its affine hull, as the exact layer
 once did.  A compact chamber decides its face incidence once, on ints;
 its facet vertices, edges, boundary measure and edge singularities are
-checked against face tests and measures on Fractions, and the cell
+checked against face tests and measures on Fractions, in the plane, in
+3-space and, for images of the mirror quintic's 4-simplex, in 4-space, and the cell
 measures of the benchmark's seed-1 images against the projection-and-index
 rule that measured them before the one simplex measure.
 """
@@ -17,6 +20,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 import sympy
@@ -42,7 +46,7 @@ from gammatrop.tropical import (
     primitive_vector,
 )
 from gammatrop.periods import MirrorFamily
-from gammatrop.tropical.lattice import _cross
+from gammatrop.tropical.lattice import _minors
 from gammatrop.tropical.polyhedra import (
     _echelon,
     _integer_row,
@@ -51,6 +55,8 @@ from gammatrop.tropical.polyhedra import (
 )
 
 EXACT = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+# the 4-space cases cost more per example, so they get a smaller budget
+EXACT_4D = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 
 # small rationals; small numerators make zeros, parallel rows and ties common
 rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 4, 6)))
@@ -61,6 +67,29 @@ def vectors(n):
 
 
 # --- Fraction references ---
+
+
+def cross(a, b):
+    """The cross product of two 3-vectors, independent of the exact layer."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def ref_det(rows):
+    """The determinant of a square matrix by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
 
 
 def ref_ccw_cycle(points):
@@ -157,6 +186,12 @@ def ref_solve_affine(rows, n):
 
 
 def ref_recession(rows, k):
+    """Whether {d != 0 : c . d >= 0 for all rows} is nonempty, any k.
+
+    If it is, its intersection with some orthant has an extreme ray, the
+    one-dimensional kernel of k - 1 of the rows and unit vectors; each
+    such kernel is solved on Fractions and tried with both signs.
+    """
     if k == 0:
         return False
     if not rows:
@@ -167,15 +202,14 @@ def ref_recession(rows, k):
             sum(c * x for c, x in zip(row, d)) >= 0 for row in rows
         )
 
-    if k == 1:
-        return feasible((Fraction(1),)) or feasible((Fraction(-1),))
     unit = [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
-    pool = list(rows) + unit
-    if k == 2:
-        candidates = [(-c[1], c[0]) for c in pool]
-    else:
-        candidates = [_cross(a, b) for a, b in itertools.combinations(pool, 2)]
-    return any(feasible(d) or feasible(tuple(-x for x in d)) for d in candidates)
+    for combo in itertools.combinations(list(rows) + unit, k - 1):
+        _, kernel = ref_solve_affine([(row, Fraction(0)) for row in combo], k)
+        if len(kernel) == 1:
+            d = kernel[0]
+            if feasible(d) or feasible(tuple(-x for x in d)):
+                return True
+    return False
 
 
 def on_facet(facet, v):
@@ -226,7 +260,7 @@ def ref_cell_measure(cell):
     if cell.dim == 1:
         d = [y - x for x, y in zip(a, b)]
         return next(abs(x / e) for x, e in zip(d, primitive_vector(d)) if e)
-    u = primitive_vector(_cross(*([y - x for x, y in zip(a, v)] for v in (b, rest[0]))))
+    u = primitive_vector(cross(*([y - x for x, y in zip(a, v)] for v in (b, rest[0]))))
     k = next(i for i, x in enumerate(u) if x)
     shadow = [v[:k] + v[k + 1:] for v in cell.vertices]
     twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(shadow, shadow[1:] + shadow[:1]))
@@ -403,6 +437,19 @@ def quartic_images(draw):
 
 
 @st.composite
+def quintic_images(draw):
+    """(p, m, shift): the quintic's tropicalization min(1 + w_i, 1 - sum w,
+    0) with its slopes mapped by a unimodular m and its chamber translated
+    by a rational -shift, so each offset grows by its slope . shift."""
+    fan = [tuple(int(i == j) for j in range(4)) for i in range(4)] + [(-1,) * 4]
+    m = draw(unimodular(4))
+    slopes = apply(m, (0,) * 4, fan) + [(0,) * 4]
+    shift = draw(vectors(4))
+    offsets = [1 + sum(map(mul, slope, shift)) for slope in slopes[:-1]] + [0]
+    return polynomial(slopes, offsets), m, shift
+
+
+@st.composite
 def planar_polynomials(draw):
     """The cubic's tropicalization min(1 + w_i, 1 - w_1 - w_2, 0) under a
     unimodular map with integer offset shifts, or 3-5 random forms: slope
@@ -432,12 +479,12 @@ def same_plane_lattice(basis, other):
     """Whether two pairs of integer 3-vectors span one lattice: the same
     normal up to sign, and each vector an integer combination of the
     other pair."""
-    normal = _cross(*other)
-    if _cross(*basis) not in (normal, tuple(-x for x in normal)):
+    normal = cross(*other)
+    if cross(*basis) not in (normal, tuple(-x for x in normal)):
         return False
     norm2 = sum(x * x for x in normal)
     return all(
-        sum(a * b for a, b in zip(_cross(v, w), normal)) % norm2 == 0
+        sum(a * b for a, b in zip(cross(v, w), normal)) % norm2 == 0
         for v in basis
         for w in other
     )
@@ -451,6 +498,24 @@ def apply(m, shift, points):
 
 
 # --- properties ---
+
+
+@EXACT
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * (k + 1)), min_size=k, max_size=k),
+    st.tuples(*[st.integers(-3, 3)] * (k + 1)),
+)))
+def test_minors_match_fraction_determinants(case):
+    rows, top = case
+    h = _minors(rows)
+    assert len(h) == len(rows) + 1
+    for j, x in enumerate(h):
+        assert x == (-1) ** j * ref_det([r[:j] + r[j + 1:] for r in rows])
+    # the sign convention: top . h is the determinant with top stacked on
+    # the rows, so 0 for each of the rows themselves
+    assert sum(map(mul, top, h)) == ref_det([top, *rows])
+    for row in rows:
+        assert sum(map(mul, row, h)) == 0
 
 
 @EXACT
@@ -560,12 +625,20 @@ def test_corner_locus_matches_cell_coordinate_reference(case):
 
 
 @EXACT
-@given(st.integers(1, 3).flatmap(
+@given(st.integers(1, 4).flatmap(
     lambda k: st.tuples(st.just(k), st.lists(vectors(k), max_size=5))
 ))
 def test_recession_matches_fraction_reference(case):
     k, rows = case
     assert _recession_nontrivial([_integer_row(r) for r in rows], k) == ref_recession(rows, k)
+
+
+@EXACT_4D
+@given(st.lists(vectors(4), min_size=5, max_size=8))
+def test_recession_matches_fraction_reference_with_many_rows_in_four_dimensions(rows):
+    # five or more rows can close the cone in Q^4 to {0}; eight random
+    # rows do so about half the time, fewer than five rows never
+    assert _recession_nontrivial([_integer_row(r) for r in rows], 4) == ref_recession(rows, 4)
 
 
 def check_chamber_faces(chamber):
@@ -598,6 +671,25 @@ def test_chamber_faces_match_fraction_reference_in_the_plane(p):
     check_chamber_faces(only_chamber(p))
 
 
+@EXACT_4D
+@given(quintic_images())
+def test_quintic_chamber_images_in_four_dimensions(case):
+    p, m, shift = case
+    chamber = compact_chamber(p)
+    # w -> m^T (w + shift) maps the chamber back onto the standard one
+    back = [tuple(sum(map(mul, col, (x + s for x, s in zip(w, shift)))) for col in zip(*m))
+            for w in chamber.vertices]
+    assert sorted(back) == sorted(
+        tuple(4 if i == j else -1 for j in range(4)) for i in range(-1, 4)
+    )
+    for facet in chamber.facets:
+        assert chamber.facet_vertices(facet) == ref_facet_vertices(chamber, facet)
+    assert chamber.edges() == ref_edges(chamber)
+    assert len(chamber.facets) == 5 and len(chamber.edges()) == 10
+    assert chamber.volume() == affine_volume(chamber.vertices) == Fraction(625, 24)
+    assert boundary_affine_area(chamber) == Fraction(625, 6)
+
+
 @EXACT
 @given(boxed_rows(), unimodular(2), st.tuples(*[st.integers(-5, 5)] * 2))
 def test_polygon_area_is_unimodular_invariant(rows, m, shift):
@@ -621,7 +713,7 @@ def test_volume_is_unimodular_invariant(points, m, shift):
     # volume equals since Z^3 has covolume 1
     offsets = [[x - o for x, o in zip(p, points[0])] for p in points[1:]]
     triples = itertools.combinations(offsets, 3)
-    if any(sum(x * y for x, y in zip(a, _cross(b, c))) for a, b, c in triples):
+    if any(sum(x * y for x, y in zip(a, cross(b, c))) for a, b, c in triples):
         hull = ConvexHull(points).volume
         assert float(volume) == pytest.approx(hull, rel=1e-12, abs=1e-12)
     else:

@@ -13,7 +13,7 @@ import scipy.special
 import gammatrop.periods.error_integrals as error_integrals
 import gammatrop.periods.fano as fano
 import gammatrop.periods.k3 as k3
-from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial
+from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial, log_gamma_series_exact
 from gammatrop.errors import (
     NonConvergenceError,
     UnsupportedDimensionError,
@@ -37,7 +37,16 @@ from gammatrop.periods import (
 )
 from gammatrop.periods.fano import _bessel_k0
 from gammatrop.quadrature import QuadratureConfig, fit_asymptotic, integrate_1d, integrate_2d
-from gammatrop.tropical import compact_chamber, corner_locus, edge_singularities, tropicalize
+from gammatrop.tropical import (
+    LaurentFamily,
+    LaurentTerm,
+    affine_length,
+    boundary_affine_area,
+    compact_chamber,
+    corner_locus,
+    edge_singularities,
+    tropicalize,
+)
 
 EULER_GAMMA = 0.5772156649015328606
 ZETA2 = math.pi**2 / 6
@@ -699,6 +708,45 @@ def test_k3_facets_are_the_chamber_facets():
     assert sorted(map(sorted, k3._FACETS)) == sorted(
         sorted(chamber.facet_vertices(facet)) for facet in chamber.facets
     )
+
+
+def simplex_family(n: int) -> LaurentFamily:
+    """t x_1 + ... + t x_n + t / (x_1 ... x_n) - 1, whose compact chamber
+    is {1 + w_i >= 0, 1 - sum w >= 0}."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return LaurentFamily(terms=(
+        *(LaurentTerm(1, Fraction(1), e) for e in units + [(-1,) * n]),
+        LaurentTerm(-1, Fraction(0), (0,) * n),
+    ))
+
+
+def test_chamber_measures_are_the_gamma_leading_terms():
+    # exact, with no quadrature: the chamber's volume is the leading
+    # coefficient of the Fano prediction for P^n, and its boundary measure
+    # that of the Gamma polynomial of the Calabi-Yau hypersurface in P^n
+    assert simplex_family(2) == MirrorFamily("elliptic_cubic").laurent_family()
+    assert simplex_family(3) == MirrorFamily("quartic_k3").laurent_family()
+    expected = {
+        1: (2, 2),
+        2: (Fraction(9, 2), 9),
+        3: (Fraction(32, 3), 32),
+        4: (Fraction(625, 24), Fraction(625, 6)),
+    }
+    for n, (volume, boundary) in expected.items():
+        chamber = compact_chamber(tropicalize(simplex_family(n)))
+        assert chamber.volume() == fano_prediction_polynomial(n).coefficients[n] == volume
+        calabi_yau = gamma_period_polynomial(ManifoldModel(n, n + 1), n + 1)
+        assert calabi_yau.degree == n - 1
+        assert boundary_affine_area(chamber) == calabi_yau.coefficients[n - 1] == boundary
+    # K3's constant term -4 pi^2 is -zeta(2) times the summed lattice
+    # lengths of the tetrahedron's edges, 24
+    chamber = compact_chamber(tropicalize(simplex_family(3)))
+    edges = sum(affine_length(v, u) for v, u in chamber.edges())
+    zeta2 = 2 * log_gamma_series_exact(2)[1]  # a_2 = zeta(2) / 2
+    constant = gamma_period_polynomial(ManifoldModel(3, 4), 4).coefficients[0]
+    assert edges == 24
+    assert constant == -edges * zeta2
+    assert str(constant) == "-4*pi**2"
 
 
 def test_k3_small_t_has_no_overflow():

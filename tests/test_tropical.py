@@ -27,7 +27,7 @@ from gammatrop.tropical import (
     primitive_vector,
     tropicalize,
 )
-from gammatrop.tropical.lattice import _cross, _face_measure, _subfaces
+from gammatrop.tropical.lattice import _face_measure, _subfaces
 
 # --- reference families ---
 
@@ -62,7 +62,21 @@ def k3_family() -> LaurentFamily:
     ))
 
 
+def quintic_family() -> LaurentFamily:
+    """t X1 + ... + t X4 + t / (X1 X2 X3 X4) - 1, the quintic mirror."""
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    return LaurentFamily(terms=(
+        *(LaurentTerm(1, Fraction(1), e) for e in units + [(-1, -1, -1, -1)]),
+        LaurentTerm(-1, Fraction(0), (0, 0, 0, 0)),
+    ))
+
+
 # --- exact containment oracles ---
+
+
+def cross(a, b):
+    """The cross product of two 3-vectors, independent of the exact layer."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def point_in_cell(cell, point) -> bool:
@@ -554,10 +568,10 @@ def test_two_cells_are_convex_cycles():
         for cell in two_cells:
             verts = cell.vertices
             edges = [tuple(b - a for a, b in zip(u, v)) for u, v in zip(verts, verts[1:] + verts[:1])]
-            turns = [_cross(e, f) for e, f in zip(edges, edges[1:] + edges[:1])]
+            turns = [cross(e, f) for e, f in zip(edges, edges[1:] + edges[:1])]
             assert all(any(turn) for turn in turns)
             for turn in turns:
-                assert not any(_cross(turn, turns[0]))
+                assert not any(cross(turn, turns[0]))
                 assert sum(x * y for x, y in zip(turn, turns[0])) > 0
 
 
@@ -748,8 +762,11 @@ def quintic_simplex() -> LatticePolytope:
 
 
 def test_quintic_simplex_measures():
-    # P^4's 625/24 is the volume; the quintic's 625 L^3 / 6 is the boundary
-    simplex = quintic_simplex()
+    # P^4's 625/24 is the volume; the quintic's 625 L^3 / 6 is the boundary.
+    # The chamber is found by compact_chamber and checked against the
+    # simplex built by hand from its facets
+    simplex = compact_chamber(tropicalize(quintic_family()))
+    assert simplex == quintic_simplex()
     assert simplex.volume() == affine_volume(simplex.vertices) == Fraction(625, 24)
     assert boundary_affine_area(simplex) == Fraction(625, 6)
     for on in simplex.incidence:
