@@ -55,9 +55,10 @@ class MirrorFamily:
     """A named mirror family with its parameters.
 
     kinds: projective_fano (parameter n), elliptic_cubic, local_model_2d
-    (parameters a1, a2, b), quartic_k3, pair_of_pants.  parameters is a
-    read-only view of a validated copy; it takes part in equality but not
-    in the hash, so equal families hash equal.
+    (parameters a1, a2, b: ints, Fractions or finite floats, all > 0),
+    quartic_k3, pair_of_pants.  parameters is a read-only view of a
+    validated copy; it takes part in equality but not in the hash, so
+    equal families hash equal.
     """
 
     kind: str
@@ -76,8 +77,12 @@ class MirrorFamily:
         if self.kind == "local_model_2d":
             for name in ("a1", "a2", "b"):
                 value = params.get(name)
-                if value is None or not float(value) > 0:
-                    raise ValueError(f"local_model_2d needs {name} > 0")
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, Fraction, float))
+                    or not 0 < value < math.inf
+                ):
+                    raise ValueError(f"local_model_2d needs a finite number {name} > 0")
         object.__setattr__(self, "parameters", MappingProxyType(params))
 
     def laurent_family(self) -> LaurentFamily:

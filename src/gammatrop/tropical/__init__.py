@@ -3,7 +3,9 @@
 Laurent families with fractional powers of the degeneration parameter t
 tropicalize to min-of-affine-forms functions; corner loci, complement
 chambers, lattice-affine volumes and edge singularity counts are all
-computed in exact rational arithmetic.
+computed in exact rational arithmetic.  Corner loci and chambers are
+found in any ambient dimension; a corner-locus cell is its active set,
+its sorted vertices and whether it is bounded.
 """
 
 from .forms import (
@@ -17,7 +19,6 @@ from .forms import (
 from .lattice import (
     affine_length,
     affine_volume,
-    plane_lattice_basis,
     polygon_affine_area,
     primitive_vector,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "tropicalize",
     "monomial_substitution",
     "primitive_vector",
-    "plane_lattice_basis",
     "affine_length",
     "polygon_affine_area",
     "affine_volume",

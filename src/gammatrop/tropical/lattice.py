@@ -11,9 +11,10 @@ gcd of the maximal minors of its cleared edge vectors over D^k k!
 triangulation from its least point (`_pulling`), whose sub-faces are read
 from the facet incidence sets of its polytope (`_subfaces`).  A compact
 chamber brings its incidence; a bare point set finds its hull's facets
-once, in coordinates on its affine span, and measures in its own.  Every
-normal, of a plane or of a hull facet, and every homogeneous vertex of
-`polyhedra` is the signed `_minors` of its rows, for any number of rows.
+once, in coordinates on its affine span, and measures in its own, so no
+measure needs its points in any order.  Every normal of a hull facet,
+and every homogeneous vertex of `polyhedra`, is the signed `_minors` of
+its rows, for any number of rows.
 """
 
 from __future__ import annotations
@@ -46,60 +47,13 @@ def primitive_vector(v: Sequence[Rational]) -> tuple[int, ...]:
 
 
 def affine_length(p: Sequence[Rational], q: Sequence[Rational]) -> Fraction:
-    """Lattice length of the segment from p to q, their `_simplex_measure`."""
+    """Lattice length of the segment from p to q, their `_simplex_measure`.
+
+    Float coordinates are read as the exact binary fractions they are.
+    """
     if len(p) != len(q):
         raise ValueError("endpoints must share one ambient dimension")
-    return _simplex_measure((p, q))
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def plane_lattice_basis(
-    d1: Sequence[Rational], d2: Sequence[Rational]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A basis of the rank-2 lattice Z^n intersect span_Q(d1, d2), n = 2, 3.
-
-    The directions must be linearly independent.  In the plane the answer
-    is the standard basis; in 3-space the plane is the kernel of its
-    primitive normal u, the pair's signed `_minors` made primitive, and a
-    kernel basis comes from Bezout data for u.  Other ambient dimensions
-    raise ValueError; the 2-cells of `corner_locus` need no more.
-    """
-    v1 = primitive_vector(d1)
-    v2 = primitive_vector(d2)
-    n = len(v1)
-    if len(v2) != n:
-        raise ValueError("directions must share one ambient dimension")
-    if n == 2:
-        if v1[0] * v2[1] - v1[1] * v2[0] == 0:
-            raise ValueError("directions must be linearly independent")
-        return (1, 0), (0, 1)
-    if n != 3:
-        raise ValueError("only ambient dimensions 2 and 3 are supported")
-    normal = _minors((v1, v2))
-    if not any(normal):
-        raise ValueError("directions must be linearly independent")
-    u = primitive_vector(normal)
-    if u[0] == 0 and u[1] == 0:
-        # plane is the coordinate plane w3 = const
-        return (1, 0, 0), (0, 1, 0)
-    g, p, q = _extended_gcd(u[0], u[1])
-    b1 = (u[1] // g, -u[0] // g, 0)
-    b2 = (p * u[2], q * u[2], -g)
-    return b1, b2
+    return _simplex_measure((tuple(map(Fraction, p)), tuple(map(Fraction, q))))
 
 
 def _wedge(minors: dict[tuple[int, ...], Rational], row: Sequence[Rational]) -> dict:

@@ -11,16 +11,15 @@ by the lcm of its denominators, which changes no sign and no solution
 set.  Every rank and kernel comes from one fraction-free elimination,
 `_echelon`; every vertex, of a clipped cell, a compact chamber or a
 `halfplane_polygon`, from one kernel, `_homogeneous_vertices`, whose
-signed `lattice._minors` also give the extreme rays of the recession
-test; and every polygon is ordered by one hull, `lattice._convex_hull`.
-A compact chamber is found in any ambient dimension; the corner locus
-only for ambient dim <= 3, since its 2-cells take their directions from
-`plane_lattice_basis`.  A compact chamber decides which vertex lies on
-which facet once, on these ints, and its edges, volume, boundary measure
-and edge singularities read that incidence through `lattice._subfaces`;
-its measures, and a cell's, are the one lattice measure of
-`lattice._simplex_measure`, in any dimension.  Only returned coordinates
-are built as Fractions.
+signed `lattice._minors` also give the extreme rays of the one recession
+test, `_recession_nontrivial`, which decides whether a cell or a chamber
+is bounded.  The corner locus and the compact chamber are found in any
+ambient dimension, with no branch on the dimension of a cell.  A compact
+chamber decides which vertex lies on which facet once, on these ints,
+and its edges, volume, boundary measure and edge singularities read that
+incidence through `lattice._subfaces`; its measures, and a cell's, are
+the one lattice measure of `lattice._simplex_measure`, in any dimension.
+Only returned coordinates are built as Fractions.
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ from .forms import TropicalPolynomial
 from .lattice import (
     _convex_hull,
     _face_measure,
+    _hull_measure,
     _minors,
     _simplex_measure,
     _subfaces,
-    plane_lattice_basis,
     primitive_vector,
 )
 
@@ -207,22 +206,13 @@ class Cell:
     """One closed stratum of a corner locus, clipped to the query box.
 
     active lists the forms attaining the minimum on the relative
-    interior; vertices describe the clipped piece in ambient coordinates:
-    sorted for points and segments, and for a 2-cell the counterclockwise
-    `_convex_hull` cycle of its projection that drops the first
-    coordinate its plane's normal involves, from the vertex least there;
-    the projection only orders the cycle and never measures; directions
-    are primitive integer vectors spanning the cell, with a ray's
-    direction pointing toward its unbounded end and a 2-cell's pair the
-    `plane_lattice_basis` of the first two kernel vectors of its
-    equalities (see `_echelon`); bounded refers to the cell before
-    clipping.
+    interior; vertices are the sorted vertices of the clipped piece in
+    ambient coordinates; bounded refers to the cell before clipping.
     """
 
     dim: int
     active: tuple[int, ...]
     vertices: tuple[Point, ...]
-    directions: tuple[tuple[int, ...], ...]
     bounded: bool
 
     def representative(self) -> Point:
@@ -235,20 +225,16 @@ class Cell:
         )
 
     def affine_measure(self) -> Fraction:
-        """Lattice length or area of the clipped piece; 0 for points.
+        """Lattice measure of the clipped piece; 0 for points.
 
-        A segment is one simplex, and a 2-cell the fan of its cycle from
-        its first vertex, each measured by `_simplex_measure`.
+        A segment is one `_simplex_measure`, and a piece of any higher
+        dimension the `_hull_measure` of its vertices.
         """
         if self.dim == 0:
             return Fraction(0)
         if self.dim == 1:
             return _simplex_measure(self.vertices)
-        first, *rest = self.vertices
-        return sum(
-            (_simplex_measure((first, a, b)) for a, b in zip(rest, rest[1:])),
-            Fraction(0),
-        )
+        return _hull_measure(self.vertices)[1]
 
 
 @dataclass(frozen=True)
@@ -269,11 +255,9 @@ def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
     further form is forced equal on that locus, and the resulting cell
     meets the box in its full dimension.  The box is n (lo, hi) pairs of
     rationals, or one pair for every coordinate; any other box raises
-    ValueError.
+    ValueError.  Any ambient dimension works.
     """
     n = p.dim
-    if n > 3:
-        raise UnsupportedDimensionError("corner locus supports dim <= 3")
     bounds = _normalize_box(box, n)
     rows = _form_rows(p)
     box_lines = []
@@ -305,8 +289,10 @@ def _cell_for_subset(
     k-cell: k directions (w = 0) and one point of the affine hull, last.
     Every other form's row and every box row is reduced to coordinates g
     on K, h = sum g_i K_i, once; the cell is the region of the reduced
-    rows, so its vertices, directions and recession test all work on g.
-    Each vertex is built once per corner locus, as `known`[primitive h].
+    rows, so its vertices and its recession test both work on g, the
+    same way for every k: the cell is bounded when the inactive rows'
+    direction parts leave it no recession direction.  Each vertex is
+    built once per corner locus, as `known`[primitive h].
     """
     n = len(rows[0]) - 1
     base = rows[subset[0]]
@@ -332,34 +318,12 @@ def _cell_for_subset(
         return None
     columns = list(zip(*kernel))
     points = [primitive_vector([sum(map(mul, g, c)) for c in columns]) for g in found]
-    bounded, directions = True, ()
-    if k == 1:
-        upper = any(g[0] < 0 for g in inactive)
-        lower = any(g[0] > 0 for g in inactive)
-        bounded = upper and lower
-        prim = primitive_vector(kernel[0][:-1])
-        flipped = tuple(-x for x in prim)
-        if upper == lower:
-            prim = max(prim, flipped)  # first nonzero entry positive
-        elif upper:
-            prim = flipped  # unbounded as g_0 -> -inf
-        directions = (prim,)
-    elif k == 2:
-        bounded = not _recession_nontrivial([g[:-1] for g in inactive], 2)
-        # the plane's normal is E's one row: drop its pivot, the first
-        # nonzero coordinate, and order the shadow on ints over one w
-        i, j = (c for c in range(3) if c not in independent)
-        w = math.lcm(*(h[-1] for h in points))
-        shadow = {(h[i] * (w // h[-1]), h[j] * (w // h[-1])): h for h in points}
-        points = [shadow[q] for q in _convex_hull(shadow)]
-        directions = plane_lattice_basis(kernel[0][:-1], kernel[1][:-1])
     vertices = [known[h] if h in known else known.setdefault(h, _point(h)) for h in points]
     return Cell(
         dim=k,
         active=subset,
-        vertices=tuple(vertices if k == 2 else sorted(vertices)),
-        directions=directions,
-        bounded=bounded,
+        vertices=tuple(sorted(vertices)),
+        bounded=not _recession_nontrivial([g[:-1] for g in inactive], k),
     )
 
 

@@ -3,8 +3,8 @@
 _minors, the signed maximal minors of k rows, is checked against Fraction
 determinants for k = 0..4.  _region_vertices (for every k, and through
 halfplane_polygon for k = 2), _echelon, _recession_nontrivial (for
-k = 1..4) and corner_locus clear each row's
-denominators and work on ints.  Each is checked here against a reference
+k = 1..4) and corner_locus (in ambient dimensions 1 to 4) clear each
+row's denominators and work on ints.  Each is checked here against a reference
 that runs on Fractions throughout, and against the defining property of
 its answer.  The corner-locus reference cuts each cell out in its own
 coordinates, an origin and basis of its affine hull, as the exact layer
@@ -41,7 +41,6 @@ from gammatrop.tropical import (
     corner_locus,
     edge_singularities,
     halfplane_polygon,
-    plane_lattice_basis,
     polygon_affine_area,
     primitive_vector,
 )
@@ -255,7 +254,8 @@ def ref_cell_measure(cell):
     """A bounded cell's measure by the projection-and-index rule: a
     segment's length over its primitive direction; a 2-cell in 3-space,
     the shoelace area of its cycle without coordinate k, the first that
-    its plane's primitive normal u involves, over |u_k|."""
+    its plane's primitive normal u involves, over |u_k|.  The cycle is
+    scipy's hull of the shadow, all of whose points are vertices."""
     a, b, *rest = cell.vertices
     if cell.dim == 1:
         d = [y - x for x, y in zip(a, b)]
@@ -263,6 +263,9 @@ def ref_cell_measure(cell):
     u = primitive_vector(cross(*([y - x for x, y in zip(a, v)] for v in (b, rest[0]))))
     k = next(i for i, x in enumerate(u) if x)
     shadow = [v[:k] + v[k + 1:] for v in cell.vertices]
+    order = ConvexHull([[float(x) for x in q] for q in shadow]).vertices
+    assert len(order) == len(shadow)
+    shadow = [shadow[i] for i in order]
     twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(shadow, shadow[1:] + shadow[:1]))
     return abs(twice) / 2 / abs(u[k])
 
@@ -313,20 +316,7 @@ def ref_cell(forms, subset, box):
         tuple(origin[j] + sum(s * vec[j] for s, vec in zip(sv, basis)) for j in range(n))
         for sv in points
     )
-    directions = ()
-    if k == 1:
-        prim = primitive_vector(basis[0])
-        signs = {c > 0 for (c,), _ in ineqs if c != 0}
-        if signs == {True}:
-            directions = (prim,)
-        elif signs == {False}:
-            directions = (tuple(-x for x in prim),)
-        else:  # a line or a bounded segment: first nonzero entry positive
-            first = next(x for x in prim if x)
-            directions = (prim if first > 0 else tuple(-x for x in prim),)
-    elif k == 2:
-        directions = plane_lattice_basis(basis[0], basis[1])
-    return k, subset, vertices, not ref_recession([c for c, _ in ineqs], k), directions
+    return k, subset, vertices, not ref_recession([c for c, _ in ineqs], k)
 
 
 # --- strategies ---
@@ -373,15 +363,15 @@ def affine_systems(draw):
 
 
 @st.composite
-def tropical_polynomials(draw):
-    """(p, box): 2-5 distinct forms in dimension 1-3 and a random box.
+def tropical_polynomials(draw, dims=(1, 3)):
+    """(p, box): 2-5 distinct forms in dimension dims[0]..dims[1] and a box.
 
     Half the cases are the n + 2 slopes of the fan of P^n (the unit
     vectors, minus their sum, and 0) with random offsets, whose chamber
     is bounded when it is not empty; the others draw their slopes from
     that fan and [-2, 2]^n, so parallel slopes and ties are common.
     """
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(*dims))
     fan = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n, (0,) * n]
     if draw(st.booleans()):
         pairs = [(m, draw(rationals)) for m in fan]
@@ -473,21 +463,6 @@ def only_chamber(p):
         return compact_chamber(p)
     except StructureError:
         assume(False)
-
-
-def same_plane_lattice(basis, other):
-    """Whether two pairs of integer 3-vectors span one lattice: the same
-    normal up to sign, and each vector an integer combination of the
-    other pair."""
-    normal = cross(*other)
-    if cross(*basis) not in (normal, tuple(-x for x in normal)):
-        return False
-    norm2 = sum(x * x for x in normal)
-    return all(
-        sum(a * b for a, b in zip(cross(v, w), normal)) % norm2 == 0
-        for v in basis
-        for w in other
-    )
 
 
 def apply(m, shift, points):
@@ -599,10 +574,9 @@ def test_echelon_detects_inconsistent_systems(system):
     assert all(v[n] == 0 for v in kernel)
 
 
-@EXACT
-@given(tropical_polynomials())
-def test_corner_locus_matches_cell_coordinate_reference(case):
-    p, box = case
+def check_corner_locus(p, box):
+    """Every cell of the corner locus against `ref_cell`: the same cells,
+    each with the sorted reference vertices and boundedness."""
     cells = corner_locus(p, box).cells
     expected = [
         cell
@@ -613,15 +587,22 @@ def test_corner_locus_matches_cell_coordinate_reference(case):
     got = {(c.dim, c.active): c for c in cells}
     assert len(got) == len(cells)
     assert set(got) == {(k, subset) for k, subset, *_ in expected}
-    for k, subset, vertices, bounded, directions in expected:
+    for k, subset, vertices, bounded in expected:
         cell = got[k, subset]
-        assert set(cell.vertices) == vertices and len(cell.vertices) == len(vertices)
+        assert cell.vertices == tuple(sorted(vertices))
         assert cell.bounded == bounded
-        if k < 2:
-            assert cell.vertices == tuple(sorted(vertices))
-            assert cell.directions == directions
-        else:
-            assert same_plane_lattice(cell.directions, directions)
+
+
+@EXACT
+@given(tropical_polynomials())
+def test_corner_locus_matches_cell_coordinate_reference(case):
+    check_corner_locus(*case)
+
+
+@EXACT_4D
+@given(tropical_polynomials(dims=(4, 4)))
+def test_corner_locus_matches_cell_coordinate_reference_in_four_dimensions(case):
+    check_corner_locus(*case)
 
 
 @EXACT

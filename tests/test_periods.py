@@ -115,8 +115,17 @@ def test_mirror_family_validation():
         MirrorFamily("projective_fano", {"n": 0})
     with pytest.raises(ValueError):
         MirrorFamily("local_model_2d", {"a1": 1.0, "a2": -1.0, "b": 1.0})
+    # bool and str pass a float() > 0 check, and so does inf; none is a size
+    for params in (
+        {"a1": True, "a2": 2, "b": 1},
+        {"a1": 1, "a2": "2", "b": 1},
+        {"a1": 1, "a2": 2, "b": float("inf")},
+    ):
+        with pytest.raises(ValueError):
+            MirrorFamily("local_model_2d", params)
     MirrorFamily("projective_fano", {"n": 3})
     MirrorFamily("local_model_2d", {"a1": 1, "a2": 2, "b": 0.5})
+    MirrorFamily("local_model_2d", {"a1": 1.5, "a2": Fraction(2, 3), "b": 2})
 
 
 def test_mirror_family_is_hashable_and_read_only():

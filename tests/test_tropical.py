@@ -22,7 +22,6 @@ from gammatrop.tropical import (
     edge_singularities,
     halfplane_polygon,
     monomial_substitution,
-    plane_lattice_basis,
     polygon_affine_area,
     primitive_vector,
     tropicalize,
@@ -74,15 +73,51 @@ def quintic_family() -> LaurentFamily:
 # --- exact containment oracles ---
 
 
-def cross(a, b):
-    """The cross product of two 3-vectors, independent of the exact layer."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+def turn(a, b, c):
+    """Twice the signed area of the plane triangle abc: > 0 when ccw."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def shadow_plane(vertices):
+    """Coordinates (i, j) whose projection maps the plane of the polygon
+    on vertices one to one: the first pair that keeps them off a line."""
+    for i, j in itertools.combinations(range(len(vertices[0])), 2):
+        a, *rest = [(v[i], v[j]) for v in vertices]
+        if any(turn(a, b, c) for b, c in itertools.combinations(rest, 2)):
+            return i, j
+    raise AssertionError("the vertices span no plane")
+
+
+def polygon_cycle(vertices):
+    """The vertices of a convex polygon in any ambient dimension in cyclic
+    order: Andrew's monotone chain on its `shadow_plane` projection."""
+    i, j = shadow_plane(vertices)
+    shadow = {(v[i], v[j]): v for v in vertices}
+    points = sorted(shadow)
+    hull = []
+    for chain in (points, points[::-1]):
+        part = []
+        for q in chain:
+            while len(part) >= 2 and turn(part[-2], part[-1], q) <= 0:
+                part.pop()
+            part.append(q)
+        hull += part[:-1]
+    return tuple(shadow[q] for q in hull)
+
+
+def ray_direction(ray, complex_):
+    """The primitive vector from an unbounded 1-cell's vertex, a 0-cell of
+    the locus, to its other end on the box."""
+    points = {c.vertices[0] for c in complex_.cells_of_dim(0)}
+    (start,) = [v for v in ray.vertices if v in points]
+    (end,) = [v for v in ray.vertices if v not in points]
+    return primitive_vector(tuple(b - a for a, b in zip(start, end)))
 
 
 def point_in_cell(cell, point) -> bool:
     """Exact membership of a point in the clipped convex cell."""
     p = tuple(Fraction(x) for x in point)
-    verts = cell.vertices
+    verts = polygon_cycle(cell.vertices) if cell.dim == 2 else cell.vertices
     if cell.dim == 0:
         return p == verts[0]
     if cell.dim == 1:
@@ -326,29 +361,10 @@ def test_affine_length():
     assert affine_length((0, 0, 0), (3, 3, 3)) == 3
     assert affine_length((0,), (Fraction(1, 2),)) == Fraction(1, 2)
     assert affine_length((1, 1), (1, 1)) == 0
-
-
-def test_plane_lattice_basis_is_saturated():
-    rng = random.Random(20240824)
-    for _ in range(50):
-        d1 = tuple(rng.randrange(-5, 6) for _ in range(3))
-        d2 = tuple(rng.randrange(-5, 6) for _ in range(3))
-        try:
-            b1, b2 = plane_lattice_basis(d1, d2)
-        except ValueError:
-            continue
-        cross = (
-            b1[1] * b2[2] - b1[2] * b2[1],
-            b1[2] * b2[0] - b1[0] * b2[2],
-            b1[0] * b2[1] - b1[1] * b2[0],
-        )
-        # saturation: the 2x2 minors of the basis matrix are coprime
-        assert primitive_vector(cross) in (cross, tuple(-c for c in cross))
-        # the basis spans the same plane as the inputs
-        for d in (d1, d2):
-            assert (
-                sum(c * x for c, x in zip(cross, d)) == 0
-            )
+    # a float is the binary fraction it stores
+    assert affine_length((0.5,), (1,)) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        affine_length((0, 0), (1,))
 
 
 def test_polygon_affine_area_basics():
@@ -484,9 +500,10 @@ def test_pants_corner_locus_structure():
     assert vertex.vertices == ((Fraction(0), Fraction(0)),)
     rays = {c.active: c for c in complex_.cells_of_dim(1)}
     assert set(rays) == {(0, 1), (0, 2), (1, 2)}
-    assert rays[(0, 2)].directions == ((0, 1),)
-    assert rays[(1, 2)].directions == ((1, 0),)
-    assert rays[(0, 1)].directions == ((-1, -1),)
+    directions = {active: ray_direction(ray, complex_) for active, ray in rays.items()}
+    assert directions == {(0, 2): (0, 1), (1, 2): (1, 0), (0, 1): (-1, -1)}
+    # balancing at the vertex: the primitive rays, each of weight 1, sum to 0
+    assert tuple(map(sum, zip(*directions.values()))) == (0, 0)
     for ray in rays.values():
         assert not ray.bounded
         assert ray.affine_measure() == 5
@@ -510,7 +527,7 @@ def test_elliptic_corner_locus_structure():
     assert len(bounded) == 3
     # the bounded cycle is the triangle boundary, lattice length 9
     assert sum(c.affine_measure() for c in bounded) == 9
-    ray_dirs = {c.directions[0] for c in one_cells if not c.bounded}
+    ray_dirs = {ray_direction(c, complex_) for c in one_cells if not c.bounded}
     assert ray_dirs == {(-1, -1), (-1, 2), (2, -1)}
 
 
@@ -552,27 +569,39 @@ def test_corner_locus_sampling_consistency():
         assert hits > 100  # the quarter-integer grid hits the locus often
 
 
-def test_two_cells_are_convex_cycles():
-    # a 2-cell's vertices are a convex cycle: the cross products of
-    # consecutive edges are nonzero and all point one way.  The elliptic
-    # and pants loci lie in the plane and have no 2-cells, so each family
-    # is lifted to 3-space by one more term, Z
+def test_two_cell_vertices_are_extreme():
+    # no vertex of a 2-cell lies in the hull of the others: by Caratheodory
+    # in the plane, in no triangle or segment of three or two others,
+    # tested on the cell's shadow plane.  The elliptic and pants loci lie
+    # in the plane and have no 2-cells, so each family is lifted to
+    # 3-space by one more term, Z
     def lifted(family):
         terms = [LaurentTerm(t.coefficient, t.t_exponent, (*t.exponent, 0)) for t in family.terms]
         return LaurentFamily(terms=(*terms, LaurentTerm(1, Fraction(0), (0, 0, 1))))
+
+    def in_segment(p, a, b):
+        return turn(a, b, p) == 0 and all(min(x, y) <= z <= max(x, y) for x, y, z in zip(a, b, p))
+
+    def in_triangle(p, a, b, c):
+        sides = [turn(a, b, p), turn(b, c, p), turn(c, a, p)]
+        return all(x >= 0 for x in sides) or all(x <= 0 for x in sides)
 
     image = monomial_substitution(k3_family(), random_unimodular(random.Random(20240826), 3))
     for family in (k3_family(), lifted(elliptic_family()), lifted(pants_family()), image):
         two_cells = corner_locus(tropicalize(family), (-400, 400)).cells_of_dim(2)
         assert two_cells
         for cell in two_cells:
-            verts = cell.vertices
-            edges = [tuple(b - a for a, b in zip(u, v)) for u, v in zip(verts, verts[1:] + verts[:1])]
-            turns = [cross(e, f) for e, f in zip(edges, edges[1:] + edges[:1])]
-            assert all(any(turn) for turn in turns)
-            for turn in turns:
-                assert not any(cross(turn, turns[0]))
-                assert sum(x * y for x, y in zip(turn, turns[0])) > 0
+            i, j = shadow_plane(cell.vertices)
+            shadow = [(v[i], v[j]) for v in cell.vertices]
+            assert len(set(shadow)) == len(shadow) >= 3
+            for p in shadow:
+                others = [q for q in shadow if q != p]
+                assert not any(in_segment(p, a, b) for a, b in itertools.combinations(others, 2))
+                assert not any(
+                    in_triangle(p, a, b, c)
+                    for a, b, c in itertools.combinations(others, 3)
+                    if turn(a, b, c)
+                )
 
 
 def test_corner_locus_respects_unimodular_changes():
@@ -606,11 +635,40 @@ def test_corner_locus_respects_unimodular_changes():
             assert sorted(bounded) == measures
 
 
-def test_corner_locus_rejects_high_dimension():
-    form_a = AffineForm((1, 0, 0, 0), Fraction(0))
-    form_b = AffineForm((0, 1, 0, 0), Fraction(0))
-    with pytest.raises(UnsupportedDimensionError):
-        corner_locus(TropicalPolynomial((form_a, form_b)), (-1, 1))
+def test_quintic_corner_locus_in_four_dimensions():
+    # the locus of the mirror quintic is the boundary complex of its
+    # chamber, the 4-simplex, with rays out of it: the bounded 1-, 2- and
+    # 3-cells are the chamber's 10 edges, 10 ridges and 5 facets, whose
+    # measures sum to 50, 125 and its boundary measure 625/6
+    family = quintic_family()
+    complex_ = corner_locus(tropicalize(family), (-400, 400))
+    chamber = compact_chamber(tropicalize(family))
+    counts = [(len(cs), sum(c.bounded for c in cs)) for cs in map(complex_.cells_of_dim, range(4))]
+    assert counts == [(5, 5), (15, 10), (20, 10), (15, 5)]
+    each = {1: 5, 2: Fraction(25, 2), 3: Fraction(125, 6)}
+    for dim, measure in each.items():
+        assert {c.affine_measure() for c in complex_.cells_of_dim(dim) if c.bounded} == {measure}
+    ridges = {sub for on in chamber.incidence for sub in _subfaces(frozenset(on), chamber.incidence)}
+    faces = {
+        0: {frozenset((v,)) for v in chamber.vertices},
+        1: {frozenset(edge) for edge in chamber.edges()},
+        2: {frozenset(chamber.vertices[i] for i in ridge) for ridge in ridges},
+        3: {frozenset(chamber.facet_vertices(f)) for f in chamber.facets},
+    }
+    for dim, expected in faces.items():
+        cells = [c for c in complex_.cells_of_dim(dim) if c.bounded]
+        assert {frozenset(c.vertices) for c in cells} == expected
+
+    def sums(complex_):
+        return [
+            sum((c.affine_measure() for c in complex_.cells_of_dim(dim) if c.bounded), Fraction(0))
+            for dim in (1, 2, 3)
+        ]
+
+    assert sums(complex_) == [50, 125, Fraction(625, 6)]
+    mat = random_unimodular(random.Random(20261019), 4)
+    image = corner_locus(tropicalize(monomial_substitution(family, mat)), (-400, 400))
+    assert sums(image) == [50, 125, Fraction(625, 6)]
 
 
 def test_corner_locus_box_validation():
