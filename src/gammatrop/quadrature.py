@@ -3,12 +3,14 @@
 One fixed nested interpolatory rule pair, 15 interior cosine nodes and
 the 7-node rule on every other one (open rules, so integrable endpoint
 singularities never get evaluated at the endpoint), bisection of the
-worst panel, and a reduction order that does not depend on scheduling.
+worst panels, and a reduction order that does not depend on scheduling.
 Rerunning with the same config is bit-identical.
 
 One adaptive loop serves 1d and 2d: a heap of panels, each a box with
-its value and error, of which each round bisects the worst and evaluates
-both children in one integrand call.  A box is an interval (a, b) in 1d.
+its value and error.  Each round bisects the worst panels, every one
+that a loop splitting only the worst panel per round would have to split
+before it could stop, and evaluates all their children in one integrand
+call per patch.  A box is an interval (a, b) in 1d.
 The 1d panel rule is one (2, 15) rule matrix, of the fine weights and of
 the fine plus the coarse weights: this matrix times the node values of
 all boxes of a call, one column per box, gives every fine and coarse sum
@@ -196,12 +198,20 @@ def _panels_1d(f, boxes, to_args):
         # singular panels
         err = 1.5 * abs(value - half * (both - fine))
         # two adjacent nodes on one float leave both rules fewer points
-        # than they weigh, and their agreement proves nothing; the nodes
-        # are 0.057 half apart, so that needs half < 4e-15 |a + b|
-        if not err < math.inf or (half < 1e-13 * abs(a + b) and not np.diff(nodes[k]).all()):
+        # than they weigh, and their agreement proves nothing
+        if not err < math.inf or (_narrow(a, b) and not np.diff(nodes[k]).all()):
             err = math.inf
         entries.append((value, err, 0, box))
     return entries, nodes.size
+
+
+def _narrow(a: float, b: float) -> bool:
+    """Whether two nodes of [a, b] may round onto one float.
+
+    The nodes are 0.057 half apart, so that needs half < 4e-15 |a + b|;
+    below 1e-13 |a + b| `_panels_1d` compares its nodes.
+    """
+    return 0.5 * (b - a) < 1e-13 * abs(a + b)
 
 
 def _find_tail_cutoff(f, start: float, direction: int):
@@ -262,10 +272,27 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
 
     `patches` is a list of (boxes, to_args); `rule(f, boxes, to_args)`
     evaluates the boxes in one integrand call and returns their
-    (value, error, axis, box) entries and the evaluation count.  Each round
-    bisects the worst panel along its axis, for at most max_subdivisions
-    rounds.  A panel whose error is inf is left out of the running totals
-    and counted instead; the loop does not stop on tolerance while any is
+    (value, error, axis, box) entries and the evaluation count.
+
+    Each round bisects, along its axis, every panel that a loop splitting
+    only the worst panel per round would have to split before its
+    tolerance test could pass, and evaluates all their children in one
+    call per patch.  With the target fixed at the round's start, the round
+    pops panels in heap order while the running error, less the panels
+    popped so far, plus tail_bound still misses it: children only add
+    error, and every panel below the popped one stays in the heap.  So
+    wherever neither the cap nor a panel too narrow to split stops the
+    loop, the final panel set, value, error and evaluation count are those
+    of one split per round, up to the rounding of the running totals and
+    a relative target that moves with the value.  Two cases split one
+    panel per round, since there one split per round can stop early at a
+    panel with inf error that is too narrow to split: every round once
+    any panel has had error inf, and a panel whose children are narrow
+    enough for `_panels_1d`'s exact node test (`_narrow`).  No round
+    splits past max_subdivisions in all.
+
+    A panel whose error is inf is left out of the running totals and
+    counted instead; the loop does not stop on tolerance while any is
     left, and it stops at once when one of them is too narrow to split.
     Value and error are each summed over all panels at the end, and
     tail_bound is added to the error.
@@ -274,14 +301,16 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     tie = itertools.count()
     total_val = total_err = 0.0
     infinite = 0
+    had_inf = False
 
     def push(boxes, to_args):
-        nonlocal total_val, total_err, infinite, evaluations
+        nonlocal total_val, total_err, infinite, had_inf, evaluations
         entries, count = rule(f, boxes, to_args)
         evaluations += count
         for value, err, axis, box in entries:
             if err == math.inf:
                 infinite += 1
+                had_inf = True
             else:
                 total_val += value
                 total_err += err
@@ -291,27 +320,42 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
         push(boxes, to_args)
     finished: list[tuple[float, float]] = []
     splits = 0
-    while heap and splits < cfg.max_subdivisions:
+    stuck = False
+    while heap and splits < cfg.max_subdivisions and not stuck:
         if not infinite and _meets_tolerance(total_err + tail_bound, total_val, cfg):
             break
-        _, _, value, err, axis, box, to_args = heapq.heappop(heap)
-        i = 2 * axis  # the axis's (lo, hi) in the box
-        lo, hi = box[i:i + 2]
-        if _at_float_width(lo, hi):
-            finished.append((value, err))
-            if err == math.inf:
+        start_val = total_val
+        children = {}  # to_args -> the children's boxes, in pop order
+        while heap and splits < cfg.max_subdivisions:
+            _, _, value, err, axis, box, to_args = heap[0]
+            i = 2 * axis  # the axis's (lo, hi) in the box
+            lo, hi = box[i:i + 2]
+            mid = 0.5 * (lo + hi)
+            narrow = _narrow(lo, mid) or _narrow(mid, hi)
+            if children and (narrow or _meets_tolerance(total_err + tail_bound, start_val, cfg)):
+                break
+            heapq.heappop(heap)
+            if _at_float_width(lo, hi):
+                finished.append((value, err))
                 # a panel that cannot be split keeps its inf error: the
                 # integral cannot converge, and more splits cannot change that
+                stuck = err == math.inf
+                if stuck:
+                    break
+                continue
+            splits += 1
+            if err == math.inf:
+                infinite -= 1
+            else:
+                total_val -= value
+                total_err -= err
+            children.setdefault(to_args, []).extend(
+                (box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:])
+            )
+            if had_inf or narrow:
                 break
-            continue
-        splits += 1
-        if err == math.inf:
-            infinite -= 1
-        else:
-            total_val -= value
-            total_err -= err
-        mid = 0.5 * (lo + hi)
-        push([box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:]], to_args)
+        for to_args, boxes in children.items():
+            push(boxes, to_args)
     panels = finished + [entry[2:4] for entry in heap]
     value = math.fsum(v for v, _ in panels)
     error = math.fsum(e for _, e in panels) + tail_bound
@@ -327,8 +371,9 @@ def integrate_1d(
 
     The integrand must be elementwise: it maps a 1d array of nodes to the
     array of its values there, and each value depends only on its own
-    node.  One call covers all initial panels, or both children of a
-    split.  Endpoints may be infinite; tails are truncated where the
+    node.  One call covers all initial panels, or the children of every
+    panel that one round of the adaptive loop splits (see `_cubature`).
+    Endpoints may be infinite; tails are truncated where the
     integrand magnitude falls below 1e-30 and the truncated
     mass is added to the error estimate.  The whole real line is split
     at 0, each tail probed from there, and one panel heap runs over both
@@ -563,10 +608,11 @@ def integrate_2d(
 
     Every box is a panel of one heap, evaluated by the tensor product of
     the fine rule in one integrand call per patch.  Each round bisects the
-    worst panel along its worse axis and evaluates both children in one
-    call, for at most config.max_subdivisions rounds.  Value and error are
-    the sums over all panels, and `converged` compares that error with the
-    tolerance.
+    worst panels along their worse axes, those that `_cubature` must split
+    before it can stop, and evaluates their children in one call per
+    patch, for at most config.max_subdivisions splits in all.  Value and
+    error are the sums over all panels, and `converged` compares that
+    error with the tolerance.
     """
     cfg = config or QuadratureConfig()
     return _cubature(f, _panels_2d, _patches(domain), cfg)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import gammatrop.periods.curves as curves
 import gammatrop.periods.error_integrals as error_integrals
 import gammatrop.periods.fano as fano
 import gammatrop.periods.k3 as k3
@@ -342,6 +343,43 @@ def test_exp_period_matches_prediction_n2_n3():
 def test_exp_period_evaluation_count(n, evaluations):
     # today's counts at t = 1e-3, a gate with no noise like the elliptic one
     assert exp_period_orthant(n, 1e-3).evaluations <= evaluations
+
+
+# integrand calls, tail probes included, with every panel that a round of
+# the adaptive loop must split evaluated in one call per patch; with one
+# split per call they were 26, 35, 33, 31, 247 and 18
+INTEGRAND_CALLS = {
+    "elliptic": (curves, lambda: elliptic_period(1e-2), 15),
+    "orthant-1": (fano, lambda: exp_period_orthant(1, 1e-3), 18),
+    "orthant-2": (fano, lambda: exp_period_orthant(2, 1e-3), 17),
+    "orthant-3": (fano, lambda: exp_period_orthant(3, 1e-3), 17),
+    "dim2_b": (error_integrals, lambda: error_integral_dim2_b(((-4, 2), (-2, 2)), 1e-3), 78),
+    "k3": (k3, lambda: k3_period(1e-2, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5)), 11),
+}
+
+
+@pytest.mark.parametrize("name", INTEGRAND_CALLS)
+def test_integrand_call_count(name, monkeypatch):
+    # like the evaluation counts, a gate with no noise on the per-call
+    # overhead of the quadrature
+    module, run, most = INTEGRAND_CALLS[name]
+    calls = []
+
+    def counting(kernel):
+        def wrapper(f, *args, **kwargs):
+            def counted(*x):
+                calls.append(np.size(x[0]))
+                return f(*x)
+
+            return kernel(counted, *args, **kwargs)
+
+        return wrapper
+
+    for kernel in ("integrate_1d", "integrate_2d"):
+        if hasattr(module, kernel):
+            monkeypatch.setattr(module, kernel, counting(getattr(module, kernel)))
+    run()
+    assert 0 < len(calls) <= most
 
 
 # a log grid over the range the Fano integrands reach, and a dense band

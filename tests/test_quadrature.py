@@ -1,5 +1,6 @@
 """Tests for adaptive quadrature, 2d domains and asymptotic power fits."""
 
+import heapq
 import itertools
 import math
 import re
@@ -10,7 +11,11 @@ import numpy as np
 import pytest
 from scipy.integrate import cubature
 
+import gammatrop.periods.error_integrals as error_integrals
+import gammatrop.periods.k3 as k3
+import gammatrop.quadrature as quadrature
 from gammatrop.errors import ConditioningError
+from gammatrop.periods import error_integral_dim2_b, k3_period
 from gammatrop.quadrature import (
     AsymptoticFit,
     ConvexPolygon,
@@ -19,9 +24,11 @@ from gammatrop.quadrature import (
     Sphere,
     _NODES,
     _RULE_ORDER,
+    _at_float_width,
     _cubature,
     _find_tail_cutoff,
     _interior_cosine_rule,
+    _meets_tolerance,
     _panels_1d,
     _panels_2d,
     fit_asymptotic,
@@ -372,39 +379,257 @@ def test_unsplittable_inf_panel_stops_the_loop(f, interval, evaluations):
     assert result.evaluations <= evaluations
 
 
+def reference_cubature(f, rule, patches, cfg, tail_bound=0.0, evaluations=0):
+    """The panel loop that splits one panel per round, as a reference for `_cubature`.
+
+    Each round stops if the running error plus tail_bound meets the target
+    and no panel has error inf; otherwise it pops the worst panel, keeps
+    it as finished at float width (and stops if its error is inf), or
+    bisects it and evaluates both children in one call.  `_cubature`
+    splits, in one round, every panel that this loop would have to split
+    before it could stop, so both give the same panels wherever the
+    running totals round alike and neither max_subdivisions nor a panel
+    too narrow to split stops the loop.
+    """
+    heap = []  # entries: (-err, tie_breaker, value, err, axis, box, to_args)
+    tie = itertools.count()
+    total_val = total_err = 0.0
+    infinite = 0
+
+    def push(boxes, to_args):
+        nonlocal total_val, total_err, infinite, evaluations
+        entries, count = rule(f, boxes, to_args)
+        evaluations += count
+        for value, err, axis, box in entries:
+            if err == math.inf:
+                infinite += 1
+            else:
+                total_val += value
+                total_err += err
+            heapq.heappush(heap, (-err, next(tie), value, err, axis, box, to_args))
+
+    for boxes, to_args in patches:
+        push(boxes, to_args)
+    finished = []
+    splits = 0
+    while heap and splits < cfg.max_subdivisions:
+        if not infinite and _meets_tolerance(total_err + tail_bound, total_val, cfg):
+            break
+        _, _, value, err, axis, box, to_args = heapq.heappop(heap)
+        i = 2 * axis
+        lo, hi = box[i:i + 2]
+        if _at_float_width(lo, hi):
+            finished.append((value, err))
+            if err == math.inf:
+                break
+            continue
+        splits += 1
+        if err == math.inf:
+            infinite -= 1
+        else:
+            total_val -= value
+            total_err -= err
+        mid = 0.5 * (lo + hi)
+        push([box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:]], to_args)
+    panels = finished + [entry[2:4] for entry in heap]
+    value = math.fsum(v for v, _ in panels)
+    error = math.fsum(e for _, e in panels) + tail_bound
+    return IntegrationResult(value, error, evaluations, _meets_tolerance(error, value, cfg))
+
+
+def against_reference(run, monkeypatch):
+    """`run()` with the panel loop of the package, then with `reference_cubature`."""
+    result = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_cubature", reference_cubature)
+        reference = run()
+    return result, reference
+
+
+def assert_same_panels(result, reference):
+    # the same panels give the same evaluations and, summed by fsum, the
+    # same value up to the rule's own rounding in a larger batch
+    assert result.evaluations == reference.evaluations
+    assert result.converged == reference.converged
+    assert result.value == pytest.approx(reference.value, rel=1e-14, abs=0.0)
+
+
+REFERENCE_1D = {
+    "smooth": (lambda x: np.exp(np.sin(3.0 * x)), (0.0, 2.0)),
+    "sqrt-kink": (lambda x: np.abs(x - 0.3) ** 0.5, (0.0, 1.0)),
+    "abs-kink": (lambda x: np.abs(x - 1.0 / 3.0), (0.0, 1.0)),
+    "inverse-sqrt": (lambda x: x**-0.5, (0.0, 1.0)),
+    "log": (np.log, (0.0, 1.0)),
+    "log-kink-on-a-node": (log_kink, (0.0, 1.0)),
+    "oscillatory": (lambda x: np.cos(200.0 * x), (0.0, 1.0)),
+    "damped-oscillatory-half-line": (lambda x: np.exp(-x) * np.sin(10.0 * x), (0.0, math.inf)),
+    "lorentzian-line": (lambda x: 1.0 / (1.0 + x * x), (-math.inf, math.inf)),
+    "two-sided-exponential-line": (lambda x: np.exp(-np.abs(x)), (-math.inf, math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_1D))
+@pytest.mark.parametrize(
+    "cfg",
+    (QuadratureConfig(1e-6, 1e-6), QuadratureConfig(), QuadratureConfig(1e-12, 0.0)),
+    ids=["tol-1e-6", "default", "abs-1e-12"],
+)
+def test_integrate_1d_splits_what_one_split_per_round_splits(name, cfg, monkeypatch):
+    f, interval = REFERENCE_1D[name]
+    result, reference = against_reference(lambda: integrate_1d(f, interval, cfg), monkeypatch)
+    assert reference.converged  # so the subdivision cap did not bind
+    assert_same_panels(result, reference)
+
+
+TRIANGLE_2D = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+# a square listed out of order, with a point on an edge: its fan has a
+# triangle of zero area
+SQUARE_2D = ConvexPolygon(((0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0), (1.0, 0.0)))
+HEXAGON_2D = ConvexPolygon([(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)])
+K3_SPHERE = Sphere(k3._FACETS)
+PLANAR_INTEGRANDS = (
+    lambda x, y: np.cos(3.0 * x * y) + x,
+    lambda x, y: np.exp(-x * x - y * y - x * y),
+    lambda x, y: np.sqrt(x * x + y * y),
+    lambda x, y: 1.0 / (1e-2 + (x - 0.3) ** 2 + (y - 0.2) ** 2),
+    lambda x, y: np.abs(x - 0.3) + y,
+)
+SPHERE_INTEGRANDS = (
+    lambda nx, ny, nz: nz * nz,
+    lambda nx, ny, nz: np.exp(nx + ny * nz),
+    lambda nx, ny, nz: 1.0 / (1.05 - nx),
+)
+
+
+@pytest.mark.parametrize(
+    "domain, f",
+    [(d, f) for d in (TRIANGLE_2D, SQUARE_2D, HEXAGON_2D) for f in PLANAR_INTEGRANDS]
+    + [(d, f) for d in (OCTAHEDRON, TETRAHEDRON, K3_SPHERE) for f in SPHERE_INTEGRANDS],
+    ids=[f"{d}-{k}" for d in ("triangle", "square", "hexagon") for k in range(len(PLANAR_INTEGRANDS))]
+    + [f"{d}-{k}" for d in ("octahedron", "tetrahedron", "k3") for k in range(len(SPHERE_INTEGRANDS))],
+)
+def test_integrate_2d_splits_what_one_split_per_round_splits(domain, f, monkeypatch):
+    cfg = QuadratureConfig(1e-7, 1e-7)
+    result, reference = against_reference(lambda: integrate_2d(f, domain, cfg), monkeypatch)
+    assert reference.converged
+    assert_same_panels(result, reference)
+
+
+def test_drivers_split_what_one_split_per_round_splits(monkeypatch):
+    # the error_integral_dim2_b polygons and the K3 chamber's sphere, with
+    # their own integrands, as the benchmark runs them
+    calls = []
+
+    def captured(f, domain, cfg=None):
+        calls.append((f, domain, cfg))
+        return integrate_2d(f, domain, cfg)
+
+    for module in (error_integrals, k3):
+        monkeypatch.setattr(module, "integrate_2d", captured)
+    error_integral_dim2_b(((-4, 2), (-2, 2)), 1e-3)
+    k3_period(1e-2, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5))
+    assert len(calls) >= 3 and isinstance(calls[-1][1], Sphere)
+    for f, domain, cfg in calls:
+        result, reference = against_reference(lambda: integrate_2d(f, domain, cfg), monkeypatch)
+        assert reference.converged
+        assert_same_panels(result, reference)
+
+
+@pytest.mark.parametrize(
+    "run, split_evaluations",
+    (
+        # 51,135 evaluations against 51,105, both converged: the round
+        # ends one split later
+        (lambda: integrate_1d(lambda x: x**-0.9, (0.0, 1.0), QuadratureConfig(1e-13, 0.0)), 30),
+        # 24,405 evaluations, not converged (the panels' error sums to
+        # 1.0078e-14), against 24,435, converged (9.987e-15): the running
+        # error read below the target one split earlier
+        (lambda: integrate_1d(lambda x: np.cos(200.0 * x), (0.0, 1.0), QuadratureConfig(1e-14, 1e-14)), 30),
+        # 616,725 evaluations against 617,175, both converged: the rule's
+        # product rounds each box's sums differently in a larger batch, and
+        # the panels along the kink have errors that tie to rounding
+        (lambda: integrate_2d(lambda x, y: np.abs(x - 0.3) + y, TRIANGLE_2D, QuadratureConfig(1e-9, 1e-9)), 450),
+    ),
+    ids=["inverse-0.9-power", "oscillatory-at-1e-14", "kink-on-the-triangle"],
+)
+def test_rounding_can_move_the_stop_by_a_split_or_two(run, split_evaluations, monkeypatch):
+    # near the rounding floor of the running totals, or with the 2d rule's
+    # sums rounded by batch, the panels split can differ from one split per
+    # round by a split or two; the values stay within the estimates
+    result, reference = against_reference(run, monkeypatch)
+    assert abs(result.evaluations - reference.evaluations) <= 2 * split_evaluations
+    assert abs(result.value - reference.value) <= max(result.error_estimate, reference.error_estimate)
+
+
 @pytest.mark.parametrize(
     "f, interval, pattern",
     (
-        (lambda x: x**-0.5, (0.0, 1.0), "is*"),
-        (lambda x: np.exp(-x), (0.0, math.inf), "p+is*"),
-        (lambda x: 1.0 / (1.0 + x * x), (-math.inf, math.inf), "p+is*"),
+        (lambda x: x**-0.5, (0.0, 1.0), "is+"),
+        (lambda x: np.exp(-x), (0.0, math.inf), "p+is+"),
+        (lambda x: 1.0 / (1.0 + x * x), (-math.inf, math.inf), "p+is+"),
     ),
     ids=["finite", "half-line", "real-line"],
 )
-def test_integrate_1d_call_pattern(f, interval, pattern):
+def test_integrate_1d_call_pattern(f, interval, pattern, monkeypatch):
     # one-point tail probes of every infinite end (p), one call for all
     # initial panels of both halves of the real line (i), then one call
-    # per split with both children (s)
+    # per round (s) with both children of every panel the round splits:
+    # the worst panels in heap order, for as long as the error of the
+    # panels not yet popped, plus the tail bound, misses the target that
+    # the round starts with
     cfg = QuadratureConfig()
     sizes = []
+    calls = []  # the entries of each call of the panel rule
 
     def counted(x):
         sizes.append(x.size)
         return f(x)
 
+    def recorded(g, boxes, to_args):
+        entries, count = _panels_1d(g, boxes, to_args)
+        calls.append(entries)
+        return entries, count
+
+    monkeypatch.setattr(quadrature, "_panels_1d", recorded)
     result = integrate_1d(counted, interval, cfg)
-    kinds = ""
-    for size in sizes:
-        if size == 1:
-            kinds += "p"
-        elif kinds[-1:] in ("", "p") and size % _RULE_ORDER == 0:
-            kinds += "i"
-        else:
-            assert size == 2 * _RULE_ORDER
-            kinds += "s"
-    assert re.fullmatch(pattern, kinds)
-    assert "s" in kinds
+    probes = sizes.count(1)
+    assert sizes[:probes] == [1] * probes
+    assert sizes[probes:] == [_RULE_ORDER * len(entries) for entries in calls]
+    assert re.fullmatch(pattern, "p" * probes + "i" + "s" * (len(calls) - 1))
     assert sum(sizes) == result.evaluations
+    # replay the rounds: live maps each panel's box to its error, order of
+    # arrival and value; each round splits the first of them in heap order
+    arrival = itertools.count()
+    live = {box: (err, next(arrival), value) for value, err, _, box in calls[0]}
+    rounds = []  # the live errors in heap order, and the target, per round
+    for entries in calls[1:]:
+        worst = sorted(live, key=lambda box: (-live[box][0], live[box][1]))
+        children = [box for _, _, _, box in entries]
+        pairs = list(zip(children[::2], children[1::2]))
+        assert all(b == c == 0.5 * (a + d) for (a, b), (c, d) in pairs)
+        parents = [(a, d) for (a, _), (_, d) in pairs]
+        assert parents == worst[:len(parents)]
+        total = math.fsum(v for _, _, v in live.values())
+        rounds.append(([live[box][0] for box in worst], max(cfg.abs_tol, cfg.rel_tol * abs(total))))
+        for box in parents:
+            del live[box]
+        live.update((box, (err, next(arrival), value)) for value, err, _, box in entries)
+    # every case starts its tails at 0; the replayed panels are the result's
+    tail_bound = sum(
+        _find_tail_cutoff(f, 0.0, direction)[1]
+        for end, direction in zip(interval, (-1, 1))
+        if math.isinf(end)
+    )
+    assert result.error_estimate == math.fsum(err for err, _, _ in live.values()) + tail_bound
+    for (errors, target), entries in zip(rounds, calls[1:]):
+        remaining = math.fsum(errors[1:])
+        split = 1
+        while remaining + tail_bound > target:
+            remaining -= errors[split]
+            split += 1
+        assert len(entries) == 2 * split
+    # one split per call would take a call per split
+    assert len(calls) - 1 < sum(len(entries) for entries in calls[1:]) // 2
 
 
 def test_integrate_rejects_bad_interval():
@@ -667,6 +892,20 @@ def test_integrate_2d_subdivision_cap_reports_nonconvergence():
     result = integrate_box(lambda x, y: np.exp(-50.0 * (x * x + y * y)), box, cfg)
     assert not result.converged
     assert result.error_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(result.value))
+
+
+@pytest.mark.parametrize("cap", (1, 3, 50))
+def test_the_subdivision_cap_bounds_the_splits(cap):
+    # a round that would split more panels than the cap leaves splits
+    # only as many: one initial panel, then exactly `cap` splits
+    cfg = QuadratureConfig(max_subdivisions=cap)
+    result = integrate_1d(lambda x: x**-0.5, (0.0, 1.0), cfg)
+    assert not result.converged
+    assert result.evaluations == _RULE_ORDER * (1 + 2 * cap)
+    gaussian = lambda x, y: np.exp(-50.0 * (x * x + y * y))
+    result = integrate_box(gaussian, (-10.0, 10.0, -10.0, 10.0), cfg)
+    assert not result.converged
+    assert result.evaluations == _RULE_ORDER**2 * (1 + 2 * cap)
 
 
 @pytest.mark.parametrize(
