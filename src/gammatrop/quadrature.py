@@ -267,6 +267,13 @@ def _at_float_width(a: float, b: float) -> bool:
     return b - a <= 1e-15 * max(abs(a), abs(b), 1e-300)
 
 
+def _panel_sums(finished, heap) -> tuple[float, float]:
+    """The fsum of the values and of the errors of all panels, finished
+    (value, error) pairs and `_cubature` heap entries alike."""
+    panels = finished + [entry[2:4] for entry in heap]
+    return math.fsum(v for v, _ in panels), math.fsum(e for _, e in panels)
+
+
 def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluations=0):
     """The adaptive panel loop of one integral, in 1d and 2d alike.
 
@@ -294,8 +301,12 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     A panel whose error is inf is left out of the running totals and
     counted instead; the loop does not stop on tolerance while any is
     left, and it stops at once when one of them is too narrow to split.
-    Value and error are each summed over all panels at the end, and
-    tail_bound is added to the error.
+    Whenever the running totals meet the target, value and error are
+    summed again over all panels by `_panel_sums`, and the loop stops
+    only if those sums meet it too; otherwise they become the running
+    totals.  So a loop that stops on tolerance reports converged.  The
+    result is `_panel_sums` of the final panels, with tail_bound added
+    to the error.
     """
     heap = []  # entries: (-err, tie_breaker, value, err, axis, box, to_args)
     tie = itertools.count()
@@ -323,7 +334,10 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     stuck = False
     while heap and splits < cfg.max_subdivisions and not stuck:
         if not infinite and _meets_tolerance(total_err + tail_bound, total_val, cfg):
-            break
+            # the running totals drift by rounding; the stop is the fsum's
+            total_val, total_err = _panel_sums(finished, heap)
+            if _meets_tolerance(total_err + tail_bound, total_val, cfg):
+                break
         start_val = total_val
         children = {}  # to_args -> the children's boxes, in pop order
         while heap and splits < cfg.max_subdivisions:
@@ -356,10 +370,10 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
                 break
         for to_args, boxes in children.items():
             push(boxes, to_args)
-    panels = finished + [entry[2:4] for entry in heap]
-    value = math.fsum(v for v, _ in panels)
-    error = math.fsum(e for _, e in panels) + tail_bound
-    return IntegrationResult(value, error, evaluations, _meets_tolerance(error, value, cfg))
+    else:  # no stop on tolerance, whose break leaves the final sums
+        total_val, total_err = _panel_sums(finished, heap)
+    error = total_err + tail_bound
+    return IntegrationResult(total_val, error, evaluations, _meets_tolerance(error, total_val, cfg))
 
 
 def integrate_1d(
@@ -396,13 +410,12 @@ def integrate_1d(
             probes += found
         ends.append(end)
     a, b = ends
-    if not a < b:
-        # only a tail that cannot move from its start ends here; its
-        # bound is inf
-        return IntegrationResult(0.0, tail_bound, len(probes), False)
     boundaries = [a] + sorted(p for p in probes + split if a < p < b) + [b]
     initial = list(zip(boundaries, boundaries[1:]))
-    return _cubature(f, _panels_1d, [(initial, None)], cfg, tail_bound, len(probes))
+    # only a tail that cannot move from its start leaves a >= b; it has
+    # no panel, and its bound is inf
+    patches = [(initial, None)] if a < b else []
+    return _cubature(f, _panels_1d, patches, cfg, tail_bound, len(probes))
 
 
 # --- 2d domains ----------------------------------------------------------

@@ -5,7 +5,10 @@ tropicalize to min-of-affine-forms functions; corner loci, complement
 chambers, lattice-affine volumes and edge singularity counts are all
 computed in exact rational arithmetic.  Corner loci and chambers are
 found in any ambient dimension; a corner-locus cell is its active set,
-its sorted vertices and whether it is bounded.
+its sorted vertices and whether it is bounded, and a `halfplane_polygon`
+is its sorted vertices.  Each exact job is written once: one row
+clearing, one vertex kernel, one cone-ray search for recession
+directions and hull facets, one lattice measure.
 """
 
 from .forms import (

@@ -9,6 +9,7 @@ the pointwise minimum of its forms.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
@@ -96,9 +97,10 @@ class LaurentTerm:
     exponent: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.coefficient == 0:
-            raise ValueError("terms must have nonzero coefficients")
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
+        coefficient = complex(self.coefficient)
+        if coefficient == 0 or not cmath.isfinite(coefficient):
+            raise ValueError(f"terms must have nonzero finite coefficients, got {coefficient}")
+        object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "t_exponent", _as_fraction(self.t_exponent))
         object.__setattr__(self, "exponent", tuple(index(e) for e in self.exponent))
 

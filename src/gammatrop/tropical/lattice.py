@@ -12,9 +12,14 @@ triangulation from its least point (`_pulling`), whose sub-faces are read
 from the facet incidence sets of its polytope (`_subfaces`).  A compact
 chamber brings its incidence; a bare point set finds its hull's facets
 once, in coordinates on its affine span, and measures in its own, so no
-measure needs its points in any order.  Every normal of a hull facet,
-and every homogeneous vertex of `polyhedra`, is the signed `_minors` of
-its rows, for any number of rows.
+measure needs its points in any order.
+
+Two more jobs of the whole exact layer are written once, here.
+`_integer_row` clears each rational row that is cleared on its own, one
+lcm per row.  `_cone_rays` gives the extreme rays of a cone of integer
+rows, from the signed `_minors` of every m - 1 of them: the facets of a
+hull here, and the recession directions of a cell or a chamber in
+`polyhedra`, whose homogeneous vertices are signed `_minors` too.
 """
 
 from __future__ import annotations
@@ -23,23 +28,31 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rational = int | Fraction
+
+
+def _integer_row(values: Sequence[Rational]) -> tuple[int, ...]:
+    """The rationals scaled by the lcm of their denominators, as ints.
+
+    The scale is positive, so signs, and the solution sets of the rows as
+    equations or inequalities, do not change.
+    """
+    scale = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
 def primitive_vector(v: Sequence[Rational]) -> tuple[int, ...]:
     """The primitive integer vector on the ray through v.
 
     Integer input is divided by its gcd; other rational input is cleared
-    to integers first.  The zero vector has no direction and raises
-    ValueError.
+    to integers first, by `_integer_row`.  The zero vector has no
+    direction and raises ValueError.
     """
     integers = list(v)
     if not all(isinstance(x, int) for x in integers):
-        fractions = [Fraction(x) for x in integers]
-        scale = math.lcm(*(x.denominator for x in fractions))
-        integers = [int(x * scale) for x in fractions]
+        integers = _integer_row([Fraction(x) for x in integers])
     g = math.gcd(*integers)
     if g == 0:
         raise ValueError("the zero vector has no primitive direction")
@@ -95,6 +108,25 @@ def _minors(rows: Sequence[Sequence[Rational]]) -> tuple[Rational, ...]:
         cofactors = _minors([r[:j] + r[j + 1:] for r in rest])
         h.append((-1) ** j * sum(map(mul, first[:j] + first[j + 1:], cofactors)))
     return tuple(h)
+
+
+def _cone_rays(rows: Sequence[Sequence[int]], m: int) -> Iterator[tuple[int, ...]]:
+    """The candidate extreme rays of {d : row . d >= 0 for all rows}.
+
+    Rows are integer vectors of length m.  For every m - 1 of them whose
+    signed `_minors` h are not all 0, yields h, then -h, each if it
+    satisfies every row.  If the rows have rank m, these are the cone's
+    extreme rays, each once per m - 1 of its rows that span its kernel.
+    """
+    for combo in itertools.combinations(rows, m - 1):
+        h = _minors(combo)
+        if not any(h):
+            continue
+        values = [sum(map(mul, row, h)) for row in rows]
+        if min(values) >= 0:
+            yield h
+        if max(values) <= 0:
+            yield tuple(-x for x in h)
 
 
 def _simplex_measure(points: Sequence[Sequence[Rational]]) -> Fraction:
@@ -160,11 +192,11 @@ def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction
 
     The columns of a nonzero maximal minor of the points' differences,
     found by `_wedge`, are coordinates on their affine span.  Dropping
-    the other coordinates only finds the hull's facets, each through d
-    points, in homogeneous integer coordinates over one denominator,
-    whose signed `_minors` are a normal with every point on one side; the
-    measure is `_face_measure` of the points themselves.  An empty set
-    gives d = -1 and measure 0.
+    the other coordinates only finds the hull's facets: each point there,
+    homogeneous and cleared by `_integer_row`, is one row, and each facet
+    is the zero set of one of the `_cone_rays` of the rows.  The measure
+    is `_face_measure` of the points themselves.  An empty set gives
+    d = -1 and measure 0.
     """
     points = sorted({tuple(map(Fraction, v)) for v in vertices})
     if len({len(p) for p in points}) > 1:
@@ -177,14 +209,11 @@ def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction
         if any(wider.values()):
             span = wider
     frame = next(cols for cols, m in span.items() if m)
-    scale = math.lcm(*(x.denominator for p in points for x in p))
-    shadow = [(*(int(p[j] * scale) for j in frame), scale) for p in points]
-    facets = set()
-    for combo in itertools.combinations(shadow, len(frame)):
-        normal = _minors(combo)
-        values = [sum(map(mul, normal, row)) for row in shadow]
-        if min(values) >= 0 or max(values) <= 0:
-            facets.add(frozenset(i for i, v in enumerate(values) if v == 0))
+    shadow = [_integer_row((*(p[j] for j in frame), 1)) for p in points]
+    facets = {
+        frozenset(i for i, row in enumerate(shadow) if not sum(map(mul, ray, row)))
+        for ray in _cone_rays(shadow, len(frame) + 1)
+    }
     return len(frame), _face_measure(points, range(len(points)), list(facets))
 
 
@@ -199,31 +228,6 @@ def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
     if dim > 2:
         raise ValueError("vertices must lie in one plane")
     return area if dim == 2 else Fraction(0)
-
-
-def _convex_hull(
-    points: Iterable[tuple[Fraction, Fraction]]
-) -> list[tuple[Fraction, Fraction]]:
-    """The vertices of the convex hull of plane points, counterclockwise.
-
-    Andrew's monotone chain, lower then upper, so the cycle starts at the
-    lexicographically smallest point; points inside the hull or on its
-    edges, and duplicates, drop out.  Collinear points give their two
-    extreme points, and a single point gives [].
-    """
-    ordered = sorted(set(points))
-    hull: list[tuple[Fraction, Fraction]] = []
-    for chain in (ordered, ordered[::-1]):
-        start = len(hull)
-        for p in chain:
-            while len(hull) >= start + 2:
-                (ax, ay), (bx, by) = hull[-2], hull[-1]
-                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
-                    break
-                hull.pop()
-            hull.append(p)
-        hull.pop()  # the chain's last point starts the next one
-    return hull
 
 
 def affine_volume(vertices: Sequence[Sequence[Rational]]) -> Fraction:

@@ -6,20 +6,21 @@ subset, cut out in ambient coordinates, and clipped to a bounding box for
 presentation; no floating point enters any predicate.  Predicates and
 eliminations run on Python ints in homogeneous coordinates: a point x is
 (x, 1) up to a positive scale, each form is one integer row (slope,
-offset) over a common denominator, and each rational row is scaled once
-by the lcm of its denominators, which changes no sign and no solution
-set.  Every rank and kernel comes from one fraction-free elimination,
-`_echelon`; every vertex, of a clipped cell, a compact chamber or a
-`halfplane_polygon`, from one kernel, `_homogeneous_vertices`, whose
-signed `lattice._minors` also give the extreme rays of the one recession
-test, `_recession_nontrivial`, which decides whether a cell or a chamber
-is bounded.  The corner locus and the compact chamber are found in any
-ambient dimension, with no branch on the dimension of a cell.  A compact
-chamber decides which vertex lies on which facet once, on these ints,
-and its edges, volume, boundary measure and edge singularities read that
-incidence through `lattice._subfaces`; its measures, and a cell's, are
-the one lattice measure of `lattice._simplex_measure`, in any dimension.
-Only returned coordinates are built as Fractions.
+offset) over a common denominator, and every other rational row, of a
+box or a region, is cleared by `lattice._integer_row`, which changes no
+sign and no solution set.  Every rank and kernel comes from one
+fraction-free elimination, `_echelon`; every vertex, of a clipped cell, a
+compact chamber or a `halfplane_polygon`, from one kernel,
+`_homogeneous_vertices`; and whether a cell or a chamber is bounded from
+one recession test, `_recession_nontrivial`, on the ray search
+`lattice._cone_rays` that also finds hull facets.  The corner locus and
+the compact chamber are found in any ambient dimension, with no branch on
+the dimension of a cell.  A compact chamber decides which vertex lies on
+which facet once, on these ints, and its edges, volume, boundary measure
+and edge singularities read that incidence through `lattice._subfaces`;
+its measures, and a cell's, are the one lattice measure of
+`lattice._simplex_measure`, in any dimension.  Only returned coordinates
+are built as Fractions.
 """
 
 from __future__ import annotations
@@ -34,27 +35,17 @@ from typing import Sequence
 from ..errors import StructureError, UnsupportedDimensionError
 from .forms import TropicalPolynomial
 from .lattice import (
-    _convex_hull,
+    _cone_rays,
     _face_measure,
     _hull_measure,
+    _integer_row,
     _minors,
-    _simplex_measure,
     _subfaces,
     primitive_vector,
 )
 
 Rational = int | Fraction
 Point = tuple[Fraction, ...]
-
-
-def _integer_row(values: Sequence[Rational]) -> tuple[int, ...]:
-    """The rationals scaled by the lcm of their denominators, as ints.
-
-    The scale is positive, so signs, and the solution sets of the rows as
-    equations or inequalities, do not change.
-    """
-    scale = math.lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
 def _form_rows(p: TropicalPolynomial) -> list[tuple[int, ...]]:
@@ -168,20 +159,13 @@ def _recession_nontrivial(rows: Sequence[tuple[int, ...]], k: int) -> bool:
 
     Rows are integer vectors of length k.  Rows of rank below k, none at
     all included, leave a line in the cone.  Otherwise the cone is
-    pointed, and if it is not {0} it has an extreme ray: the kernel of
-    k - 1 independent rows, which is their signed `_minors` up to sign.
-    Q^0 has no nonzero direction.
+    pointed, and it is not {0} exactly when `lattice._cone_rays` yields
+    an extreme ray; the search stops at the first.  Q^0 has no nonzero
+    direction.
     """
     if k == 0:
         return False
-    if _rank(rows) < k:
-        return True
-    return any(
-        all(sum(map(mul, row, d)) >= 0 for row in rows)
-        for combo in itertools.combinations(rows, k - 1)
-        if any(h := _minors(combo))
-        for d in (h, tuple(-x for x in h))
-    )
+    return _rank(rows) < k or any(_cone_rays(rows, k))
 
 
 def _normalize_box(
@@ -225,16 +209,9 @@ class Cell:
         )
 
     def affine_measure(self) -> Fraction:
-        """Lattice measure of the clipped piece; 0 for points.
-
-        A segment is one `_simplex_measure`, and a piece of any higher
-        dimension the `_hull_measure` of its vertices.
-        """
-        if self.dim == 0:
-            return Fraction(0)
-        if self.dim == 1:
-            return _simplex_measure(self.vertices)
-        return _hull_measure(self.vertices)[1]
+        """Lattice measure of the clipped piece, the `_hull_measure` of its
+        vertices in every dimension from 1 up; 0 for points."""
+        return _hull_measure(self.vertices)[1] if self.dim else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -260,11 +237,11 @@ def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
     n = p.dim
     bounds = _normalize_box(box, n)
     rows = _form_rows(p)
-    box_lines = []
-    for j, (lo, hi) in enumerate(bounds):
-        unit = [int(i == j) for i in range(n)]
-        box_lines.append((*(lo.denominator * x for x in unit), -lo.numerator))
-        box_lines.append((*(-hi.denominator * x for x in unit), hi.numerator))
+    box_lines = [
+        _integer_row((*(sign * int(i == j) for i in range(n)), -sign * bound))
+        for j, (lo, hi) in enumerate(bounds)
+        for sign, bound in ((1, lo), (-1, hi))
+    ]
     known: dict[tuple[int, ...], Point] = {}
     cells: list[Cell] = []
     for size in range(2, len(rows) + 1):
@@ -330,18 +307,18 @@ def _cell_for_subset(
 def halfplane_polygon(
     rows: Sequence[tuple[tuple[Rational, ...], Rational]]
 ) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of the bounded {s in R^2 : c . s + d >= 0 for all rows}, ccw.
+    """Vertices of the bounded {s in R^2 : c . s + d >= 0 for all rows}, sorted.
 
     Rows are (c, d) pairs.  The vertices are `_region_vertices(rows, 2)`,
-    ordered by `_convex_hull`: counterclockwise from the lexicographically
-    least one.  An empty region, or one squeezed to a point or a segment,
+    in lexicographic order; a `quadrature.ConvexPolygon` takes them in
+    any order.  An empty region, or one squeezed to a point or a segment,
     gives []; a region with a vertex that is unbounded raises ValueError.
     """
     vertices = _region_vertices(rows, 2)
     if vertices and _recession_nontrivial([_integer_row(c) for c, _ in rows], 2):
         raise ValueError("halfplane_polygon needs a bounded region")
     full = _rank([_integer_row((*v, 1)) for v in vertices]) == 3
-    return _convex_hull(vertices) if full else []
+    return vertices if full else []
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,13 @@ from gammatrop.periods import (
     pants_section_integral,
 )
 from gammatrop.periods.fano import _bessel_k0
-from gammatrop.quadrature import QuadratureConfig, fit_asymptotic, integrate_1d, integrate_2d
+from gammatrop.quadrature import (
+    ConvexPolygon,
+    QuadratureConfig,
+    fit_asymptotic,
+    integrate_1d,
+    integrate_2d,
+)
 from gammatrop.tropical import (
     LaurentFamily,
     LaurentTerm,
@@ -289,6 +295,42 @@ def test_error_dim2_b_pieces_and_chi_come_from_the_line():
             assert len(line.active_set(centroid)) == 1
         assert area == (x1 - x0) * (y1 - y0)
     assert checked == 203
+
+
+def test_error_dim2_b_pieces_take_halfplane_vertices_in_any_order(monkeypatch):
+    # halfplane_polygon hands _smooth_pieces its vertices sorted, not
+    # around the polygon; ConvexPolygon orders them itself, so every
+    # rotation, the reversal and the sorted order of a piece's vertices
+    # integrate bit for bit alike
+    handed = []
+    halfplane_polygon = error_integrals.halfplane_polygon
+
+    def recorded(rows):
+        vertices = halfplane_polygon(rows)
+        handed.append([(float(x), float(y)) for x, y in vertices])
+        return vertices
+
+    monkeypatch.setattr(error_integrals, "halfplane_polygon", recorded)
+    big_l = math.log(100.0)
+
+    def integrand(ya, yb):
+        m = np.minimum(0.0, np.minimum(ya, yb))
+        total = np.exp(big_l * m) + np.exp(big_l * (m - ya)) + np.exp(big_l * (m - yb))
+        return np.log(total) / big_l
+
+    cfg = QuadratureConfig(1e-8, 1e-8)
+    for rect in (((-4, 2), (-2, 2)), ((1, 2), (1, 2))):
+        handed.clear()
+        pieces = error_integrals._smooth_pieces(corner_locus(error_integrals._PANTS_LINE, rect).box)
+        vertex_lists = [v for v in handed if v]
+        assert len(vertex_lists) == len(pieces)
+        for vertices, piece in zip(vertex_lists, pieces):
+            assert vertices == sorted(vertices)
+            want = integrate_2d(integrand, piece, cfg)
+            orders = [vertices[i:] + vertices[:i] for i in range(len(vertices))]
+            orders += [vertices[::-1], sorted(vertices)]
+            for order in orders:
+                assert integrate_2d(integrand, ConvexPolygon(order), cfg) == want
 
 
 def test_error_dim2_b_off_locus():

