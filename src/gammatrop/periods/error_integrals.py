@@ -117,14 +117,20 @@ def _check_transversal(complex_) -> None:
                     )
 
 
-def _smooth_pieces(sides) -> list[ConvexPolygon]:
-    """Split the rectangle along the tropical line, one piece per ordering.
+def _smooth_pieces(complex_) -> list[ConvexPolygon]:
+    """Split the locus's rectangle along the line, one piece per ordering.
 
     On the piece where the forms of `_PANTS_LINE` run f <= g <= h, the
     minimum min(0, y1, y2) is the single affine form f, so the integrand
-    is smooth there.
+    is smooth there.  A piece lists `halfplane_polygon`'s sorted
+    vertices, but the line's vertex, the 0-cell of the corner locus
+    complex_ where all three forms tie, goes first: it is the apex of the
+    piece's fan, and the zeta(3) mass sits there.  On a transversal
+    rectangle the vertex is either inside, and then a corner of all six
+    pieces, or outside the rectangle and of no piece.
     """
-    (x0, x1), (y0, y1) = sides
+    (x0, x1), (y0, y1) = complex_.box
+    apexes = {cell.vertices[0] for cell in complex_.cells_of_dim(0)}
     box = [
         ((Fraction(1), Fraction(0)), -x0),
         ((Fraction(-1), Fraction(0)), x1),
@@ -136,6 +142,8 @@ def _smooth_pieces(sides) -> list[ConvexPolygon]:
         rows = box + [_excess(g, f), _excess(h, g)]
         vertices = halfplane_polygon(rows)
         if vertices:
+            # the sort is stable: the vertex first, the rest as they were
+            vertices.sort(key=lambda v: v not in apexes)
             pieces.append(
                 ConvexPolygon([(float(x), float(y)) for x, y in vertices])
             )
@@ -159,14 +167,16 @@ def error_integral_dim2_b(
     zeta(3) + O(1/L), where length is the lattice length of U cut with
     the tropical line and chi counts the line's vertices inside U.
     U is a `corner_locus` box: two (lo, hi) sides, or one (lo, hi) pair
-    for both.  Its boundary must be transversal to the line.
+    for both, as tuples or lists.  Its boundary must be transversal to
+    the line.  Each piece is fanned from the line's vertex when it has
+    it, so the zeta(3) mass there sits at the collapsed corner of every
+    triangle.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     cfg = config or QuadratureConfig()
     complex_ = corner_locus(_PANTS_LINE, u_rect)
     _check_transversal(complex_)
-    sides = complex_.box
     length = sum(
         (c.affine_measure() for c in complex_.cells_of_dim(1)), Fraction(0)
     )
@@ -186,7 +196,7 @@ def error_integral_dim2_b(
         return np.log(total) / big_l
 
     value = 0.0
-    for piece in _smooth_pieces(sides):
+    for piece in _smooth_pieces(complex_):
         result = integrate_2d(integrand, piece, cfg)
         value += _require_converged(result, "dim-2 rectangle error integral piece")
     return big_l**3 * value, length, chi

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..quadrature import QuadratureConfig, integrate_1d
-from .types import _require_converged
+from .types import _positive_finite, _require_converged
 
 __all__ = [
     "local_model_polytope_area",
@@ -22,10 +22,17 @@ __all__ = [
 ]
 
 
+def _check_region(a1, a2, b) -> None:
+    """Reject a region that `MirrorFamily("local_model_2d", ...)` rejects:
+    a1, a2 and b must be ints, Fractions or floats, not bools, finite and
+    positive."""
+    if not all(map(_positive_finite, (a1, a2, b))):
+        raise ValueError("a1, a2, b must be finite numbers > 0")
+
+
 def local_model_polytope_area(a1, a2, b):
     """Affine area 2(a1+a2)b - b^2/2 of the region's tropical polytope."""
-    if not (a1 > 0 and a2 > 0 and b > 0):
-        raise ValueError("a1, a2, b must be positive")
+    _check_region(a1, a2, b)
     if all(isinstance(v, (int, Fraction)) for v in (a1, a2, b)):
         a1, a2, b = Fraction(a1), Fraction(a2), Fraction(b)
         return 2 * (a1 + a2) * b - Fraction(b * b, 2)
@@ -45,8 +52,7 @@ def local_model_region_period(
     stable for both signs of y.  The value approaches
     L^2 (2(a1+a2)b - b^2/2) - zeta(2) with an O(t^b) residual.
     """
-    if not (a1 > 0 and a2 > 0 and b > 0):
-        raise ValueError("a1, a2, b must be positive")
+    _check_region(a1, a2, b)
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     cfg = config or QuadratureConfig()

@@ -50,6 +50,15 @@ def _require_converged(result, what: str) -> float:
     return result.value
 
 
+def _positive_finite(value) -> bool:
+    """Whether value is an int, a Fraction or a float, not a bool, in (0, inf)."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, Fraction, float))
+        and 0 < value < math.inf
+    )
+
+
 @dataclass(frozen=True)
 class MirrorFamily:
     """A named mirror family with its parameters.
@@ -76,12 +85,7 @@ class MirrorFamily:
                 raise ValueError("projective_fano needs an integer n >= 1")
         if self.kind == "local_model_2d":
             for name in ("a1", "a2", "b"):
-                value = params.get(name)
-                if (
-                    isinstance(value, bool)
-                    or not isinstance(value, (int, Fraction, float))
-                    or not 0 < value < math.inf
-                ):
+                if not _positive_finite(params.get(name)):
                     raise ValueError(f"local_model_2d needs a finite number {name} > 0")
         object.__setattr__(self, "parameters", MappingProxyType(params))
 

@@ -19,14 +19,14 @@ times the difference to the coarse one.  In 2d the domain is a list of
 patches, each a list of (u, v) boxes (u0, u1, v0, v1) with a map to the
 integrand's arguments and a jacobian.  Every patch is a triangle under
 the Duffy map of the unit square: for a convex polygon the fan of
-triangles from one vertex, and for the unit sphere the radial projection
-of facet triangles whose cones from the origin tile space.  A 2d panel
-takes the tensor product of the fine rule and an error from the coarse
-rule along each axis.  Its rule is one (3, 225) matrix on the 15 x 15
-node values, u major, of outer products of the 1d rows: fine by fine,
-fine plus coarse along u by fine, and fine by fine plus coarse along v.
-This matrix times the node values of all boxes of a call gives every
-box's three sums in one product.  Every weight of both rules is
+triangles from its first vertex, and for the unit sphere the radial
+projection of facet triangles whose cones from the origin tile space.
+A 2d panel takes the tensor product of the fine rule and an error from
+the coarse rule along each axis.  Its rule is one (3, 225) matrix on the
+15 x 15 node values, u major, of outer products of the 1d rows: fine by
+fine, fine plus coarse along u by fine, and fine by fine plus coarse
+along v.  This matrix times the node values of all boxes of a call gives
+every box's three sums in one product.  Every weight of both rules is
 positive, so a non-finite node makes the panel's value non-finite; such
 a panel gets error inf, and so does a 1d panel so narrow that two of its
 nodes round onto one float.
@@ -214,36 +214,60 @@ def _narrow(a: float, b: float) -> bool:
     return 0.5 * (b - a) < 1e-13 * abs(a + b)
 
 
-def _find_tail_cutoff(f, start: float, direction: int):
-    """Truncation point for an unbounded tail, plus a bound on what is cut.
-
-    Probes f one point at a time at geometrically growing offsets until
-    |f| stays below _TAIL_CUTOFF twice in a row.  The discarded mass is
-    bounded using the decay rate observed between the last two probes;
-    if |f| did not fall between them, by |f| times their distance.
-    The probe points are also returned: they seed the initial panels, so
-    mass far from the finite endpoint cannot hide between rule nodes.
-    An offset that rounds back onto the start or the last probe is
-    skipped; a tail probed fewer than two times is not cut at all, and
-    its bound is inf.
-    """
+def _probe_points(start: float, direction: int):
+    """The probe points of one tail: start + direction 2^k for k = 0..79,
+    skipping any offset that rounds back onto the start or the last probe."""
+    last = start
     offset = 0.5
-    below = 0
-    probes: list[float] = []
-    mags: list[float] = []
     for _ in range(80):
         offset *= 2.0
         point = start + direction * offset
-        if point == (probes[-1] if probes else start):
-            continue
-        probes.append(point)
-        mags.append(abs(float(_values(f(np.array([point])), 1)[0])))
-        if mags[-1] < _TAIL_CUTOFF:
-            below += 1
-            if below >= 2:
-                break
-        else:
-            below = 0
+        if point != last:
+            yield point
+            last = point
+
+
+def _find_tail_cutoffs(f, tails):
+    """Truncation points for unbounded tails, plus bounds on what is cut.
+
+    `tails` lists (start, direction) pairs.  Each tail probes f at
+    geometrically growing offsets until |f| stays below _TAIL_CUTOFF
+    twice in a row, and one integrand call carries the next probe of
+    every tail still probing.  A tail's probes, stop, cutoff and bound do
+    not depend on the other tails: they are those of probing it alone.
+    Its discarded mass is bounded using the decay rate observed between
+    its last two probes; if |f| did not fall between them, by |f| times
+    their distance.  Returns one (cutoff, bound, probes) per tail.  The
+    probe points seed the initial panels, so mass far from the finite
+    endpoint cannot hide between rule nodes.  An offset that rounds back
+    onto the start or the last probe is skipped; a tail probed fewer than
+    two times is not cut at all, and its bound is inf.
+    """
+    points = [_probe_points(start, direction) for start, direction in tails]
+    probes: list[list[float]] = [[] for _ in tails]
+    mags: list[list[float]] = [[] for _ in tails]
+    below = [0] * len(tails)
+    live = list(range(len(tails)))
+    while live:
+        step = [(i, point) for i in live if (point := next(points[i], None)) is not None]
+        if not step:
+            break
+        values = _values(f(np.array([point for _, point in step])), len(step)).tolist()
+        live = []
+        for (i, point), value in zip(step, values):
+            probes[i].append(point)
+            mags[i].append(abs(value))
+            below[i] = below[i] + 1 if mags[i][-1] < _TAIL_CUTOFF else 0
+            if below[i] < 2:
+                live.append(i)
+    return [
+        _tail_cut(start, tail_probes, tail_mags)
+        for (start, _), tail_probes, tail_mags in zip(tails, probes, mags)
+    ]
+
+
+def _tail_cut(start: float, probes: list[float], mags: list[float]):
+    """The (cutoff, bound, probes) of one tail from its probes' |f|."""
     if len(probes) < 2:
         return start, math.inf, probes
     (prev_point, point), (prev_mag, mag) = probes[-2:], mags[-2:]
@@ -389,10 +413,12 @@ def integrate_1d(
     panel that one round of the adaptive loop splits (see `_cubature`).
     Endpoints may be infinite; tails are truncated where the
     integrand magnitude falls below 1e-30 and the truncated
-    mass is added to the error estimate.  The whole real line is split
-    at 0, each tail probed from there, and one panel heap runs over both
-    halves.  The reported error estimate is the sum of per-panel
-    nested-rule differences plus tail bounds.
+    mass is added to the error estimate.  Each infinite tail is probed
+    one point per integrand call, and one call carries the next probe of
+    every tail still probing, so both tails of the whole real line, split
+    at 0 and probed from there, share their calls; one panel heap runs
+    over both halves.  The reported error estimate is the sum of
+    per-panel nested-rule differences plus tail bounds.
     """
     cfg = config or QuadratureConfig()
     a, b = (float(end) for end in interval)
@@ -400,15 +426,19 @@ def integrate_1d(
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
     # the whole line is split at 0, and both its tails are probed from there
     split = [0.0] if math.isinf(a) and math.isinf(b) else []
+    ends = [a, b]
+    tails = {  # the side of each infinite end, 0 for a and 1 for b
+        side: (split[0] if split else start, direction)
+        for side, start, direction in ((0, b, -1), (1, a, +1))
+        if math.isinf(ends[side])
+    }
     tail_bound = 0.0
     probes: list[float] = []
-    ends = []
-    for end, start, direction in ((a, b, -1), (b, a, +1)):
-        if math.isinf(end):
-            end, bound, found = _find_tail_cutoff(f, split[0] if split else start, direction)
-            tail_bound += bound
-            probes += found
-        ends.append(end)
+    cuts = _find_tail_cutoffs(f, list(tails.values()))
+    for side, (end, bound, found) in zip(tails, cuts):
+        ends[side] = end
+        tail_bound += bound
+        probes += found
     a, b = ends
     boundaries = [a] + sorted(p for p in probes + split if a < p < b) + [b]
     initial = list(zip(boundaries, boundaries[1:]))
@@ -422,8 +452,13 @@ def integrate_1d(
 
 
 class ConvexPolygon:
-    """Convex polygon given by its vertices (any order).
+    """Convex polygon given by its vertices, the fan apex first.
 
+    The vertices are ordered by angle about their centroid, and the cycle
+    is then rotated to start at the first vertex given, which becomes
+    `vertices[0]`, the apex of the fan that `integrate_2d` integrates
+    over.  The rest may come in any order: two lists with the same first
+    vertex give the same cycle, however the float centroid rounds.
     Points on an edge are allowed; a non-finite vertex, or one strictly
     inside the hull of the others, raises ValueError.
     """
@@ -436,7 +471,12 @@ class ConvexPolygon:
             raise ValueError(f"polygon vertices must be finite, got {pts}")
         cx = sum(p[0] for p in pts) / len(pts)
         cy = sum(p[1] for p in pts) / len(pts)
+        apex = pts[0]
         pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+        # the rounding of the centroid can only move the cycle's start
+        # (an angle of pi read as -pi), which this rotation fixes
+        k = pts.index(apex)
+        pts = pts[k:] + pts[:k]
         # sorted by angle about the centroid, a convex polygon turns left or
         # goes straight at every vertex; a right turn is a dent, whose fan
         # triangles from vertex 0 would overlap or leave the polygon
@@ -614,10 +654,12 @@ def integrate_2d(
     as the unit square under the Duffy map
     p = a + u ((1 - v) (b - a) + v (c - a)), with a map to the integrand's
     arguments and its jacobian.  For a polygon the triangles are the fan
-    from vertex 0, with jacobian u |det(b - a, c - a)|.  For the sphere
-    they are its facets, and the direction p / |p| has jacobian
-    u |det(a, b, c)| / |p|^3; each facet starts as 6 boxes, so that its
-    edges lie in thin panels.
+    from vertex 0, the first vertex its caller gave (see `ConvexPolygon`),
+    with jacobian u |det(b - a, c - a)|, so a peak or a point singularity
+    at that vertex sits at the collapsed edge u = 0 of every triangle.
+    For the sphere they are its facets, and the direction p / |p| has
+    jacobian u |det(a, b, c)| / |p|^3; each facet starts as 6 boxes, so
+    that its edges lie in thin panels.
 
     Every box is a panel of one heap, evaluated by the tensor product of
     the fine rule in one integrand call per patch.  Each round bisects the

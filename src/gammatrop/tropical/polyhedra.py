@@ -310,9 +310,10 @@ def halfplane_polygon(
     """Vertices of the bounded {s in R^2 : c . s + d >= 0 for all rows}, sorted.
 
     Rows are (c, d) pairs.  The vertices are `_region_vertices(rows, 2)`,
-    in lexicographic order; a `quadrature.ConvexPolygon` takes them in
-    any order.  An empty region, or one squeezed to a point or a segment,
-    gives []; a region with a vertex that is unbounded raises ValueError.
+    in lexicographic order; a `quadrature.ConvexPolygon` orders them
+    itself and fans from whichever comes first.  An empty region, or one
+    squeezed to a point or a segment, gives []; a region with a vertex
+    that is unbounded raises ValueError.
     """
     vertices = _region_vertices(rows, 2)
     if vertices and _recession_nontrivial([_integer_row(c) for c, _ in rows], 2):

@@ -1,5 +1,6 @@
 """Tests for period integrals and error integrals."""
 
+import collections
 import itertools
 import math
 import warnings
@@ -14,6 +15,7 @@ import gammatrop.periods.curves as curves
 import gammatrop.periods.error_integrals as error_integrals
 import gammatrop.periods.fano as fano
 import gammatrop.periods.k3 as k3
+import gammatrop.periods.local_model as local_model
 from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial, log_gamma_series_exact
 from gammatrop.errors import (
     NonConvergenceError,
@@ -229,14 +231,13 @@ def test_error_dim2_b_structure_on_transversal_rectangle():
     assert abs(value - (6 * ZETA2 * big_l + ZETA3)) < 1e-3
 
 
-# calibration targets (ROADMAP item 2): the band of width 1/L along the
+# a calibration target (ROADMAP item 2): the band of width 1/L along the
 # tropical line falls between the first panels' nodes
 @pytest.mark.parametrize("t", (
     1e-50,
-    pytest.param(1e-100, marks=pytest.mark.xfail(
-        strict=True, reason="2.0e-4 below 6 zeta(2) L + zeta(3), with no NonConvergenceError")),
+    1e-100,
     pytest.param(1e-200, marks=pytest.mark.xfail(
-        strict=True, reason="17% below 6 zeta(2) L + zeta(3), with no NonConvergenceError")),
+        strict=True, reason="1.5e-4 below 6 zeta(2) L + zeta(3), with no NonConvergenceError")),
 ))
 def test_error_dim2_b_small_t_is_the_prediction_or_raises(t):
     try:
@@ -244,13 +245,15 @@ def test_error_dim2_b_small_t_is_the_prediction_or_raises(t):
     except NonConvergenceError:
         return
     predicted = 6 * ZETA2 * -math.log(t) + ZETA3
-    # 6.5e-10 below at t = 1e-50
+    # 8.9e-12 above at t = 1e-50 and 1.1e-10 above at t = 1e-100, with
+    # every piece fanned from the line's vertex
     assert abs(value - predicted) <= 1e-6 * predicted
 
 
 # today's integrate_2d evaluations of the polygons of the rectangle
-# ((-4, 2), (-2, 2)); the two sum to the 224,550 of one benchmark sweep
-DIM2_B_EVALUATIONS = {1e-3: 109_125, 1e-4: 115_425}
+# ((-4, 2), (-2, 2)), fanned from the line's vertex; the two sum to the
+# 205,200 of one benchmark sweep
+DIM2_B_EVALUATIONS = {1e-3: 95_175, 1e-4: 110_025}
 
 
 @pytest.mark.parametrize("t", sorted(DIM2_B_EVALUATIONS))
@@ -286,7 +289,7 @@ def test_error_dim2_b_pieces_and_chi_come_from_the_line():
         checked += 1
         assert len(complex_.cells_of_dim(0)) == int(x0 < 0 < x1 and y0 < 0 < y1)
         area = 0.0
-        for piece in error_integrals._smooth_pieces(complex_.box):
+        for piece in error_integrals._smooth_pieces(complex_):
             pts = piece.vertices
             area += sum(
                 xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(pts, pts[1:] + pts[:1])
@@ -299,9 +302,10 @@ def test_error_dim2_b_pieces_and_chi_come_from_the_line():
 
 def test_error_dim2_b_pieces_take_halfplane_vertices_in_any_order(monkeypatch):
     # halfplane_polygon hands _smooth_pieces its vertices sorted, not
-    # around the polygon; ConvexPolygon orders them itself, so every
-    # rotation, the reversal and the sorted order of a piece's vertices
-    # integrate bit for bit alike
+    # around the polygon; ConvexPolygon orders them itself after the
+    # first, the apex of its fan, so every rotation, the reversal and the
+    # sorted order of the rest of a piece's vertices integrate bit for bit
+    # alike
     handed = []
     halfplane_polygon = error_integrals.halfplane_polygon
 
@@ -321,16 +325,53 @@ def test_error_dim2_b_pieces_take_halfplane_vertices_in_any_order(monkeypatch):
     cfg = QuadratureConfig(1e-8, 1e-8)
     for rect in (((-4, 2), (-2, 2)), ((1, 2), (1, 2))):
         handed.clear()
-        pieces = error_integrals._smooth_pieces(corner_locus(error_integrals._PANTS_LINE, rect).box)
+        pieces = error_integrals._smooth_pieces(corner_locus(error_integrals._PANTS_LINE, rect))
         vertex_lists = [v for v in handed if v]
         assert len(vertex_lists) == len(pieces)
         for vertices, piece in zip(vertex_lists, pieces):
             assert vertices == sorted(vertices)
+            apex = piece.vertices[0]
+            rest = [v for v in vertices if v != apex]
+            assert len(rest) == len(vertices) - 1
             want = integrate_2d(integrand, piece, cfg)
-            orders = [vertices[i:] + vertices[:i] for i in range(len(vertices))]
-            orders += [vertices[::-1], sorted(vertices)]
+            orders = [rest[i:] + rest[:i] for i in range(len(rest))]
+            orders += [rest[::-1], sorted(rest)]
             for order in orders:
-                assert integrate_2d(integrand, ConvexPolygon(order), cfg) == want
+                assert integrate_2d(integrand, ConvexPolygon([apex] + order), cfg) == want
+
+
+def test_error_dim2_b_pieces_are_fanned_from_the_line_vertex():
+    # on every transversal integer rectangle in [-3, 3]^2, with chi = 1
+    # all six pieces list the locus vertex first, the apex of their fans;
+    # with chi = 0 a piece starts at halfplane_polygon's first vertex
+    line = error_integrals._PANTS_LINE
+    seen = collections.Counter()
+    for x0, x1, y0, y1 in itertools.product(range(-3, 4), repeat=4):
+        if not (x0 < x1 and y0 < y1):
+            continue
+        complex_ = corner_locus(line, ((x0, x1), (y0, y1)))
+        try:
+            error_integrals._check_transversal(complex_)
+        except ValueError:
+            continue
+        pieces = error_integrals._smooth_pieces(complex_)
+        vertices = complex_.cells_of_dim(0)
+        seen[len(vertices)] += 1
+        if vertices:
+            [vertex] = vertices
+            apex = tuple(float(c) for c in vertex.vertices[0])
+            assert len(pieces) == 6
+            assert all(piece.vertices[0] == apex for piece in pieces)
+        else:
+            assert all(piece.vertices[0] == min(piece.vertices) for piece in pieces)
+    assert seen[1] > 0 and seen[0] > 0
+
+
+def test_error_dim2_b_takes_the_rectangle_as_tuples_or_lists():
+    # one rectangle spelled four ways gives the same bits
+    want = repr(error_integral_dim2_b(((1, 2), (1, 2)), 1e-2))
+    for spelling in ([[1, 2], [1, 2]], [(1, 2), [1, 2]], (1, 2), [1, 2]):
+        assert repr(error_integral_dim2_b(spelling, 1e-2)) == want
 
 
 def test_error_dim2_b_off_locus():
@@ -388,14 +429,17 @@ def test_exp_period_evaluation_count(n, evaluations):
 
 
 # integrand calls, tail probes included, with every panel that a round of
-# the adaptive loop must split evaluated in one call per patch; with one
-# split per call they were 26, 35, 33, 31, 247 and 18
+# the adaptive loop must split evaluated in one call per patch and both
+# tails of a line probed in one call per step; with one split per call
+# they were 26, 35, 33, 31, 247 and 18, and with one tail per probe call
+# orthant-1 to 3 made 18, 17 and 17, and dim2_b, fanned from a piece's
+# first vertex by angle, 78
 INTEGRAND_CALLS = {
     "elliptic": (curves, lambda: elliptic_period(1e-2), 15),
-    "orthant-1": (fano, lambda: exp_period_orthant(1, 1e-3), 18),
-    "orthant-2": (fano, lambda: exp_period_orthant(2, 1e-3), 17),
-    "orthant-3": (fano, lambda: exp_period_orthant(3, 1e-3), 17),
-    "dim2_b": (error_integrals, lambda: error_integral_dim2_b(((-4, 2), (-2, 2)), 1e-3), 78),
+    "orthant-1": (fano, lambda: exp_period_orthant(1, 1e-3), 12),
+    "orthant-2": (fano, lambda: exp_period_orthant(2, 1e-3), 12),
+    "orthant-3": (fano, lambda: exp_period_orthant(3, 1e-3), 11),
+    "dim2_b": (error_integrals, lambda: error_integral_dim2_b(((-4, 2), (-2, 2)), 1e-3), 65),
     "k3": (k3, lambda: k3_period(1e-2, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5)), 11),
 }
 
@@ -591,6 +635,39 @@ def test_local_polytope_area():
     assert abs(local_model_polytope_area(1.0, 1.0, 1.0) - 3.5) < 1e-15
     with pytest.raises(ValueError):
         local_model_polytope_area(0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "bad", (True, False, "1", None, 1j, math.inf, -math.inf, math.nan, 0, -1, Fraction(-1, 2), -0.5)
+)
+@pytest.mark.parametrize("position", range(3))
+def test_local_model_rejects_bad_parameters(bad, position, monkeypatch):
+    # as MirrorFamily("local_model_2d", ...) does, and before any
+    # quadrature: an infinite b or a1 ran about 60,000 evaluations, then
+    # raised NonConvergenceError, and True read as 1
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(local_model, "integrate_1d", no_quadrature)
+    params = [1, 1, 1]
+    params[position] = bad
+    with pytest.raises(ValueError, match="finite numbers > 0"):
+        local_model_polytope_area(*params)
+    with pytest.raises(ValueError, match="finite numbers > 0"):
+        local_model_region_period(*params, 1e-3)
+    with pytest.raises(ValueError):
+        MirrorFamily("local_model_2d", dict(zip(("a1", "a2", "b"), params)))
+
+
+def test_local_model_accepts_floats_and_fractions():
+    a1, a2, b = 1.5, Fraction(2, 3), 2
+    area = local_model_polytope_area(a1, a2, b)
+    assert area == pytest.approx(2 * (1.5 + 2 / 3) * 2 - 2, rel=1e-15)
+    assert local_model_polytope_area(Fraction(3, 2), a2, b) == Fraction(20, 3)
+    t = 1e-3
+    big_l = -math.log(t)
+    value = local_model_region_period(a1, a2, b, t)
+    assert abs(value - (big_l**2 * area - ZETA2)) < 5e-3
 
 
 def test_local_region_period_prediction():

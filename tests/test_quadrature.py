@@ -26,11 +26,12 @@ from gammatrop.quadrature import (
     _RULE_ORDER,
     _at_float_width,
     _cubature,
-    _find_tail_cutoff,
+    _find_tail_cutoffs,
     _interior_cosine_rule,
     _meets_tolerance,
     _panels_1d,
     _panels_2d,
+    _patches,
     fit_asymptotic,
     integrate_1d,
     integrate_2d,
@@ -317,7 +318,7 @@ def test_tail_bound_uses_the_last_two_probes(direction):
     # probes at 1, 2, ..., 128, 256; |f| does not fall between the last
     # two, so the bound is 4|f| times their distance and not one from the
     # decay between 64 and 128
-    point, bound, probes = _find_tail_cutoff(step_tail, 0.0, direction)
+    [(point, bound, probes)] = _find_tail_cutoffs(step_tail, [(0.0, direction)])
     assert probes == [direction * 2.0**k for k in range(9)]
     assert point == direction * 256.0
     assert bound == 4.0 * 1e-31 * 128.0
@@ -328,13 +329,45 @@ def test_tail_probes_skip_offsets_below_the_float_spacing(direction):
     # at 1e17 the floats are 16 apart: the offsets 1, 2, 4 and 8 round
     # back onto the start and are not probed
     start = direction * 1e17
-    point, bound, probes = _find_tail_cutoff(lambda x: np.exp(-(x - start) ** 2), start, direction)
+    gaussian = lambda x: np.exp(-(x - start) ** 2)
+    [(point, bound, probes)] = _find_tail_cutoffs(gaussian, [(start, direction)])
     assert probes == [start + direction * 16.0, start + direction * 32.0]
     assert (point, bound) == (probes[-1], 0.0)
     # at 1e300 no offset up to 2^79 moves; the tail is not cut at all
-    assert _find_tail_cutoff(lambda x: 1.0 / x, direction * 1e300, direction) == (
-        direction * 1e300, math.inf, []
-    )
+    assert _find_tail_cutoffs(lambda x: 1.0 / x, [(direction * 1e300, direction)]) == [
+        (direction * 1e300, math.inf, [])
+    ]
+
+
+@pytest.mark.parametrize(
+    "f, tails",
+    (
+        # the whole line from 0: the right tail stops before the left one
+        (lambda x: np.exp(-np.where(x < 0.0, 0.01, 1.0) * x * x), [(0.0, -1), (0.0, 1)]),
+        (lambda x: 1.0 / (1.0 + x * x), [(0.0, -1), (0.0, 1)]),
+        (step_tail, [(0.0, -1), (0.0, 1)]),
+        # both half-lines, and a tail that never moves beside one that does
+        (lambda x: np.exp(-np.abs(x)), [(2.0, 1)]),
+        (lambda x: np.exp(-np.abs(x)), [(-3.0, -1)]),
+        (lambda x: np.exp(-np.abs(x) * 1e-300), [(1e300, 1), (0.0, -1)]),
+    ),
+    ids=["skewed-gaussian", "lorentzian", "step", "right-half-line", "left-half-line", "stuck-and-moving"],
+)
+def test_joint_tail_probes_are_each_tails_own(f, tails):
+    # each integrand call carries the next probe of every tail still
+    # probing; each tail's cutoff, bound and probes are those of probing
+    # it alone, and the calls carry one point per tail still probing
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)
+
+    joint = _find_tail_cutoffs(counted, tails)
+    alone = [_find_tail_cutoffs(f, [tail])[0] for tail in tails]
+    assert joint == alone
+    lengths = [len(probes) for _, _, probes in alone]
+    assert sizes == [sum(n > k for n in lengths) for k in range(max(lengths))]
 
 
 @pytest.mark.parametrize(
@@ -485,7 +518,12 @@ TRIANGLE_2D = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 # a square listed out of order, with a point on an edge: its fan has a
 # triangle of zero area
 SQUARE_2D = ConvexPolygon(((0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0), (1.0, 0.0)))
-HEXAGON_2D = ConvexPolygon([(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)])
+HEXAGON = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+# listed from the vertex at angle -2 pi/3, the apex of the fan that this
+# hexagon's cases have always been integrated over; fanned from (1, 0),
+# the kink |x - 0.3| + y meets the batch rounding of the 2d rule (see
+# test_rounding_can_move_the_stop_by_a_split_or_two)
+HEXAGON_2D = ConvexPolygon(HEXAGON[4:] + HEXAGON[:4])
 K3_SPHERE = Sphere(k3._FACETS)
 PLANAR_INTEGRANDS = (
     lambda x, y: np.cos(3.0 * x * y) + x,
@@ -549,8 +587,15 @@ def test_drivers_split_what_one_split_per_round_splits(monkeypatch):
         # product rounds each box's sums differently in a larger batch, and
         # the panels along the kink have errors that tie to rounding
         (lambda: integrate_2d(lambda x, y: np.abs(x - 0.3) + y, TRIANGLE_2D, QuadratureConfig(1e-9, 1e-9)), 450),
+        # 396,450 evaluations against 397,350, both converged: the same
+        # kink on the hexagon fanned from (1, 0)
+        (lambda: integrate_2d(
+            lambda x, y: np.abs(x - 0.3) + y,
+            ConvexPolygon(HEXAGON),
+            QuadratureConfig(1e-7, 1e-7),
+        ), 450),
     ),
-    ids=["inverse-0.9-power", "oscillatory-at-1e-14", "kink-on-the-triangle"],
+    ids=["inverse-0.9-power", "oscillatory-at-1e-14", "kink-on-the-triangle", "kink-on-the-hexagon"],
 )
 def test_rounding_can_move_the_stop_by_a_split_or_two(run, split_evaluations, monkeypatch):
     # near the rounding floor of the running totals, or with the 2d rule's
@@ -572,7 +617,8 @@ def test_rounding_can_move_the_stop_by_a_split_or_two(run, split_evaluations, mo
     ids=["finite", "half-line", "real-line"],
 )
 def test_integrate_1d_call_pattern(f, interval, pattern, monkeypatch):
-    # one-point tail probes of every infinite end (p), one call for all
+    # tail probes (p), each call one point for every infinite end still
+    # probing, so both ends of the real line share calls; one call for all
     # initial panels of both halves of the real line (i), then one call
     # per round (s) with both children of every panel the round splits:
     # the worst panels in heap order, for as long as the error of the
@@ -593,8 +639,16 @@ def test_integrate_1d_call_pattern(f, interval, pattern, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_panels_1d", recorded)
     result = integrate_1d(counted, interval, cfg)
-    probes = sizes.count(1)
-    assert sizes[:probes] == [1] * probes
+    # every case starts its tails at 0; each tail as if probed alone
+    alone = [
+        _find_tail_cutoffs(f, [(0.0, direction)])[0]
+        for end, direction in zip(interval, (-1, 1))
+        if math.isinf(end)
+    ]
+    lengths = [len(found) for _, _, found in alone]
+    probes = len(sizes) - len(calls)
+    assert probes == max(lengths, default=0)
+    assert sizes[:probes] == [sum(n > k for n in lengths) for k in range(probes)]
     assert sizes[probes:] == [_RULE_ORDER * len(entries) for entries in calls]
     assert re.fullmatch(pattern, "p" * probes + "i" + "s" * (len(calls) - 1))
     assert sum(sizes) == result.evaluations
@@ -615,12 +669,8 @@ def test_integrate_1d_call_pattern(f, interval, pattern, monkeypatch):
         for box in parents:
             del live[box]
         live.update((box, (err, next(arrival), value)) for value, err, _, box in entries)
-    # every case starts its tails at 0; the replayed panels are the result's
-    tail_bound = sum(
-        _find_tail_cutoff(f, 0.0, direction)[1]
-        for end, direction in zip(interval, (-1, 1))
-        if math.isinf(end)
-    )
+    # the replayed panels are the result's
+    tail_bound = sum(bound for _, bound, _ in alone)
     assert result.error_estimate == math.fsum(err for err, _, _ in live.values()) + tail_bound
     for (errors, target), entries in zip(rounds, calls[1:]):
         remaining = math.fsum(errors[1:])
@@ -787,6 +837,36 @@ def test_polygon_vertices_any_order():
     for vertices in (square, with_midpoint):
         result = integrate_2d(lambda x, y: 1.0, ConvexPolygon(vertices))
         assert result.value == pytest.approx(4.0, abs=1e-9)
+
+
+# (-1, 0.2) is level with the mean y of the others: an angle sort about the
+# float centroid put it first in some orders and last in others, so 12 of
+# the 120 orders were fanned from it (28,125 evaluations at tol 1e-7) and
+# 108 from (1, -0.95995) (51,525)
+LEVEL_PENTAGON = ((-1.0, 0.2), (1.0, 1.35995), (1.0, -0.95995), (2.0, 1.81442), (2.0, -1.41442))
+
+
+def test_polygon_fan_apex_is_the_first_vertex_given():
+    # every order with the same first vertex gives the same result, bit
+    # for bit, and each first vertex is the apex of its own fan
+    f = lambda x, y: np.exp(x * y) + np.abs(x - 0.5)
+    cfg = QuadratureConfig(1e-7, 1e-7)
+    evaluations = set()
+    for k, apex in enumerate(LEVEL_PENTAGON):
+        results = set()
+        for rest in itertools.permutations(LEVEL_PENTAGON[:k] + LEVEL_PENTAGON[k + 1:]):
+            polygon = ConvexPolygon((apex,) + rest)
+            assert polygon.vertices[0] == apex
+            # the edge u = 0 of every fan triangle collapses onto the apex
+            for _, to_args in _patches(polygon):
+                (x, y), _ = to_args(np.zeros(1), np.full(1, 0.5))
+                assert (x[0], y[0]) == apex
+            results.add(integrate_2d(f, polygon, cfg))
+        [result] = results
+        assert result.converged
+        evaluations.add(result.evaluations)
+    # five apexes, five fans
+    assert len(evaluations) == 5
 
 
 def test_sphere_surface_area():
