@@ -12,9 +12,10 @@ class GammatropError(Exception):
 class StructureError(GammatropError):
     """A geometric object does not have the expected structure.
 
-    Raised e.g. when no bounded complement chamber exists, when the real
-    oval of a curve family cannot be located, or when a radial surface
-    solve fails for some direction.
+    Raised by `tropical.compact_chamber` when a tropical polynomial has
+    no bounded chamber or more than one, and by the root bisection in
+    `periods.curves` when its bracket has no sign change, so the real
+    oval of the elliptic family cannot be located.
     """
 
 

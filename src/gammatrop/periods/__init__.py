@@ -9,10 +9,10 @@ from .error_integrals import (
     error_integral_dim1,
     error_integral_dim2_a,
     error_integral_dim2_b,
+    local_model_region_period,
 )
 from .fano import exp_period_orthant, fano_gamma_prediction, fano_prediction_polynomial
 from .k3 import K3_T_MAX, k3_period
-from .local_model import local_model_polytope_area, local_model_region_period
 from .types import FAMILY_KINDS, MirrorFamily, PeriodSample
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "exp_period_orthant",
     "fano_gamma_prediction",
     "fano_prediction_polynomial",
-    "local_model_polytope_area",
     "local_model_region_period",
     "pants_section_integral",
     "elliptic_period",

@@ -30,8 +30,10 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _scale(mode: str, t: float | None) -> float:
-    """L = -log t for raw mode; reduced mode is raw mode at L = 1."""
+    """L = -log t for raw mode; reduced mode is raw mode at L = 1 and takes no t."""
     if mode == "reduced":
+        if t is not None:
+            raise ValueError("reduced mode takes no t")
         return 1.0
     if mode == "raw":
         if t is None or not 0.0 < t < 1.0:
@@ -59,6 +61,49 @@ def error_integral_dim1(
         config or QuadratureConfig(),
     )
     return big_l**2 * _require_converged(result, f"dim-1 {mode} error integral")
+
+
+def _positive_finite(value) -> bool:
+    """Whether value is an int, a Fraction or a float, not a bool, in (0, inf)."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, Fraction, float))
+        and 0 < value < math.inf
+    )
+
+
+def local_model_region_period(
+    a1: float,
+    a2: float,
+    b: float,
+    t: float,
+    config: QuadratureConfig | None = None,
+) -> float:
+    """The 1d error over a finite range: the local model's region period.
+
+    The model is the surface X1 X2 = 1 + Y.  Its region period integrates
+    the holomorphic volume form over the chart x1 <= -a1, x2 <= -a2,
+    |y| <= b in log_t coordinates, and reduces exactly to L^2 times the
+    integral over [-b, b] of a1 + a2 + log_t(1 + t^y).
+    log_t(1 + t^y) = min(0, y) - log(1 + e^(-L|y|))/L keeps the integrand
+    stable for both signs of y.  The value approaches L^2 times the affine
+    area 2(a1+a2)b - b^2/2 of the region's tropical polytope, minus
+    zeta(2), with an O(t^b) residual.  a1, a2 and b are ints, Fractions
+    or floats, not bools, finite and positive.
+    """
+    if not all(map(_positive_finite, (a1, a2, b))):
+        raise ValueError("a1, a2, b must be finite numbers > 0")
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie in (0, 1)")
+    cfg = config or QuadratureConfig()
+    big_l = -math.log(t)
+    base = float(a1) + float(a2)
+
+    def integrand(y):
+        return base + np.minimum(0.0, y) - np.log1p(np.exp(-big_l * np.abs(y))) / big_l
+
+    res = integrate_1d(integrand, (-float(b), float(b)), cfg)
+    return big_l * big_l * _require_converged(res, "region-period quadrature")
 
 
 def error_integral_dim2_a(

@@ -3,21 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Any, Mapping
 
 from ..errors import NonConvergenceError
 from ..tropical import LaurentFamily, LaurentTerm
 
-FAMILY_KINDS = (
-    "projective_fano",
-    "elliptic_cubic",
-    "local_model_2d",
-    "quartic_k3",
-    "pair_of_pants",
-)
+FAMILY_KINDS = ("elliptic_cubic", "quartic_k3", "pair_of_pants")
 
 
 @dataclass(frozen=True)
@@ -50,74 +42,41 @@ def _require_converged(result, what: str) -> float:
     return result.value
 
 
-def _positive_finite(value) -> bool:
-    """Whether value is an int, a Fraction or a float, not a bool, in (0, inf)."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, Fraction, float))
-        and 0 < value < math.inf
-    )
+def _simplex_family(n: int) -> LaurentFamily:
+    """t(x_1 + ... + x_n + 1/(x_1 ... x_n)) - 1: the unit exponents, then
+    (-1, ..., -1), then the constant."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return LaurentFamily(terms=(
+        *(LaurentTerm(1, Fraction(1), e) for e in units + [(-1,) * n]),
+        LaurentTerm(-1, Fraction(0), (0,) * n),
+    ))
 
 
 @dataclass(frozen=True)
 class MirrorFamily:
-    """A named mirror family with its parameters.
+    """A named mirror family: a hypersurface in a torus.
 
-    kinds: projective_fano (parameter n), elliptic_cubic, local_model_2d
-    (parameters a1, a2, b: ints, Fractions or finite floats, all > 0),
-    quartic_k3, pair_of_pants.  parameters is a read-only view of a
-    validated copy; it takes part in equality but not in the hash, so
-    equal families hash equal.
+    kinds: elliptic_cubic and quartic_k3, the mirrors of the cubic curve
+    and the quartic surface (`_simplex_family` at n = 2 and 3), and
+    pair_of_pants, 1 + x_1 + x_2, whose tropical line carries the error
+    integrals.
     """
 
     kind: str
-    parameters: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(
                 f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}"
             )
-        params = dict(self.parameters)
-        if self.kind == "projective_fano":
-            n = params.get("n")
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ValueError("projective_fano needs an integer n >= 1")
-        if self.kind == "local_model_2d":
-            for name in ("a1", "a2", "b"):
-                if not _positive_finite(params.get(name)):
-                    raise ValueError(f"local_model_2d needs a finite number {name} > 0")
-        object.__setattr__(self, "parameters", MappingProxyType(params))
 
     def laurent_family(self) -> LaurentFamily:
-        """The defining Laurent polynomial, where one exists.
-
-        The pair of pants, the cubic elliptic mirror and the quartic
-        mirror are hypersurfaces in tori; the Fano exponential periods
-        and the 2d local model are not captured by a single Laurent
-        polynomial over t and raise ValueError.
-        """
-        one = Fraction(1)
-        zero = Fraction(0)
+        """The defining Laurent polynomial."""
         if self.kind == "pair_of_pants":
+            zero = Fraction(0)
             return LaurentFamily(terms=(
                 LaurentTerm(1, zero, (1, 0)),
                 LaurentTerm(1, zero, (0, 1)),
                 LaurentTerm(1, zero, (0, 0)),
             ))
-        if self.kind == "elliptic_cubic":
-            return LaurentFamily(terms=(
-                LaurentTerm(1, one, (1, 0)),
-                LaurentTerm(1, one, (0, 1)),
-                LaurentTerm(1, one, (-1, -1)),
-                LaurentTerm(-1, zero, (0, 0)),
-            ))
-        if self.kind == "quartic_k3":
-            return LaurentFamily(terms=(
-                LaurentTerm(1, one, (1, 0, 0)),
-                LaurentTerm(1, one, (0, 1, 0)),
-                LaurentTerm(1, one, (0, 0, 1)),
-                LaurentTerm(1, one, (-1, -1, -1)),
-                LaurentTerm(-1, zero, (0, 0, 0)),
-            ))
-        raise ValueError(f"{self.kind} has no single defining Laurent family")
+        return _simplex_family(2 if self.kind == "elliptic_cubic" else 3)

@@ -15,14 +15,15 @@ import gammatrop.periods.curves as curves
 import gammatrop.periods.error_integrals as error_integrals
 import gammatrop.periods.fano as fano
 import gammatrop.periods.k3 as k3
-import gammatrop.periods.local_model as local_model
 from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial, log_gamma_series_exact
 from gammatrop.errors import (
     NonConvergenceError,
+    StructureError,
     UnsupportedDimensionError,
 )
 from gammatrop.periods import (
     ELLIPTIC_T_MAX,
+    FAMILY_KINDS,
     K3_T_MAX,
     MirrorFamily,
     PeriodSample,
@@ -34,7 +35,6 @@ from gammatrop.periods import (
     fano_gamma_prediction,
     fano_prediction_polynomial,
     k3_period,
-    local_model_polytope_area,
     local_model_region_period,
     pants_section_integral,
 )
@@ -120,36 +120,18 @@ def test_period_sample_validation():
 def test_mirror_family_validation():
     with pytest.raises(ValueError):
         MirrorFamily("no_such_kind")
-    with pytest.raises(ValueError):
-        MirrorFamily("projective_fano", {"n": 0})
-    with pytest.raises(ValueError):
-        MirrorFamily("local_model_2d", {"a1": 1.0, "a2": -1.0, "b": 1.0})
-    # bool and str pass a float() > 0 check, and so does inf; none is a size
-    for params in (
-        {"a1": True, "a2": 2, "b": 1},
-        {"a1": 1, "a2": "2", "b": 1},
-        {"a1": 1, "a2": 2, "b": float("inf")},
-    ):
-        with pytest.raises(ValueError):
-            MirrorFamily("local_model_2d", params)
-    MirrorFamily("projective_fano", {"n": 3})
-    MirrorFamily("local_model_2d", {"a1": 1, "a2": 2, "b": 0.5})
-    MirrorFamily("local_model_2d", {"a1": 1.5, "a2": Fraction(2, 3), "b": 2})
+    for kind in FAMILY_KINDS:
+        MirrorFamily(kind)
 
 
 def test_mirror_family_is_hashable_and_read_only():
     assert hash(MirrorFamily("quartic_k3")) == hash(MirrorFamily("quartic_k3"))
-    given = {"n": 2}
-    family = MirrorFamily("projective_fano", given)
-    assert family == MirrorFamily("projective_fano", {"n": 2})
-    assert hash(family) == hash(MirrorFamily("projective_fano", {"n": 2}))
-    assert family != MirrorFamily("projective_fano", {"n": 3})
-    assert len({family, MirrorFamily("projective_fano", {"n": 2})}) == 1
-    with pytest.raises(TypeError):
-        family.parameters["n"] = 0
-    # the family keeps a copy: changing the caller's dict changes nothing
-    given["n"] = 0
-    assert family.parameters["n"] == 2
+    family = MirrorFamily("quartic_k3")
+    assert family == MirrorFamily("quartic_k3")
+    assert family != MirrorFamily("elliptic_cubic")
+    assert len({family, MirrorFamily("quartic_k3")}) == 1
+    with pytest.raises(AttributeError):
+        family.kind = "elliptic_cubic"
 
 
 def test_mirror_family_laurent():
@@ -160,10 +142,6 @@ def test_mirror_family_laurent():
     assert abs(fam.evaluate(z, t) - direct) < 1e-12
     assert len(MirrorFamily("pair_of_pants").laurent_family().terms) == 3
     assert len(MirrorFamily("quartic_k3").laurent_family().terms) == 5
-    with pytest.raises(ValueError):
-        MirrorFamily("projective_fano", {"n": 1}).laurent_family()
-    with pytest.raises(ValueError):
-        MirrorFamily("local_model_2d", {"a1": 1, "a2": 1, "b": 1}).laurent_family()
 
 
 def test_error_dim1_reduced_is_zeta2():
@@ -187,6 +165,15 @@ def test_error_reduced_mode_is_raw_mode_at_unit_scale():
             f("raw")
         with pytest.raises(ValueError, match="mode must be"):
             f("exact", t)
+
+
+def test_error_reduced_mode_rejects_a_t():
+    # reduced mode is the t-free integral, so a t given to it would be
+    # silently dropped
+    for f in (error_integral_dim1, error_integral_dim2_a):
+        for t in (1e-3, math.exp(-1.0)):
+            with pytest.raises(ValueError, match="reduced mode takes no t"):
+                f("reduced", t)
 
 
 def test_error_dim2_a_reduced_is_zeta3():
@@ -625,16 +612,6 @@ def test_fano_dimension_rejects_bool():
             fano_gamma_prediction(bad, 0.1)
         with pytest.raises(ValueError):
             fano_prediction_polynomial(bad)
-        with pytest.raises(ValueError):
-            MirrorFamily("projective_fano", {"n": bad})
-
-
-def test_local_polytope_area():
-    assert local_model_polytope_area(1, 1, 1) == Fraction(7, 2)
-    assert local_model_polytope_area(Fraction(1, 2), 1, 2) == 2 * Fraction(3, 2) * 2 - 2
-    assert abs(local_model_polytope_area(1.0, 1.0, 1.0) - 3.5) < 1e-15
-    with pytest.raises(ValueError):
-        local_model_polytope_area(0, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -642,28 +619,22 @@ def test_local_polytope_area():
 )
 @pytest.mark.parametrize("position", range(3))
 def test_local_model_rejects_bad_parameters(bad, position, monkeypatch):
-    # as MirrorFamily("local_model_2d", ...) does, and before any
-    # quadrature: an infinite b or a1 ran about 60,000 evaluations, then
-    # raised NonConvergenceError, and True read as 1
+    # before any quadrature: an infinite b or a1 ran about 60,000
+    # evaluations, then raised NonConvergenceError, and True read as 1
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(local_model, "integrate_1d", no_quadrature)
+    monkeypatch.setattr(error_integrals, "integrate_1d", no_quadrature)
     params = [1, 1, 1]
     params[position] = bad
     with pytest.raises(ValueError, match="finite numbers > 0"):
-        local_model_polytope_area(*params)
-    with pytest.raises(ValueError, match="finite numbers > 0"):
         local_model_region_period(*params, 1e-3)
-    with pytest.raises(ValueError):
-        MirrorFamily("local_model_2d", dict(zip(("a1", "a2", "b"), params)))
 
 
 def test_local_model_accepts_floats_and_fractions():
     a1, a2, b = 1.5, Fraction(2, 3), 2
-    area = local_model_polytope_area(a1, a2, b)
-    assert area == pytest.approx(2 * (1.5 + 2 / 3) * 2 - 2, rel=1e-15)
-    assert local_model_polytope_area(Fraction(3, 2), a2, b) == Fraction(20, 3)
+    # the affine area 2(a1 + a2)b - b^2/2 of the region's tropical polytope
+    area = 2 * (a1 + a2) * b - b * b / 2
     t = 1e-3
     big_l = -math.log(t)
     value = local_model_region_period(a1, a2, b, t)
@@ -804,6 +775,18 @@ def test_elliptic_rejects_t_below_the_normal_floor():
     # subnormal there
     with pytest.raises(ValueError):
         elliptic_period(1e-110)
+
+
+def test_bisect_root_rejects_a_bracket_without_a_sign_change():
+    def f(x):
+        return x - 1.0
+
+    assert curves._bisect_root(f, 0.0, 2.0) == (math.nextafter(1.0, 0.0), 1.0)
+    # f(lo) < 0 <= f(hi) is required; here both ends are positive, the
+    # signs are reversed, or the root sits at lo
+    for lo, hi in ((2.0, 3.0), (2.0, 0.0), (1.0, 2.0)):
+        with pytest.raises(StructureError, match="root bracket failed"):
+            curves._bisect_root(f, lo, hi)
 
 
 def test_k3_period_matches_asymptotic():
