@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import StructureError
 from ..quadrature import QuadratureConfig, integrate_1d
-from .types import PeriodSample, _require_converged
+from .types import PeriodSample, _big_l, _exp, _require_converged, _sample
 
 __all__ = [
     "pants_section_integral",
@@ -45,20 +45,16 @@ def pants_section_integral(
     """
     if x0 > x1:
         raise ValueError("need x0 <= x1")
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
+    big_l = _big_l(t)
     if x0 == x1:
         return 0.0
-    cfg = config or QuadratureConfig()
-    big_l = -math.log(t)
 
     def integrand(x):
-        # e^{-L x} is capped at e^709, short of where it overflows; past
-        # the cap the integrand is below L e^-709 < 1e-305, and so is what
-        # the cap changes
-        return big_l / (1.0 + np.exp(np.minimum(-big_l * x, 709.0)))
+        # past the cap of e^{-L x} the integrand is below L e^-709 < 1e-305,
+        # and so is what the cap changes
+        return big_l / (1.0 + _exp(-big_l * x))
 
-    res = integrate_1d(integrand, (float(x0), float(x1)), cfg)
+    res = integrate_1d(integrand, (float(x0), float(x1)), config)
     return _require_converged(res, "pants section integral")
 
 
@@ -129,12 +125,9 @@ def elliptic_period(
     Orientation is fixed so the value is positive.  The roots of h need
     4 t^3 as a normal float, so t below about 1.8e-103 raises ValueError.
     """
-    if not 0.0 < t <= ELLIPTIC_T_MAX:
-        raise ValueError(f"t must lie in (0, {ELLIPTIC_T_MAX}]")
+    big_l = _big_l(t, ELLIPTIC_T_MAX)
     if 4.0 * t**3 < sys.float_info.min:
         raise ValueError(f"t = {t} is below the floor where 4 t^3 is a normal float")
-    cfg = config or QuadratureConfig()
-    big_l = -math.log(t)
     x_low, sigma_plus, sigma_neg = _oval_roots(t)
     x_b = (1.0 - sigma_plus) / t
     x_c = (1.0 - sigma_neg) / t
@@ -151,7 +144,7 @@ def elliptic_period(
         # the root: the whole product is of order t^6 and underflows
         return 4.0 * big_l * s * np.sqrt(x) / (t * np.sqrt(gap * (x_b - x) * (x_c - x)))
 
-    res_a = integrate_1d(integrand_low, (0.0, math.sqrt(v_span)), cfg)
+    res_a = integrate_1d(integrand_low, (0.0, math.sqrt(v_span)), config)
 
     # chart 2: sigma = sigma_plus + tau with tau = delta sinh^2(w), delta =
     # sigma_plus - sigma_neg; X_b - X = tau/t and X_c - X = (tau + delta)/t,
@@ -163,13 +156,5 @@ def elliptic_period(
         x = (1.0 - sigma_plus - delta * np.sinh(w) ** 2) / t
         return 4.0 / (t * np.sqrt(x * (x - x_low)))
 
-    res_b = integrate_1d(integrand_top, (0.0, w_span), cfg)
-
-    return PeriodSample(
-        t=t,
-        value=res_a.value + res_b.value,
-        error_estimate=res_a.error_estimate + res_b.error_estimate,
-        evaluations=res_a.evaluations + res_b.evaluations,
-        parametrization="oval_sqrt_asinh",
-        converged=res_a.converged and res_b.converged,
-    )
+    res_b = integrate_1d(integrand_top, (0.0, w_span), config)
+    return _sample(t, "oval_sqrt_asinh", res_a, res_b)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..quadrature import ConvexPolygon, QuadratureConfig, integrate_1d, integrate_2d
 from ..tropical import AffineForm, corner_locus, halfplane_polygon, tropicalize
-from .types import MirrorFamily, _require_converged
+from .types import MirrorFamily, _big_l, _require_converged
 
 # min(0, y1, y2) up to the order of its forms: the tropical line of 1 + X + Y
 _PANTS_LINE = tropicalize(MirrorFamily("pair_of_pants").laurent_family())
@@ -36,9 +36,9 @@ def _scale(mode: str, t: float | None) -> float:
             raise ValueError("reduced mode takes no t")
         return 1.0
     if mode == "raw":
-        if t is None or not 0.0 < t < 1.0:
+        if t is None:
             raise ValueError("raw mode needs t in (0, 1)")
-        return -math.log(t)
+        return _big_l(t)
     raise ValueError(f"mode must be 'reduced' or 'raw', got {mode!r}")
 
 
@@ -56,11 +56,9 @@ def error_integral_dim1(
     """
     big_l = _scale(mode, t)
     result = integrate_1d(
-        lambda y: _softplus(-big_l * np.abs(y)) / big_l,
-        (-math.inf, math.inf),
-        config or QuadratureConfig(),
+        lambda y: _softplus(-big_l * np.abs(y)) / big_l, (-math.inf, math.inf), config
     )
-    return big_l**2 * _require_converged(result, f"dim-1 {mode} error integral")
+    return _require_converged(result, f"dim-1 {mode} error integral", big_l**2)
 
 
 def _positive_finite(value) -> bool:
@@ -93,17 +91,14 @@ def local_model_region_period(
     """
     if not all(map(_positive_finite, (a1, a2, b))):
         raise ValueError("a1, a2, b must be finite numbers > 0")
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
-    cfg = config or QuadratureConfig()
-    big_l = -math.log(t)
+    big_l = _big_l(t)
     base = float(a1) + float(a2)
 
     def integrand(y):
         return base + np.minimum(0.0, y) - np.log1p(np.exp(-big_l * np.abs(y))) / big_l
 
-    res = integrate_1d(integrand, (-float(b), float(b)), cfg)
-    return big_l * big_l * _require_converged(res, "region-period quadrature")
+    res = integrate_1d(integrand, (-float(b), float(b)), config)
+    return _require_converged(res, "region-period quadrature", big_l * big_l)
 
 
 def error_integral_dim2_a(
@@ -128,8 +123,8 @@ def error_integral_dim2_a(
         g = _softplus(-big_l * np.abs(y))
         return -2.0 * np.minimum(0.0, y) * g + g * g / big_l
 
-    result = integrate_1d(integrand, (-math.inf, math.inf), config or QuadratureConfig())
-    return 0.5 * big_l**2 * _require_converged(result, f"dim-2 slice {mode} error integral")
+    result = integrate_1d(integrand, (-math.inf, math.inf), config)
+    return _require_converged(result, f"dim-2 slice {mode} error integral", 0.5 * big_l**2)
 
 
 def _check_transversal(complex_) -> None:
@@ -217,17 +212,13 @@ def error_integral_dim2_b(
     it, so the zeta(3) mass there sits at the collapsed corner of every
     triangle.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
-    cfg = config or QuadratureConfig()
+    big_l = _big_l(t)
     complex_ = corner_locus(_PANTS_LINE, u_rect)
     _check_transversal(complex_)
     length = sum(
         (c.affine_measure() for c in complex_.cells_of_dim(1)), Fraction(0)
     )
     chi = len(complex_.cells_of_dim(0))
-
-    big_l = -math.log(t)
 
     def integrand(ya, yb):
         # log(t^m (1 + t^y1 + t^y2)) / log t  with  m = min(0, y1, y2):
@@ -242,6 +233,6 @@ def error_integral_dim2_b(
 
     value = 0.0
     for piece in _smooth_pieces(complex_):
-        result = integrate_2d(integrand, piece, cfg)
+        result = integrate_2d(integrand, piece, config)
         value += _require_converged(result, "dim-2 rectangle error integral piece")
     return big_l**3 * value, length, chi

@@ -33,7 +33,7 @@ import numpy as np
 from ..cohomology import ManifoldModel, PeriodPolynomial, gamma_period_polynomial
 from ..errors import UnsupportedDimensionError
 from ..quadrature import QuadratureConfig, integrate_1d
-from .types import PeriodSample
+from .types import PeriodSample, _big_l, _exp, _sample
 
 __all__ = [
     "exp_period_orthant",
@@ -50,7 +50,8 @@ _SUPPORTED_DIMS = (1, 2, 3)
 # arguments multiply to 4 t^2, and the larger carries mass up to about 70,
 # so the smaller down to 4 t^2 / 70.  Below these t the exponent cap
 # (n = 1) or the K0 argument floor (n = 2, 3) binds inside the mass, and
-# the quadrature would converge to a wrong value or not at all.
+# the quadrature would converge to a wrong value or not at all; above
+# them the cap of `_exp` binds only on tail probes past the mass.
 _T_FLOOR = {
     1: 70.0 * math.exp(-709.0),
     2: (sys.float_info.min * math.sqrt(70.0) / 2.0) ** (2.0 / 3.0),
@@ -104,15 +105,6 @@ def _bessel_k0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """e^x with x capped at 709, short of where it overflows.
-
-    For t above `_T_FLOOR` the cap binds only on tail probes past the
-    integrand's mass, where its value stays below the tail cutoff.
-    """
-    return np.exp(np.minimum(x, 709.0))
-
-
 def _k0_argument(t: float, a: np.ndarray) -> np.ndarray:
     """2 t e^a, floored at the smallest normal float.
 
@@ -121,11 +113,6 @@ def _k0_argument(t: float, a: np.ndarray) -> np.ndarray:
     subnormal floor would not do, since `_k0_series` halves it.
     """
     return np.maximum(2.0 * t * _exp(a), sys.float_info.min)
-
-
-def _check_t(t: float) -> None:
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
 
 
 def _check_n(n: int) -> None:
@@ -164,10 +151,9 @@ def exp_period_orthant(
         raise UnsupportedDimensionError(
             f"exp_period_orthant supports n in {_SUPPORTED_DIMS}, got {n}"
         )
-    _check_t(t)
+    _big_l(t)
     if t < _T_FLOOR[n]:
         raise ValueError(f"t = {t} is below the floor {_T_FLOOR[n]:.2g} of the n = {n} period")
-    cfg = config or QuadratureConfig()
 
     if n == 1:
 
@@ -190,15 +176,7 @@ def exp_period_orthant(
 
         parametrization = "bessel_pair_1d"
 
-    res = integrate_1d(integrand, (-math.inf, math.inf), cfg)
-    return PeriodSample(
-        t=t,
-        value=res.value,
-        error_estimate=res.error_estimate,
-        evaluations=res.evaluations,
-        parametrization=parametrization,
-        converged=res.converged,
-    )
+    return _sample(t, parametrization, integrate_1d(integrand, (-math.inf, math.inf), config))
 
 
 @cache
@@ -217,7 +195,7 @@ def fano_prediction_polynomial(n: int) -> PeriodPolynomial:
 
 def fano_gamma_prediction(n: int, t: float) -> float:
     """Predicted orthant-period value at parameter t."""
-    _check_t(t)
+    _big_l(t)
     _check_n(n)
     value = _prediction(n).evaluate_at_t(t)
     return float(value.real)

@@ -28,13 +28,11 @@ and the exit facet's term is 1, so the crossing lies in (0, rho_0].
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..quadrature import QuadratureConfig, Sphere, integrate_2d
 from ..tropical import compact_chamber, tropicalize
-from .types import MirrorFamily, PeriodSample
+from .types import MirrorFamily, PeriodSample, _big_l, _sample
 
 __all__ = ["k3_period", "K3_T_MAX"]
 
@@ -49,10 +47,9 @@ _FACETS = tuple(_CHAMBER.facet_vertices(facet) for facet in _CHAMBER.facets)
 _SPHERE = Sphere(_FACETS)
 
 
-def _default_config() -> QuadratureConfig:
-    # surface quadrature with radial solves is costly; 1e-7 keeps every
-    # downstream tolerance with two digits to spare
-    return QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
+# surface quadrature with radial solves is costly; 1e-7 keeps every
+# downstream tolerance with two digits to spare
+_DEFAULT_CONFIG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 
 
 def _log_phi(rho, slopes, big_l):
@@ -109,10 +106,7 @@ def k3_period(
     Orientation is fixed so the value is positive; the asymptotic is
     32 L^2 - 24 zeta(2) + o(1).
     """
-    if not 0.0 < t <= K3_T_MAX:
-        raise ValueError(f"t must lie in (0, {K3_T_MAX}]")
-    cfg = config or _default_config()
-    big_l = -math.log(t)
+    big_l = _big_l(t, K3_T_MAX)
 
     def integrand(nx, ny, nz):
         slopes = np.array([nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES])
@@ -120,13 +114,5 @@ def k3_period(
         # d Phi/d rho = Phi d log Phi/d rho, and Phi = 1 at the crossing
         return rho * rho / dg
 
-    res = integrate_2d(integrand, _SPHERE, cfg)
-    scale = big_l**3
-    return PeriodSample(
-        t=t,
-        value=scale * res.value,
-        error_estimate=scale * res.error_estimate,
-        evaluations=res.evaluations,
-        parametrization="radial_chamber_facets",
-        converged=res.converged,
-    )
+    res = integrate_2d(integrand, _SPHERE, config or _DEFAULT_CONFIG)
+    return _sample(t, "radial_chamber_facets", res, scale=big_l**3)

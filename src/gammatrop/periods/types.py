@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ..errors import NonConvergenceError
 from ..tropical import LaurentFamily, LaurentTerm
 
@@ -24,22 +26,48 @@ class PeriodSample:
     converged: bool
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.t < 1.0:
-            raise ValueError("t must lie in (0, 1)")
+        _big_l(self.t)
 
     @property
     def big_l(self) -> float:
-        return -math.log(self.t)
+        return _big_l(self.t)
 
 
-def _require_converged(result, what: str) -> float:
-    """The value of a quadrature result; raises if it did not converge."""
+def _big_l(t: float, t_max: float = 1.0) -> float:
+    """L = -log t; raises ValueError unless 0 < t < 1 and t <= t_max, so
+    for NaN too, and for True, which is 1."""
+    if not (0.0 < t < 1.0 and t <= t_max):
+        raise ValueError(f"t must lie in (0, {t_max}]" if t_max < 1.0 else "t must lie in (0, 1)")
+    return -math.log(t)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """e^x with x capped at 709, short of where it overflows; a driver lets
+    it bind only where its integrand is below the tail cutoff."""
+    return np.exp(np.minimum(x, 709.0))
+
+
+def _sample(t: float, parametrization: str, *results, scale: float = 1.0) -> PeriodSample:
+    """The sum of quadrature results, in the order given, with value and
+    error times scale; non-convergence is reported, not raised."""
+    return PeriodSample(
+        t=t,
+        value=scale * sum(res.value for res in results),
+        error_estimate=scale * sum(res.error_estimate for res in results),
+        evaluations=sum(res.evaluations for res in results),
+        parametrization=parametrization,
+        converged=all(res.converged for res in results),
+    )
+
+
+def _require_converged(result, what: str, scale: float = 1.0) -> float:
+    """scale times a quadrature result's value; raises if it did not converge."""
     if not result.converged:
         raise NonConvergenceError(
             f"{what}: error estimate {result.error_estimate:.3e} "
             f"after {result.evaluations} evaluations"
         )
-    return result.value
+    return scale * result.value
 
 
 def _simplex_family(n: int) -> LaurentFamily:

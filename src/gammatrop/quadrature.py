@@ -65,8 +65,6 @@ __all__ = [
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000   # splits per panel heap, one heap per
-                                   # 1d or 2d integral
 
     def __post_init__(self):
         for tol in (self.abs_tol, self.rel_tol):
@@ -76,22 +74,16 @@ class QuadratureConfig:
         # tolerance would accept the first panels of any integral
         if not (0 < self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
             raise ValueError("tolerances must be finite, abs_tol > 0 and rel_tol >= 0")
-        cap = self.max_subdivisions
-        if type(cap) is bool or not isinstance(cap, int):
-            raise TypeError(f"max_subdivisions must be an int, got {cap!r}")
-        if cap < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuadratureConfig":
-        parse = {"abs_tol": float, "rel_tol": float, "max_subdivisions": int}
-        unknown = sorted(set(data) - set(parse))
+        unknown = sorted(set(data) - {"abs_tol", "rel_tol"})
         if unknown:
             raise ValueError(f"unknown QuadratureConfig keys: {unknown}")
         # a string is parsed; any other value is checked by the constructor,
         # so a bool is rejected instead of read as 0 or 1
         return cls(**{
-            key: parse[key](value) if isinstance(value, str) else value
+            key: float(value) if isinstance(value, str) else value
             for key, value in data.items()
         })
 
@@ -106,6 +98,7 @@ class IntegrationResult:
 
 _RULE_ORDER = 15        # nodes of the fine rule; odd, so the coarse rule nests
 _TAIL_CUTOFF = 1e-30    # |f| below this truncates unbounded tails
+_MAX_SUBDIVISIONS = 2000  # splits per panel heap, one heap per 1d or 2d integral
 
 
 def _interior_cosine_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +313,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     panel with inf error that is too narrow to split: every round once
     any panel has had error inf, and a panel whose children are narrow
     enough for `_panels_1d`'s exact node test (`_narrow`).  No round
-    splits past max_subdivisions in all.
+    splits past _MAX_SUBDIVISIONS in all.
 
     A panel whose error is inf is left out of the running totals and
     counted instead; the loop does not stop on tolerance while any is
@@ -356,7 +349,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     finished: list[tuple[float, float]] = []
     splits = 0
     stuck = False
-    while heap and splits < cfg.max_subdivisions and not stuck:
+    while heap and splits < _MAX_SUBDIVISIONS and not stuck:
         if not infinite and _meets_tolerance(total_err + tail_bound, total_val, cfg):
             # the running totals drift by rounding; the stop is the fsum's
             total_val, total_err = _panel_sums(finished, heap)
@@ -364,7 +357,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
                 break
         start_val = total_val
         children = {}  # to_args -> the children's boxes, in pop order
-        while heap and splits < cfg.max_subdivisions:
+        while heap and splits < _MAX_SUBDIVISIONS:
             _, _, value, err, axis, box, to_args = heap[0]
             i = 2 * axis  # the axis's (lo, hi) in the box
             lo, hi = box[i:i + 2]
@@ -665,7 +658,7 @@ def integrate_2d(
     the fine rule in one integrand call per patch.  Each round bisects the
     worst panels along their worse axes, those that `_cubature` must split
     before it can stop, and evaluates their children in one call per
-    patch, for at most config.max_subdivisions splits in all.  Value and
+    patch, for at most _MAX_SUBDIVISIONS splits in all.  Value and
     error are the sums over all panels, and `converged` compares that
     error with the tolerance.
     """
@@ -697,7 +690,8 @@ def fit_asymptotic(
 ) -> AsymptoticFit:
     """Fit sampled values against powers of L = -log t.
 
-    fixed pins selected coefficients; only the remaining ones are free.
+    fixed pins selected coefficients, each finite and not a bool; only the
+    remaining ones are free.
     Requires more samples than powers and a decently spread t-grid
     (max L / min L >= 1.5), otherwise the normal equations are too close
     to degenerate to trust.
@@ -706,9 +700,13 @@ def fit_asymptotic(
     if len(set(powers)) != len(powers):
         raise ValueError("powers must be distinct")
     fixed = dict(fixed or {})
-    for k in fixed:
+    for k, c in fixed.items():
         if k not in powers:
             raise ValueError(f"fixed power {k} not among powers {powers}")
+        # as for the samples: a NaN or inf pin would make every coefficient
+        # NaN, and True is no coefficient
+        if isinstance(c, (bool, np.bool_)) or not math.isfinite(c):
+            raise ValueError(f"fixed coefficient of L^{k} must be a finite number, got {c!r}")
     if len(samples) < len(powers) + 1:
         raise ConditioningError(
             f"need at least {len(powers) + 1} samples for {len(powers)} powers, "

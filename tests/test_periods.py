@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import gammatrop.periods.curves as curves
 import gammatrop.periods.error_integrals as error_integrals
 import gammatrop.periods.fano as fano
 import gammatrop.periods.k3 as k3
+import gammatrop.quadrature as quadrature
 from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial, log_gamma_series_exact
 from gammatrop.errors import (
     NonConvergenceError,
@@ -115,6 +117,55 @@ def test_period_sample_validation():
                 t=bad, value=1.0, error_estimate=0.0, evaluations=1, parametrization="x",
                 converged=True,
             )
+
+
+# every driver that takes a t, and PeriodSample, as functions of t alone
+T_TAKERS = {
+    "PeriodSample": lambda t: PeriodSample(
+        t=t, value=1.0, error_estimate=0.0, evaluations=1, parametrization="x", converged=True
+    ),
+    "exp_period_orthant": lambda t: exp_period_orthant(2, t),
+    "fano_gamma_prediction": lambda t: fano_gamma_prediction(2, t),
+    "pants_section_integral": lambda t: pants_section_integral(0.0, 1.0, t),
+    "elliptic_period": elliptic_period,
+    "k3_period": k3_period,
+    "error_integral_dim1": lambda t: error_integral_dim1("raw", t),
+    "error_integral_dim2_a": lambda t: error_integral_dim2_a("raw", t),
+    "error_integral_dim2_b": lambda t: error_integral_dim2_b(((-4, 2), (-2, 2)), t),
+    "local_model_region_period": lambda t: local_model_region_period(1, 1, 1, t),
+}
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    """Make every quadrature call of the period modules fail."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    for module in (curves, error_integrals, fano, k3):
+        for name in ("integrate_1d", "integrate_2d"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+
+
+# NaN fails every comparison and True is 1, so neither may pass as a t
+@pytest.mark.parametrize("t", (0, 1, -0.5, 1.5, math.nan, math.inf, -math.inf, True))
+@pytest.mark.parametrize("taker", T_TAKERS.values(), ids=T_TAKERS)
+def test_every_driver_rejects_a_t_outside_0_1_before_quadrature(taker, t, no_quadrature):
+    with pytest.raises(ValueError, match="t must lie in"):
+        taker(t)
+
+
+@pytest.mark.parametrize(
+    "driver, t_max", ((k3_period, K3_T_MAX), (elliptic_period, ELLIPTIC_T_MAX)), ids=("k3", "elliptic")
+)
+def test_a_capped_driver_takes_its_t_max_and_no_float_above(driver, t_max, no_quadrature):
+    with pytest.raises(ValueError, match=re.escape(f"t must lie in (0, {t_max}]")):
+        driver(math.nextafter(t_max, 1.0))
+    # accepted: the driver goes on to its quadrature
+    with pytest.raises(AssertionError, match="quadrature ran"):
+        driver(t_max)
 
 
 def test_mirror_family_validation():
@@ -551,6 +602,12 @@ def test_exp_period_rejects_t_below_its_floor(n, t):
         exp_period_orthant(n, t)
 
 
+def test_fano_floor_assumes_e_to_the_minus_70_is_below_the_tail_cutoff():
+    # _T_FLOOR ends each integrand's mass where an exponent passes 70, which
+    # truncates it only while e^-70 is below the cutoff of the tails
+    assert math.exp(-70.0) < quadrature._TAIL_CUTOFF
+
+
 def test_exp_period_validation():
     with pytest.raises(ValueError):
         exp_period_orthant(0, 0.1)
@@ -685,8 +742,9 @@ def test_pants_interval_endpoints():
         pants_section_integral(0.0, 1.0, 0.0)
 
 
-def test_pants_reports_nonconvergence():
-    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=0.0, max_subdivisions=1)
+def test_pants_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=0.0)
     with pytest.raises(NonConvergenceError, match="pants section integral"):
         pants_section_integral(-1.5, 0.7, 1e-3, cfg)
 

@@ -272,8 +272,9 @@ def test_real_line_convergence_means_the_target_is_met(f, exact, tol):
     assert abs(result.value - exact) <= result.error_estimate
 
 
-def test_integrate_reports_nonconvergence():
-    cfg = QuadratureConfig(max_subdivisions=3)
+def test_integrate_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+    cfg = QuadratureConfig()
     result = integrate_1d(lambda x: x**-0.5, (0.0, 1.0), cfg)
     assert not result.converged
     assert result.error_estimate > 0
@@ -421,7 +422,7 @@ def reference_cubature(f, rule, patches, cfg, tail_bound=0.0, evaluations=0):
     bisects it and evaluates both children in one call.  `_cubature`
     splits, in one round, every panel that this loop would have to split
     before it could stop, so both give the same panels wherever the
-    running totals round alike and neither max_subdivisions nor a panel
+    running totals round alike and neither _MAX_SUBDIVISIONS nor a panel
     too narrow to split stops the loop.
     """
     heap = []  # entries: (-err, tie_breaker, value, err, axis, box, to_args)
@@ -445,7 +446,7 @@ def reference_cubature(f, rule, patches, cfg, tail_bound=0.0, evaluations=0):
         push(boxes, to_args)
     finished = []
     splits = 0
-    while heap and splits < cfg.max_subdivisions:
+    while heap and splits < quadrature._MAX_SUBDIVISIONS:
         if not infinite and _meets_tolerance(total_err + tail_bound, total_val, cfg):
             break
         _, _, value, err, axis, box, to_args = heapq.heappop(heap)
@@ -731,8 +732,6 @@ def test_integrate_2d_rejects_complex_output():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
     # NaN fails every comparison, so it is rejected rather than let through;
     # an infinite tolerance would accept the first panels of any integral
     for bad in (
@@ -746,24 +745,17 @@ def test_config_validation():
             QuadratureConfig(**bad)
         with pytest.raises(ValueError):
             QuadratureConfig.from_json_dict({k: str(v) for k, v in bad.items()})
-    # the rule order and the tail cutoff are constants, and a JSON file that
-    # still sets one of them fails instead of being ignored
-    for key, value in (("rule_order", 15), ("tail_cutoff", 1e-30), ("abs_tl", 1e-8)):
+    # the rule order, the tail cutoff and the subdivision cap are constants,
+    # and a JSON file that still sets one of them fails instead of being ignored
+    for key, value in (
+        ("rule_order", 15), ("tail_cutoff", 1e-30), ("max_subdivisions", 50), ("abs_tl", 1e-8)
+    ):
         with pytest.raises(TypeError):
             QuadratureConfig(**{key: value})
         with pytest.raises(ValueError, match=key):
             QuadratureConfig.from_json_dict({key: value})
-    good = {"abs_tol": "1e-8", "rel_tol": "0", "max_subdivisions": "50"}
-    assert QuadratureConfig.from_json_dict(good) == QuadratureConfig(1e-8, 0.0, 50)
-    assert QuadratureConfig.from_json_dict({"max_subdivisions": 50}).max_subdivisions == 50
-    # the subdivision cap is an int: a float is not truncated, a bool is no cap
-    for bad in (2.5, 2.7, 2.0, True):
-        with pytest.raises(TypeError):
-            QuadratureConfig(max_subdivisions=bad)
-        with pytest.raises(TypeError):
-            QuadratureConfig.from_json_dict({"max_subdivisions": bad})
-    with pytest.raises(ValueError):
-        QuadratureConfig.from_json_dict({"max_subdivisions": "2.7"})
+    good = {"abs_tol": "1e-8", "rel_tol": "0"}
+    assert QuadratureConfig.from_json_dict(good) == QuadratureConfig(1e-8, 0.0)
     # a bool is no tolerance either, in the constructor or read from JSON
     for bad in ({"abs_tol": True}, {"rel_tol": False}, {"abs_tol": True, "rel_tol": False}):
         with pytest.raises(TypeError):
@@ -966,9 +958,10 @@ def test_integrate_2d_matches_independent_cubature(domain, f):
     assert abs(result.value - cubature_reference(f, domain)) <= result.error_estimate
 
 
-def test_integrate_2d_subdivision_cap_reports_nonconvergence():
-    # in 2d max_subdivisions caps the splits of the one panel heap
-    cfg = QuadratureConfig(max_subdivisions=1)
+def test_integrate_2d_subdivision_cap_reports_nonconvergence(monkeypatch):
+    # in 2d _MAX_SUBDIVISIONS caps the splits of the one panel heap
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    cfg = QuadratureConfig()
     box = (-10.0, 10.0, -10.0, 10.0)
     result = integrate_box(lambda x, y: np.exp(-50.0 * (x * x + y * y)), box, cfg)
     assert not result.converged
@@ -976,10 +969,11 @@ def test_integrate_2d_subdivision_cap_reports_nonconvergence():
 
 
 @pytest.mark.parametrize("cap", (1, 3, 50))
-def test_the_subdivision_cap_bounds_the_splits(cap):
+def test_the_subdivision_cap_bounds_the_splits(cap, monkeypatch):
     # a round that would split more panels than the cap leaves splits
     # only as many: one initial panel, then exactly `cap` splits
-    cfg = QuadratureConfig(max_subdivisions=cap)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", cap)
+    cfg = QuadratureConfig()
     result = integrate_1d(lambda x: x**-0.5, (0.0, 1.0), cfg)
     assert not result.converged
     assert result.evaluations == _RULE_ORDER * (1 + 2 * cap)
@@ -1221,6 +1215,15 @@ def test_fit_rejects_bad_inputs():
     for bad in ((math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf), (1e-3, -math.inf)):
         with pytest.raises(ValueError, match="finite"):
             fit_asymptotic(samples + [bad], powers=(1, 0))
+
+
+@pytest.mark.parametrize("pin", (math.nan, math.inf, -math.inf, True, False, np.True_))
+def test_fit_rejects_a_pin_that_is_no_finite_number(pin):
+    # a NaN or inf pin would make every coefficient and residual_rms NaN
+    # with no error, and True would pin the coefficient to 1
+    samples = [(t, -math.log(t)) for t in sample_grid()]
+    with pytest.raises(ValueError, match="finite"):
+        fit_asymptotic(samples, powers=(1, 0), fixed={1: pin})
 
 
 def test_fit_result_shape():
