@@ -9,8 +9,8 @@ Rerunning with the same config is bit-identical.
 One adaptive loop serves 1d and 2d: a heap of panels, each a box with
 its value and error.  Each round bisects the worst panels, every one
 that a loop splitting only the worst panel per round would have to split
-before it could stop, and evaluates all their children in one integrand
-call per patch.  A box is an interval (a, b) in 1d.
+before it could stop, and evaluates all their children, of every patch,
+in one integrand call per round.  A box is an interval (a, b) in 1d.
 The 1d panel rule is one (2, 15) rule matrix, of the fine weights and of
 the fine plus the coarse weights: this matrix times the node values of
 all boxes of a call, one column per box, gives every fine and coarse sum
@@ -25,11 +25,11 @@ A 2d panel takes the tensor product of the fine rule and an error from
 the coarse rule along each axis.  Its rule is one (3, 225) matrix on the
 15 x 15 node values, u major, of outer products of the 1d rows: fine by
 fine, fine plus coarse along u by fine, and fine by fine plus coarse
-along v.  This matrix times the node values of all boxes of a call gives
-every box's three sums in one product.  Every weight of both rules is
-positive, so a non-finite node makes the panel's value non-finite; such
-a panel gets error inf, and so does a 1d panel so narrow that two of its
-nodes round onto one float.
+along v.  This matrix times the node values of all boxes of a patch
+gives every box's three sums in one product per patch.  Every weight of
+both rules is positive, so a non-finite node makes the panel's value
+non-finite; such a panel gets error inf, and so does a 1d panel so
+narrow that two of its nodes round onto one float.
 
 Integrands must be elementwise: each value depends only on the arguments
 at its own node, and one call may cover many panels.  Planar integrands
@@ -165,15 +165,18 @@ def _values(y, size: int) -> np.ndarray:
     return y
 
 
-def _panels_1d(f, boxes, to_args):
-    """The intervals `boxes`, in one integrand call, as heap entries.
+def _panels_1d(f, patches):
+    """The intervals of a 1d round, in one integrand call, as heap entries.
 
-    The nodes of all boxes are one broadcast, one row per box, and
-    _RULE_1D times their values gives every box's fine sum and fine plus
-    coarse sum in one product; the rest is arithmetic on Python floats.
-    Returns the (value, error, axis, box) of each interval and the number
-    of evaluations.  `to_args` is unused: the nodes are the arguments.
+    A 1d integral has one patch, (boxes, to_args), and `to_args` is
+    unused: the nodes are the arguments.  The nodes of all boxes are one
+    broadcast, one row per box, and _RULE_1D times their values gives
+    every box's fine sum and fine plus coarse sum in one product; the rest
+    is arithmetic on Python floats.  Returns a one-item list of the
+    (value, error, axis, box) of each interval, and the number of
+    evaluations.
     """
+    [(boxes, _)] = patches
     mid_half = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in boxes])
     nodes = mid_half[:, :1] + mid_half[:, 1:] * _NODES
     y = _values(f(nodes.ravel()), nodes.size)
@@ -195,7 +198,7 @@ def _panels_1d(f, boxes, to_args):
         if not err < math.inf or (_narrow(a, b) and not np.diff(nodes[k]).all()):
             err = math.inf
         entries.append((value, err, 0, box))
-    return entries, nodes.size
+    return [entries], nodes.size
 
 
 def _narrow(a: float, b: float) -> bool:
@@ -294,26 +297,27 @@ def _panel_sums(finished, heap) -> tuple[float, float]:
 def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluations=0):
     """The adaptive panel loop of one integral, in 1d and 2d alike.
 
-    `patches` is a list of (boxes, to_args); `rule(f, boxes, to_args)`
-    evaluates the boxes in one integrand call and returns their
-    (value, error, axis, box) entries and the evaluation count.
+    `patches` is a list of (boxes, to_args); `rule(f, patches)` evaluates
+    the boxes of every patch given in one integrand call and returns one
+    list of (value, error, axis, box) entries per patch, and the
+    evaluation count.  The initial patches are one such call.
 
     Each round bisects, along its axis, every panel that a loop splitting
     only the worst panel per round would have to split before its
-    tolerance test could pass, and evaluates all their children in one
-    call per patch.  With the target fixed at the round's start, the round
-    pops panels in heap order while the running error, less the panels
-    popped so far, plus tail_bound still misses it: children only add
-    error, and every panel below the popped one stays in the heap.  So
-    wherever neither the cap nor a panel too narrow to split stops the
-    loop, the final panel set, value, error and evaluation count are those
-    of one split per round, up to the rounding of the running totals and
-    a relative target that moves with the value.  Two cases split one
-    panel per round, since there one split per round can stop early at a
-    panel with inf error that is too narrow to split: every round once
-    any panel has had error inf, and a panel whose children are narrow
-    enough for `_panels_1d`'s exact node test (`_narrow`).  No round
-    splits past _MAX_SUBDIVISIONS in all.
+    tolerance test could pass, and evaluates all their children, of every
+    patch, in one call per round.  With the target fixed at the round's
+    start, the round pops panels in heap order while the running error,
+    less the panels popped so far, plus tail_bound still misses it:
+    children only add error, and every panel below the popped one stays
+    in the heap.  So wherever neither the cap nor a panel too narrow to
+    split stops the loop, the final panel set, value, error and
+    evaluation count are those of one split per round, up to the rounding
+    of the running totals and a relative target that moves with the
+    value.  Two cases split one panel per round, since there one split
+    per round can stop early at a panel with inf error that is too narrow
+    to split: every round once any panel has had error inf, and a panel
+    whose children are narrow enough for `_panels_1d`'s exact node test
+    (`_narrow`).  No round splits past _MAX_SUBDIVISIONS in all.
 
     A panel whose error is inf is left out of the running totals and
     counted instead; the loop does not stop on tolerance while any is
@@ -331,21 +335,23 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     infinite = 0
     had_inf = False
 
-    def push(boxes, to_args):
+    def push(round_patches):
         nonlocal total_val, total_err, infinite, had_inf, evaluations
-        entries, count = rule(f, boxes, to_args)
+        if not round_patches:
+            return
+        entries, count = rule(f, round_patches)
         evaluations += count
-        for value, err, axis, box in entries:
-            if err == math.inf:
-                infinite += 1
-                had_inf = True
-            else:
-                total_val += value
-                total_err += err
-            heapq.heappush(heap, (-err, next(tie), value, err, axis, box, to_args))
+        for (_, to_args), patch_entries in zip(round_patches, entries):
+            for value, err, axis, box in patch_entries:
+                if err == math.inf:
+                    infinite += 1
+                    had_inf = True
+                else:
+                    total_val += value
+                    total_err += err
+                heapq.heappush(heap, (-err, next(tie), value, err, axis, box, to_args))
 
-    for boxes, to_args in patches:
-        push(boxes, to_args)
+    push(patches)
     finished: list[tuple[float, float]] = []
     splits = 0
     stuck = False
@@ -355,7 +361,11 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
             total_val, total_err = _panel_sums(finished, heap)
             if _meets_tolerance(total_err + tail_bound, total_val, cfg):
                 break
-        start_val = total_val
+        # the round's target, once, as _meets_tolerance sets it: a
+        # non-finite value meets none, and no sum of errors falls to -inf
+        target = -math.inf
+        if math.isfinite(total_val):
+            target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
         children = {}  # to_args -> the children's boxes, in pop order
         while heap and splits < _MAX_SUBDIVISIONS:
             _, _, value, err, axis, box, to_args = heap[0]
@@ -363,7 +373,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
             lo, hi = box[i:i + 2]
             mid = 0.5 * (lo + hi)
             narrow = _narrow(lo, mid) or _narrow(mid, hi)
-            if children and (narrow or _meets_tolerance(total_err + tail_bound, start_val, cfg)):
+            if children and (narrow or total_err + tail_bound <= target):
                 break
             heapq.heappop(heap)
             if _at_float_width(lo, hi):
@@ -385,8 +395,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
             )
             if had_inf or narrow:
                 break
-        for to_args, boxes in children.items():
-            push(boxes, to_args)
+        push([(boxes, to_args) for to_args, boxes in children.items()])
     else:  # no stop on tolerance, whose break leaves the final sums
         total_val, total_err = _panel_sums(finished, heap)
     error = total_err + tail_bound
@@ -584,54 +593,71 @@ def _patches(domain) -> list[tuple[Sequence[tuple[float, float, float, float]], 
     raise ValueError(f"unsupported 2d domain: {domain!r}")
 
 
-def _panels_2d(f, boxes, to_args):
-    """The (u, v) boxes of one patch, in one integrand call, as heap entries.
+def _panels_2d(f, patches):
+    """The (u, v) boxes of a round's patches, in one integrand call, as heap entries.
 
+    Each patch (boxes, to_args) maps its boxes' nodes through its own
+    chart; the arguments of all patches are joined for one integrand call,
+    and the values split back per patch and weighted by its jacobian.
     Each box takes the tensor product of the fine rule.  _RULE_2D times
-    the node values of all boxes, one column per box, gives each box's
-    fine sum and its sums under the rule that is coarse along u and along
-    v, each plus the fine sum, in one product; the rest is arithmetic on
+    the node values of a patch's boxes, one column per box, gives each
+    box's fine sum and its sums under the rule that is coarse along u and
+    along v, each plus the fine sum, in one product per patch, so that a
+    box's sums round as with its patch alone; the rest is arithmetic on
     Python floats.  A box's error is 1.5 times the sum, over both axes, of
     its difference to the coarse rule along that axis, and it splits along
     the axis with the larger difference.  A box with a non-finite value
     splits across the axis with fewer non-finite line sums, so a singular
-    line is cut off, not along.  Returns the (value, error, axis, box) of
-    each box, axis 0 for u and 1 for v, and the number of evaluations.
+    line is cut off, not along.  Returns, per patch, the (value, error,
+    axis, box) of each box, axis 0 for u and 1 for v, and the number of
+    evaluations.
     """
-    bounds = np.array(boxes)
-    mid = 0.5 * (bounds[:, ::2] + bounds[:, 1::2])
-    half = 0.5 * (bounds[:, 1::2] - bounds[:, ::2])
-    # the u and the v nodes of each box, as (k, 2, 15)
-    nodes = mid[:, :, None] + half[:, :, None] * _NODES
-    # the (u, v) grid of each box, u major: each u node repeated and the
-    # v nodes repeated as a block
-    u = nodes[:, 0].repeat(_RULE_ORDER)
-    v = nodes[:, 1:].repeat(_RULE_ORDER, axis=1).ravel()
-    args, jacobian = to_args(u, v)
-    y = (_values(f(*args), u.size) * jacobian).reshape(-1, _RULE_ORDER * _RULE_ORDER)
-    # the rule is the left operand, as in _panels_1d
-    sums = _RULE_2D.dot(y.T).tolist()
+    halves, charted = [], []
+    for boxes, to_args in patches:
+        bounds = np.array(boxes)
+        mid = 0.5 * (bounds[:, ::2] + bounds[:, 1::2])
+        half = 0.5 * (bounds[:, 1::2] - bounds[:, ::2])
+        # the u and the v nodes of each box, as (k, 2, 15)
+        nodes = mid[:, :, None] + half[:, :, None] * _NODES
+        # the (u, v) grid of each box, u major: each u node repeated and
+        # the v nodes repeated as a block
+        u = nodes[:, 0].repeat(_RULE_ORDER)
+        v = nodes[:, 1:].repeat(_RULE_ORDER, axis=1).ravel()
+        halves.append(half.tolist())
+        charted.append(to_args(u, v))
+    args = [np.concatenate(column) for column in zip(*(args for args, _ in charted))]
+    count = args[0].size
+    values = _values(f(*args), count)
     entries = []
-    for k, (box, (hu, hv), fine, both_u, both_v) in enumerate(zip(boxes, half.tolist(), *sums)):
-        area = hu * hv
-        value = area * fine
-        err_u = abs(value - area * (both_u - fine))
-        err_v = abs(value - area * (both_v - fine))
-        err = 1.5 * (err_u + err_v)
-        split_v = err_v > err_u
-        if not err < math.inf:
-            # the weights are positive, so a non-finite node makes the
-            # value non-finite; split across the axis with fewer
-            # non-finite line sums, along v at each u node against along
-            # u at each v node
-            err = math.inf
-            grid = y[k].reshape(_RULE_ORDER, _RULE_ORDER)
-            along_v = _WEIGHTS.dot(grid.T)
-            along_u = _WEIGHTS.dot(grid)
-            split_v = bool((~np.isfinite(along_v)).sum() > (~np.isfinite(along_u)).sum())
-        # False and True index the box as axes 0 (u) and 1 (v)
-        entries.append((value, err, split_v, box))
-    return entries, u.size
+    start = 0
+    for (boxes, _), half, (_, jacobian) in zip(patches, halves, charted):
+        stop = start + len(boxes) * _RULE_ORDER * _RULE_ORDER
+        y = (values[start:stop] * jacobian).reshape(-1, _RULE_ORDER * _RULE_ORDER)
+        start = stop
+        # the rule is the left operand, as in _panels_1d
+        sums = _RULE_2D.dot(y.T).tolist()
+        patch_entries = []
+        for k, (box, (hu, hv), fine, both_u, both_v) in enumerate(zip(boxes, half, *sums)):
+            area = hu * hv
+            value = area * fine
+            err_u = abs(value - area * (both_u - fine))
+            err_v = abs(value - area * (both_v - fine))
+            err = 1.5 * (err_u + err_v)
+            split_v = err_v > err_u
+            if not err < math.inf:
+                # the weights are positive, so a non-finite node makes the
+                # value non-finite; split across the axis with fewer
+                # non-finite line sums, along v at each u node against
+                # along u at each v node
+                err = math.inf
+                grid = y[k].reshape(_RULE_ORDER, _RULE_ORDER)
+                along_v = _WEIGHTS.dot(grid.T)
+                along_u = _WEIGHTS.dot(grid)
+                split_v = bool((~np.isfinite(along_v)).sum() > (~np.isfinite(along_u)).sum())
+            # False and True index the box as axes 0 (u) and 1 (v)
+            patch_entries.append((value, err, split_v, box))
+        entries.append(patch_entries)
+    return entries, count
 
 
 def integrate_2d(
@@ -655,12 +681,12 @@ def integrate_2d(
     that its edges lie in thin panels.
 
     Every box is a panel of one heap, evaluated by the tensor product of
-    the fine rule in one integrand call per patch.  Each round bisects the
-    worst panels along their worse axes, those that `_cubature` must split
-    before it can stop, and evaluates their children in one call per
-    patch, for at most _MAX_SUBDIVISIONS splits in all.  Value and
-    error are the sums over all panels, and `converged` compares that
-    error with the tolerance.
+    the fine rule; all initial boxes take one integrand call.  Each round
+    bisects the worst panels along their worse axes, those that
+    `_cubature` must split before it can stop, and evaluates their
+    children, of every patch, in one call per round, for at most
+    _MAX_SUBDIVISIONS splits in all.  Value and error are the sums over
+    all panels, and `converged` compares that error with the tolerance.
     """
     cfg = config or QuadratureConfig()
     return _cubature(f, _panels_2d, _patches(domain), cfg)
@@ -691,7 +717,8 @@ def fit_asymptotic(
     """Fit sampled values against powers of L = -log t.
 
     fixed pins selected coefficients, each finite and not a bool; only the
-    remaining ones are free.
+    remaining ones are free.  Each sample's t and value must be finite
+    numbers, not bools.
     Requires more samples than powers and a decently spread t-grid
     (max L / min L >= 1.5), otherwise the normal equations are too close
     to degenerate to trust.
@@ -712,6 +739,9 @@ def fit_asymptotic(
             f"need at least {len(powers) + 1} samples for {len(powers)} powers, "
             f"got {len(samples)}"
         )
+    # as for the pins: the float arrays below would read True as 1.0
+    if any(isinstance(x, (bool, np.bool_)) for s in samples for x in (s[0], s[1])):
+        raise ValueError("samples must be numbers, got a bool")
     ts = np.array([s[0] for s in samples], dtype=float)
     vals = np.array([s[1] for s in samples], dtype=float)
     # NaN passes the range check below, and lstsq would not reject it

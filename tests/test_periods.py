@@ -467,18 +467,19 @@ def test_exp_period_evaluation_count(n, evaluations):
 
 
 # integrand calls, tail probes included, with every panel that a round of
-# the adaptive loop must split evaluated in one call per patch and both
-# tails of a line probed in one call per step; with one split per call
-# they were 26, 35, 33, 31, 247 and 18, and with one tail per probe call
-# orthant-1 to 3 made 18, 17 and 17, and dim2_b, fanned from a piece's
-# first vertex by angle, 78
+# the adaptive loop must split evaluated in one call per round, the
+# children of every patch together, and both tails of a line probed in
+# one call per step; with one call per patch and round dim2_b made 65 and
+# k3 11, with one split per call they were 26, 35, 33, 31, 247 and 18, and
+# with one tail per probe call orthant-1 to 3 made 18, 17 and 17, and
+# dim2_b, fanned from a piece's first vertex by angle, 78
 INTEGRAND_CALLS = {
     "elliptic": (curves, lambda: elliptic_period(1e-2), 15),
     "orthant-1": (fano, lambda: exp_period_orthant(1, 1e-3), 12),
     "orthant-2": (fano, lambda: exp_period_orthant(2, 1e-3), 12),
     "orthant-3": (fano, lambda: exp_period_orthant(3, 1e-3), 11),
-    "dim2_b": (error_integrals, lambda: error_integral_dim2_b(((-4, 2), (-2, 2)), 1e-3), 65),
-    "k3": (k3, lambda: k3_period(1e-2, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5)), 11),
+    "dim2_b": (error_integrals, lambda: error_integral_dim2_b(((-4, 2), (-2, 2)), 1e-3), 44),
+    "k3": (k3, lambda: k3_period(1e-2, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5)), 4),
 }
 
 

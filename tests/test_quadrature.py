@@ -89,14 +89,14 @@ def integrate_box(f, box, config=None):
 def test_panel_rule_polynomial_exactness():
     # the 15-point interior cosine rule integrates degree <= 15 exactly
     for degree in range(16):
-        [(value, _, _, _)], count = _panels_1d(lambda x: x**degree, [(0.0, 1.0)], None)
+        [[(value, _, _, _)]], count = _panels_1d(lambda x: x**degree, [([(0.0, 1.0)], None)])
         assert count == 15
         assert value == pytest.approx(1.0 / (degree + 1), rel=1e-13)
 
 
 def test_panel_rule_error_estimate_small_for_low_degree():
     # both rules are exact to degree 7, so the discrepancy vanishes
-    [(value, err, _, _)], _ = _panels_1d(lambda x: 4 * x**7 - x**3 + 2, [(-1.0, 2.0)], None)
+    [[(value, err, _, _)]], _ = _panels_1d(lambda x: 4 * x**7 - x**3 + 2, [([(-1.0, 2.0)], None)])
     exact = (2.0**8 - 1.0) / 2 - (2.0**4 - 1.0) / 4 + 2 * 3
     assert value == pytest.approx(exact, rel=1e-13)
     assert err < 1e-10 * abs(value)
@@ -122,10 +122,10 @@ def test_panel_rule_batch_matches_single_boxes():
     # of which may move by an ulp or two
     boxes = [(0.0, 1.0), (1.0, 2.5), (-3.0, -0.5), (2.5, 2.75), (7.0, 9.0), (20.0, 25.0)]
     for f in (lambda x: np.sin(9.0 * x) + 0.1 * x, lambda x: 1.0 / (1e-3 + (x - np.round(x)) ** 2)):
-        batch, count = _panels_1d(f, boxes, None)
+        [batch], count = _panels_1d(f, [(boxes, None)])
         assert count == len(boxes) * _RULE_ORDER
         for box, (value, err, axis, entry_box) in zip(boxes, batch):
-            [alone], _ = _panels_1d(f, [box], None)
+            [[alone]], _ = _panels_1d(f, [([box], None)])
             assert entry_box == box and axis == 0
             for other_value, other_err in (alone[:2], reference_panel(f, *box)):
                 assert value == pytest.approx(other_value, rel=1e-15, abs=0.0)
@@ -153,7 +153,7 @@ def test_panel_rule_nonfinite_node(index, bad):
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            entries, _ = _panels_1d(f, boxes, None)
+            [entries], _ = _panels_1d(f, [(boxes, None)])
         for box, (value, err, _, _) in zip(boxes, entries):
             if box == (-1.0, 1.0):
                 assert value == bad or math.isnan(bad) and math.isnan(value)
@@ -167,11 +167,11 @@ def test_panel_rule_collapsed_nodes_have_inf_error():
     # at 1e17 the floats are 16 apart, so the 15 nodes of a 16-wide panel
     # fall on two floats and both rules agree on a constant
     gaussian = lambda x: np.exp(-(x - 1e17) ** 2)
-    [(value, err, _, _)], _ = _panels_1d(gaussian, [(1e17, 1e17 + 16.0)], None)
+    [[(value, err, _, _)]], _ = _panels_1d(gaussian, [([(1e17, 1e17 + 16.0)], None)])
     assert err == math.inf
     # a panel that is narrow against its position but whose nodes stay
     # apart keeps its finite error
-    [(value, err, _, _)], _ = _panels_1d(lambda x: x - 1.0, [(1.0, 1.0 + 2e-13)], None)
+    [[(value, err, _, _)]], _ = _panels_1d(lambda x: x - 1.0, [([(1.0, 1.0 + 2e-13)], None)])
     assert math.isfinite(err)
     assert value == pytest.approx(2e-26, rel=1e-2)
 
@@ -432,7 +432,7 @@ def reference_cubature(f, rule, patches, cfg, tail_bound=0.0, evaluations=0):
 
     def push(boxes, to_args):
         nonlocal total_val, total_err, infinite, evaluations
-        entries, count = rule(f, boxes, to_args)
+        [entries], count = rule(f, [(boxes, to_args)])
         evaluations += count
         for value, err, axis, box in entries:
             if err == math.inf:
@@ -633,10 +633,10 @@ def test_integrate_1d_call_pattern(f, interval, pattern, monkeypatch):
         sizes.append(x.size)
         return f(x)
 
-    def recorded(g, boxes, to_args):
-        entries, count = _panels_1d(g, boxes, to_args)
+    def recorded(g, patches):
+        [entries], count = _panels_1d(g, patches)
         calls.append(entries)
-        return entries, count
+        return [entries], count
 
     monkeypatch.setattr(quadrature, "_panels_1d", recorded)
     result = integrate_1d(counted, interval, cfg)
@@ -1007,6 +1007,97 @@ def test_integrate_2d_batches_sections(domain, f):
     assert sum(points) / len(points) >= 10 * _RULE_ORDER
 
 
+# the K3 period, whose integrand runs Newton on every node, on the sphere
+# of its 4 facet charts, and a kink on the hexagon's 4 fan triangles
+ROUND_CASES = {
+    "k3": (lambda: k3_period(1e-2, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5)), K3_SPHERE),
+    "hexagon": (
+        lambda: integrate_2d(
+            lambda x, y: np.abs(x - 0.3) + y, HEXAGON_2D, QuadratureConfig(1e-7, 1e-7)
+        ),
+        HEXAGON_2D,
+    ),
+}
+
+
+def recorded_rounds(run, monkeypatch):
+    """The (integrand, patches, integrand call sizes) of every call of the
+    2d panel rule that `run()` makes."""
+    rounds = []
+
+    def recorded(f, patches):
+        sizes = []
+
+        def counted(*args):
+            sizes.append(np.size(args[0]))
+            return f(*args)
+
+        entries = _panels_2d(counted, patches)
+        rounds.append((f, patches, sizes))
+        return entries
+
+    monkeypatch.setattr(quadrature, "_panels_2d", recorded)
+    run()
+    return rounds
+
+
+@pytest.mark.parametrize("name", ROUND_CASES)
+def test_integrate_2d_makes_one_integrand_call_per_round(name, monkeypatch):
+    # the initial boxes of all 4 patches are one round, and every later
+    # round evaluates the children of every patch it splits in one call
+    run, domain = ROUND_CASES[name]
+    rounds = recorded_rounds(run, monkeypatch)
+    for _, patches, sizes in rounds:
+        assert sizes == [sum(len(boxes) for boxes, _ in patches) * _RULE_ORDER**2]
+    first = rounds[0][1]
+    assert len(first) == 4
+    assert [boxes for boxes, _ in first] == [boxes for boxes, _ in _patches(domain)]
+    # some later round splits panels of more than one patch
+    assert max(len(patches) for _, patches, _ in rounds[1:]) > 1
+    if name == "k3":
+        assert len(rounds) == 4
+
+
+@pytest.mark.parametrize("name", ROUND_CASES)
+def test_a_round_is_the_rule_applied_patch_by_patch(name, monkeypatch):
+    # every patch's sums are one product of its own, so its entries and
+    # count are, bit for bit, those of the rule on that patch alone
+    run, _ = ROUND_CASES[name]
+    rounds = recorded_rounds(run, monkeypatch)
+    for f, patches, _ in rounds:
+        entries, count = _panels_2d(f, patches)
+        alone = [_panels_2d(f, [patch]) for patch in patches]
+        assert repr(entries) == repr([patch_entries for [patch_entries], _ in alone])
+        assert count == sum(patch_count for _, patch_count in alone)
+
+
+def test_a_constant_return_is_broadcast_across_a_round():
+    # a 0-d return is one constant for the nodes of every patch
+    boxes = [(0.0, 1.0, 0.0, 1.0), (0.0, 0.5, 0.25, 0.75)]
+    patches = [(boxes, to_args) for _, to_args in _patches(HEXAGON_2D)]
+    entries, count = _panels_2d(lambda x, y: 2.0, patches)
+    expected, expected_count = _panels_2d(lambda x, y: np.full(x.shape, 2.0), patches)
+    assert repr(entries) == repr(expected) and count == expected_count == 4 * 2 * _RULE_ORDER**2
+    result = integrate_2d(lambda x, y: 2.0, HEXAGON_2D)
+    assert result.value == pytest.approx(3.0 * math.sqrt(3.0), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "f",
+    (
+        lambda x, y: x[:-1],
+        lambda x, y: x[:, None],
+        # the values of the first patch's nodes alone
+        lambda x, y: np.ones(_RULE_ORDER**2),
+    ),
+    ids=["one-short", "column", "one-patch"],
+)
+def test_a_wrong_shaped_return_raises_on_a_round(f):
+    patches = [([(0.0, 1.0, 0.0, 1.0)], to_args) for _, to_args in _patches(HEXAGON_2D)]
+    with pytest.raises(ValueError, match="elementwise"):
+        _panels_2d(f, patches)
+
+
 def test_panel_rule_2d_grid_is_the_broadcast_tensor_product():
     # the chart gets each box's 15 x 15 nodes, u major, bit for bit as the
     # broadcast of the box's u nodes against its v nodes
@@ -1017,7 +1108,7 @@ def test_panel_rule_2d_grid_is_the_broadcast_tensor_product():
         grids.append((u, v))
         return (u, v), 1.0
 
-    entries, count = _panels_2d(lambda x, y: np.cos(x * y), boxes, to_args)
+    [entries], count = _panels_2d(lambda x, y: np.cos(x * y), [(boxes, to_args)])
     box = np.array(boxes)
     u = 0.5 * (box[:, :1] + box[:, 1:2]) + 0.5 * (box[:, 1] - box[:, 0])[:, None] * _NODES
     v = 0.5 * (box[:, 2:3] + box[:, 3:]) + 0.5 * (box[:, 3] - box[:, 2])[:, None] * _NODES
@@ -1067,7 +1158,7 @@ def test_panel_rule_2d_matches_the_nested_sums(count):
         lambda x, y: (2.0 + np.sin(7.0 * x)) * np.exp(-y * y),
     )
     for f in functions:
-        entries, evaluations = _panels_2d(f, boxes, identity_chart)
+        [entries], evaluations = _panels_2d(f, [(boxes, identity_chart)])
         assert evaluations == count * _RULE_ORDER**2
         for box, (value, err, axis, entry_box) in zip(boxes, entries):
             ref_value, ref_err, ref_axis = reference_panel_2d(f, box)
@@ -1098,7 +1189,7 @@ def test_panel_rule_2d_nonfinite_node(bad):
         for boxes in NONFINITE_2D_CALLS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                entries, _ = _panels_2d(f, boxes, identity_chart)
+                [entries], _ = _panels_2d(f, [(boxes, identity_chart)])
             for box, (value, err, axis, _) in zip(boxes, entries):
                 if box == (-1.0, 1.0, -1.0, 1.0):
                     assert value == bad or math.isnan(bad) and math.isnan(value)
@@ -1125,7 +1216,7 @@ def test_panel_rule_2d_splits_across_a_singular_line(bad, line_axis):
     for boxes in NONFINITE_2D_CALLS:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            entries, _ = _panels_2d(f, boxes, identity_chart)
+            [entries], _ = _panels_2d(f, [(boxes, identity_chart)])
         for box, (value, err, axis, _) in zip(boxes, entries):
             # the line crosses every box whose range on its axis is (-1, 1)
             if box[2 * line_axis:2 * line_axis + 2] == (-1.0, 1.0):
@@ -1224,6 +1315,20 @@ def test_fit_rejects_a_pin_that_is_no_finite_number(pin):
     samples = [(t, -math.log(t)) for t in sample_grid()]
     with pytest.raises(ValueError, match="finite"):
         fit_asymptotic(samples, powers=(1, 0), fixed={1: pin})
+
+
+@pytest.mark.parametrize(
+    "bad", (True, False, np.True_, np.False_), ids=["True", "False", "numpy-True", "numpy-False"]
+)
+def test_fit_rejects_a_bool_sample(bad):
+    # a float array reads True as 1.0: a constant fit to bool values gave 1.0
+    ts = sample_grid()
+    with pytest.raises(ValueError, match="bool"):
+        fit_asymptotic([(t, bad) for t in ts], powers=(0,))
+    samples = [(t, -math.log(t)) for t in ts]
+    for sample in ((bad, 1.0), (ts[0], bad)):
+        with pytest.raises(ValueError, match="bool"):
+            fit_asymptotic(samples + [sample], powers=(1, 0))
 
 
 def test_fit_result_shape():
