@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from ..errors import StructureError
-from ..quadrature import QuadratureConfig, integrate_1d
+from ..quadrature import integrate_1d
 from .types import PeriodSample, _big_l, _exp, _require_converged, _sample
 
 __all__ = [
@@ -31,17 +31,13 @@ __all__ = [
 ELLIPTIC_T_MAX = 0.1
 
 
-def pants_section_integral(
-    x0: float,
-    x1: float,
-    t: float,
-    config: QuadratureConfig | None = None,
-) -> float:
+def pants_section_integral(x0: float, x1: float, t: float) -> float:
     """Integral of the residue form along X = t^x, Y = -1 - t^x.
 
     dX/(XY) pulled back is L dx/(1 + t^x) = L dx/(1 + e^{-L x}), with the
     sign fixed so the leading t -> 0 behavior L (x1 - x0) is positive.
-    Raises NonConvergenceError if the quadrature does not converge.
+    The quadrature runs at abs_tol = rel_tol = 1e-10 on this integral, L
+    factor included.  Raises NonConvergenceError if it does not converge.
     """
     if x0 > x1:
         raise ValueError("need x0 <= x1")
@@ -54,7 +50,7 @@ def pants_section_integral(
         # and so is what the cap changes
         return big_l / (1.0 + _exp(-big_l * x))
 
-    res = integrate_1d(integrand, (float(x0), float(x1)), config)
+    res = integrate_1d(integrand, (float(x0), float(x1)))
     return _require_converged(res, "pants section integral")
 
 
@@ -101,10 +97,7 @@ def _oval_roots(t: float) -> tuple[float, float, float]:
     return x_low, sigma_plus, sigma_neg
 
 
-def elliptic_period(
-    t: float,
-    config: QuadratureConfig | None = None,
-) -> PeriodSample:
+def elliptic_period(t: float) -> PeriodSample:
     """Period of the mirror cubic over its compact positive-real oval.
 
     On the curve t(X + Y + 1/(XY)) = 1 the residue form restricted to a
@@ -122,6 +115,8 @@ def elliptic_period(
       delta)), a 1/sqrt pinched against the root X_c at distance delta =
       sigma_+ - sigma_- ~ 4 t^{3/2}; the substitution makes it 2 dw.
 
+    Each chart's quadrature runs at abs_tol = rel_tol = 1e-10, in the
+    period's own units, since no scale follows.
     Orientation is fixed so the value is positive.  The roots of h need
     4 t^3 as a normal float, so t below about 1.8e-103 raises ValueError.
     """
@@ -144,7 +139,7 @@ def elliptic_period(
         # the root: the whole product is of order t^6 and underflows
         return 4.0 * big_l * s * np.sqrt(x) / (t * np.sqrt(gap * (x_b - x) * (x_c - x)))
 
-    res_a = integrate_1d(integrand_low, (0.0, math.sqrt(v_span)), config)
+    res_a = integrate_1d(integrand_low, (0.0, math.sqrt(v_span)))
 
     # chart 2: sigma = sigma_plus + tau with tau = delta sinh^2(w), delta =
     # sigma_plus - sigma_neg; X_b - X = tau/t and X_c - X = (tau + delta)/t,
@@ -156,5 +151,5 @@ def elliptic_period(
         x = (1.0 - sigma_plus - delta * np.sinh(w) ** 2) / t
         return 4.0 / (t * np.sqrt(x * (x - x_low)))
 
-    res_b = integrate_1d(integrand_top, (0.0, w_span), config)
+    res_b = integrate_1d(integrand_top, (0.0, w_span))
     return _sample(t, "oval_sqrt_asinh", res_a, res_b)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..quadrature import ConvexPolygon, QuadratureConfig, integrate_1d, integrate_2d
+from ..quadrature import ConvexPolygon, integrate_1d, integrate_2d
 from ..tropical import AffineForm, corner_locus, halfplane_polygon, tropicalize
 from .types import MirrorFamily, _big_l, _require_converged
 
@@ -42,21 +42,19 @@ def _scale(mode: str, t: float | None) -> float:
     raise ValueError(f"mode must be 'reduced' or 'raw', got {mode!r}")
 
 
-def error_integral_dim1(
-    mode: str = "reduced",
-    t: float | None = None,
-    config: QuadratureConfig | None = None,
-) -> float:
+def error_integral_dim1(mode: str = "reduced", t: float | None = None) -> float:
     """The 1d tropicalization error; equals zeta(2) for every t.
 
     raw mode computes L^2 times the integral of (-log_t(1 + t^y) +
     min(0, y)) dy at the given t; the integrand telescopes to the stable
     symmetric form log(1 + e^-L|y|) / L.  reduced mode is the t-free
-    substitution s = L y, which is the same integral at L = 1.
+    substitution s = L y, which is the same integral at L = 1.  The
+    quadrature runs at abs_tol = rel_tol = 1e-10 on that integral, before
+    the L^2 scale.
     """
     big_l = _scale(mode, t)
     result = integrate_1d(
-        lambda y: _softplus(-big_l * np.abs(y)) / big_l, (-math.inf, math.inf), config
+        lambda y: _softplus(-big_l * np.abs(y)) / big_l, (-math.inf, math.inf)
     )
     return _require_converged(result, f"dim-1 {mode} error integral", big_l**2)
 
@@ -70,13 +68,7 @@ def _positive_finite(value) -> bool:
     )
 
 
-def local_model_region_period(
-    a1: float,
-    a2: float,
-    b: float,
-    t: float,
-    config: QuadratureConfig | None = None,
-) -> float:
+def local_model_region_period(a1: float, a2: float, b: float, t: float) -> float:
     """The 1d error over a finite range: the local model's region period.
 
     The model is the surface X1 X2 = 1 + Y.  Its region period integrates
@@ -87,7 +79,9 @@ def local_model_region_period(
     stable for both signs of y.  The value approaches L^2 times the affine
     area 2(a1+a2)b - b^2/2 of the region's tropical polytope, minus
     zeta(2), with an O(t^b) residual.  a1, a2 and b are ints, Fractions
-    or floats, not bools, finite and positive.
+    or floats, not bools, finite and positive.  The quadrature runs at
+    abs_tol = rel_tol = 1e-10 on the integral over [-b, b], before the
+    L^2 scale.
     """
     if not all(map(_positive_finite, (a1, a2, b))):
         raise ValueError("a1, a2, b must be finite numbers > 0")
@@ -97,15 +91,11 @@ def local_model_region_period(
     def integrand(y):
         return base + np.minimum(0.0, y) - np.log1p(np.exp(-big_l * np.abs(y))) / big_l
 
-    res = integrate_1d(integrand, (-float(b), float(b)), config)
+    res = integrate_1d(integrand, (-float(b), float(b)))
     return _require_converged(res, "region-period quadrature", big_l * big_l)
 
 
-def error_integral_dim2_a(
-    mode: str = "reduced",
-    t: float | None = None,
-    config: QuadratureConfig | None = None,
-) -> float:
+def error_integral_dim2_a(mode: str = "reduced", t: float | None = None) -> float:
     """The squared-phase error along a 1d slice; equals zeta(3).
 
     raw mode evaluates (1/2) L^3 times the integral of ((log_t(1+t^y))^2
@@ -115,7 +105,8 @@ def error_integral_dim2_a(
 
         (phase)^2 - min^2 = -2 min(0, s) g(s) + g(s)^2,  g = log(1+e^-|s|),
 
-    leaving an absolutely integrable integrand.
+    leaving an absolutely integrable integrand.  The quadrature runs at
+    abs_tol = rel_tol = 1e-10 on the integral, before the L^2 / 2 scale.
     """
     big_l = _scale(mode, t)
 
@@ -123,38 +114,25 @@ def error_integral_dim2_a(
         g = _softplus(-big_l * np.abs(y))
         return -2.0 * np.minimum(0.0, y) * g + g * g / big_l
 
-    result = integrate_1d(integrand, (-math.inf, math.inf), config)
+    result = integrate_1d(integrand, (-math.inf, math.inf))
     return _require_converged(result, f"dim-2 slice {mode} error integral", 0.5 * big_l**2)
 
 
 def _check_transversal(complex_) -> None:
     """Reject rectangles whose boundary runs along or through the locus."""
-    sides = complex_.box
-    walls = []
-    for axis in range(2):
-        for bound in sides[axis]:
-            walls.append((axis, bound))
 
-    def on_wall(p) -> bool:
-        return any(p[axis] == bound for axis, bound in walls)
+    def walls(p) -> set[tuple[int, Fraction]]:
+        """The rectangle's sides that p lies on, as (axis, bound) pairs."""
+        return {(axis, p[axis]) for axis in range(2) if p[axis] in complex_.box[axis]}
 
     for cell in complex_.cells:
-        if cell.dim == 0 and on_wall(cell.vertices[0]):
-            raise ValueError(
-                "rectangle boundary passes through a vertex of the locus"
-            )
-        if cell.dim == 1:
-            a, b = cell.vertices[0], cell.vertices[-1]
-            for axis, bound in walls:
-                if a[axis] == bound and b[axis] == bound:
-                    raise ValueError(
-                        "rectangle boundary contains a segment of the locus"
-                    )
-            for p in (a, b):
-                if p[0] in sides[0] and p[1] in sides[1]:
-                    raise ValueError(
-                        "locus passes through a corner of the rectangle"
-                    )
+        ends = [walls(cell.vertices[0]), walls(cell.vertices[-1])]
+        if cell.dim == 0 and ends[0]:
+            raise ValueError("rectangle boundary passes through a vertex of the locus")
+        if cell.dim == 1 and ends[0] & ends[1]:
+            raise ValueError("rectangle boundary contains a segment of the locus")
+        if cell.dim == 1 and any(len(w) == 2 for w in ends):
+            raise ValueError("locus passes through a corner of the rectangle")
 
 
 def _smooth_pieces(complex_) -> list[ConvexPolygon]:
@@ -195,11 +173,7 @@ def _excess(g: AffineForm, f: AffineForm) -> tuple[tuple[int, ...], Fraction]:
     return tuple(a - b for a, b in zip(g.slope, f.slope)), g.offset - f.offset
 
 
-def error_integral_dim2_b(
-    u_rect,
-    t: float,
-    config: QuadratureConfig | None = None,
-) -> tuple[float, Fraction, int]:
+def error_integral_dim2_b(u_rect, t: float) -> tuple[float, Fraction, int]:
     """2d tropicalization error over a rectangle: (value, length, chi).
 
     value = L^3 times the integral over U of (-log_t(1+t^y1+t^y2) +
@@ -210,7 +184,8 @@ def error_integral_dim2_b(
     for both, as tuples or lists.  Its boundary must be transversal to
     the line.  Each piece is fanned from the line's vertex when it has
     it, so the zeta(3) mass there sits at the collapsed corner of every
-    triangle.
+    triangle.  Each piece's quadrature runs at abs_tol = rel_tol = 1e-10,
+    before the L^3 scale.
     """
     big_l = _big_l(t)
     complex_ = corner_locus(_PANTS_LINE, u_rect)
@@ -233,6 +208,6 @@ def error_integral_dim2_b(
 
     value = 0.0
     for piece in _smooth_pieces(complex_):
-        result = integrate_2d(integrand, piece, config)
+        result = integrate_2d(integrand, piece)
         value += _require_converged(result, "dim-2 rectangle error integral piece")
     return big_l**3 * value, length, chi

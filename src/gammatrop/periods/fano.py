@@ -32,7 +32,7 @@ import numpy as np
 
 from ..cohomology import ManifoldModel, PeriodPolynomial, gamma_period_polynomial
 from ..errors import UnsupportedDimensionError
-from ..quadrature import QuadratureConfig, integrate_1d
+from ..quadrature import integrate_1d
 from .types import PeriodSample, _big_l, _exp, _sample
 
 __all__ = [
@@ -121,11 +121,7 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be a positive integer")
 
 
-def exp_period_orthant(
-    n: int,
-    t: float,
-    config: QuadratureConfig | None = None,
-) -> PeriodSample:
+def exp_period_orthant(n: int, t: float) -> PeriodSample:
     """Orthant exponential period of the n-dimensional mirror potential.
 
     Logarithmic coordinates x_i = e^{u_i} turn the orthant integral into
@@ -140,7 +136,9 @@ def exp_period_orthant(
       2 K0(2 t e^{-a}) by the same identity, leaving
       int_R 8 K0(2 t e^a) K0(2 t e^{-a}) da ("bessel_pair_1d").
 
-    The truncated tails are bounded in the reported error estimate.
+    The quadrature runs at abs_tol = rel_tol = 1e-10, in the period's own
+    units, since no scale follows.  The truncated tails are bounded in the
+    reported error estimate.
     Non-convergent quadrature is reported on the returned sample, not
     raised.  t below a floor per n raises ValueError: about 8.5e-307,
     2.1e-205 and 6.2e-154 for n = 1, 2, 3, where the exponent cap or the
@@ -176,7 +174,7 @@ def exp_period_orthant(
 
         parametrization = "bessel_pair_1d"
 
-    return _sample(t, parametrization, integrate_1d(integrand, (-math.inf, math.inf), config))
+    return _sample(t, parametrization, integrate_1d(integrand, (-math.inf, math.inf)))
 
 
 @cache
@@ -195,7 +193,6 @@ def fano_prediction_polynomial(n: int) -> PeriodPolynomial:
 
 def fano_gamma_prediction(n: int, t: float) -> float:
     """Predicted orthant-period value at parameter t."""
-    _big_l(t)
+    big_l = _big_l(t)
     _check_n(n)
-    value = _prediction(n).evaluate_at_t(t)
-    return float(value.real)
+    return _prediction(n).evaluate(big_l).real

@@ -42,6 +42,7 @@ import collections
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -86,6 +87,10 @@ class QuadratureConfig:
             key: float(value) if isinstance(value, str) else value
             for key, value in data.items()
         })
+
+
+# what integrate_1d and integrate_2d run at when given no config
+_DEFAULT_CONFIG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -277,9 +282,17 @@ def _tail_cut(start: float, probes: list[float], mags: list[float]):
     return point, bound, probes
 
 
+def _target(value: float, cfg: QuadratureConfig) -> float:
+    """The error that value meets cfg's tolerance within; -inf for a
+    non-finite value, which no sum of errors meets."""
+    if not math.isfinite(value):
+        return -math.inf
+    return max(cfg.abs_tol, cfg.rel_tol * abs(value))
+
+
 def _meets_tolerance(error: float, value: float, cfg: QuadratureConfig) -> bool:
     """Whether error is within the target; a non-finite value never is."""
-    return math.isfinite(value) and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return error <= _target(value, cfg)
 
 
 def _at_float_width(a: float, b: float) -> bool:
@@ -361,11 +374,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
             total_val, total_err = _panel_sums(finished, heap)
             if _meets_tolerance(total_err + tail_bound, total_val, cfg):
                 break
-        # the round's target, once, as _meets_tolerance sets it: a
-        # non-finite value meets none, and no sum of errors falls to -inf
-        target = -math.inf
-        if math.isfinite(total_val):
-            target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        target = _target(total_val, cfg)
         children = {}  # to_args -> the children's boxes, in pop order
         while heap and splits < _MAX_SUBDIVISIONS:
             _, _, value, err, axis, box, to_args = heap[0]
@@ -422,7 +431,6 @@ def integrate_1d(
     over both halves.  The reported error estimate is the sum of
     per-panel nested-rule differences plus tail bounds.
     """
-    cfg = config or QuadratureConfig()
     a, b = (float(end) for end in interval)
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
@@ -447,7 +455,7 @@ def integrate_1d(
     # only a tail that cannot move from its start leaves a >= b; it has
     # no panel, and its bound is inf
     patches = [(initial, None)] if a < b else []
-    return _cubature(f, _panels_1d, patches, cfg, tail_bound, len(probes))
+    return _cubature(f, _panels_1d, patches, config or _DEFAULT_CONFIG, tail_bound, len(probes))
 
 
 # --- 2d domains ----------------------------------------------------------
@@ -688,8 +696,7 @@ def integrate_2d(
     _MAX_SUBDIVISIONS splits in all.  Value and error are the sums over
     all panels, and `converged` compares that error with the tolerance.
     """
-    cfg = config or QuadratureConfig()
-    return _cubature(f, _panels_2d, _patches(domain), cfg)
+    return _cubature(f, _panels_2d, _patches(domain), config or _DEFAULT_CONFIG)
 
 
 # --- asymptotic fits -----------------------------------------------------
@@ -705,6 +712,11 @@ class AsymptoticFit:
     sample_count: int = field(default=0)
 
     def predict(self, t: float) -> float:
+        """The fitted sum at t, which `fit_asymptotic` would take as a
+        sample's t: a number, not a bool, in (0, 1)."""
+        # NaN fails the range check too
+        if isinstance(t, (bool, np.bool_)) or not isinstance(t, numbers.Real) or not 0 < t < 1:
+            raise ValueError(f"t must be a number in (0, 1), got {t!r}")
         big_l = -math.log(t)
         return sum(c * big_l**k for k, c in self.coefficients.items())
 

@@ -1,0 +1,104 @@
+"""Checks that need numpy alone: the exact layer, two error integrals and
+two periods, the two ways a driver reports quadrature results.
+
+numpy is the package's only runtime dependency.  This file imports only
+the standard library, pytest and gammatrop, so it runs where the package
+is installed beside pytest alone, before the test extra brings in scipy,
+sympy and mpmath; the full suite runs it too.
+"""
+
+import math
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+from gammatrop import zeta_value
+from gammatrop.periods import (
+    MirrorFamily,
+    error_integral_dim2_b,
+    exp_period_orthant,
+    fano_gamma_prediction,
+    k3_period,
+    local_model_region_period,
+)
+from gammatrop.periods.types import _simplex_family as simplex_family
+from gammatrop.quadrature import QuadratureConfig
+from gammatrop.tropical import (
+    boundary_affine_area,
+    compact_chamber,
+    corner_locus,
+    edge_singularities,
+    tropicalize,
+)
+
+
+FAMILIES = {
+    "quartic": MirrorFamily("quartic_k3").laurent_family(),
+    "cubic": MirrorFamily("elliptic_cubic").laurent_family(),
+    "P^1": simplex_family(1),
+    "quintic": simplex_family(4),
+}
+
+
+@cache
+def chamber(name):
+    return compact_chamber(tropicalize(FAMILIES[name]))
+
+
+@cache
+def quintic_locus():
+    return corner_locus(tropicalize(FAMILIES["quintic"]), (-400, 400))
+
+
+def bounded_sum(dim):
+    cells = quintic_locus().cells_of_dim(dim)
+    return sum((c.affine_measure() for c in cells if c.bounded), Fraction(0))
+
+
+EXACT = {
+    "quartic boundary": (lambda: boundary_affine_area(chamber("quartic")), 32),
+    "quartic volume": (lambda: chamber("quartic").volume(), Fraction(32, 3)),
+    "quartic edge singularities": (lambda: len(edge_singularities(chamber("quartic"))), 24),
+    "cubic boundary": (lambda: boundary_affine_area(chamber("cubic")), 9),
+    "cubic volume": (lambda: chamber("cubic").volume(), Fraction(9, 2)),
+    "P^1 boundary": (lambda: boundary_affine_area(chamber("P^1")), 2),
+    "P^1 volume": (lambda: chamber("P^1").volume(), 2),
+    "quintic boundary": (lambda: boundary_affine_area(chamber("quintic")), Fraction(625, 6)),
+    "quintic volume": (lambda: chamber("quintic").volume(), Fraction(625, 24)),
+    "quintic locus bounded 1-cells": (lambda: bounded_sum(1), 50),
+    "quintic locus bounded 2-cells": (lambda: bounded_sum(2), 125),
+    "quintic locus bounded 3-cells": (lambda: bounded_sum(3), Fraction(625, 6)),
+}
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_chamber_invariant(name):
+    compute, want = EXACT[name]
+    assert compute() == want
+
+
+def test_dim2_b_length_chi_and_value():
+    # the pieces go from halfplane_polygon to ConvexPolygon
+    big_l = -math.log(1e-3)
+    value, length, chi = error_integral_dim2_b(((-4, 2), (-2, 2)), 1e-3)
+    assert (length, chi) == (6, 1)
+    assert abs(value - (6 * zeta_value(2) * big_l + zeta_value(3))) <= 1e-3
+
+
+def test_region_period_value():
+    predicted = 3.5 * math.log(1e-3) ** 2 - zeta_value(2)
+    assert abs(local_model_region_period(1, 1, 1, 1e-3) - predicted) <= 5e-3
+
+
+def test_k3_period_converged_value():
+    k3 = k3_period(1e-2, QuadratureConfig(1e-5, 1e-5))
+    assert k3.converged
+    assert abs(k3.value - (32 * math.log(1e-2) ** 2 - 24 * zeta_value(2))) <= 0.05
+
+
+def test_fano_period_n2_against_its_prediction():
+    fano = exp_period_orthant(2, 1e-3)
+    predicted = fano_gamma_prediction(2, 1e-3)
+    assert fano.converged
+    assert abs(fano.value - predicted) <= 1e-3 * abs(predicted)

@@ -1,6 +1,7 @@
 """Tests for period integrals and error integrals."""
 
 import collections
+import inspect
 import itertools
 import math
 import re
@@ -421,19 +422,38 @@ def test_error_dim2_b_off_locus():
     assert abs(v_fine) < abs(v_coarse)
 
 
+def test_drivers_take_no_config_but_k3():
+    # every driver but k3_period runs at the default tolerance of the
+    # quadrature; k3_period's callers use two
+    want = {
+        elliptic_period: ["t"],
+        pants_section_integral: ["x0", "x1", "t"],
+        exp_period_orthant: ["n", "t"],
+        error_integral_dim1: ["mode", "t"],
+        error_integral_dim2_a: ["mode", "t"],
+        error_integral_dim2_b: ["u_rect", "t"],
+        local_model_region_period: ["a1", "a2", "b", "t"],
+        k3_period: ["t", "config"],
+    }
+    for driver, names in want.items():
+        assert list(inspect.signature(driver).parameters) == names, driver.__name__
+
+
 def test_error_dim2_b_rejects_non_transversal():
-    # corner (-2,-2) of the square sits on the diagonal ray
-    with pytest.raises(ValueError):
+    # a bare number is no box
+    with pytest.raises(ValueError, match="box must be a sequence"):
         error_integral_dim2_b(2, 1e-3)
-    with pytest.raises(ValueError):
+    # corner (-2,-2) of the square sits on the diagonal ray
+    with pytest.raises(ValueError, match="locus passes through a corner of the rectangle"):
         error_integral_dim2_b((-2, 2), 1e-3)
     # wall x = 0 passes through the trivalent vertex at the origin
-    with pytest.raises(ValueError):
-        error_integral_dim2_b(((-2, 0), (-2, 2)), 1e-3)
-    # wall y1 = 0 contains a segment of the vertical ray
-    with pytest.raises(ValueError):
-        error_integral_dim2_b(((0, 2), (-2, 2)), 1e-3)
-    with pytest.raises(ValueError):
+    for box in (((-2, 0), (-2, 2)), ((0, 2), (-2, 2))):
+        with pytest.raises(ValueError, match="boundary passes through a vertex of the locus"):
+            error_integral_dim2_b(box, 1e-3)
+    # wall y1 = 0 contains a segment of the vertical ray, and not the vertex
+    with pytest.raises(ValueError, match="boundary contains a segment of the locus"):
+        error_integral_dim2_b(((0, 2), (1, 3)), 1e-3)
+    with pytest.raises(ValueError, match=r"t must lie in \(0, 1\)"):
         error_integral_dim2_b(((-4, 2), (-2, 2)), 0.0)
 
 
@@ -745,9 +765,8 @@ def test_pants_interval_endpoints():
 
 def test_pants_reports_nonconvergence(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
-    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=0.0)
     with pytest.raises(NonConvergenceError, match="pants section integral"):
-        pants_section_integral(-1.5, 0.7, 1e-3, cfg)
+        pants_section_integral(-1.5, 0.7, 1e-3)
 
 
 def test_pants_leading_slope():

@@ -1263,6 +1263,16 @@ def test_fit_recovers_exact_power_law():
     assert fit.predict(t) == pytest.approx(model(t), rel=1e-12)
 
 
+def test_fit_predict_takes_what_the_fit_takes():
+    samples = [(t, 9.0 * -math.log(t)) for t in sample_grid()]
+    fit = fit_asymptotic(samples, powers=(1,))
+    for t in (1.5, 1.0, 0.0, -0.5, math.nan, math.inf, True, np.bool_(True), "0.5", None):
+        with pytest.raises(ValueError, match="t must be a number in"):
+            fit.predict(t)
+    for t in (0.5, np.float64(1e-3), np.float32(0.25)):
+        assert fit.predict(t) == pytest.approx(9.0 * -math.log(t), rel=1e-12)
+
+
 def test_fit_with_pinned_coefficient():
     def model(t):
         L = -math.log(t)
