@@ -472,6 +472,9 @@ class ManifoldModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ManifoldModel":
+        unknown = sorted(set(data) - {"ambient", "degree"})
+        if unknown:
+            raise ValueError(f"unknown ManifoldModel keys: {unknown}")
         return cls(data["ambient"], data.get("degree"))
 
 

@@ -1,29 +1,22 @@
 """Period of the quartic mirror over its positive-real K3 cycle.
 
 In log coordinates the cycle is the boundary of the convex body
-Phi_t(w) = t^{w1+1} + t^{w2+1} + t^{w3+1} + t^{1-w1-w2-w3} <= 1, a graph
-rho(u) over the unit sphere around the origin (the body's symmetry
-center).  The residue 2-form pulled back to that radial chart gives
-value = L^3 * integral over S^2 of rho(u)^2 / (d Phi/d rho) d sigma(u).
+Phi_t(w) = t^{w1+1} + t^{w2+1} + t^{w3+1} + t^{1-w1-w2-w3} <= 1, which
+meets the ray through p at rho(p) p.  The residue 2-form pulled back to
+that radial chart gives value = L^3 * integral over S^2 of
+rho(u)^2 / (d Phi/d rho) d sigma(u).
 
-The sphere is charted by the radial projection of the 4 facets of
-compact_chamber(tropicalize(quartic)), the tetrahedron the body tends to
-as t -> 0; the terms of Phi are that chamber's facet forms.  Per unit
-area of a facet F the integrand tends to h_F / L, with h_F the distance
-of F's plane from the origin, so the facets sum to the leading term
-32 L^2, the lattice area of the chamber's boundary.  The -24 zeta(2)
-sits in bands of width about 1/L along the 6 edges, where two terms of
-Phi compete, and the facet charts run every edge along panel edges
-instead of across the panels.
-
-Along a ray u the exponents of Phi are affine in rho, so
-g(rho) = log Phi = log sum_i exp(-L (1 + rho s_i)), s_i = <slope_i, u>,
-is a log-sum-exp of affine functions and hence convex, with
-g(0) = log 4t < 0.  So g crosses zero once, with positive slope, and
-Newton's method started at a point where g >= 0 decreases monotonically
-to the crossing.  The chamber's gauge rho_0 = 1 / max_i(-s_i), where the
-ray leaves the chamber, is such a point: there every exponent is <= 0
-and the exit facet's term is 1, so the crossing lies in (0, rho_0].
+The rays are those through the boundary of compact_chamber(tropicalize
+(quartic)), the tetrahedron the body tends to as t -> 0, whose facet
+forms are the terms of Phi.  `Sphere` hands the integrand the facet point
+p and integrates in the cone measure, which gives the integral over S^2
+because rho^2 / (d Phi/d rho) is homogeneous of degree -3 in p.  On every
+facet the tropical integrand (Phi replaced by its largest term) is 1 / L,
+so the facets sum to the leading term L^2 sum |det(a, b, c)| / 2 = 32 L^2,
+the lattice area of the chamber's boundary.  The -24 zeta(2) sits in
+bands of width about 1/L along the 6 edges, where two terms of Phi
+compete, and the facet charts run every edge along panel edges instead of
+across the panels.
 """
 
 from __future__ import annotations
@@ -69,17 +62,21 @@ def _radial_root(slopes, big_l):
     """The radius rho of the crossing Phi = 1 along each ray, by Newton on
     log Phi, and d log Phi/d rho there.
 
-    The seed is the chamber's gauge rho_0 = 1 / max_i(-s_i).  The slopes
-    sum to 0 and span R^3, so max_i(-s_i) > 0, and rho_0 is at most the
-    chamber's circumradius sqrt(11).  At rho_0 no exponent of Phi is
-    positive and the exit facet's term is 1, so log Phi(rho_0) >= 0 and,
-    log Phi being convex, the Newton iterates fall monotonically onto the
-    crossing in (0, rho_0].  In floats m fl(1/m) rounds to 1 or just
-    below it, so a seed can sit a rounding inside the body; it is then the
-    crossing already, and its first step does not decrease it.  Each
-    element steps until its next step would not decrease it, which happens
-    once rounding has reached the crossing, so no step count or tolerance
-    enters.  The last pass evaluated the derivative at the returned rho.
+    Along the ray through p, with s_i = <slope_i, p>,
+    g(rho) = log Phi = log sum_i exp(-L (1 + rho s_i)) is a log-sum-exp of
+    affine functions, so convex, with g(0) = log 4t < 0.  The seed is the
+    chamber's gauge rho_0 = 1 / max_i(-s_i), where the ray leaves the
+    chamber: the slopes sum to 0 and span R^3, so max_i(-s_i) > 0, and at
+    a point of the chamber's boundary, where the exit facet's form 1 + s_i
+    is 0, rho_0 is 1 up to rounding.  At rho_0 no exponent of Phi is
+    positive and the exit facet's term is 1, so g(rho_0) >= 0: the crossing
+    is unique and in (0, rho_0], and the Newton iterates fall monotonically
+    onto it.  In floats m fl(1/m) rounds to 1 or just below it, so a seed
+    can sit a rounding inside the body; it is then the crossing already,
+    and its first step does not decrease it.  Each element steps until its
+    next step would not decrease it, which happens once rounding has
+    reached the crossing, so no step count or tolerance enters.  The last
+    pass evaluated the derivative at the returned rho.
     """
     rho = 1.0 / (-slopes).max(axis=0)
     while True:
@@ -97,19 +94,15 @@ def k3_period(
 ) -> PeriodSample:
     """Quartic-mirror period over the positive-real cycle at parameter t.
 
-    The radial coordinate of the cycle along each direction is the zero of
-    log Phi on rho in (0, rho_0], with rho_0 the radius at which the ray
-    leaves the compact chamber.  log Phi is convex along rays, equals
-    log 4t < 0 at rho = 0 and is >= 0 at rho_0, so the crossing is unique,
-    and Newton's method from rho_0 descends monotonically onto it; each
-    direction iterates until a step no longer decreases its rho.
+    The cycle's radius along the ray through each facet point is the
+    crossing of log Phi = 0 that `_radial_root` finds by Newton.
     Orientation is fixed so the value is positive; the asymptotic is
     32 L^2 - 24 zeta(2) + o(1).
     """
     big_l = _big_l(t, K3_T_MAX)
 
-    def integrand(nx, ny, nz):
-        slopes = np.array([nx * sx + ny * sy + nz * sz for sx, sy, sz in _SLOPES])
+    def integrand(x, y, z):
+        slopes = np.array([x * sx + y * sy + z * sz for sx, sy, sz in _SLOPES])
         rho, dg = _radial_root(slopes, big_l)
         # d Phi/d rho = Phi d log Phi/d rho, and Phi = 1 at the crossing
         return rho * rho / dg

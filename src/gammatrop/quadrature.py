@@ -18,9 +18,9 @@ in one product.  A panel's value is its fine sum, and its error is 1.5
 times the difference to the coarse one.  In 2d the domain is a list of
 patches, each a list of (u, v) boxes (u0, u1, v0, v1) with a map to the
 integrand's arguments and a jacobian.  Every patch is a triangle under
-the Duffy map of the unit square: for a convex polygon the fan of
-triangles from its first vertex, and for the unit sphere the radial
-projection of facet triangles whose cones from the origin tile space.
+the Duffy map of the unit square, and the integrand takes its point p:
+for a convex polygon the fan of triangles from its first vertex, and for
+a `Sphere` its facets, in the cone measure from the origin.
 A 2d panel takes the tensor product of the fine rule and an error from
 the coarse rule along each axis.  Its rule is one (3, 225) matrix on the
 15 x 15 node values, u major, of outer products of the 1d rows: fine by
@@ -497,14 +497,17 @@ class ConvexPolygon:
 
 
 class Sphere:
-    """Unit sphere, charted by the radial projection of triangles.
+    """The unit sphere as the cones from the origin of facet triangles.
 
     `facets` are triangles (a, b, c) in 3-space whose cones from the
-    origin tile space, such as the faces of a polytope around the origin;
-    integrands take the direction (nx, ny, nz).  A non-finite vertex, a
-    facet whose plane passes through the origin, facets whose solid
-    angles do not sum to 4 pi, or an edge (an unordered pair of vertices)
-    that is not shared by exactly two facets raise ValueError.
+    origin tile space, such as the faces of a polytope around the origin.
+    Integrands take the facet point p = a + x (b - a) + y (c - a) in the
+    cone measure |det(a, b, c)| dx dy, which integrates a g homogeneous of
+    degree -3, such as g(p / |p|) / |p|^3, as the unit sphere's area
+    measure does.  A non-finite vertex, a facet whose plane passes through
+    the origin, facets whose solid angles do not sum to 4 pi, or an edge
+    (an unordered pair of vertices) that is not shared by exactly two
+    facets raise ValueError.
     """
 
     def __init__(self, facets: Sequence[Sequence[tuple[float, float, float]]]):
@@ -547,12 +550,6 @@ def _det3(a, b, c) -> float:
     return _dot(a, cross)
 
 
-def _duffy(corner, e1, e2, u, v):
-    """The point corner + u ((1 - v) e1 + v e2); the edge u = 0 collapses onto corner."""
-    s = 1.0 - v
-    return tuple(o + u * (s * x + v * y) for o, x, y in zip(corner, e1, e2))
-
-
 # Each sphere facet starts as 6 boxes, cut at u = 3/4 and v = 1/4, 3/4, so
 # that every facet edge (u = 1, v = 0, v = 1) lies in a thin panel.  A band
 # along an edge that is narrower than the gap between a box's edge and its
@@ -566,39 +563,30 @@ _FACET_BOXES = tuple(
 
 
 def _patches(domain) -> list[tuple[Sequence[tuple[float, float, float, float]], Callable]]:
-    """The domain as lists of (u, v) boxes, each with a map to (arguments, jacobian)."""
-    patches = []
+    """The domain as lists of (u, v) boxes, each with a map to (arguments, jacobian):
+    a Duffy triangle's point p, and u |det(b - a, c - a)| on a fan triangle
+    or the cone measure u |det(a, b, c)| on a `Sphere` facet."""
     if isinstance(domain, Sphere):
-        for a, b, c in domain.facets:
-            e1 = tuple(q - p for p, q in zip(a, b))
-            e2 = tuple(q - p for p, q in zip(a, c))
-            det = abs(_det3(a, b, c))
+        boxes, triangles = _FACET_BOXES, domain.facets
+    elif isinstance(domain, ConvexPolygon):
+        a, *rest = domain.vertices
+        boxes, triangles = [(0.0, 1.0, 0.0, 1.0)], [(a, b, c) for b, c in zip(rest, rest[1:])]
+    else:
+        raise ValueError(f"unsupported 2d domain: {domain!r}")
+    patches = []
+    for a, b, c in triangles:
+        e1 = tuple(q - p for p, q in zip(a, b))
+        e2 = tuple(q - p for p, q in zip(a, c))
+        w = abs(_det3(a, b, c) if len(a) == 3 else e1[0] * e2[1] - e1[1] * e2[0])
+        if w == 0.0:  # collinear fan vertices
+            continue
 
-            def radial(u, v, a=a, e1=e1, e2=e2, det=det):
-                # the plane's area element u |e1 x e2| seen from the
-                # origin is the solid angle u |det| / |p|^3
-                x, y, z = _duffy(a, e1, e2, u, v)
-                r2 = x * x + y * y + z * z
-                r = np.sqrt(r2)
-                return (x / r, y / r, z / r), u * det / (r2 * r)
+        def chart(u, v, a=a, e1=e1, e2=e2, w=w):
+            s = 1.0 - v
+            return tuple(o + u * (s * x + v * y) for o, x, y in zip(a, e1, e2)), u * w
 
-            patches.append((_FACET_BOXES, radial))
-        return patches
-    if isinstance(domain, ConvexPolygon):
-        (x0, y0), *rest = domain.vertices
-        for (x1, y1), (x2, y2) in zip(rest, rest[1:]):
-            ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
-            det = abs(ax * by - ay * bx)
-            if det == 0.0:
-                # collinear vertices: the fan triangle has no area
-                continue
-
-            def duffy(u, v, ax=ax, ay=ay, bx=bx, by=by, det=det):
-                return _duffy((x0, y0), (ax, ay), (bx, by), u, v), u * det
-
-            patches.append(([(0.0, 1.0, 0.0, 1.0)], duffy))
-        return patches
-    raise ValueError(f"unsupported 2d domain: {domain!r}")
+        patches.append((boxes, chart))
+    return patches
 
 
 def _panels_2d(f, patches):
@@ -673,20 +661,20 @@ def integrate_2d(
     domain,
     config: QuadratureConfig | None = None,
 ) -> IntegrationResult:
-    """Global adaptive integral over a convex polygon or the unit sphere.
+    """Global adaptive integral over a convex polygon or a `Sphere`.
 
     The integrand must be elementwise, and it receives 1d arrays of equal
-    shape: f(x, y) for a `ConvexPolygon` and f(nx, ny, nz) for the
-    `Sphere`.  The domain is cut into patches, each a triangle (a, b, c)
-    as the unit square under the Duffy map
-    p = a + u ((1 - v) (b - a) + v (c - a)), with a map to the integrand's
-    arguments and its jacobian.  For a polygon the triangles are the fan
-    from vertex 0, the first vertex its caller gave (see `ConvexPolygon`),
-    with jacobian u |det(b - a, c - a)|, so a peak or a point singularity
-    at that vertex sits at the collapsed edge u = 0 of every triangle.
-    For the sphere they are its facets, and the direction p / |p| has
-    jacobian u |det(a, b, c)| / |p|^3; each facet starts as 6 boxes, so
-    that its edges lie in thin panels.
+    shape, the coordinates of the point p: f(x, y) for a `ConvexPolygon`
+    and f(x, y, z) for a `Sphere`.  The domain is cut into patches, each a
+    triangle (a, b, c) as the unit square under the Duffy map
+    p = a + u ((1 - v) (b - a) + v (c - a)), with jacobian u w.  For a
+    polygon the triangles are the fan from vertex 0, the first vertex its
+    caller gave (see `ConvexPolygon`), with w = |det(b - a, c - a)|, so a
+    peak or a point singularity at that vertex sits at the collapsed edge
+    u = 0 of every triangle.  For a `Sphere` they are its facets, with
+    w = |det(a, b, c)|: f is integrated in the facets' cone measure, which
+    for f homogeneous of degree -3 is its integral over the unit sphere.
+    Each facet starts as 6 boxes, so that its edges lie in thin panels.
 
     Every box is a panel of one heap, evaluated by the tensor product of
     the fine rule; all initial boxes take one integrand call.  Each round
@@ -702,6 +690,11 @@ def integrate_2d(
 # --- asymptotic fits -----------------------------------------------------
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number; a float array would read a bool or parse a string."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class AsymptoticFit:
     """Least-squares fit of samples (t, value) to sum_k c_k L^k, L = -log t."""
@@ -715,7 +708,7 @@ class AsymptoticFit:
         """The fitted sum at t, which `fit_asymptotic` would take as a
         sample's t: a number, not a bool, in (0, 1)."""
         # NaN fails the range check too
-        if isinstance(t, (bool, np.bool_)) or not isinstance(t, numbers.Real) or not 0 < t < 1:
+        if not _is_real(t) or not 0 < t < 1:
             raise ValueError(f"t must be a number in (0, 1), got {t!r}")
         big_l = -math.log(t)
         return sum(c * big_l**k for k, c in self.coefficients.items())
@@ -728,14 +721,16 @@ def fit_asymptotic(
 ) -> AsymptoticFit:
     """Fit sampled values against powers of L = -log t.
 
-    fixed pins selected coefficients, each finite and not a bool; only the
-    remaining ones are free.  Each sample's t and value must be finite
-    numbers, not bools.
-    Requires more samples than powers and a decently spread t-grid
-    (max L / min L >= 1.5), otherwise the normal equations are too close
-    to degenerate to trust.
+    powers are ints, not bools, and may be negative.  fixed pins selected
+    coefficients, each finite and not a bool; only the remaining ones are
+    free.  Each sample's t and value must be finite real numbers, not
+    bools or strings.  Requires more samples than powers and a decently
+    spread t-grid (max L / min L >= 1.5), otherwise the normal equations
+    are too close to degenerate to trust.
     """
     powers = list(powers)
+    if any(isinstance(k, bool) or not isinstance(k, int) for k in powers):
+        raise ValueError(f"powers must be ints, got {powers}")
     if len(set(powers)) != len(powers):
         raise ValueError("powers must be distinct")
     fixed = dict(fixed or {})
@@ -744,16 +739,17 @@ def fit_asymptotic(
             raise ValueError(f"fixed power {k} not among powers {powers}")
         # as for the samples: a NaN or inf pin would make every coefficient
         # NaN, and True is no coefficient
-        if isinstance(c, (bool, np.bool_)) or not math.isfinite(c):
+        if not _is_real(c) or not math.isfinite(c):
             raise ValueError(f"fixed coefficient of L^{k} must be a finite number, got {c!r}")
     if len(samples) < len(powers) + 1:
         raise ConditioningError(
             f"need at least {len(powers) + 1} samples for {len(powers)} powers, "
             f"got {len(samples)}"
         )
-    # as for the pins: the float arrays below would read True as 1.0
-    if any(isinstance(x, (bool, np.bool_)) for s in samples for x in (s[0], s[1])):
-        raise ValueError("samples must be numbers, got a bool")
+    # as for the pins: the float arrays below would read True as 1.0 and
+    # parse "0.5"
+    if not all(_is_real(x) for s in samples for x in (s[0], s[1])):
+        raise ValueError("samples must be real numbers, not bools or strings")
     ts = np.array([s[0] for s in samples], dtype=float)
     vals = np.array([s[1] for s in samples], dtype=float)
     # NaN passes the range check below, and lstsq would not reject it

@@ -156,6 +156,12 @@ class LaurentFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaurentFamily":
+        unknown = sorted(set(data) - {"dim", "terms"})
+        unknown += sorted({k for entry in data["terms"] for k in entry} - {"coeff", "texp", "exp"})
+        if unknown:
+            raise ValueError(f"unknown LaurentFamily keys: {unknown}")
+        if isinstance(data["dim"], bool) or not isinstance(data["dim"], int):
+            raise TypeError(f"dim must be an int, got {data['dim']!r}")
         terms = []
         for entry in data["terms"]:
             re, im = entry["coeff"]

@@ -799,3 +799,11 @@ def test_model_validation():
         with pytest.raises(TypeError):
             ManifoldModel.from_json_dict({"ambient": ambient, "degree": degree})
     assert ManifoldModel.from_json_dict(ManifoldModel(4, 5).to_json_dict()) == ManifoldModel(4, 5)
+
+
+def test_model_json_rejects_unknown_keys():
+    # a misspelt degree read as P^4, with no error
+    for data in ({"ambient": 4, "degre": 5}, {"ambient": 4, "degree": 5, "kind": "quintic"}):
+        with pytest.raises(ValueError, match="unknown ManifoldModel keys: \\['(degre|kind)'\\]"):
+            ManifoldModel.from_json_dict(data)
+    assert ManifoldModel.from_json_dict({"ambient": 4}) == ManifoldModel(4)

@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gammatrop.quadrature import (
     _RULE_ORDER,
     _at_float_width,
     _cubature,
+    _det3,
     _find_tail_cutoffs,
     _interior_cosine_rule,
     _meets_tolerance,
@@ -36,6 +38,7 @@ from gammatrop.quadrature import (
     integrate_1d,
     integrate_2d,
 )
+from gammatrop.tropical import boundary_affine_area
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -71,6 +74,18 @@ TETRAHEDRON = Sphere((
 ))
 # a constant takes about 177k evaluations at the default tolerance 1e-10
 SPHERE_CONFIG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+
+
+def on_unit_sphere(g):
+    """g(n) of the direction n as a `Sphere` integrand of the facet point p:
+    g(p / |p|) / |p|^3, homogeneous of degree -3, so the facets' cone
+    measure integrates it as the unit sphere's area measure integrates g."""
+
+    def f(x, y, z):
+        r = np.sqrt(x * x + y * y + z * z)
+        return g(x / r, y / r, z / r) / (r * r * r)
+
+    return f
 
 
 def identity_chart(u, v):
@@ -534,9 +549,9 @@ PLANAR_INTEGRANDS = (
     lambda x, y: np.abs(x - 0.3) + y,
 )
 SPHERE_INTEGRANDS = (
-    lambda nx, ny, nz: nz * nz,
-    lambda nx, ny, nz: np.exp(nx + ny * nz),
-    lambda nx, ny, nz: 1.0 / (1.05 - nx),
+    on_unit_sphere(lambda nx, ny, nz: nz * nz),
+    on_unit_sphere(lambda nx, ny, nz: np.exp(nx + ny * nz)),
+    on_unit_sphere(lambda nx, ny, nz: 1.0 / (1.05 - nx)),
 )
 
 
@@ -863,7 +878,7 @@ def test_polygon_fan_apex_is_the_first_vertex_given():
 
 def test_sphere_surface_area():
     for sphere in (OCTAHEDRON, TETRAHEDRON):
-        result = integrate_2d(lambda nx, ny, nz: 1.0, sphere, SPHERE_CONFIG)
+        result = integrate_2d(on_unit_sphere(lambda nx, ny, nz: 1.0), sphere, SPHERE_CONFIG)
         assert result.converged
         assert abs(result.value - 4.0 * math.pi) <= result.error_estimate
         assert result.value == pytest.approx(4.0 * math.pi, rel=1e-10)
@@ -872,7 +887,7 @@ def test_sphere_surface_area():
 def test_sphere_second_moment():
     # integral of z^2 over the unit sphere is 4 pi / 3
     for sphere in (OCTAHEDRON, TETRAHEDRON):
-        result = integrate_2d(lambda nx, ny, nz: nz * nz, sphere, SPHERE_CONFIG)
+        result = integrate_2d(on_unit_sphere(lambda nx, ny, nz: nz * nz), sphere, SPHERE_CONFIG)
         assert result.converged
         assert abs(result.value - 4.0 * math.pi / 3.0) <= result.error_estimate
         assert result.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-10)
@@ -896,8 +911,49 @@ def test_sphere_validation():
             Sphere(bad)
     # orientation and the order of the facets do not matter
     flipped = Sphere([(a, c, b) for a, b, c in reversed(octahedron)])
-    result = integrate_2d(lambda nx, ny, nz: nz * nz, flipped, SPHERE_CONFIG)
+    result = integrate_2d(on_unit_sphere(lambda nx, ny, nz: nz * nz), flipped, SPHERE_CONFIG)
     assert result.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-10)
+
+
+def test_the_constant_integrates_to_the_cone_measure():
+    # a facet (a, b, c) has cone measure |det(a, b, c)| / 2: 4 on the
+    # octahedron and 32 on the K3 chamber, where the unit sphere's area
+    # measure would read 4 pi on both
+    for sphere, measure in ((OCTAHEDRON, 4.0), (K3_SPHERE, 32.0)):
+        assert math.fsum(abs(_det3(*facet)) for facet in sphere.facets) / 2 == measure
+        result = integrate_2d(lambda x, y, z: 1.0, sphere, SPHERE_CONFIG)
+        assert result.converged
+        assert abs(result.value - measure) <= result.error_estimate
+
+
+def test_the_k3_cone_measure_is_the_chamber_boundary_area():
+    # exactly: the tropical limit of the facet charts is the paper's count
+    dets = [abs(_det3(a, b, c)) for a, b, c in k3._FACETS]
+    assert all(isinstance(det, Fraction) for det in dets)
+    assert sum(dets) / 2 == boundary_affine_area(k3._CHAMBER) == 32
+
+
+@pytest.mark.parametrize("t", (1e-2, 1e-30))
+def test_k3_integrand_is_homogeneous_of_degree_minus_3(t, monkeypatch):
+    # which is when the cone measure gives the integral over the unit sphere
+    integrands, nodes = [], []
+
+    def captured(f, domain, config):
+        integrands.append(f)
+        return IntegrationResult(1.0, 0.0, 1, True)
+
+    def recorded(*p):
+        nodes.append(p)
+        return 0.0
+
+    monkeypatch.setattr(k3, "integrate_2d", captured)
+    k3_period(t)
+    [f] = integrands
+    _panels_2d(recorded, _patches(K3_SPHERE))
+    [p] = nodes
+    value, doubled = f(*p), f(*(2.0 * c for c in p))
+    assert np.all(value > 0.0)
+    assert np.all(np.abs(8.0 * doubled - value) <= 4.0 * np.spacing(value))
 
 
 def integrate_domain(f, domain, config=None):
@@ -913,8 +969,8 @@ TRIANGLE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 CASES = (
     ((-8.0, 8.0, -8.0, 8.0), lambda x, y: np.exp(-x * x - y * y - x * y)),
     (TRIANGLE, lambda x, y: np.cos(3.0 * x * y) + x),
-    (OCTAHEDRON, lambda nx, ny, nz: np.exp(nx + ny * nz)),
-    (TETRAHEDRON, lambda nx, ny, nz: np.exp(nx + ny * nz)),
+    (OCTAHEDRON, on_unit_sphere(lambda nx, ny, nz: np.exp(nx + ny * nz))),
+    (TETRAHEDRON, on_unit_sphere(lambda nx, ny, nz: np.exp(nx + ny * nz))),
 )
 
 
@@ -986,8 +1042,8 @@ def test_the_subdivision_cap_bounds_the_splits(cap, monkeypatch):
 @pytest.mark.parametrize(
     "domain, f",
     (
-        (OCTAHEDRON, lambda nx, ny, nz: nz * nz),
-        (TETRAHEDRON, lambda nx, ny, nz: nz * nz),
+        (OCTAHEDRON, on_unit_sphere(lambda nx, ny, nz: nz * nz)),
+        (TETRAHEDRON, on_unit_sphere(lambda nx, ny, nz: nz * nz)),
         ((-8.0, 8.0, -8.0, 8.0), lambda x, y: np.exp(-x * x - y * y)),
         (TRIANGLE, lambda x, y: 1.0),
     ),
@@ -1339,6 +1395,42 @@ def test_fit_rejects_a_bool_sample(bad):
     for sample in ((bad, 1.0), (ts[0], bad)):
         with pytest.raises(ValueError, match="bool"):
             fit_asymptotic(samples + [sample], powers=(1, 0))
+
+
+@pytest.mark.parametrize(
+    "bad", ("0.5", b"0.5", None, 1j), ids=["str", "bytes", "None", "complex"]
+)
+def test_fit_rejects_a_sample_that_is_no_real_number(bad):
+    # a float array parsed a string: string t's and values both fit L as 9
+    ts = sample_grid()
+    for samples in (
+        [(str(t), 9.0 * -math.log(t)) for t in ts],
+        [(t, str(9.0 * -math.log(t))) for t in ts],
+    ):
+        with pytest.raises(ValueError, match="real numbers"):
+            fit_asymptotic(samples, powers=(1,))
+    samples = [(t, -math.log(t)) for t in ts]
+    for sample in ((bad, 1.0), (ts[0], bad)):
+        with pytest.raises(ValueError, match="real numbers"):
+            fit_asymptotic(samples + [sample], powers=(1, 0))
+
+
+def test_fit_rejects_a_bool_power():
+    # True fitted L^1 under the key True
+    samples = [(t, -math.log(t)) for t in sample_grid()]
+    for powers in ((True,), (False, 1), (np.True_,)):
+        with pytest.raises(ValueError, match="powers must be ints"):
+            fit_asymptotic(samples, powers=powers)
+
+
+def test_fit_rejects_a_power_that_is_no_int():
+    # 1.5 fitted L^1.5, which is no term of sum c_k L^k; negative powers stay
+    samples = [(t, -math.log(t) + 2.0 / -math.log(t)) for t in sample_grid()]
+    for powers in ((1.5,), (1, 0.0), ("1",), (Fraction(1),)):
+        with pytest.raises(ValueError, match="powers must be ints"):
+            fit_asymptotic(samples, powers=powers)
+    fit = fit_asymptotic(samples, powers=(1, -1))
+    assert fit.coefficients[-1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_fit_result_shape():

@@ -322,6 +322,21 @@ def test_laurent_family_json_roundtrip():
     assert back == fam
 
 
+def test_laurent_family_json_rejects_unknown_keys_and_a_bool_dim():
+    data = elliptic_family().to_json_dict()
+    terms = [dict(entry) for entry in data["terms"]]
+    terms[1]["exps"] = [0, 1]
+    for bad, key in ((dict(data, dims=2), "dims"), (dict(data, terms=terms), "exps")):
+        with pytest.raises(ValueError, match=f"unknown LaurentFamily keys: \\['{key}'\\]"):
+            LaurentFamily.from_json_dict(bad)
+    # a one-variable family read True as its dimension 1
+    line = LaurentFamily(terms=(LaurentTerm(1, Fraction(1), (1,)), LaurentTerm(-1, Fraction(0), (0,))))
+    for dim in (True, 1.0):
+        with pytest.raises(TypeError, match="dim must be an int"):
+            LaurentFamily.from_json_dict(dict(line.to_json_dict(), dim=dim))
+    assert LaurentFamily.from_json_dict(line.to_json_dict()) == line
+
+
 def test_tropicalize_keeps_fractional_offsets():
     fam = LaurentFamily(terms=(
         LaurentTerm(1, Fraction(3, 2), (1,)),
