@@ -13,9 +13,7 @@ class StructureError(GammatropError):
     """A geometric object does not have the expected structure.
 
     Raised by `tropical.compact_chamber` when a tropical polynomial has
-    no bounded chamber or more than one, and by the root bisection in
-    `periods.curves` when its bracket has no sign change, so the real
-    oval of the elliptic family cannot be located.
+    no bounded chamber or more than one.
     """
 
 

@@ -18,11 +18,18 @@ from typing import Sequence
 Rational = int | Fraction
 
 
+def _as_int(x) -> int:
+    """`operator.index`, except that a bool raises TypeError, not 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an int, got the bool {x}")
+    return index(x)
+
+
 def _as_fraction(x: Rational) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(_as_int(x))
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -37,15 +44,15 @@ class AffineForm:
     """The function w |-> <slope, w> + offset on Q^n.
 
     Slopes are integer vectors (monomial exponents), and a non-integer
-    entry raises TypeError; offsets are rational (powers of t are allowed
-    to be fractional).
+    or bool entry raises TypeError; offsets are rational (powers of t are
+    allowed to be fractional).
     """
 
     slope: tuple[int, ...]
     offset: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", tuple(index(s) for s in self.slope))
+        object.__setattr__(self, "slope", tuple(_as_int(s) for s in self.slope))
         object.__setattr__(self, "offset", _as_fraction(self.offset))
 
     @property
@@ -90,7 +97,8 @@ class TropicalPolynomial:
 
 @dataclass(frozen=True)
 class LaurentTerm:
-    """One monomial c * t^t_exponent * X^exponent; exponents are ints."""
+    """One monomial c * t^t_exponent * X^exponent; the exponents are ints,
+    the t-power an int or a Fraction, and a float or bool raises TypeError."""
 
     coefficient: complex
     t_exponent: Fraction
@@ -102,7 +110,7 @@ class LaurentTerm:
             raise ValueError(f"terms must have nonzero finite coefficients, got {coefficient}")
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "t_exponent", _as_fraction(self.t_exponent))
-        object.__setattr__(self, "exponent", tuple(index(e) for e in self.exponent))
+        object.__setattr__(self, "exponent", tuple(_as_int(e) for e in self.exponent))
 
 
 @dataclass(frozen=True)
@@ -165,13 +173,11 @@ class LaurentFamily:
         terms = []
         for entry in data["terms"]:
             re, im = entry["coeff"]
-            terms.append(
-                LaurentTerm(
-                    coefficient=complex(re, im),
-                    t_exponent=Fraction(entry["texp"]),
-                    exponent=tuple(entry["exp"]),
-                )
-            )
+            # a t-power is a string or an int; LaurentTerm rejects a float,
+            # which Fraction would read by its binary value, and a bool
+            texp = entry["texp"]
+            texp = Fraction(texp) if isinstance(texp, str) else texp
+            terms.append(LaurentTerm(complex(re, im), texp, tuple(entry["exp"])))
         family = cls(terms=tuple(terms))
         if family.dim != data["dim"]:
             raise ValueError("declared dimension disagrees with the terms")
@@ -198,10 +204,10 @@ def monomial_substitution(
 
     For A in GL(n, Z) this is a torus automorphism; the tropicalization
     of the substituted family at w equals the original at A^T w.  The
-    entries of A must be ints.
+    entries of A must be ints; a bool raises TypeError.
     """
     n = family.dim
-    rows = [tuple(index(a) for a in row) for row in matrix]
+    rows = [tuple(_as_int(a) for a in row) for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"matrix must be {n} x {n}")
     terms = tuple(

@@ -216,7 +216,6 @@ class Cell:
 
 @dataclass(frozen=True)
 class CellComplex:
-    polynomial: TropicalPolynomial
     box: tuple[tuple[Fraction, Fraction], ...]
     cells: tuple[Cell, ...]
 
@@ -250,7 +249,7 @@ def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
             if cell is not None:
                 cells.append(cell)
     cells.sort(key=lambda c: (c.dim, c.active))
-    return CellComplex(polynomial=p, box=bounds, cells=tuple(cells))
+    return CellComplex(box=bounds, cells=tuple(cells))
 
 
 def _cell_for_subset(

@@ -1,5 +1,7 @@
 """Checks that need numpy alone: the exact layer, two error integrals and
-two periods, the two ways a driver reports quadrature results.
+three periods: the K3 and Fano periods, the two ways a driver reports
+quadrature results, and the elliptic period, whose branch points are
+fixed points of contractions.
 
 numpy is the package's only runtime dependency.  This file imports only
 the standard library, pytest and gammatrop, so it runs where the package
@@ -16,6 +18,7 @@ import pytest
 from gammatrop import zeta_value
 from gammatrop.periods import (
     MirrorFamily,
+    elliptic_period,
     error_integral_dim2_b,
     exp_period_orthant,
     fano_gamma_prediction,
@@ -102,3 +105,9 @@ def test_fano_period_n2_against_its_prediction():
     predicted = fano_gamma_prediction(2, 1e-3)
     assert fano.converged
     assert abs(fano.value - predicted) <= 1e-3 * abs(predicted)
+
+
+def test_elliptic_period_is_nine_l():
+    sample = elliptic_period(1e-2)
+    assert sample.converged
+    assert abs(sample.value - 9 * sample.big_l) <= 1e-3

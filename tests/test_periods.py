@@ -19,11 +19,7 @@ import gammatrop.periods.fano as fano
 import gammatrop.periods.k3 as k3
 import gammatrop.quadrature as quadrature
 from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial, log_gamma_series_exact
-from gammatrop.errors import (
-    NonConvergenceError,
-    StructureError,
-    UnsupportedDimensionError,
-)
+from gammatrop.errors import NonConvergenceError, UnsupportedDimensionError
 from gammatrop.periods import (
     ELLIPTIC_T_MAX,
     FAMILY_KINDS,
@@ -849,22 +845,38 @@ def test_elliptic_small_t_is_nine_l(t):
 
 
 def test_elliptic_rejects_t_below_the_normal_floor():
-    # 4 t^3, the constant of the cubic whose roots frame the oval, is
-    # subnormal there
+    # chart 1 spans log(1/(2t X_-)) ~ log(1/(8 t^3)), and e to that power
+    # overflows just below the floor where 4 t^3 is a normal float
     with pytest.raises(ValueError):
         elliptic_period(1e-110)
 
 
-def test_bisect_root_rejects_a_bracket_without_a_sign_change():
-    def f(x):
-        return x - 1.0
+@pytest.mark.parametrize("t", np.geomspace(2e-103, ELLIPTIC_T_MAX, 60))
+def test_oval_roots_bracket_a_sign_change_of_their_cubics(t):
+    # each cubic is evaluated exactly, so the check does not lean on any
+    # float root-finder: 4 ulps either side of each root, it changes sign
+    t = float(t)
+    q = Fraction(t)
+    x_low, sigma_plus, sigma_neg = curves._oval_roots(t)
 
-    assert curves._bisect_root(f, 0.0, 2.0) == (math.nextafter(1.0, 0.0), 1.0)
-    # f(lo) < 0 <= f(hi) is required; here both ends are positive, the
-    # signs are reversed, or the root sits at lo
-    for lo, hi in ((2.0, 3.0), (2.0, 0.0), (1.0, 2.0)):
-        with pytest.raises(StructureError, match="root bracket failed"):
-            curves._bisect_root(f, lo, hi)
+    # g increases through X_-, h increases through sigma_+ and decreases
+    # through sigma_-
+    def g(x):
+        return x * (1 - q * x) ** 2 - 4 * q * q
+
+    def h(sigma):
+        return (1 - sigma) * sigma * sigma - 4 * q**3
+
+    def bracket(root):
+        margin = 4 * Fraction(math.ulp(root))
+        return Fraction(root) - margin, Fraction(root) + margin
+
+    lo, hi = bracket(x_low)
+    assert 0 < lo and g(lo) < 0 < g(hi) and hi < 1 / (2 * q)
+    lo, hi = bracket(sigma_plus)
+    assert 0 < lo and h(lo) < 0 < h(hi) and hi < Fraction(1, 2)
+    lo, hi = bracket(sigma_neg)
+    assert -Fraction(1, 2) < lo and h(lo) > 0 > h(hi) and hi < 0
 
 
 def test_k3_period_matches_asymptotic():

@@ -302,6 +302,20 @@ def test_laurent_family_validation():
     assert LaurentTerm(1, Fraction(0), (2, -1)).exponent == (2, -1)
 
 
+def test_bools_are_not_exponents_slopes_or_t_powers():
+    # operator.index(True) is 1, so each of these read True as 1
+    for build in (
+        lambda: LaurentTerm(1, Fraction(0), (True, 0)),
+        lambda: LaurentTerm(1, True, (1, 0)),
+        lambda: AffineForm((False, 1), Fraction(0)),
+        lambda: AffineForm((1, 0), True),
+        lambda: monomial_substitution(elliptic_family(), [[True, 0], [0, 1]]),
+        lambda: AffineForm((1, 0), Fraction(0)).value((2, True)),
+    ):
+        with pytest.raises(TypeError, match="bool"):
+            build()
+
+
 def test_laurent_family_evaluate():
     fam = elliptic_family()
     t = 0.01
@@ -335,6 +349,23 @@ def test_laurent_family_json_rejects_unknown_keys_and_a_bool_dim():
         with pytest.raises(TypeError, match="dim must be an int"):
             LaurentFamily.from_json_dict(dict(line.to_json_dict(), dim=dim))
     assert LaurentFamily.from_json_dict(line.to_json_dict()) == line
+
+
+def test_laurent_family_json_reads_exact_t_powers_and_int_exponents():
+    line = LaurentFamily(terms=(LaurentTerm(1, Fraction(1, 10), (1,)), LaurentTerm(-1, 0, (0,))))
+    data = line.to_json_dict()
+    assert data["terms"][0]["texp"] == "1/10"
+    for texp in ("1/10", "0.1"):
+        entry = dict(data["terms"][0], texp=texp)
+        assert LaurentFamily.from_json_dict(dict(data, terms=[entry, data["terms"][1]])) == line
+    entry = dict(data["terms"][1], texp=0)
+    assert LaurentFamily.from_json_dict(dict(data, terms=[data["terms"][0], entry])) == line
+    # a float t-power was read by its binary value, 0.1 as
+    # 3602879701896397/36028797018963968, and a bool as 0 or 1
+    for key, bad in (("texp", 0.1), ("texp", True), ("exp", [True])):
+        entry = dict(data["terms"][0], **{key: bad})
+        with pytest.raises(TypeError):
+            LaurentFamily.from_json_dict(dict(data, terms=[entry, data["terms"][1]]))
 
 
 def test_tropicalize_keeps_fractional_offsets():
