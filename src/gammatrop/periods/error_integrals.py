@@ -89,7 +89,7 @@ def local_model_region_period(a1: float, a2: float, b: float, t: float) -> float
     base = float(a1) + float(a2)
 
     def integrand(y):
-        return base + np.minimum(0.0, y) - np.log1p(np.exp(-big_l * np.abs(y))) / big_l
+        return base + np.minimum(0.0, y) - _softplus(-big_l * np.abs(y)) / big_l
 
     res = integrate_1d(integrand, (-float(b), float(b)))
     return _require_converged(res, "region-period quadrature", big_l * big_l)

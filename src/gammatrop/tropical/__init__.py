@@ -7,8 +7,9 @@ computed in exact rational arithmetic.  Corner loci and chambers are
 found in any ambient dimension; a corner-locus cell is its active set,
 its sorted vertices and whether it is bounded, and a `halfplane_polygon`
 is its sorted vertices.  Each exact job is written once: one row
-clearing, one vertex kernel, one cone-ray search for recession
-directions and hull facets, one lattice measure.
+clearing, one vertex kernel, one region cutter, whose single-form cell
+is the compact chamber, one facet search, the hull's, and one lattice
+measure.
 """
 
 from .forms import (

@@ -18,11 +18,16 @@ from typing import Sequence
 Rational = int | Fraction
 
 
+def _not_bool(x):
+    """x itself; a bool raises TypeError, since it would read as 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected a number, got the bool {x}")
+    return x
+
+
 def _as_int(x) -> int:
     """`operator.index`, except that a bool raises TypeError, not 0 or 1."""
-    if isinstance(x, bool):
-        raise TypeError(f"expected an int, got the bool {x}")
-    return index(x)
+    return index(_not_bool(x))
 
 
 def _as_fraction(x: Rational) -> Fraction:
@@ -30,7 +35,7 @@ def _as_fraction(x: Rational) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(_as_int(x))
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
 def _point(w: Sequence[Rational], dim: int) -> tuple[Fraction, ...]:
@@ -98,14 +103,15 @@ class TropicalPolynomial:
 @dataclass(frozen=True)
 class LaurentTerm:
     """One monomial c * t^t_exponent * X^exponent; the exponents are ints,
-    the t-power an int or a Fraction, and a float or bool raises TypeError."""
+    the t-power an int or a Fraction, and a float or bool raises TypeError;
+    a bool coefficient raises TypeError too."""
 
     coefficient: complex
     t_exponent: Fraction
     exponent: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coefficient = complex(self.coefficient)
+        coefficient = complex(_not_bool(self.coefficient))
         if coefficient == 0 or not cmath.isfinite(coefficient):
             raise ValueError(f"terms must have nonzero finite coefficients, got {coefficient}")
         object.__setattr__(self, "coefficient", coefficient)
@@ -172,7 +178,7 @@ class LaurentFamily:
             raise TypeError(f"dim must be an int, got {data['dim']!r}")
         terms = []
         for entry in data["terms"]:
-            re, im = entry["coeff"]
+            re, im = map(_not_bool, entry["coeff"])
             # a t-power is a string or an int; LaurentTerm rejects a float,
             # which Fraction would read by its binary value, and a bool
             texp = entry["texp"]

@@ -9,10 +9,11 @@ Every measure, in any ambient dimension, is one rule: a simplex has the
 gcd of the maximal minors of its cleared edge vectors over D^k k!
 (`_simplex_measure`), and any other face is the sum over its pulling
 triangulation from its least point (`_pulling`), whose sub-faces are read
-from the facet incidence sets of its polytope (`_subfaces`).  A compact
-chamber brings its incidence; a bare point set finds its hull's facets
-once, in coordinates on its affine span, and measures in its own, so no
-measure needs its points in any order.
+from the facet incidence sets of its polytope (`_subfaces`).  Those sets
+come from one facet search, `_hull_facets`, for a compact chamber in its
+ambient space and for a bare point set in coordinates on its affine span,
+where it measures in its own, so no measure needs its points in any
+order.
 
 Two more jobs of the whole exact layer are written once, here.
 `_integer_row` clears each rational row that is cleared on its own, one
@@ -187,16 +188,35 @@ def _face_measure(
     return sum((_simplex_measure([points[i] for i in s]) for s in simplices), Fraction(0))
 
 
+def _hull_facets(points: Sequence[Sequence[Rational]]) -> dict[tuple, tuple[int, ...]]:
+    """{facet row: increasing indices of the points on it} for the hull of
+    rational points that span their space, in any dimension.
+
+    Each point, homogeneous and cleared by `_integer_row`, is one row, and
+    each facet is the zero set of one of the rows' `_cone_rays`.  That ray
+    over the gcd of its normal part, all but its last entry, is the facet
+    row (primitive normal, offset), normal . x + offset >= 0 on the hull.
+    A ray with normal part 0 bounds nothing: a point in Q^0 has no facet.
+    """
+    rows = [_integer_row((*p, 1)) for p in points]
+    facets: dict[tuple, tuple[int, ...]] = {}
+    for ray in _cone_rays(rows, len(rows[0])):
+        g = math.gcd(*ray[:-1])
+        if g:
+            facet = tuple(x // g for x in ray[:-1]), Fraction(ray[-1], g)
+            if facet not in facets:
+                facets[facet] = tuple(i for i, row in enumerate(rows) if not sum(map(mul, ray, row)))
+    return facets
+
+
 def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction]:
     """The dimension d and lattice measure of the hull of rational points.
 
     The columns of a nonzero maximal minor of the points' differences,
     found by `_wedge`, are coordinates on their affine span.  Dropping
-    the other coordinates only finds the hull's facets: each point there,
-    homogeneous and cleared by `_integer_row`, is one row, and each facet
-    is the zero set of one of the `_cone_rays` of the rows.  The measure
-    is `_face_measure` of the points themselves.  An empty set gives
-    d = -1 and measure 0.
+    the other coordinates only finds the hull's incidence, the
+    `_hull_facets` of the points there.  The measure is `_face_measure`
+    of the points themselves.  An empty set gives d = -1 and measure 0.
     """
     points = sorted({tuple(map(Fraction, v)) for v in vertices})
     if len({len(p) for p in points}) > 1:
@@ -209,12 +229,8 @@ def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction
         if any(wider.values()):
             span = wider
     frame = next(cols for cols, m in span.items() if m)
-    shadow = [_integer_row((*(p[j] for j in frame), 1)) for p in points]
-    facets = {
-        frozenset(i for i, row in enumerate(shadow) if not sum(map(mul, ray, row)))
-        for ray in _cone_rays(shadow, len(frame) + 1)
-    }
-    return len(frame), _face_measure(points, range(len(points)), list(facets))
+    incidence = _hull_facets([tuple(p[j] for j in frame) for p in points]).values()
+    return len(frame), _face_measure(points, range(len(points)), list(incidence))
 
 
 def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:

@@ -6,21 +6,18 @@ subset, cut out in ambient coordinates, and clipped to a bounding box for
 presentation; no floating point enters any predicate.  Predicates and
 eliminations run on Python ints in homogeneous coordinates: a point x is
 (x, 1) up to a positive scale, each form is one integer row (slope,
-offset) over a common denominator, and every other rational row, of a
-box or a region, is cleared by `lattice._integer_row`, which changes no
-sign and no solution set.  Every rank and kernel comes from one
-fraction-free elimination, `_echelon`; every vertex, of a clipped cell, a
-compact chamber or a `halfplane_polygon`, from one kernel,
-`_homogeneous_vertices`; and whether a cell or a chamber is bounded from
-one recession test, `_recession_nontrivial`, on the ray search
-`lattice._cone_rays` that also finds hull facets.  The corner locus and
-the compact chamber are found in any ambient dimension, with no branch on
-the dimension of a cell.  A compact chamber decides which vertex lies on
-which facet once, on these ints, and its edges, volume, boundary measure
-and edge singularities read that incidence through `lattice._subfaces`;
-its measures, and a cell's, are the one lattice measure of
-`lattice._simplex_measure`, in any dimension.  Only returned coordinates
-are built as Fractions.
+offset) over a common denominator, and every other rational row is
+cleared by `lattice._integer_row`, which changes no sign and no solution
+set.  Every rank and kernel comes from one fraction-free elimination,
+`_echelon`; every vertex from one kernel, `_homogeneous_vertices`; and
+boundedness from one recession test, `_recession_nontrivial`.  There is
+one region cutter and one facet search: a compact chamber is the cell of
+one form, `_cell_for_subset` with no box, and its facets and incidence
+are the `lattice._hull_facets` of its vertices, in any ambient dimension.
+Its edges, volume, boundary measure and edge singularities read that
+incidence through `lattice._subfaces`; its measures, and a cell's, are
+the one lattice measure of `lattice._simplex_measure`.  Only returned
+coordinates are built as Fractions.
 """
 
 from __future__ import annotations
@@ -33,10 +30,11 @@ from operator import mul
 from typing import Sequence
 
 from ..errors import StructureError, UnsupportedDimensionError
-from .forms import TropicalPolynomial
+from .forms import TropicalPolynomial, _as_fraction
 from .lattice import (
     _cone_rays,
     _face_measure,
+    _hull_facets,
     _hull_measure,
     _integer_row,
     _minors,
@@ -142,18 +140,6 @@ def _point(h: Sequence[int]) -> Point:
     return tuple(Fraction(x, w) for x in h[:-1])
 
 
-def _region_vertices(
-    rows: Sequence[tuple[tuple[Rational, ...], Rational]], k: int
-) -> list[Point]:
-    """The sorted vertices of {s in Q^k : c . s + d >= 0 for all rows}.
-
-    Rows are (c, d) pairs, each cleared to an integer line for
-    `_homogeneous_vertices`; only the vertices become Fractions.
-    """
-    lines = [_integer_row((*c, d)) for c, d in rows]
-    return sorted(map(_point, _homogeneous_vertices(lines, k)))
-
-
 def _recession_nontrivial(rows: Sequence[tuple[int, ...]], k: int) -> bool:
     """Whether {d != 0 : c . d >= 0 for all c in rows} is nonempty, any k.
 
@@ -175,9 +161,9 @@ def _normalize_box(
         entries = list(box)
         if len(entries) == 2 and not isinstance(entries[0], (tuple, list)):
             entries = [entries] * n
-        bounds = tuple((Fraction(lo), Fraction(hi)) for lo, hi in entries)
-    except TypeError:
-        raise ValueError(f"box must be a sequence of (lo, hi) bounds, got {box!r}") from None
+        bounds = tuple((_as_fraction(lo), _as_fraction(hi)) for lo, hi in entries)
+    except TypeError as exc:
+        raise ValueError(f"box must be a sequence of (lo, hi) bounds, got {box!r}: {exc}") from None
     if len(bounds) != n:
         raise ValueError(f"box must give bounds for all {n} coordinates")
     if not all(lo < hi for lo, hi in bounds):
@@ -230,8 +216,9 @@ def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
     set; a subset survives if its equality locus is consistent, no
     further form is forced equal on that locus, and the resulting cell
     meets the box in its full dimension.  The box is n (lo, hi) pairs of
-    rationals, or one pair for every coordinate; any other box raises
-    ValueError.  Any ambient dimension works.
+    ints or Fractions, or one pair for every coordinate; any other box,
+    or a float, bool or string bound, raises ValueError.  Any ambient
+    dimension works.
     """
     n = p.dim
     bounds = _normalize_box(box, n)
@@ -308,17 +295,18 @@ def halfplane_polygon(
 ) -> list[tuple[Fraction, Fraction]]:
     """Vertices of the bounded {s in R^2 : c . s + d >= 0 for all rows}, sorted.
 
-    Rows are (c, d) pairs.  The vertices are `_region_vertices(rows, 2)`,
-    in lexicographic order; a `quadrature.ConvexPolygon` orders them
-    itself and fans from whichever comes first.  An empty region, or one
-    squeezed to a point or a segment, gives []; a region with a vertex
-    that is unbounded raises ValueError.
+    Rows are (c, d) pairs, each cleared to one integer line (c, d) by
+    `_integer_row`; the vertices are the `_homogeneous_vertices` of the
+    lines, in lexicographic order, and a `quadrature.ConvexPolygon`
+    orders them itself and fans from whichever comes first.  An empty
+    region, or one squeezed to a point or a segment, gives []; a region
+    with a vertex that is unbounded raises ValueError.
     """
-    vertices = _region_vertices(rows, 2)
-    if vertices and _recession_nontrivial([_integer_row(c) for c, _ in rows], 2):
+    lines = [_integer_row((*c, d)) for c, d in rows]
+    found = _homogeneous_vertices(lines, 2)
+    if found and _recession_nontrivial([line[:-1] for line in lines], 2):
         raise ValueError("halfplane_polygon needs a bounded region")
-    full = _rank([_integer_row((*v, 1)) for v in vertices]) == 3
-    return vertices if full else []
+    return sorted(map(_point, found)) if _rank(found) == 3 else []
 
 
 @dataclass(frozen=True)
@@ -328,8 +316,8 @@ class LatticePolytope:
     Facet rows are (normal, offset) with primitive integer normal,
     meaning normal . w + offset >= 0 on the polytope.  incidence, parallel
     to facets, holds each facet's vertices as increasing indices into
-    vertices; it is decided once, on the integers the polytope is cut out
-    with, and every face of the polytope is read from it.
+    vertices; it is decided once, on the cleared integer rows of the
+    vertices, and every face of the polytope is read from it.
     """
 
     dim: int
@@ -369,58 +357,30 @@ class LatticePolytope:
 def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
     """The unique bounded full-dimensional chamber where one form is least.
 
-    For each form the region where it attains the minimum is cut out;
-    exactly one such region must be a bounded n-dimensional polytope,
-    otherwise the family is not of the expected shape and a
-    StructureError is raised.  Any ambient dimension n works: the mirror
-    quintic's n = 4 chamber is its 4-simplex.
+    Each form's region is its corner-locus cell, `_cell_for_subset` with
+    no box, sought only if it has no recession direction.  Exactly one
+    must be a bounded n-polytope, otherwise the family is not of the
+    expected shape and a StructureError is raised.  Its facets and their
+    incidence are the `lattice._hull_facets` of its vertices.  Any n
+    works: the mirror quintic's n = 4 chamber is its 4-simplex.
     """
     rows = _form_rows(p)
-    found = [r for i in range(len(rows)) if (r := _form_region(rows, i)) is not None]
+    found = []
+    for i, base in enumerate(rows):
+        others = [tuple(x - y for x, y in zip(row[:-1], base)) for row in rows[:i] + rows[i + 1:]]
+        if _recession_nontrivial(others, p.dim):
+            continue
+        cell = _cell_for_subset(rows, (i,), (), {})
+        if cell is not None:
+            found.append(cell)
     if len(found) != 1:
         raise StructureError(
             f"expected exactly one compact chamber, found {len(found)}"
         )
-    return found[0]
-
-
-def _form_region(rows: Sequence[tuple[int, ...]], i: int) -> LatticePolytope | None:
-    """The region where form i is least, if it is a bounded n-polytope.
-
-    Its facets are the lines whose equality holds on an (n - 1)-face.
-    Lines and vertices are homogeneous integer rows, so each line's face,
-    its incidence, is the vertices with line . h == 0 on ints.
-    """
-    n = len(rows[i]) - 1
-    lines = []
-    for j, row in enumerate(rows):
-        if j == i:
-            continue
-        line = tuple(x - y for x, y in zip(row, rows[i]))
-        if not any(line[:-1]):
-            if line[-1] < 0:
-                return None  # another form is everywhere smaller
-            continue
-        lines.append(line)
-    if _recession_nontrivial([line[:-1] for line in lines], n):
-        return None
-    found = _homogeneous_vertices(lines, n)
-    if _rank(found) != n + 1:
-        return None
-    vertices, found = zip(*sorted((_point(h), h) for h in found))
-    facets = {}
-    for line in lines:
-        on = tuple(j for j, h in enumerate(found) if sum(map(mul, line, h)) == 0)
-        if _rank([found[j] for j in on]) == n:
-            g = math.gcd(*line[:-1])
-            facets[tuple(c // g for c in line[:-1]), Fraction(line[-1], g)] = on
+    vertices = found[0].vertices
+    facets = _hull_facets(vertices)
     ordered = sorted(facets)
-    return LatticePolytope(
-        dim=n,
-        vertices=vertices,
-        facets=tuple(ordered),
-        incidence=tuple(facets[f] for f in ordered),
-    )
+    return LatticePolytope(p.dim, vertices, tuple(ordered), tuple(facets[f] for f in ordered))
 
 
 def boundary_affine_area(polytope: LatticePolytope) -> Fraction:

@@ -1,19 +1,21 @@
 """Property tests: the integer kernels of the exact tropical layer.
 
 _minors, the signed maximal minors of k rows, is checked against Fraction
-determinants for k = 0..4.  _region_vertices (for every k, and through
-halfplane_polygon for k = 2), _echelon, _recession_nontrivial (for
-k = 1..4) and corner_locus (in ambient dimensions 1 to 4) clear each
+determinants for k = 0..4.  _homogeneous_vertices (for every k, and
+through halfplane_polygon for k = 2), _echelon, _recession_nontrivial
+(for k = 1..4) and corner_locus (in ambient dimensions 1 to 4) clear each
 row's denominators and work on ints.  Each is checked here against a reference
 that runs on Fractions throughout, and against the defining property of
 its answer.  The corner-locus reference cuts each cell out in its own
 coordinates, an origin and basis of its affine hull, as the exact layer
 once did.  A compact chamber decides its face incidence once, on ints;
-its facet vertices, edges, boundary measure and edge singularities are
-checked against face tests and measures on Fractions, in the plane, in
-3-space and, for images of the mirror quintic's 4-simplex, in 4-space, and the cell
-measures of the benchmark's seed-1 images against the projection-and-index
-rule that measured them before the one simplex measure.
+its facets, found as the hull facets of its vertices, are checked
+against the defining forms' differences, and its facet vertices, edges,
+boundary measure and edge singularities against face tests and measures
+on Fractions, in the plane, in 3-space and, for images of the mirror
+quintic's 4-simplex, in 4-space, and the cell measures of the
+benchmark's seed-1 images against the projection-and-index rule that
+measured them before the one simplex measure.
 """
 
 import itertools
@@ -48,8 +50,9 @@ from gammatrop.periods import MirrorFamily
 from gammatrop.tropical.lattice import _integer_row, _minors
 from gammatrop.tropical.polyhedra import (
     _echelon,
+    _homogeneous_vertices,
+    _point,
     _recession_nontrivial,
-    _region_vertices,
 )
 
 EXACT = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -498,25 +501,33 @@ def test_halfplane_polygon_matches_fraction_reference(rows):
     assert halfplane_polygon(rows) == sorted(ref_halfplane_polygon(rows))
 
 
+def region_vertices(rows, k):
+    """The sorted vertices of {s in Q^k : c . s + d >= 0 for all rows}:
+    each (c, d) cleared to one integer line, the kernel's homogeneous
+    vertices made affine points."""
+    lines = [_integer_row((*c, d)) for c, d in rows]
+    return sorted(map(_point, _homogeneous_vertices(lines, k)))
+
+
 @EXACT
 @given(st.lists(rationals, max_size=4))
 def test_region_vertices_of_a_point(offsets):
     # in Q^0 each row is the constant d >= 0, and the one candidate is ()
     rows = [((), d) for d in offsets]
     expected = [()] if all(d >= 0 for d in offsets) else []
-    assert _region_vertices(rows, 0) == expected
+    assert region_vertices(rows, 0) == expected
 
 
 @EXACT
 @given(halfspaces(1))
 def test_region_vertices_match_interval_clip(rows):
-    assert _region_vertices(rows, 1) == ref_interval(rows)
+    assert region_vertices(rows, 1) == ref_interval(rows)
 
 
 @EXACT
 @given(halfspaces(3))
 def test_region_vertices_match_fraction_reference_in_space(rows):
-    vertices = _region_vertices(rows, 3)
+    vertices = region_vertices(rows, 3)
     assert vertices == ref_region_vertices(rows, 3)
     for v in vertices:
         assert all(isinstance(x, Fraction) for x in v)
@@ -619,6 +630,37 @@ def test_recession_matches_fraction_reference_with_many_rows_in_four_dimensions(
     # five or more rows can close the cone in Q^4 to {0}; eight random
     # rows do so about half the time, fewer than five rows never
     assert _recession_nontrivial([_integer_row(r) for r in rows], 4) == ref_recession(rows, 4)
+
+
+@EXACT
+@given(tropical_polynomials(dims=(2, 3)))
+def test_chamber_facets_are_the_forms_differences(case):
+    p, _ = case
+    chamber = only_chamber(p)
+    n = p.dim
+    # the chamber's form is the one least at its vertex centroid, an
+    # interior point; every other form's difference from it, made
+    # primitive on Fractions, is a facet exactly when it vanishes on
+    # vertices that span an (n - 1)-flat
+    count = len(chamber.vertices)
+    centroid = [sum(v[j] for v in chamber.vertices) / count for j in range(n)]
+    (i,) = p.active_set(centroid)
+    expected = {}
+    for form in p.forms:
+        slope = [a - b for a, b in zip(form.slope, p.forms[i].slope)]
+        g = math.gcd(*slope)
+        if not g:
+            continue
+        row = tuple(a // g for a in slope), (form.offset - p.forms[i].offset) / g
+        values = [sum(map(mul, row[0], v)) + row[1] for v in chamber.vertices]
+        assert min(values) >= 0
+        on = tuple(v for v, value in zip(chamber.vertices, values) if value == 0)
+        if ref_affine_dim(list(on)) == n - 1:
+            expected[row] = on
+    assert chamber.facets == tuple(sorted(expected))
+    for facet in chamber.facets:
+        assert math.gcd(*facet[0]) == 1 and type(facet[1]) is Fraction
+        assert chamber.facet_vertices(facet) == expected[facet]
 
 
 def check_chamber_faces(chamber):

@@ -1,5 +1,7 @@
-"""Checks that need numpy alone: the exact layer, two error integrals and
-three periods: the K3 and Fano periods, the two ways a driver reports
+"""Checks that need numpy alone: the exact layer, with the hull facets of
+the quartic's chamber and of the point chamber in Q^0
+(`test_chamber_facets_from_the_hull`), two error integrals and three
+periods: the K3 and Fano periods, the two ways a driver reports
 quadrature results, and the elliptic period, whose branch points are
 fixed points of contractions.
 
@@ -28,6 +30,8 @@ from gammatrop.periods import (
 from gammatrop.periods.types import _simplex_family as simplex_family
 from gammatrop.quadrature import QuadratureConfig
 from gammatrop.tropical import (
+    AffineForm,
+    TropicalPolynomial,
     boundary_affine_area,
     compact_chamber,
     corner_locus,
@@ -79,6 +83,19 @@ EXACT = {
 def test_chamber_invariant(name):
     compute, want = EXACT[name]
     assert compute() == want
+
+
+def test_chamber_facets_from_the_hull():
+    # the quartic's chamber, a simplex: each of its four facets holds
+    # three of its four vertices and has a primitive normal
+    quartic = chamber("quartic")
+    assert len(quartic.facets) == 4 and len(quartic.vertices) == 4
+    for (normal, _), on in zip(quartic.facets, quartic.incidence):
+        assert math.gcd(*normal) == 1
+        assert len(on) == 3
+    # Q^0 is one point, whose hull search finds no facet
+    point = compact_chamber(TropicalPolynomial((AffineForm((), 0), AffineForm((), 1))))
+    assert (point.vertices, point.facets, point.incidence) == (((),), (), ())
 
 
 def test_dim2_b_length_chi_and_value():

@@ -316,6 +316,19 @@ def test_bools_are_not_exponents_slopes_or_t_powers():
             build()
 
 
+def test_bools_are_not_coefficients():
+    # complex(True) is 1+0j, so a bool coefficient read as 1
+    with pytest.raises(TypeError, match="bool"):
+        LaurentTerm(True, 1, (1,))
+    line = LaurentFamily(terms=(LaurentTerm(1, 1, (1,)), LaurentTerm(-1, 0, (0,))))
+    data = line.to_json_dict()
+    for coeff in ([True, 0], [1, False]):
+        entry = dict(data["terms"][0], coeff=coeff)
+        with pytest.raises(TypeError, match="bool"):
+            LaurentFamily.from_json_dict(dict(data, terms=[entry, data["terms"][1]]))
+    assert LaurentFamily.from_json_dict(data) == line
+
+
 def test_laurent_family_evaluate():
     fam = elliptic_family()
     t = 0.01
@@ -736,6 +749,16 @@ def test_corner_locus_box_validation():
     # a box that is not a sequence of (lo, hi) bounds
     for box in (5, None, ((0, 1), 5), ((0, 1), (0, None))):
         with pytest.raises(ValueError):
+            corner_locus(trop, box)
+    # Fraction read a float bound by its binary value, -0.1 as
+    # -3602879701896397/36028797018963968, a bool as 0 or 1 and a string
+    # by parsing it; each bound must be an int or a Fraction
+    for box, bound in (
+        ((-0.1, 1), "-0.1"),
+        ((False, True), "False"),
+        (((0, 1), ("0", "1")), "'0'"),
+    ):
+        with pytest.raises(ValueError, match=bound):
             corner_locus(trop, box)
 
 
