@@ -7,9 +7,11 @@ computed in exact rational arithmetic.  Corner loci and chambers are
 found in any ambient dimension; a corner-locus cell is its active set,
 its sorted vertices and whether it is bounded, and a `halfplane_polygon`
 is its sorted vertices.  Each exact job is written once: one row
-clearing, one vertex kernel, one region cutter, whose single-form cell
-is the compact chamber, one facet search, the hull's, and one lattice
-measure.
+clearing, one vertex search for the corner locus, whose vertices carry
+the forms least there and give every cell, one region kernel for the
+vertices of a chamber or a `halfplane_polygon`, one facet search, the
+hull's, which also gives the Newton polytope's facets and so which cells
+and chambers are bounded, and one lattice measure.
 """
 
 from .forms import (

@@ -19,8 +19,8 @@ Two more jobs of the whole exact layer are written once, here.
 `_integer_row` clears each rational row that is cleared on its own, one
 lcm per row.  `_cone_rays` gives the extreme rays of a cone of integer
 rows, from the signed `_minors` of every m - 1 of them: the facets of a
-hull here, and the recession directions of a cell or a chamber in
-`polyhedra`, whose homogeneous vertices are signed `_minors` too.
+hull here, and the recession directions of a `polyhedra.halfplane_polygon`
+region; the homogeneous vertices there are signed `_minors` too.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import math
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence
+
+from .forms import _not_bool
 
 Rational = int | Fraction
 
@@ -49,9 +51,9 @@ def primitive_vector(v: Sequence[Rational]) -> tuple[int, ...]:
 
     Integer input is divided by its gcd; other rational input is cleared
     to integers first, by `_integer_row`.  The zero vector has no
-    direction and raises ValueError.
+    direction and raises ValueError, and a bool entry TypeError.
     """
-    integers = list(v)
+    integers = [_not_bool(x) for x in v]
     if not all(isinstance(x, int) for x in integers):
         integers = _integer_row([Fraction(x) for x in integers])
     g = math.gcd(*integers)
@@ -63,11 +65,12 @@ def primitive_vector(v: Sequence[Rational]) -> tuple[int, ...]:
 def affine_length(p: Sequence[Rational], q: Sequence[Rational]) -> Fraction:
     """Lattice length of the segment from p to q, their `_simplex_measure`.
 
-    Float coordinates are read as the exact binary fractions they are.
+    Float coordinates are read as the exact binary fractions they are; a
+    bool raises TypeError.
     """
     if len(p) != len(q):
         raise ValueError("endpoints must share one ambient dimension")
-    return _simplex_measure((tuple(map(Fraction, p)), tuple(map(Fraction, q))))
+    return _simplex_measure([tuple(Fraction(_not_bool(x)) for x in e) for e in (p, q)])
 
 
 def _wedge(minors: dict[tuple[int, ...], Rational], row: Sequence[Rational]) -> dict:
@@ -216,9 +219,10 @@ def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction
     found by `_wedge`, are coordinates on their affine span.  Dropping
     the other coordinates only finds the hull's incidence, the
     `_hull_facets` of the points there.  The measure is `_face_measure`
-    of the points themselves.  An empty set gives d = -1 and measure 0.
+    of the points themselves.  An empty set gives d = -1 and measure 0,
+    and a bool coordinate raises TypeError.
     """
-    points = sorted({tuple(map(Fraction, v)) for v in vertices})
+    points = sorted({tuple(Fraction(_not_bool(x)) for x in v) for v in vertices})
     if len({len(p) for p in points}) > 1:
         raise ValueError("vertices must share one ambient dimension")
     if not points:
@@ -238,7 +242,8 @@ def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
 
     Vertices may sit in any ambient dimension, in any order; points that
     span less than a plane give 0.  Vertices off one plane, or of
-    different ambient dimensions, raise ValueError.
+    different ambient dimensions, raise ValueError, and a bool coordinate
+    TypeError.
     """
     dim, area = _hull_measure(vertices)
     if dim > 2:
@@ -249,8 +254,8 @@ def polygon_affine_area(vertices: Sequence[Sequence[Rational]]) -> Fraction:
 def affine_volume(vertices: Sequence[Sequence[Rational]]) -> Fraction:
     """Lattice-normalized volume of the convex hull of points in Q^n, any n.
 
-    Points that span less than Q^n give 0.  The standard simplex has
-    volume 1/n!.
+    Points that span less than Q^n give 0, and a bool coordinate raises
+    TypeError.  The standard simplex has volume 1/n!.
     """
     dim, volume = _hull_measure(vertices)
     return volume if vertices and dim == len(vertices[0]) else Fraction(0)

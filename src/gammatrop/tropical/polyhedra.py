@@ -1,23 +1,24 @@
 """Exact polyhedral structure of tropical hypersurfaces.
 
 The corner locus of a min-of-affine-forms function is stratified by the
-set of forms attaining the minimum.  Cells are enumerated by active
-subset, cut out in ambient coordinates, and clipped to a bounding box for
-presentation; no floating point enters any predicate.  Predicates and
-eliminations run on Python ints in homogeneous coordinates: a point x is
-(x, 1) up to a positive scale, each form is one integer row (slope,
-offset) over a common denominator, and every other rational row is
-cleared by `lattice._integer_row`, which changes no sign and no solution
-set.  Every rank and kernel comes from one fraction-free elimination,
-`_echelon`; every vertex from one kernel, `_homogeneous_vertices`; and
-boundedness from one recession test, `_recession_nontrivial`.  There is
-one region cutter and one facet search: a compact chamber is the cell of
-one form, `_cell_for_subset` with no box, and its facets and incidence
-are the `lattice._hull_facets` of its vertices, in any ambient dimension.
-Its edges, volume, boundary measure and edge singularities read that
-incidence through `lattice._subfaces`; its measures, and a cell's, are
-the one lattice measure of `lattice._simplex_measure`.  Only returned
-coordinates are built as Fractions.
+set of forms attaining the minimum, clipped to a bounding box for
+presentation; no floating point enters any predicate.  Predicates run on
+Python ints in homogeneous coordinates: a point x is (x, 1) up to a
+positive scale, each form is one integer row (slope, offset) over a
+common denominator, and every other rational row is cleared by
+`lattice._integer_row`, which changes no sign and no solution set.  One
+vertex search, `_vertex_search`, finds every vertex of the clipped locus
+with the forms least there, and a cell is read off the vertices where
+its forms are least.  Boundedness is the locus's duality with the Newton
+polytope, the hull of the slopes: a cell is bounded when its slopes lie
+on no facet (`_newton_facets`), and the compact chamber is the region of
+the form whose slope lies on none, whose vertices are the
+`_homogeneous_vertices` of its differences from the other forms.  The
+chamber's facets and incidence are the `lattice._hull_facets` of its
+vertices, read through `lattice._subfaces` by its faces and measures;
+every measure, a cell's too, sums `lattice._simplex_measure`.  Ranks come
+from one fraction-free elimination, `_rank`.  Only returned coordinates
+are built as Fractions.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import StructureError, UnsupportedDimensionError
-from .forms import TropicalPolynomial, _as_fraction
+from .forms import TropicalPolynomial, _as_fraction, _not_bool
 from .lattice import (
     _cone_rays,
     _face_measure,
@@ -39,7 +40,6 @@ from .lattice import (
     _integer_row,
     _minors,
     _subfaces,
-    primitive_vector,
 )
 
 Rational = int | Fraction
@@ -55,57 +55,23 @@ def _form_rows(p: TropicalPolynomial) -> list[tuple[int, ...]]:
     ]
 
 
-def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
-    """p * row - f * pivot_row, which is 0 at col, divided by its gcd."""
-    p, f = pivot_row[col], row[col]
-    out = [p * x - f * y for x, y in zip(row, pivot_row)]
-    g = math.gcd(*out)
-    return [x // g for x in out] if g > 1 else out
-
-
-def _echelon(
-    rows: Sequence[Sequence[int]], m: int
-) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-    """Rank, a maximal independent subset and a kernel basis of int rows.
-
-    Fraction-free Gauss-Jordan elimination on rows of length m, taken in
-    order; pivot rows are never normalized.  A row that the rows before
-    it do not reduce to zero is independent of them and gets a pivot
-    column, its first nonzero entry.  Returns ({pivot column: index of
-    its row}, kernel): the map's length is the rank and its values are a
-    maximal independent subset E.  The kernel has one primitive integer
-    vector per free column c, in order of c, positive at c and 0 at every
-    other free column, as read off the reduced row echelon form.
-    """
-    reduced: dict[int, list[int]] = {}
-    independent: dict[int, int] = {}
-    for index, row in enumerate(rows):
-        row = list(row)
-        for col, pivot_row in reduced.items():
-            if row[col]:
-                row = _eliminate(row, pivot_row, col)
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        for c, pivot_row in reduced.items():
-            if pivot_row[col]:
-                reduced[c] = _eliminate(pivot_row, row, col)
-        reduced[col] = row
-        independent[col] = index
-    kernel = []
-    for free in (c for c in range(m) if c not in reduced):
-        scale = math.lcm(*(r[c] for c, r in reduced.items() if r[free]))
-        v = [0] * m
-        v[free] = scale
-        for c, r in reduced.items():
-            v[c] = -r[free] * (scale // r[c])
-        kernel.append(primitive_vector(v))
-    return independent, kernel
-
-
 def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """The rank of integer rows, all of one length."""
-    return len(_echelon(rows, len(rows[0]))[0]) if rows else 0
+    """The rank of integer rows, all of one length, by fraction-free
+    elimination: each row is reduced in turn by the pivot rows before it,
+    each time divided by its gcd, and one that is not reduced to 0 becomes
+    a pivot row at its first nonzero entry."""
+    reduced: dict[int, list[int]] = {}
+    for row in rows:
+        for col, pivot in reduced.items():
+            if row[col]:
+                p, f = pivot[col], row[col]
+                row = [p * x - f * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                row = [x // g for x in row] if g > 1 else row
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            reduced[col] = row
+    return len(reduced)
 
 
 def _homogeneous_vertices(
@@ -177,7 +143,9 @@ class Cell:
 
     active lists the forms attaining the minimum on the relative
     interior; vertices are the sorted vertices of the clipped piece in
-    ambient coordinates; bounded refers to the cell before clipping.
+    ambient coordinates; bounded refers to the cell before clipping, and
+    holds exactly when the active forms' slopes lie on no facet of the
+    Newton polytope, the hull of all the slopes.
     """
 
     dim: int
@@ -209,85 +177,114 @@ class CellComplex:
         return tuple(c for c in self.cells if c.dim == d)
 
 
+def _differences(rows: Sequence[tuple[int, ...]], forms: Sequence[int]) -> list[tuple[int, ...]]:
+    """The rows of forms[1:] minus that of forms[0], 0 where all are equal."""
+    base = rows[forms[0]]
+    return [tuple(x - y for x, y in zip(rows[i], base)) for i in forms[1:]]
+
+
+def _vertex_search(
+    rows: Sequence[tuple[int, ...]],
+    candidates: Iterable[tuple[int, list[tuple[int, ...]]]],
+    box_lines: Sequence[tuple[int, ...]],
+) -> dict[tuple[int, ...], frozenset[int]]:
+    """{primitive homogeneous vertex h = (x, w): the forms least at x}.
+
+    A candidate is a form i and n equations, the `_differences` of s >= 2
+    forms from i and n + 1 - s box lines, which meet in the homogeneous
+    point h of their signed `_minors`.  One with w = 0 is skipped;
+    otherwise h is made primitive with w > 0, and kept once it satisfies
+    every box line and i, so every one of the s forms, is least there.
+    """
+    found: dict[tuple[int, ...], frozenset[int]] = {}
+    for i, equations in candidates:
+        h = _minors(equations)
+        if h[-1] == 0:
+            continue
+        g = math.gcd(*h) if h[-1] > 0 else -math.gcd(*h)
+        h = tuple(x // g for x in h)
+        value = sum(map(mul, rows[i], h))
+        if h not in found and all(sum(map(mul, line, h)) >= 0 for line in box_lines) and all(
+            sum(map(mul, row, h)) >= value for row in rows
+        ):
+            found[h] = frozenset(j for j, row in enumerate(rows) if sum(map(mul, row, h)) == value)
+    return found
+
+
+def _newton_facets(p: TropicalPolynomial) -> list[frozenset[tuple[int, ...]]]:
+    """The slopes on each facet of the Newton polytope, the hull of the
+    slopes, by `lattice._hull_facets`; one facet holding every slope when
+    they span less than their space.
+
+    A direction d recedes in the cell where the forms S are least exactly
+    when d . m is least, over all slopes m, at all of S's slopes: so the
+    cell is bounded exactly when S's slopes lie on no facet.
+    """
+    slopes = sorted({f.slope for f in p.forms})
+    if _rank([(*m, 1) for m in slopes]) <= p.dim:
+        return [frozenset(slopes)]
+    # a slope midway between two others is no vertex: the rest span the same hull
+    known = set(slopes)
+    corners = [
+        m for m in slopes
+        if not any(tuple(2 * x - y for x, y in zip(m, a)) in known for a in slopes if a != m)
+    ]
+    return [
+        frozenset(m for m in slopes if sum(map(mul, normal, m)) + offset == 0)
+        for normal, offset in _hull_facets(corners)
+    ]
+
+
 def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
     """The nonsmooth locus of min over forms, stratified by active set.
 
-    Every subset of two or more forms is tried as a candidate active
-    set; a subset survives if its equality locus is consistent, no
-    further form is forced equal on that locus, and the resulting cell
-    meets the box in its full dimension.  The box is n (lo, hi) pairs of
-    ints or Fractions, or one pair for every coordinate; any other box,
-    or a float, bool or string bound, raises ValueError.  Any ambient
-    dimension works.
+    One `_vertex_search` finds every vertex of the locus clipped to the
+    box with its active set.  A set S of forms is a cell exactly when
+    the active sets of the vertices where S is least intersect in S, so
+    cells are sought among the intersections of active sets, and those
+    vertices, the cell's, have rank n + 1 - rank(S's differences): the
+    cell meets the box in its full dimension.  It is bounded when S's
+    slopes lie on no facet of the Newton polytope (`_newton_facets`).
+    The box is n (lo, hi) pairs of ints or Fractions, or one pair for
+    every coordinate; any other box, or a float, bool or string bound,
+    raises ValueError.  Any ambient dimension works.
     """
     n = p.dim
     bounds = _normalize_box(box, n)
     rows = _form_rows(p)
-    box_lines = [
-        _integer_row((*(sign * int(i == j) for i in range(n)), -sign * bound))
+    sides = [
+        [
+            _integer_row((*(sign * int(i == j) for i in range(n)), -sign * bound))
+            for sign, bound in ((1, lo), (-1, hi))
+        ]
         for j, (lo, hi) in enumerate(bounds)
-        for sign, bound in ((1, lo), (-1, hi))
     ]
-    known: dict[tuple[int, ...], Point] = {}
-    cells: list[Cell] = []
-    for size in range(2, len(rows) + 1):
-        for subset in itertools.combinations(range(len(rows)), size):
-            cell = _cell_for_subset(rows, subset, box_lines, known)
-            if cell is not None:
-                cells.append(cell)
+    candidates = (
+        (forms[0], [*equations, *lines])
+        for s in range(2, n + 2)
+        for forms in itertools.combinations(range(len(rows)), s)
+        for equations in [_differences(rows, forms)]
+        for coords in itertools.combinations(range(n), n + 1 - s)
+        for lines in itertools.product(*(sides[j] for j in coords))
+    )
+    found = _vertex_search(rows, candidates, [line for side in sides for line in side])
+    points = {h: _point(h) for h in found}
+    closed = set(found.values())
+    grown = closed
+    while grown:
+        grown = {a & b for a in grown for b in closed if len(a & b) > 1} - closed
+        closed |= grown
+    newton = _newton_facets(p)
+    cells = []
+    for active in map(sorted, closed):
+        on = [h for h, least in found.items() if least.issuperset(active)]
+        k = n - _rank(_differences(rows, active))
+        if _rank(on) == k + 1:
+            slopes = {p.forms[i].slope for i in active}
+            bounded = not any(slopes <= facet for facet in newton)
+            cells.append(Cell(k, tuple(active), tuple(sorted(points[h] for h in on)), bounded))
     cells.sort(key=lambda c: (c.dim, c.active))
     return CellComplex(box=bounds, cells=tuple(cells))
-
-
-def _cell_for_subset(
-    rows: Sequence[tuple[int, ...]],
-    subset: tuple[int, ...],
-    box_lines: Sequence[tuple[int, ...]],
-    known: dict[tuple[int, ...], Point],
-) -> Cell | None:
-    """The cell where exactly the subset's forms are least, or None.
-
-    The equalities f_i = f_base are the integer rows row_i - row_base.
-    Their kernel K in homogeneous coordinates has dimension k + 1 for a
-    k-cell: k directions (w = 0) and one point of the affine hull, last.
-    Every other form's row and every box row is reduced to coordinates g
-    on K, h = sum g_i K_i, once; the cell is the region of the reduced
-    rows, so its vertices and its recession test both work on g, the
-    same way for every k: the cell is bounded when the inactive rows'
-    direction parts leave it no recession direction.  Each vertex is
-    built once per corner locus, as `known`[primitive h].
-    """
-    n = len(rows[0]) - 1
-    base = rows[subset[0]]
-
-    def against_base(i: int) -> tuple[int, ...]:
-        return tuple(x - y for x, y in zip(rows[i], base))
-
-    independent, kernel = _echelon([against_base(i) for i in subset[1:]], n + 1)
-    if n in independent:
-        return None  # a pivot at w: the linear parts of E have lower rank than E
-    k = len(kernel) - 1
-
-    def reduced(line: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(map(mul, line, v)) for v in kernel)
-
-    inactive = [reduced(against_base(l)) for l in range(len(rows)) if l not in subset]
-    # a form equal to the minimum on the whole affine hull belongs to a
-    # larger active set; that subset produces the cell instead
-    if not all(map(any, inactive)):
-        return None
-    found = _homogeneous_vertices(inactive + [reduced(b) for b in box_lines], k)
-    if _rank(found) != k + 1:
-        return None
-    columns = list(zip(*kernel))
-    points = [primitive_vector([sum(map(mul, g, c)) for c in columns]) for g in found]
-    vertices = [known[h] if h in known else known.setdefault(h, _point(h)) for h in points]
-    return Cell(
-        dim=k,
-        active=subset,
-        vertices=tuple(sorted(vertices)),
-        bounded=not _recession_nontrivial([g[:-1] for g in inactive], k),
-    )
 
 
 def halfplane_polygon(
@@ -326,7 +323,8 @@ class LatticePolytope:
     incidence: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def contains(self, w: Sequence[Rational]) -> bool:
-        point = tuple(Fraction(x) for x in w)
+        """Whether the polytope holds w; a bool coordinate raises TypeError."""
+        point = tuple(Fraction(_not_bool(x)) for x in w)
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
         return all(
@@ -357,27 +355,28 @@ class LatticePolytope:
 def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
     """The unique bounded full-dimensional chamber where one form is least.
 
-    Each form's region is its corner-locus cell, `_cell_for_subset` with
-    no box, sought only if it has no recession direction.  Exactly one
-    must be a bounded n-polytope, otherwise the family is not of the
-    expected shape and a StructureError is raised.  Its facets and their
-    incidence are the `lattice._hull_facets` of its vertices.  Any n
-    works: the mirror quintic's n = 4 chamber is its 4-simplex.
+    A form's chamber is bounded when its slope lies on no facet of the
+    Newton polytope (`_newton_facets`).  Its vertices are where n of the
+    other forms equal it and none is less, the `_homogeneous_vertices` of
+    their `_differences` from it, as in `_vertex_search` with no box.
+    Exactly one such chamber must have vertices of rank n + 1,
+    otherwise the family is not of the expected shape and a
+    StructureError is raised.  Its facets and their incidence are the
+    `lattice._hull_facets` of its vertices.  Any n works: the mirror
+    quintic's n = 4 chamber is its 4-simplex.
     """
     rows = _form_rows(p)
+    newton = _newton_facets(p)
     found = []
-    for i, base in enumerate(rows):
-        others = [tuple(x - y for x, y in zip(row[:-1], base)) for row in rows[:i] + rows[i + 1:]]
-        if _recession_nontrivial(others, p.dim):
+    for i, form in enumerate(p.forms):
+        if any(form.slope in facet for facet in newton):
             continue
-        cell = _cell_for_subset(rows, (i,), (), {})
-        if cell is not None:
-            found.append(cell)
+        on = _homogeneous_vertices(_differences(rows, [i, *range(i), *range(i + 1, len(rows))]), p.dim)
+        if _rank(on) == p.dim + 1:
+            found.append(tuple(sorted(map(_point, on))))
     if len(found) != 1:
-        raise StructureError(
-            f"expected exactly one compact chamber, found {len(found)}"
-        )
-    vertices = found[0].vertices
+        raise StructureError(f"expected exactly one compact chamber, found {len(found)}")
+    vertices = found[0]
     facets = _hull_facets(vertices)
     ordered = sorted(facets)
     return LatticePolytope(p.dim, vertices, tuple(ordered), tuple(facets[f] for f in ordered))

@@ -1,21 +1,25 @@
 """Property tests: the integer kernels of the exact tropical layer.
 
 _minors, the signed maximal minors of k rows, is checked against Fraction
-determinants for k = 0..4.  _homogeneous_vertices (for every k, and
-through halfplane_polygon for k = 2), _echelon, _recession_nontrivial
-(for k = 1..4) and corner_locus (in ambient dimensions 1 to 4) clear each
-row's denominators and work on ints.  Each is checked here against a reference
-that runs on Fractions throughout, and against the defining property of
-its answer.  The corner-locus reference cuts each cell out in its own
+determinants for k = 0..4, and _rank against sympy.
+_homogeneous_vertices (for every k, and through halfplane_polygon for
+k = 2), _recession_nontrivial (for k = 1..4) and corner_locus (in ambient
+dimensions 1 to 4) clear each row's denominators and work on ints.  Each
+is checked here against a reference that runs on Fractions throughout,
+and against the defining property of its answer.  The corner-locus
+reference tries every subset of forms and cuts each cell out in its own
 coordinates, an origin and basis of its affine hull, as the exact layer
-once did.  A compact chamber decides its face incidence once, on ints;
-its facets, found as the hull facets of its vertices, are checked
-against the defining forms' differences, and its facet vertices, edges,
-boundary measure and edge singularities against face tests and measures
-on Fractions, in the plane, in 3-space and, for images of the mirror
-quintic's 4-simplex, in 4-space, and the cell measures of the
-benchmark's seed-1 images against the projection-and-index rule that
-measured them before the one simplex measure.
+once did; it checks the loci of random forms and of two of Finding 1's
+four non-simplex families, in all four of which the chamber's facets
+are the bounded 2-cells of the constant form.  A compact chamber decides
+its face incidence once, on ints; its facets, found as the hull facets
+of its vertices, are checked against the defining forms' differences,
+and its facet vertices, edges, boundary measure and edge singularities
+against face tests and measures on Fractions, in the plane, in 3-space
+and, for images of the mirror quintic's 4-simplex, in 4-space, and the
+cell measures of the benchmark's seed-1 images against the
+projection-and-index rule that measured them before the one simplex
+measure.
 """
 
 import itertools
@@ -49,9 +53,9 @@ from gammatrop.tropical import (
 from gammatrop.periods import MirrorFamily
 from gammatrop.tropical.lattice import _integer_row, _minors
 from gammatrop.tropical.polyhedra import (
-    _echelon,
     _homogeneous_vertices,
     _point,
+    _rank,
     _recession_nontrivial,
 )
 
@@ -540,48 +544,11 @@ def homogeneous(rows):
 
 @EXACT
 @given(affine_systems())
-def test_echelon_rank_independent_set_and_kernel(system):
-    rows, n = system
+def test_rank_matches_sympy(system):
+    # consistent and inconsistent systems, as homogeneous integer rows
+    rows, _ = system
     lines = homogeneous(rows)
-    independent, kernel = _echelon(lines, n + 1)
-    rank = sympy.Matrix(lines).rank() if lines else 0
-    assert len(independent) == rank == n + 1 - len(kernel)
-    chosen = [lines[i] for i in independent.values()]
-    assert (sympy.Matrix(chosen).rank() if chosen else 0) == rank
-    # K spans ker E: it is annihilated by every row, and independent
-    for v in kernel:
-        assert all(sum(a * x for a, x in zip(line, v)) == 0 for line in lines)
-        assert math.gcd(*v) == 1
-    assert (sympy.Matrix(kernel).rank() if kernel else 0) == len(kernel)
-    # against the Fraction reduced row echelon form: the kernel's free
-    # columns are in order, and only the last vector, a homogeneous point
-    # of the solution set, is nonzero at w
-    solved = ref_solve_affine(rows, n)
-    assert (n in independent) == (solved is None)
-    if solved is None:
-        assert all(v[n] == 0 for v in kernel)
-        return
-    particular, basis = solved
-    *directions, point = kernel
-    assert point[n] > 0
-    assert tuple(Fraction(x, point[n]) for x in point[:n]) == particular
-    for v, b in zip(directions, basis, strict=True):
-        assert v[n] == 0
-        scale = next(Fraction(x) / y for x, y in zip(v, b) if y)
-        assert scale > 0 and all(x == scale * y for x, y in zip(v, b))
-
-
-@EXACT
-@given(affine_systems())
-def test_echelon_detects_inconsistent_systems(system):
-    rows, n = system
-    # the sum of all rows, with its right-hand side shifted by one
-    coef = tuple(sum(c[j] for c, _ in rows) for j in range(n))
-    rhs = sum((r for _, r in rows), Fraction(0)) + 1
-    independent, kernel = _echelon(homogeneous([*rows, (coef, rhs)]), n + 1)
-    # a pivot in the w column: the linear parts have rank below the rows'
-    assert n in independent
-    assert all(v[n] == 0 for v in kernel)
+    assert _rank(lines) == (sympy.Matrix(lines).rank() if lines else 0)
 
 
 def check_corner_locus(p, box):
@@ -613,6 +580,34 @@ def test_corner_locus_matches_cell_coordinate_reference(case):
 @given(tropical_polynomials(dims=(4, 4)))
 def test_corner_locus_matches_cell_coordinate_reference_in_four_dimensions(case):
     check_corner_locus(*case)
+
+
+# Finding 1's non-simplex families: t^1 terms at these points and the
+# constant at t^0, with the boundary measure of their chambers
+CUBE = list(itertools.product((-1, 1), repeat=3))
+CENTRES = [tuple(sign * int(i == j) for j in range(3)) for i in range(3) for sign in (1, -1)]
+FINDING_1 = {
+    "prism": ([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)], 27),
+    "cube vertices": (CUBE, 4),
+    "cube vertices and face centres": (CUBE + CENTRES, 4),
+    "boundary points of the cube": ([m for m in itertools.product((-1, 0, 1), repeat=3) if any(m)], 4),
+}
+
+
+@pytest.mark.parametrize("name", FINDING_1)
+def test_chamber_facets_are_the_bounded_2_cells_of_the_constant(name):
+    points, boundary = FINDING_1[name]
+    p = polynomial([*points, (0, 0, 0)], [1] * len(points) + [0])
+    box = ((-400, 400),) * 3
+    cells = [c for c in corner_locus(p, box).cells_of_dim(2) if len(points) in c.active]
+    chamber = compact_chamber(p)
+    assert all(c.bounded for c in cells)
+    assert sorted(c.vertices for c in cells) == sorted(map(chamber.facet_vertices, chamber.facets))
+    assert sum(c.affine_measure() for c in cells) == boundary_affine_area(chamber) == boundary
+    # the 6- and 9-form loci against the Fraction reference, which tries
+    # every subset of forms
+    if len(points) <= 8:
+        check_corner_locus(p, box)
 
 
 @EXACT

@@ -18,7 +18,7 @@ import gammatrop.periods.error_integrals as error_integrals
 import gammatrop.periods.fano as fano
 import gammatrop.periods.k3 as k3
 import gammatrop.quadrature as quadrature
-from gammatrop.cohomology import ManifoldModel, gamma_period_polynomial, log_gamma_series_exact
+from gammatrop.cohomology import ManifoldModel, _exact, gamma_period_polynomial, log_gamma_series_exact
 from gammatrop.errors import NonConvergenceError, UnsupportedDimensionError
 from gammatrop.periods import (
     ELLIPTIC_T_MAX,
@@ -38,6 +38,7 @@ from gammatrop.periods import (
     pants_section_integral,
 )
 from gammatrop.periods.fano import _bessel_k0
+from gammatrop.periods.types import _simplex_family
 from gammatrop.quadrature import (
     ConvexPolygon,
     QuadratureConfig,
@@ -660,6 +661,37 @@ def test_fano_prediction_polynomials():
     for big_l in (0.0, 1.0, 2.37):
         assert abs(p2.evaluate(big_l).real - p2_oracle(big_l)) < 1e-10
         assert abs(p3.evaluate(big_l).real - p3_oracle(big_l)) < 1e-10
+
+
+@pytest.mark.parametrize("n, volume, boundary", [
+    (1, 2, 2),
+    (2, Fraction(9, 2), 9),
+    (3, Fraction(32, 3), 32),
+    (4, Fraction(625, 24), Fraction(625, 6)),
+    (5, Fraction(324, 5), 324),
+])
+def test_fano_prediction_is_a_shift_of_l(n, volume, boundary):
+    # Finding 2: Gamma-hat carries exp(-gamma c_1) and omega = c_1, so the
+    # polynomial is Q(L - gamma) with Q free of gamma; read at L + gamma,
+    # in the exact ring, no coefficient holds gamma
+    coefficients = fano_prediction_polynomial(n).coefficients
+    gamma = _exact([((0, 1), 1)])
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * gamma)
+    shifted = [
+        sum((math.comb(k, j) * c * powers[k - j] for k, c in enumerate(coefficients[j:], j)), 0)
+        for j in range(n + 1)
+    ]
+    # an exact value's monomials are exponents of (i, gamma, pi, zeta(3), ...)
+    for c in shifted:
+        assert not any(len(m) > 1 and m[1] for m in getattr(c, "terms", ()))
+    # the L^n coefficient is the chamber's volume and the unshifted
+    # L^(n-1) one is -gamma times its boundary measure
+    chamber = compact_chamber(tropicalize(_simplex_family(n)))
+    assert coefficients[n] == shifted[n] == chamber.volume() == volume
+    assert boundary_affine_area(chamber) == boundary
+    assert coefficients[n - 1] == -gamma * boundary
 
 
 def test_fano_prediction_is_built_once_and_handed_out_fresh():

@@ -329,6 +329,40 @@ def test_bools_are_not_coefficients():
     assert LaurentFamily.from_json_dict(data) == line
 
 
+def test_primitive_vector_rejects_bools():
+    # a bool read as 0 or 1: (True, False) gave (1, 0)
+    with pytest.raises(TypeError, match="bool"):
+        primitive_vector([True, False])
+    assert primitive_vector([2, Fraction(4), 6]) == (1, 2, 3)
+
+
+def test_affine_length_rejects_bools():
+    with pytest.raises(TypeError, match="bool"):
+        affine_length((0, 0), (True, 0))
+    assert affine_length((0, 0), (0.5, Fraction(1, 2))) == Fraction(1, 2)
+
+
+def test_affine_volume_rejects_bools():
+    # the bool triangle read as the standard one, of volume 1/2
+    with pytest.raises(TypeError, match="bool"):
+        affine_volume([(0, 0), (True, 0), (0, True)])
+    assert affine_volume([(0, 0), (1, 0), (0, Fraction(1))]) == Fraction(1, 2)
+
+
+def test_polygon_affine_area_rejects_bools():
+    with pytest.raises(TypeError, match="bool"):
+        polygon_affine_area([(0, 0, 0), (1, 0, 0), (0, False, True)])
+    assert polygon_affine_area([(0, 0, 0), (1, 0, 0), (0, 0, Fraction(1))]) == Fraction(1, 2)
+
+
+def test_lattice_polytope_contains_rejects_bools():
+    # (True, False) read as (1, 0), a boundary point of the elliptic chamber
+    chamber = compact_chamber(tropicalize(elliptic_family()))
+    with pytest.raises(TypeError, match="bool"):
+        chamber.contains((True, False))
+    assert chamber.contains((1, 0)) and chamber.contains((Fraction(1, 2), Fraction(-1, 2)))
+
+
 def test_laurent_family_evaluate():
     fam = elliptic_family()
     t = 0.01
