@@ -201,6 +201,14 @@ def _bernoulli(m: int) -> list[Fraction]:
     return b
 
 
+def _as_int(value, what: str) -> int:
+    """value itself if it is an int; a bool, which would read as 0 or 1,
+    or any other type raises TypeError."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def zeta_value(k: int) -> float:
     """Riemann zeta at an integer k >= 2, as a float."""
     if not isinstance(k, int) or k < 2:
@@ -247,9 +255,9 @@ def log_gamma_series_exact(order: int) -> list:
 
     zeta(2m) = (-1)^(m+1) B_2m (2 pi)^(2m) / (2 (2m)!) with the Bernoulli
     number B_2m; zeta at an odd k >= 3 is a generator of the ring.  Order
-    0 gives [].
+    0 gives [], and an order that is no int raises TypeError.
     """
-    if order < 0:
+    if _as_int(order, "order") < 0:
         raise ValueError("order must be >= 0")
     bernoulli = _bernoulli(order)
     coeffs = [_exact([((0, 1), -1)])] if order else []
@@ -268,7 +276,9 @@ class GradedElement:
     coefficients[k] is the coefficient of H^k; products drop every term
     of degree > truncation.  Coefficients are ints, Fractions or exact
     ring values (see the module docstring); arithmetic on them is
-    generic, so any type with exact +, - and * stays exact.
+    generic, so any type with exact +, - and * stays exact.  The
+    truncation and a power's exponent are ints; a bool or a float raises
+    TypeError.
     """
 
     __slots__ = ("coefficients", "truncation")
@@ -277,7 +287,7 @@ class GradedElement:
         coeffs = list(coefficients)
         if truncation is None:
             truncation = len(coeffs) - 1
-        if truncation < 0:
+        if _as_int(truncation, "truncation") < 0:
             raise ValueError("truncation must be >= 0")
         if len(coeffs) < truncation + 1:
             coeffs.extend([0] * (truncation + 1 - len(coeffs)))
@@ -353,7 +363,7 @@ class GradedElement:
         return self.__mul__(other)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if _as_int(k, "exponent") < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = GradedElement.one(self.truncation)
         base = self
@@ -445,8 +455,8 @@ class ManifoldModel:
 
     def __post_init__(self):
         for value in (self.ambient_dim, self.hypersurface_degree):
-            if value is not None and (type(value) is bool or not isinstance(value, int)):
-                raise TypeError(f"ManifoldModel needs int data, got {value!r}")
+            if value is not None:
+                _as_int(value, "ManifoldModel data")
         if self.ambient_dim < 1:
             raise UnsupportedDimensionError(
                 f"ambient_dim must be >= 1, got {self.ambient_dim}"
@@ -505,8 +515,11 @@ def _power_sums(c: GradedElement) -> list:
 
 
 def chern_character(c: GradedElement, rank: int) -> list[GradedElement]:
-    """Chern character components [ch_0, ch_1, ..., ch_n], ch_k = p_k H^k/k!."""
-    if rank < 0:
+    """Chern character components [ch_0, ch_1, ..., ch_n], ch_k = p_k H^k/k!.
+
+    rank is an int; a bool or a float raises TypeError.
+    """
+    if _as_int(rank, "rank") < 0:
         raise ValueError("rank must be >= 0")
     n = c.truncation
     ch = [rank * GradedElement.one(n)]

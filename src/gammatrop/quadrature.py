@@ -704,50 +704,30 @@ class AsymptoticFit:
     residual_rms: float
     sample_count: int = field(default=0)
 
-    def predict(self, t: float) -> float:
-        """The fitted sum at t, which `fit_asymptotic` would take as a
-        sample's t: a number, not a bool, in (0, 1)."""
-        # NaN fails the range check too
-        if not _is_real(t) or not 0 < t < 1:
-            raise ValueError(f"t must be a number in (0, 1), got {t!r}")
-        big_l = -math.log(t)
-        return sum(c * big_l**k for k, c in self.coefficients.items())
-
 
 def fit_asymptotic(
     samples: Sequence[tuple[float, float]],
     powers: Sequence[int],
-    fixed: dict[int, float] | None = None,
 ) -> AsymptoticFit:
     """Fit sampled values against powers of L = -log t.
 
-    powers are ints, not bools, and may be negative.  fixed pins selected
-    coefficients, each finite and not a bool; only the remaining ones are
-    free.  Each sample's t and value must be finite real numbers, not
-    bools or strings.  Requires more samples than powers and a decently
-    spread t-grid (max L / min L >= 1.5), otherwise the normal equations
-    are too close to degenerate to trust.
+    powers are ints, not bools, and may be negative.  Each sample's t and
+    value must be finite real numbers, not bools or strings.  Requires
+    more samples than powers and a decently spread t-grid (max L / min L
+    >= 1.5), otherwise the normal equations are too close to degenerate
+    to trust.
     """
     powers = list(powers)
     if any(isinstance(k, bool) or not isinstance(k, int) for k in powers):
         raise ValueError(f"powers must be ints, got {powers}")
     if len(set(powers)) != len(powers):
         raise ValueError("powers must be distinct")
-    fixed = dict(fixed or {})
-    for k, c in fixed.items():
-        if k not in powers:
-            raise ValueError(f"fixed power {k} not among powers {powers}")
-        # as for the samples: a NaN or inf pin would make every coefficient
-        # NaN, and True is no coefficient
-        if not _is_real(c) or not math.isfinite(c):
-            raise ValueError(f"fixed coefficient of L^{k} must be a finite number, got {c!r}")
     if len(samples) < len(powers) + 1:
         raise ConditioningError(
             f"need at least {len(powers) + 1} samples for {len(powers)} powers, "
             f"got {len(samples)}"
         )
-    # as for the pins: the float arrays below would read True as 1.0 and
-    # parse "0.5"
+    # the float arrays below would read True as 1.0 and parse "0.5"
     if not all(_is_real(x) for s in samples for x in (s[0], s[1])):
         raise ValueError("samples must be real numbers, not bools or strings")
     ts = np.array([s[0] for s in samples], dtype=float)
@@ -763,19 +743,14 @@ def fit_asymptotic(
             "t-grid spread too narrow: max L / min L = "
             f"{big_l.max() / big_l.min():.3f} < 1.5"
         )
-    residual = vals.copy()
-    for k, c in fixed.items():
-        residual -= c * big_l**k
-    free = [k for k in powers if k not in fixed]
-    coeffs = dict(fixed)
-    if free:
-        design = np.column_stack([big_l**k for k in free])
+    coeffs = {}
+    if powers:
+        design = np.column_stack([big_l**k for k in powers])
         scale = np.abs(design).max(axis=0)
-        solution, _, rank, _ = np.linalg.lstsq(design / scale, residual, rcond=None)
-        if rank < len(free):
+        solution, _, rank, _ = np.linalg.lstsq(design / scale, vals, rcond=None)
+        if rank < len(powers):
             raise ConditioningError("degenerate design matrix")
-        for k, c in zip(free, solution / scale):
-            coeffs[k] = float(c)
+        coeffs = {k: float(c) for k, c in zip(powers, solution / scale)}
     model = np.zeros_like(vals)
     for k, c in coeffs.items():
         model += c * big_l**k

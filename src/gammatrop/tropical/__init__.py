@@ -7,11 +7,12 @@ computed in exact rational arithmetic.  Corner loci and chambers are
 found in any ambient dimension; a corner-locus cell is its active set,
 its sorted vertices and whether it is bounded, and a `halfplane_polygon`
 is its sorted vertices.  Each exact job is written once: one row
-clearing, one vertex search for the corner locus, whose vertices carry
-the forms least there and give every cell, one region kernel for the
-vertices of a chamber or a `halfplane_polygon`, one facet search, the
-hull's, which also gives the Newton polytope's facets and so which cells
-and chambers are bounded, and one lattice measure.
+clearing, one elimination, whose pivots give every rank, one vertex
+search for the corner locus and the compact chamber, whose vertices
+carry the forms least there and give every cell, one cone-ray search
+for the facets of a hull, which also gives the Newton polytope's facets
+and so which cells and chambers are bounded, and for the vertices and
+boundedness of a `halfplane_polygon`, and one lattice measure.
 """
 
 from .forms import (

@@ -15,12 +15,14 @@ ambient space and for a bare point set in coordinates on its affine span,
 where it measures in its own, so no measure needs its points in any
 order.
 
-Two more jobs of the whole exact layer are written once, here.
+Three more jobs of the whole exact layer are written once, here.
 `_integer_row` clears each rational row that is cleared on its own, one
-lcm per row.  `_cone_rays` gives the extreme rays of a cone of integer
-rows, from the signed `_minors` of every m - 1 of them: the facets of a
-hull here, and the recession directions of a `polyhedra.halfplane_polygon`
-region; the homogeneous vertices there are signed `_minors` too.
+lcm per row.  `_pivots` is the one fraction-free elimination: its pivot
+columns give every rank, and a frame on an affine span.  `_cone_rays`
+gives the extreme rays of a cone of integer rows, from the signed
+`_minors` of every m - 1 of them: the facets of a hull here, and the
+vertices and recession directions of a `polyhedra.halfplane_polygon`
+region.
 """
 
 from __future__ import annotations
@@ -85,6 +87,27 @@ def _wedge(minors: dict[tuple[int, ...], Rational], row: Sequence[Rational]) -> 
         cols: sum((-1) ** i * row[c] * minors[cols[:i] + cols[i + 1:]] for i, c in enumerate(cols))
         for cols in itertools.combinations(range(len(row)), size)
     }
+
+
+def _pivots(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The pivot columns of integer rows, all of one length, by
+    fraction-free elimination: each row is reduced in turn by the pivot
+    rows before it, each time divided by its gcd, and one that is not
+    reduced to 0 becomes a pivot row at its first nonzero entry.  Their
+    number is the rank, and the rows' minor on them is not 0, since each
+    pivot row is 0 at the pivot columns found before it."""
+    reduced: dict[int, list[int]] = {}
+    for row in rows:
+        for col, pivot in reduced.items():
+            if row[col]:
+                p, f = pivot[col], row[col]
+                row = [p * x - f * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                row = [x // g for x in row] if g > 1 else row
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            reduced[col] = row
+    return list(reduced)
 
 
 def _minors(rows: Sequence[Sequence[Rational]]) -> tuple[Rational, ...]:
@@ -215,24 +238,18 @@ def _hull_facets(points: Sequence[Sequence[Rational]]) -> dict[tuple, tuple[int,
 def _hull_measure(vertices: Sequence[Sequence[Rational]]) -> tuple[int, Fraction]:
     """The dimension d and lattice measure of the hull of rational points.
 
-    The columns of a nonzero maximal minor of the points' differences,
-    found by `_wedge`, are coordinates on their affine span.  Dropping
-    the other coordinates only finds the hull's incidence, the
-    `_hull_facets` of the points there.  The measure is `_face_measure`
-    of the points themselves.  An empty set gives d = -1 and measure 0,
-    and a bool coordinate raises TypeError.
+    The `_pivots` of the points' cleared differences are coordinates on
+    their affine span.  Dropping the other coordinates only finds the
+    hull's incidence, the `_hull_facets` of the points there.  The measure
+    is `_face_measure` of the points themselves.  An empty set gives d = -1
+    and measure 0, and a bool coordinate raises TypeError.
     """
     points = sorted({tuple(Fraction(_not_bool(x)) for x in v) for v in vertices})
     if len({len(p) for p in points}) > 1:
         raise ValueError("vertices must share one ambient dimension")
     if not points:
         return -1, Fraction(0)
-    span: dict[tuple[int, ...], Rational] = {(): 1}
-    for p in points[1:]:
-        wider = _wedge(span, [x - o for x, o in zip(p, points[0])])
-        if any(wider.values()):
-            span = wider
-    frame = next(cols for cols, m in span.items() if m)
+    frame = _pivots([_integer_row([x - o for x, o in zip(p, points[0])]) for p in points[1:]])
     incidence = _hull_facets([tuple(p[j] for j in frame) for p in points]).values()
     return len(frame), _face_measure(points, range(len(points)), list(incidence))
 

@@ -12,13 +12,14 @@ with the forms least there, and a cell is read off the vertices where
 its forms are least.  Boundedness is the locus's duality with the Newton
 polytope, the hull of the slopes: a cell is bounded when its slopes lie
 on no facet (`_newton_facets`), and the compact chamber is the region of
-the form whose slope lies on none, whose vertices are the
-`_homogeneous_vertices` of its differences from the other forms.  The
-chamber's facets and incidence are the `lattice._hull_facets` of its
-vertices, read through `lattice._subfaces` by its faces and measures;
-every measure, a cell's too, sums `lattice._simplex_measure`.  Ranks come
-from one fraction-free elimination, `_rank`.  Only returned coordinates
-are built as Fractions.
+the form whose slope lies on none, whose vertices the same search finds
+with no box.  The chamber's facets and incidence are the
+`lattice._hull_facets` of its vertices, read through `lattice._subfaces`
+by its faces and measures; every measure, a cell's too, sums
+`lattice._simplex_measure`.  A `halfplane_polygon` is one
+`lattice._cone_rays` search, which gives its vertices and whether it is
+bounded.  Every rank is the number of `lattice._pivots`.  Only returned
+coordinates are built as Fractions.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from .lattice import (
     _hull_measure,
     _integer_row,
     _minors,
+    _pivots,
     _subfaces,
+    primitive_vector,
 )
 
 Rational = int | Fraction
@@ -55,69 +58,10 @@ def _form_rows(p: TropicalPolynomial) -> list[tuple[int, ...]]:
     ]
 
 
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """The rank of integer rows, all of one length, by fraction-free
-    elimination: each row is reduced in turn by the pivot rows before it,
-    each time divided by its gcd, and one that is not reduced to 0 becomes
-    a pivot row at its first nonzero entry."""
-    reduced: dict[int, list[int]] = {}
-    for row in rows:
-        for col, pivot in reduced.items():
-            if row[col]:
-                p, f = pivot[col], row[col]
-                row = [p * x - f * y for x, y in zip(row, pivot)]
-                g = math.gcd(*row)
-                row = [x // g for x in row] if g > 1 else row
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is not None:
-            reduced[col] = row
-    return len(reduced)
-
-
-def _homogeneous_vertices(
-    lines: Sequence[tuple[int, ...]], k: int
-) -> list[tuple[int, ...]]:
-    """The vertices h = (x, w) of {line . h >= 0 for all lines}, any k.
-
-    Lines are integer rows of length k + 1 whose last entry pairs with w.
-    Every k lines meet in the homogeneous point h of their signed
-    `_minors`.  One with w = 0 is skipped; otherwise h is made w > 0, and
-    x / w is a vertex once line . h >= 0 for every line.  Each vertex
-    comes once, as a primitive h; for k = 0 the one candidate is (1,).
-    An empty region gives [], and an unbounded one the vertices it has.
-    """
-    vertices = set()
-    for combo in itertools.combinations(lines, k):
-        h = _minors(combo)
-        w = h[-1]
-        if w == 0:
-            continue
-        if w < 0:
-            h = tuple(-x for x in h)
-        if all(sum(map(mul, line, h)) >= 0 for line in lines):
-            g = math.gcd(*h)
-            vertices.add(tuple(x // g for x in h))
-    return list(vertices)
-
-
 def _point(h: Sequence[int]) -> Point:
     """The affine point x / w of a homogeneous h = (x, w), w != 0."""
     w = h[-1]
     return tuple(Fraction(x, w) for x in h[:-1])
-
-
-def _recession_nontrivial(rows: Sequence[tuple[int, ...]], k: int) -> bool:
-    """Whether {d != 0 : c . d >= 0 for all c in rows} is nonempty, any k.
-
-    Rows are integer vectors of length k.  Rows of rank below k, none at
-    all included, leave a line in the cone.  Otherwise the cone is
-    pointed, and it is not {0} exactly when `lattice._cone_rays` yields
-    an extreme ray; the search stops at the first.  Q^0 has no nonzero
-    direction.
-    """
-    if k == 0:
-        return False
-    return _rank(rows) < k or any(_cone_rays(rows, k))
 
 
 def _normalize_box(
@@ -191,10 +135,11 @@ def _vertex_search(
     """{primitive homogeneous vertex h = (x, w): the forms least at x}.
 
     A candidate is a form i and n equations, the `_differences` of s >= 2
-    forms from i and n + 1 - s box lines, which meet in the homogeneous
-    point h of their signed `_minors`.  One with w = 0 is skipped;
-    otherwise h is made primitive with w > 0, and kept once it satisfies
-    every box line and i, so every one of the s forms, is least there.
+    forms from i and n + 1 - s box lines (with no box, s = n + 1), which
+    meet in the homogeneous point h of their signed `_minors`.  One with
+    w = 0 is skipped; otherwise h is made primitive with w > 0, and kept
+    once it satisfies every box line and i, so every one of the s forms,
+    is least there.
     """
     found: dict[tuple[int, ...], frozenset[int]] = {}
     for i, equations in candidates:
@@ -221,7 +166,7 @@ def _newton_facets(p: TropicalPolynomial) -> list[frozenset[tuple[int, ...]]]:
     cell is bounded exactly when S's slopes lie on no facet.
     """
     slopes = sorted({f.slope for f in p.forms})
-    if _rank([(*m, 1) for m in slopes]) <= p.dim:
+    if len(_pivots([(*m, 1) for m in slopes])) <= p.dim:
         return [frozenset(slopes)]
     # a slope midway between two others is no vertex: the rest span the same hull
     known = set(slopes)
@@ -278,8 +223,8 @@ def corner_locus(p: TropicalPolynomial, box: Sequence) -> CellComplex:
     cells = []
     for active in map(sorted, closed):
         on = [h for h, least in found.items() if least.issuperset(active)]
-        k = n - _rank(_differences(rows, active))
-        if _rank(on) == k + 1:
+        k = n - len(_pivots(_differences(rows, active)))
+        if len(_pivots(on)) == k + 1:
             slopes = {p.forms[i].slope for i in active}
             bounded = not any(slopes <= facet for facet in newton)
             cells.append(Cell(k, tuple(active), tuple(sorted(points[h] for h in on)), bounded))
@@ -292,18 +237,27 @@ def halfplane_polygon(
 ) -> list[tuple[Fraction, Fraction]]:
     """Vertices of the bounded {s in R^2 : c . s + d >= 0 for all rows}, sorted.
 
-    Rows are (c, d) pairs, each cleared to one integer line (c, d) by
-    `_integer_row`; the vertices are the `_homogeneous_vertices` of the
-    lines, in lexicographic order, and a `quadrature.ConvexPolygon`
+    Rows are (c, d) pairs of ints or Fractions with c of length 2, each
+    cleared to one integer line (c, d) by `_integer_row`; any other c
+    raises ValueError, and a float or bool entry TypeError.  The
+    `_cone_rays` of the lines and w >= 0 are the region's homogeneous
+    vertices (x, w), w > 0, and its recession directions (d, 0); the
+    vertices come in lexicographic order, and a `quadrature.ConvexPolygon`
     orders them itself and fans from whichever comes first.  An empty
     region, or one squeezed to a point or a segment, gives []; a region
     with a vertex that is unbounded raises ValueError.
     """
-    lines = [_integer_row((*c, d)) for c, d in rows]
-    found = _homogeneous_vertices(lines, 2)
-    if found and _recession_nontrivial([line[:-1] for line in lines], 2):
+    lines = []
+    for c, d in rows:
+        if len(c) != 2:
+            raise ValueError(f"halfplane_polygon rows need a normal of length 2, got {(c, d)!r}")
+        lines.append(_integer_row([_as_fraction(x) for x in (*c, d)]))
+    rays = set(map(primitive_vector, _cone_rays([*lines, (0, 0, 1)], 3)))
+    vertices = [h for h in rays if h[-1]]
+    if vertices and len(vertices) < len(rays):
         raise ValueError("halfplane_polygon needs a bounded region")
-    return sorted(map(_point, found)) if _rank(found) == 3 else []
+    # the vertices of a bounded convex region span a plane once there are three
+    return sorted(map(_point, vertices)) if len(vertices) > 2 else []
 
 
 @dataclass(frozen=True)
@@ -357,8 +311,8 @@ def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
 
     A form's chamber is bounded when its slope lies on no facet of the
     Newton polytope (`_newton_facets`).  Its vertices are where n of the
-    other forms equal it and none is less, the `_homogeneous_vertices` of
-    their `_differences` from it, as in `_vertex_search` with no box.
+    other forms equal it and none is less, the `_vertex_search` of their
+    `_differences` from it with no box.
     Exactly one such chamber must have vertices of rank n + 1,
     otherwise the family is not of the expected shape and a
     StructureError is raised.  Its facets and their incidence are the
@@ -371,8 +325,10 @@ def compact_chamber(p: TropicalPolynomial) -> LatticePolytope:
     for i, form in enumerate(p.forms):
         if any(form.slope in facet for facet in newton):
             continue
-        on = _homogeneous_vertices(_differences(rows, [i, *range(i), *range(i + 1, len(rows))]), p.dim)
-        if _rank(on) == p.dim + 1:
+        others = _differences(rows, [i, *range(i), *range(i + 1, len(rows))])
+        candidates = ((i, combo) for combo in itertools.combinations(others, p.dim))
+        on = list(_vertex_search(rows, candidates, []))
+        if len(_pivots(on)) == p.dim + 1:
             found.append(tuple(sorted(map(_point, on))))
     if len(found) != 1:
         raise StructureError(f"expected exactly one compact chamber, found {len(found)}")

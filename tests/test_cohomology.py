@@ -187,6 +187,28 @@ def test_log_gamma_series_order_zero_is_empty():
             series(-1)
 
 
+def test_integer_arguments_are_ints_not_bools():
+    # True was read as 1: a truncation stored as True, x ** True == x, and
+    # the series and the Chern character of order or rank True; 2.0 failed
+    # inside range with "'float' object cannot be interpreted as an integer"
+    x = GradedElement([1, 2], 2)
+    calls = {
+        "truncation": lambda bad: GradedElement([1, 2], bad),
+        "exponent": lambda bad: x**bad,
+        "order": lambda bad: log_gamma_series_exact(bad),
+        "rank": lambda bad: chern_character(x, bad),
+    }
+    for what, call in calls.items():
+        for bad in (True, False, 2.0, Fraction(2), "2"):
+            with pytest.raises(TypeError, match=f"{what} must be an int"):
+                call(bad)
+    with pytest.raises(TypeError, match="order must be an int"):
+        log_gamma_series(2.0)
+    assert GradedElement([1, 2], 1).truncation == 1
+    assert (x**2).coefficients == [1, 4, 4]
+    assert len(chern_character(x, 2)) == 3
+
+
 def test_log_gamma_series_exact_values():
     a = [to_sympy(c) for c in log_gamma_series_exact(3)]
     assert a[0] == -sympy.EulerGamma

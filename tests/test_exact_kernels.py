@@ -1,12 +1,16 @@
 """Property tests: the integer kernels of the exact tropical layer.
 
 _minors, the signed maximal minors of k rows, is checked against Fraction
-determinants for k = 0..4, and _rank against sympy.
-_homogeneous_vertices (for every k, and through halfplane_polygon for
-k = 2), _recession_nontrivial (for k = 1..4) and corner_locus (in ambient
-dimensions 1 to 4) clear each row's denominators and work on ints.  Each
-is checked here against a reference that runs on Fractions throughout,
-and against the defining property of its answer.  The corner-locus
+determinants for k = 0..4, and _pivots, the one elimination, against
+sympy's rank and for a nonzero minor on its columns.  The cone-ray
+search of a region's rows and w >= 0 gives its vertices, the rays with
+w > 0, and its recession directions, those with w = 0: its vertices are
+checked for k = 0, 1 and 3, and, through halfplane_polygon, for k = 2 on
+bounded, unbounded, empty, point and segment regions, and its recession
+test for k = 1..4.  These and corner_locus (in ambient dimensions 1 to 4)
+clear each row's denominators and work on ints.  Each is checked here
+against a reference that runs on Fractions throughout, and against the
+defining property of its answer.  The corner-locus
 reference tries every subset of forms and cuts each cell out in its own
 coordinates, an origin and basis of its affine hull, as the exact layer
 once did; it checks the loci of random forms and of two of Finding 1's
@@ -25,6 +29,7 @@ measure.
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -51,13 +56,8 @@ from gammatrop.tropical import (
     primitive_vector,
 )
 from gammatrop.periods import MirrorFamily
-from gammatrop.tropical.lattice import _integer_row, _minors
-from gammatrop.tropical.polyhedra import (
-    _homogeneous_vertices,
-    _point,
-    _rank,
-    _recession_nontrivial,
-)
+from gammatrop.tropical.lattice import _cone_rays, _integer_row, _minors, _pivots
+from gammatrop.tropical.polyhedra import _point
 
 EXACT = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 # the 4-space cases cost more per example, so they get a smaller budget
@@ -344,6 +344,21 @@ def boxed_rows(draw):
     return [(rows + box)[i] for i in order]
 
 
+@st.composite
+def open_rows(draw):
+    """Random half-planes c . s + d >= 0 with no box, so the region is
+    often unbounded or empty; half the time squeezed onto the line x = a
+    and cut by y >= b, to a ray, to the point (a, b) or to a segment."""
+    rows = draw(st.lists(st.tuples(vectors(2), rationals), max_size=6))
+    if draw(st.booleans()):
+        a, b = draw(rationals), draw(rationals)
+        one, zero = Fraction(1), Fraction(0)
+        rows += [((one, zero), -a), ((-one, zero), a), ((zero, one), -b)]
+        rows += draw(st.sampled_from(([], [((zero, -one), b)], [((zero, -one), b + 1)])))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order]
+
+
 def halfspaces(k):
     """Random rows c . s + d >= 0 in Q^k, sometimes closed off by a box."""
     rows = st.lists(st.tuples(vectors(k), rationals), max_size=7)
@@ -500,17 +515,74 @@ def test_minors_match_fraction_determinants(case):
 
 
 @EXACT
-@given(boxed_rows())
+@given(st.one_of(boxed_rows(), open_rows()))
 def test_halfplane_polygon_matches_fraction_reference(rows):
-    assert halfplane_polygon(rows) == sorted(ref_halfplane_polygon(rows))
+    # it raises exactly when the region has a vertex and a recession
+    # direction, and gives [] for an empty region, a point or a segment
+    if ref_region_vertices(rows, 2) and ref_recession([c for c, _ in rows], 2):
+        with pytest.raises(ValueError, match="bounded region"):
+            halfplane_polygon(rows)
+    else:
+        assert halfplane_polygon(rows) == sorted(ref_halfplane_polygon(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # a point, a segment and a strip, which has no vertex, give []
+        ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], []),
+        ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)], []),
+        ([((0, 1), 0), ((0, -1), 1)], []),
+        # a ray has a vertex and a recession direction
+        ([((1, 0), 0), ((-1, 0), 0), ((0, 1), Fraction(1, 2))], ValueError),
+    ],
+)
+def test_halfplane_polygon_of_degenerate_regions(rows, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="bounded region"):
+            halfplane_polygon(rows)
+    else:
+        assert halfplane_polygon(rows) == expected
+
+
+@pytest.mark.parametrize("normal", [(), (1,), (1, 0, 0)])
+def test_halfplane_polygon_rejects_a_normal_that_is_not_2_d(normal):
+    # a 3-entry normal once failed with "too many values to unpack" deep
+    # in the minors, a 1-entry one with "not enough values"
+    rows = [((1, 0), 0), (normal, 1), ((0, 1), 0)]
+    with pytest.raises(ValueError, match=re.escape(f"normal of length 2, got {(normal, 1)!r}")):
+        halfplane_polygon(rows)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_halfplane_polygon_rejects_a_float_or_bool_entry(bad):
+    # True read as 1, and 1.0 failed with AttributeError in the row clearing
+    triangle = [((1, 0), 0), ((-1, -1), 4), ((0, 1), 1)]
+    for row in (((bad, 0), 0), ((1, 0), bad)):
+        with pytest.raises(TypeError):
+            halfplane_polygon([row, *triangle[1:]])
+
+
+def cone_ray_search(rows, k):
+    """The primitive `_cone_rays` of the rows of {s in Q^k : c . s + d >= 0},
+    each (c, d) cleared to one integer line, and w >= 0: the region's
+    homogeneous vertices (s, w), w > 0, and recession directions (d, 0)."""
+    lines = [_integer_row((*c, d)) for c, d in rows]
+    return {primitive_vector(h) for h in _cone_rays([*lines, (0,) * k + (1,)], k + 1)}
 
 
 def region_vertices(rows, k):
-    """The sorted vertices of {s in Q^k : c . s + d >= 0 for all rows}:
-    each (c, d) cleared to one integer line, the kernel's homogeneous
-    vertices made affine points."""
-    lines = [_integer_row((*c, d)) for c, d in rows]
-    return sorted(map(_point, _homogeneous_vertices(lines, k)))
+    """The sorted vertices of {s in Q^k : c . s + d >= 0 for all rows}, the
+    rays of the cone-ray search with w > 0 made affine points."""
+    return sorted(_point(h) for h in cone_ray_search(rows, k) if h[-1])
+
+
+def recession(rows, k):
+    """Whether {d != 0 : c . d >= 0 for all rows} is nonempty, by the
+    cone-ray search of the region {c . s >= 0}: it holds the origin, so it
+    has no recession direction exactly when its only ray is the origin's
+    (0, 1); a region with a line has no vertex either."""
+    return cone_ray_search([(c, 0) for c in rows], k) != {(0,) * k + (1,)}
 
 
 @EXACT
@@ -548,7 +620,11 @@ def test_rank_matches_sympy(system):
     # consistent and inconsistent systems, as homogeneous integer rows
     rows, _ = system
     lines = homogeneous(rows)
-    assert _rank(lines) == (sympy.Matrix(lines).rank() if lines else 0)
+    pivots = _pivots(lines)
+    assert len(pivots) == (sympy.Matrix(lines).rank() if lines else 0)
+    # the rows' minor on the pivot columns is not 0: they frame the row space
+    if pivots:
+        assert sympy.Matrix(lines)[:, pivots].rank() == len(pivots)
 
 
 def check_corner_locus(p, box):
@@ -616,7 +692,7 @@ def test_chamber_facets_are_the_bounded_2_cells_of_the_constant(name):
 ))
 def test_recession_matches_fraction_reference(case):
     k, rows = case
-    assert _recession_nontrivial([_integer_row(r) for r in rows], k) == ref_recession(rows, k)
+    assert recession(rows, k) == ref_recession(rows, k)
 
 
 @EXACT_4D
@@ -624,7 +700,7 @@ def test_recession_matches_fraction_reference(case):
 def test_recession_matches_fraction_reference_with_many_rows_in_four_dimensions(rows):
     # five or more rows can close the cone in Q^4 to {0}; eight random
     # rows do so about half the time, fewer than five rows never
-    assert _recession_nontrivial([_integer_row(r) for r in rows], 4) == ref_recession(rows, 4)
+    assert recession(rows, 4) == ref_recession(rows, 4)
 
 
 @EXACT

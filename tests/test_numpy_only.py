@@ -1,6 +1,8 @@
 """Checks that need numpy alone: the exact layer, with the hull facets of
 the quartic's chamber and of the point chamber in Q^0
-(`test_chamber_facets_from_the_hull`), two error integrals and three
+(`test_chamber_facets_from_the_hull`) and the `halfplane_polygon` of a
+triangle, an unbounded wedge and an empty region
+(`test_halfplane_polygon_of_three_regions`), two error integrals and three
 periods: the K3 and Fano periods, the two ways a driver reports
 quadrature results, and the elliptic period, whose branch points are
 fixed points of contractions.
@@ -36,6 +38,7 @@ from gammatrop.tropical import (
     compact_chamber,
     corner_locus,
     edge_singularities,
+    halfplane_polygon,
     tropicalize,
 )
 
@@ -96,6 +99,15 @@ def test_chamber_facets_from_the_hull():
     # Q^0 is one point, whose hull search finds no facet
     point = compact_chamber(TropicalPolynomial((AffineForm((), 0), AffineForm((), 1))))
     assert (point.vertices, point.facets, point.incidence) == (((),), (), ())
+
+
+def test_halfplane_polygon_of_three_regions():
+    # one cone-ray search gives a region's vertices and its boundedness
+    triangle = [((1, 0), 0), ((-1, -1), 4), ((0, 1), 1)]
+    assert halfplane_polygon(triangle) == [(0, -1), (0, 4), (5, -1)]
+    with pytest.raises(ValueError, match="bounded region"):
+        halfplane_polygon([((1, 0), 0), ((1, 1), 0)])
+    assert halfplane_polygon([((1, 0), -1), ((-1, 0), 0), ((0, 1), 0)]) == []
 
 
 def test_dim2_b_length_chi_and_value():
