@@ -185,7 +185,10 @@ def error_integral_dim2_b(u_rect, t: float) -> tuple[float, Fraction, int]:
     the line.  Each piece is fanned from the line's vertex when it has
     it, so the zeta(3) mass there sits at the collapsed corner of every
     triangle.  Each piece's quadrature runs at abs_tol = rel_tol = 1e-10,
-    before the L^3 scale.
+    before the L^3 scale, under the polygon rule of `integrate_2d`,
+    Gauss-Kronrod 15/7: away from the band along the line the integrand
+    is analytic, where that rule's estimate is tight, so at t = 1e-3 the
+    pieces take a quarter of the evaluations of Fejer's rule.
     """
     big_l = _big_l(t)
     complex_ = corner_locus(_PANTS_LINE, u_rect)

@@ -1,35 +1,48 @@
 """Deterministic adaptive quadrature and asymptotic fitting.
 
-One fixed nested interpolatory rule pair, 15 interior cosine nodes and
-the 7-node rule on every other one (open rules, so integrable endpoint
-singularities never get evaluated at the endpoint), bisection of the
-worst panels, and a reduction order that does not depend on scheduling.
-Rerunning with the same config is bit-identical.
+Two fixed nested rule pairs of 15 interior nodes, each with a coarse
+rule on every other node: Fejer's, the interior cosine nodes with the
+7-node cosine rule, and Gauss-Kronrod 15/7, the Kronrod nodes with the
+Gauss-7 rule.  Both are open rules, so integrable endpoint singularities
+never get evaluated at the endpoint.  Then bisection of the worst panels,
+and a reduction order that does not depend on scheduling.  Rerunning
+with the same config is bit-identical.
 
 One adaptive loop serves 1d and 2d: a heap of panels, each a box with
 its value and error.  Each round bisects the worst panels, every one
 that a loop splitting only the worst panel per round would have to split
 before it could stop, and evaluates all their children, of every patch,
 in one integrand call per round.  A box is an interval (a, b) in 1d.
-The 1d panel rule is one (2, 15) rule matrix, of the fine weights and of
-the fine plus the coarse weights: this matrix times the node values of
-all boxes of a call, one column per box, gives every fine and coarse sum
-in one product.  A panel's value is its fine sum, and its error is 1.5
-times the difference to the coarse one.  In 2d the domain is a list of
-patches, each a list of (u, v) boxes (u0, u1, v0, v1) with a map to the
-integrand's arguments and a jacobian.  Every patch is a triangle under
-the Duffy map of the unit square, and the integrand takes its point p:
-for a convex polygon the fan of triangles from its first vertex, and for
-a `Sphere` its facets, in the cone measure from the origin.
+The 1d panel rule is Fejer's pair as one (2, 15) rule matrix, of the
+fine weights and of the fine plus the coarse weights: this matrix times
+the node values of all boxes of a call, one column per box, gives every
+fine and coarse sum in one product.  A panel's value is its fine sum,
+and its error is 1.5 times the difference to the coarse one.  In 2d the
+domain is a list of patches, each a list of (u, v) boxes
+(u0, u1, v0, v1) with a tensor rule and a map to the integrand's
+arguments and a jacobian.  Every patch is a triangle under the Duffy map
+of the unit square, and the integrand takes its point p: for a convex
+polygon the fan of triangles from its first vertex, and for a `Sphere`
+its facets, in the cone measure from the origin.
 A 2d panel takes the tensor product of the fine rule and an error from
-the coarse rule along each axis.  Its rule is one (3, 225) matrix on the
-15 x 15 node values, u major, of outer products of the 1d rows: fine by
-fine, fine plus coarse along u by fine, and fine by fine plus coarse
-along v.  This matrix times the node values of all boxes of a patch
-gives every box's three sums in one product per patch.  Every weight of
-both rules is positive, so a non-finite node makes the panel's value
-non-finite; such a panel gets error inf, and so does a 1d panel so
-narrow that two of its nodes round onto one float.
+the coarse rule along each axis.  Its tensor rule is one (3, 225) matrix
+on the 15 x 15 node values, u major, of outer products of a pair's 1d
+rows: fine by fine, fine plus coarse along u by fine, and fine by fine
+plus coarse along v.  This matrix times the node values of all boxes of
+a patch gives every box's three sums in one product per patch.
+A convex polygon takes Gauss-Kronrod's pair.  Its coarse rule is exact
+to degree 13, against 7 for Fejer's, so the error estimate, which is
+the coarse rule's error, is tight where the integrand is analytic, and
+the loop stops splitting panels that are already exact: the zeta(3)
+error integral of `periods.error_integral_dim2_b` takes a quarter of the
+evaluations.  The 1d rule keeps Fejer's pair, since Gauss-Kronrod's
+estimate under-counts the integral of x^-0.9 or x^-0.95 over (0, 1) at
+tol 1e-8 and 1e-10, where Fejer's holds.  A `Sphere` keeps it too for
+now, so the K3 period's numbers stay as they are; the two tensor rules
+become one when it switches.  Every weight of every rule is positive, so
+a non-finite node makes the panel's value non-finite; such a panel gets
+error inf, and so does a 1d panel so narrow that two of its nodes round
+onto one float.
 
 Integrands must be elementwise: each value depends only on the arguments
 at its own node, and one call may cover many panels.  Planar integrands
@@ -121,23 +134,73 @@ def _interior_cosine_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), w
 
 
-# fine nodes and weights, and the coarse weights on every other fine node
+def _rule_rows(weights: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """The (2, 15) rule matrix of a nested pair: the fine weights, and the
+    fine plus the coarse weights, the coarse ones on every other node.
+    Every entry is positive, so a non-finite node makes both sums
+    non-finite and never meets a zero weight, where 0 * inf warns."""
+    rows = np.vstack((weights, weights))
+    rows[1, 1::2] += coarse
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class _TensorRule:
+    """A 2d panel rule: the 1d nodes and fine weights of its pair, and the
+    (3, 225) matrix on a box's 15 x 15 node values, u major, of the fine
+    rule on both axes, and the fine plus the coarse rule along u, then
+    along v, with the fine rule on the other axis.  Its entries are
+    products of positive ones, so no node meets a zero weight.  Compared
+    by identity, so a 2d patch's chart, (rule, to_args), is a dict key."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    matrix: np.ndarray
+
+
+def _tensor_rule(nodes: np.ndarray, weights: np.ndarray, coarse: np.ndarray) -> _TensorRule:
+    """The tensor rule of a 1d (nodes, fine weights, coarse weights) triple."""
+    fine, both = _rule_rows(weights, coarse)
+    matrix = np.stack((np.outer(fine, fine), np.outer(both, fine), np.outer(fine, both)))
+    return _TensorRule(nodes, weights, matrix.reshape(3, -1))
+
+
+def _mirrored(half: Sequence[float], sign: float = 1.0) -> np.ndarray:
+    """A symmetric rule's values at all its nodes, from those at its first
+    node to its middle one; sign -1 mirrors the nodes, odd about the middle."""
+    half = np.array(half)
+    return np.concatenate((half, sign * half[-2::-1]))
+
+
+# Fejer's pair: the 15 interior cosine nodes, and the coarse weights on
+# every other fine node
 _NODES, _WEIGHTS = _interior_cosine_rule(_RULE_ORDER + 1)
 _COARSE = _interior_cosine_rule((_RULE_ORDER + 1) // 2)[1]
-# the 1d rule matrix, whose rows are the fine weights and the fine plus
-# the coarse weights.  Every entry is positive, so a non-finite node makes
-# both sums non-finite and never meets a zero weight, where 0 * inf warns.
-_RULE_1D = np.vstack((_WEIGHTS, _WEIGHTS))
-_RULE_1D[1, 1::2] += _COARSE
-# the 2d rule matrix on a box's 15 x 15 node values, u major: the fine
-# rule on both axes, and the fine plus the coarse rule along u, then
-# along v, with the fine rule on the other axis.  Its entries are
-# products of positive ones, so as in _RULE_1D no node meets a zero weight.
-_RULE_2D = np.stack((
-    np.outer(_RULE_1D[0], _RULE_1D[0]),
-    np.outer(_RULE_1D[1], _RULE_1D[0]),
-    np.outer(_RULE_1D[0], _RULE_1D[1]),
-)).reshape(3, -1)
+# the 1d rule matrix
+_RULE_1D = _rule_rows(_WEIGHTS, _COARSE)
+# Gauss-Kronrod 15/7 (Kronrod 1965; QUADPACK's qk15): the Kronrod nodes,
+# descending like the cosine nodes, with the Gauss-7 rule on every other
+# one.  Kronrod is exact to degree 22 and Gauss to 13, against 15 and 7
+# for Fejer's pair, so on an analytic panel the difference is tight.
+_KRONROD_NODES = _mirrored((
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+), sign=-1.0)
+_KRONROD_WEIGHTS = _mirrored((
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+))
+_GAUSS_WEIGHTS = _mirrored((
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+))
+# a `Sphere` takes Fejer's tensor rule and a convex polygon Gauss-Kronrod's
+_FEJER_2D = _tensor_rule(_NODES, _WEIGHTS, _COARSE)
+_KRONROD_2D = _tensor_rule(_KRONROD_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS)
 
 
 _FLOAT = np.dtype(float)
@@ -173,8 +236,8 @@ def _values(y, size: int) -> np.ndarray:
 def _panels_1d(f, patches):
     """The intervals of a 1d round, in one integrand call, as heap entries.
 
-    A 1d integral has one patch, (boxes, to_args), and `to_args` is
-    unused: the nodes are the arguments.  The nodes of all boxes are one
+    A 1d integral has one patch, (boxes, chart), and `chart` is unused:
+    the nodes are the arguments.  The nodes of all boxes are one
     broadcast, one row per box, and _RULE_1D times their values gives
     every box's fine sum and fine plus coarse sum in one product; the rest
     is arithmetic on Python floats.  Returns a one-item list of the
@@ -310,7 +373,8 @@ def _panel_sums(finished, heap) -> tuple[float, float]:
 def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluations=0):
     """The adaptive panel loop of one integral, in 1d and 2d alike.
 
-    `patches` is a list of (boxes, to_args); `rule(f, patches)` evaluates
+    `patches` is a list of (boxes, chart), the chart a dict key: None in
+    1d and a (tensor rule, to_args) pair in 2d.  `rule(f, patches)` evaluates
     the boxes of every patch given in one integrand call and returns one
     list of (value, error, axis, box) entries per patch, and the
     evaluation count.  The initial patches are one such call.
@@ -342,7 +406,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
     result is `_panel_sums` of the final panels, with tail_bound added
     to the error.
     """
-    heap = []  # entries: (-err, tie_breaker, value, err, axis, box, to_args)
+    heap = []  # entries: (-err, tie_breaker, value, err, axis, box, chart)
     tie = itertools.count()
     total_val = total_err = 0.0
     infinite = 0
@@ -354,7 +418,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
             return
         entries, count = rule(f, round_patches)
         evaluations += count
-        for (_, to_args), patch_entries in zip(round_patches, entries):
+        for (_, chart), patch_entries in zip(round_patches, entries):
             for value, err, axis, box in patch_entries:
                 if err == math.inf:
                     infinite += 1
@@ -362,7 +426,7 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
                 else:
                     total_val += value
                     total_err += err
-                heapq.heappush(heap, (-err, next(tie), value, err, axis, box, to_args))
+                heapq.heappush(heap, (-err, next(tie), value, err, axis, box, chart))
 
     push(patches)
     finished: list[tuple[float, float]] = []
@@ -375,9 +439,9 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
             if _meets_tolerance(total_err + tail_bound, total_val, cfg):
                 break
         target = _target(total_val, cfg)
-        children = {}  # to_args -> the children's boxes, in pop order
+        children = {}  # chart -> the children's boxes, in pop order
         while heap and splits < _MAX_SUBDIVISIONS:
-            _, _, value, err, axis, box, to_args = heap[0]
+            _, _, value, err, axis, box, chart = heap[0]
             i = 2 * axis  # the axis's (lo, hi) in the box
             lo, hi = box[i:i + 2]
             mid = 0.5 * (lo + hi)
@@ -399,12 +463,12 @@ def _cubature(f, rule, patches, cfg: QuadratureConfig, tail_bound=0.0, evaluatio
             else:
                 total_val -= value
                 total_err -= err
-            children.setdefault(to_args, []).extend(
+            children.setdefault(chart, []).extend(
                 (box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:])
             )
             if had_inf or narrow:
                 break
-        push([(boxes, to_args) for to_args, boxes in children.items()])
+        push([(boxes, chart) for chart, boxes in children.items()])
     else:  # no stop on tolerance, whose break leaves the final sums
         total_val, total_err = _panel_sums(finished, heap)
     error = total_err + tail_bound
@@ -562,15 +626,19 @@ _FACET_BOXES = tuple(
 )
 
 
-def _patches(domain) -> list[tuple[Sequence[tuple[float, float, float, float]], Callable]]:
-    """The domain as lists of (u, v) boxes, each with a map to (arguments, jacobian):
-    a Duffy triangle's point p, and u |det(b - a, c - a)| on a fan triangle
-    or the cone measure u |det(a, b, c)| on a `Sphere` facet."""
+def _patches(
+    domain,
+) -> list[tuple[Sequence[tuple[float, float, float, float]], tuple[_TensorRule, Callable]]]:
+    """The domain as lists of (u, v) boxes, each with a chart: its tensor
+    rule and a map to (arguments, jacobian), a Duffy triangle's point p,
+    and u |det(b - a, c - a)| on a fan triangle or the cone measure
+    u |det(a, b, c)| on a `Sphere` facet."""
     if isinstance(domain, Sphere):
-        boxes, triangles = _FACET_BOXES, domain.facets
+        boxes, triangles, rule = _FACET_BOXES, domain.facets, _FEJER_2D
     elif isinstance(domain, ConvexPolygon):
         a, *rest = domain.vertices
         boxes, triangles = [(0.0, 1.0, 0.0, 1.0)], [(a, b, c) for b, c in zip(rest, rest[1:])]
+        rule = _KRONROD_2D
     else:
         raise ValueError(f"unsupported 2d domain: {domain!r}")
     patches = []
@@ -581,27 +649,28 @@ def _patches(domain) -> list[tuple[Sequence[tuple[float, float, float, float]], 
         if w == 0.0:  # collinear fan vertices
             continue
 
-        def chart(u, v, a=a, e1=e1, e2=e2, w=w):
+        def to_args(u, v, a=a, e1=e1, e2=e2, w=w):
             s = 1.0 - v
             return tuple(o + u * (s * x + v * y) for o, x, y in zip(a, e1, e2)), u * w
 
-        patches.append((boxes, chart))
+        patches.append((boxes, (rule, to_args)))
     return patches
 
 
 def _panels_2d(f, patches):
     """The (u, v) boxes of a round's patches, in one integrand call, as heap entries.
 
-    Each patch (boxes, to_args) maps its boxes' nodes through its own
-    chart; the arguments of all patches are joined for one integrand call,
-    and the values split back per patch and weighted by its jacobian.
-    Each box takes the tensor product of the fine rule.  _RULE_2D times
-    the node values of a patch's boxes, one column per box, gives each
-    box's fine sum and its sums under the rule that is coarse along u and
-    along v, each plus the fine sum, in one product per patch, so that a
-    box's sums round as with its patch alone; the rest is arithmetic on
-    Python floats.  A box's error is 1.5 times the sum, over both axes, of
-    its difference to the coarse rule along that axis, and it splits along
+    Each patch (boxes, (rule, to_args)) places its boxes' nodes by its
+    `_TensorRule` and maps them through its own chart; the arguments of
+    all patches are joined for one integrand call, and the values split
+    back per patch and weighted by its jacobian.  Each box takes the
+    tensor product of the fine rule.  The rule's matrix times the node
+    values of a patch's boxes, one column per box, gives each box's fine
+    sum and its sums under the rule that is coarse along u and along v,
+    each plus the fine sum, in one product per patch, so that a box's
+    sums round as with its patch alone; the rest is arithmetic on Python
+    floats.  A box's error is 1.5 times the sum, over both axes, of its
+    difference to the coarse rule along that axis, and it splits along
     the axis with the larger difference.  A box with a non-finite value
     splits across the axis with fewer non-finite line sums, so a singular
     line is cut off, not along.  Returns, per patch, the (value, error,
@@ -609,12 +678,12 @@ def _panels_2d(f, patches):
     evaluations.
     """
     halves, charted = [], []
-    for boxes, to_args in patches:
+    for boxes, (rule, to_args) in patches:
         bounds = np.array(boxes)
         mid = 0.5 * (bounds[:, ::2] + bounds[:, 1::2])
         half = 0.5 * (bounds[:, 1::2] - bounds[:, ::2])
         # the u and the v nodes of each box, as (k, 2, 15)
-        nodes = mid[:, :, None] + half[:, :, None] * _NODES
+        nodes = mid[:, :, None] + half[:, :, None] * rule.nodes
         # the (u, v) grid of each box, u major: each u node repeated and
         # the v nodes repeated as a block
         u = nodes[:, 0].repeat(_RULE_ORDER)
@@ -626,12 +695,12 @@ def _panels_2d(f, patches):
     values = _values(f(*args), count)
     entries = []
     start = 0
-    for (boxes, _), half, (_, jacobian) in zip(patches, halves, charted):
+    for (boxes, (rule, _)), half, (_, jacobian) in zip(patches, halves, charted):
         stop = start + len(boxes) * _RULE_ORDER * _RULE_ORDER
         y = (values[start:stop] * jacobian).reshape(-1, _RULE_ORDER * _RULE_ORDER)
         start = stop
         # the rule is the left operand, as in _panels_1d
-        sums = _RULE_2D.dot(y.T).tolist()
+        sums = rule.matrix.dot(y.T).tolist()
         patch_entries = []
         for k, (box, (hu, hv), fine, both_u, both_v) in enumerate(zip(boxes, half, *sums)):
             area = hu * hv
@@ -647,8 +716,8 @@ def _panels_2d(f, patches):
                 # along u at each v node
                 err = math.inf
                 grid = y[k].reshape(_RULE_ORDER, _RULE_ORDER)
-                along_v = _WEIGHTS.dot(grid.T)
-                along_u = _WEIGHTS.dot(grid)
+                along_v = rule.weights.dot(grid.T)
+                along_u = rule.weights.dot(grid)
                 split_v = bool((~np.isfinite(along_v)).sum() > (~np.isfinite(along_u)).sum())
             # False and True index the box as axes 0 (u) and 1 (v)
             patch_entries.append((value, err, split_v, box))
@@ -677,7 +746,10 @@ def integrate_2d(
     Each facet starts as 6 boxes, so that its edges lie in thin panels.
 
     Every box is a panel of one heap, evaluated by the tensor product of
-    the fine rule; all initial boxes take one integrand call.  Each round
+    the fine rule of its domain's pair: Gauss-Kronrod 15/7 on a polygon,
+    whose estimate is tight on analytic panels, and Fejer's on a `Sphere`
+    (see the module docstring); all initial boxes take one integrand
+    call.  Each round
     bisects the worst panels along their worse axes, those that
     `_cubature` must split before it can stop, and evaluates their
     children, of every patch, in one call per round, for at most
